@@ -4,26 +4,18 @@ Each subcommand runs one pipeline, writes its declared output files
 atomically, and prints a one-line JSON summary to stdout. Exit codes: 0 on
 success, 2 on argument errors, 1 on computation errors (the error class name
 goes to stderr). Reruns with identical flags and seed produce byte-identical
-outputs. IBPLANE_THREADS caps the restart fan-out of the curve sweep.
+outputs.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 import numpy as np
 
 from . import analyzer, bounds, curve, io, mlp, presets, prob, solver, svgplot
 from .errors import IBError
-
-
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("IBPLANE_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _read(path: str) -> str:
@@ -77,7 +69,7 @@ def _sweep(args, j, predict: bool = True):
     traced = curve.anneal_curve(
         j, args.t_card, grid, perturb_mag=args.perturb, restarts=args.restarts,
         tol=args.tol, max_iter=args.max_iter, seed=args.seed,
-        mass_eps=args.mass_eps, merge_tau=args.merge_tau, threads=_threads())
+        mass_eps=args.mass_eps, merge_tau=args.merge_tau)
     if not predict:
         return traced, traced.bifurcations
     bifs = curve.detect_bifurcations(

@@ -17,18 +17,19 @@ before reading off lambda.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateClusterError, DimensionError
 from .prob import JointDistribution, conditional_rows, js_bits, mi_bits
-from .solver import (
+from .solver import (  # noqa: F401  ib_solve stays importable from here
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     IBSolution,
+    _check_query,
     _restart_init,
+    _solve_batch,
     ib_solve,
     ib_solve_multistart,
 )
@@ -248,46 +249,30 @@ def _derived_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
 
 
-def _run_all(fns, threads: int):
-    if threads > 1 and len(fns) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            futures = [ex.submit(f) for f in fns]
-            return [f.result() for f in futures]
-    return [f() for f in fns]
-
-
-def _best(solutions) -> IBSolution:
-    return min(solutions, key=lambda s: (s.L, s.R))
-
-
 def anneal_curve(j: JointDistribution, t_card: int, beta_grid,
                  perturb_mag: float = 1e-3, restarts: int = 3,
                  tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
                  seed: int = 0, mass_eps: float = MASS_EPS,
-                 merge_tau: float = MERGE_TAU, threads: int = 1) -> InfoCurve:
-    """Sweep the beta grid with warm starts plus fresh restarts per point and
-    bracket every effective-cardinality jump by bisection."""
+                 merge_tau: float = MERGE_TAU) -> InfoCurve:
+    """Sweep the beta grid, solving each point's warm start and fresh
+    restarts as one batch, and bracket every effective-cardinality jump by
+    bisection."""
     beta_grid = np.asarray(beta_grid, dtype=float)
     if beta_grid.size == 0:
         raise ValueError("beta grid is empty")
     if np.any(beta_grid <= 0) or np.any(np.diff(beta_grid) <= 0):
         raise ValueError("beta grid must be strictly increasing and positive")
+    _check_query(t_card, float(beta_grid[0]), tol)
 
     points: list[CurvePoint] = []
     cards: list[int] = []
     prev: IBSolution | None = None
     for i, beta in enumerate(beta_grid):
-        fns = []
-        if prev is not None:
-            warm = prev.encoder.perturbed(_derived_seed(seed, i, 0), perturb_mag)
-            fns.append(lambda b=beta, w=warm: ib_solve(
-                j, t_card, b, init=w, tol=tol, max_iter=max_iter))
-        for r in range(restarts):
-            s = _derived_seed(seed, i, r + 1)
-            fns.append(lambda b=beta, r=r, s=s: ib_solve(
-                j, t_card, b, init=_restart_init(j.x_card, t_card, r, s),
-                tol=tol, max_iter=max_iter, seed=s))
-        best = _best(_run_all(fns, threads))
+        inits = [] if prev is None else [
+            prev.encoder.perturbed(_derived_seed(seed, i, 0), perturb_mag)]
+        inits += [_restart_init(j.x_card, t_card, r, _derived_seed(seed, i, r + 1))
+                  for r in range(restarts)]
+        best = _solve_batch(j, t_card, float(beta), inits, tol, max_iter)
         card = effective_cardinality(best, mass_eps, merge_tau)
         points.append(CurvePoint(
             beta=float(beta), R=best.R, I_Y=best.I_Y, D_IB=best.D_IB,

@@ -31,10 +31,10 @@ def _frozen_array(a, dtype=float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def entropy_bits(p) -> float:
-    """Shannon entropy -sum p log2 p of a probability vector, in bits."""
+    """Shannon entropy -sum p log2 p of a probability vector, in bits, >= 0."""
     p = np.asarray(p, dtype=float)
     pos = p > 0
-    return float(-(p[pos] * np.log2(p[pos])).sum())
+    return max(0.0, float(-(p[pos] * np.log2(p[pos])).sum()))
 
 
 def kl_bits(p, q) -> float:
@@ -58,13 +58,13 @@ def js_bits(p, q) -> float:
 
 
 def mi_bits(joint) -> float:
-    """Mutual information of a joint probability matrix, in bits."""
+    """Mutual information of a joint probability matrix, in bits, >= 0."""
     joint = np.asarray(joint, dtype=float)
     px = joint.sum(axis=1)
     py = joint.sum(axis=0)
     outer = np.outer(px, py)
     pos = joint > 0
-    return float((joint[pos] * np.log2(joint[pos] / outer[pos])).sum())
+    return max(0.0, float((joint[pos] * np.log2(joint[pos] / outer[pos])).sum()))
 
 
 def conditional_rows(joint) -> tuple[np.ndarray, np.ndarray]:

@@ -8,10 +8,21 @@ the stationary-point updates
     p(y|t) <- sum_x p(y|x) p(x|t)
     p(t|x) <- p(t) * exp(-beta * KL(p(y|x) || p(y|t))) / Z(x)
 
-until the encoder stops moving. All reported quantities (R, I_Y, D_IB, L) are
-in bits. The exponent uses the divergence in natural-log units, which is the
-same thing as a base-2 exponent on the bit-valued divergence, so the bit
-convention and the update rule are mutually consistent.
+(the plain map; Tishby, Pereira and Bialek 1999) until the encoder stops
+moving. All reported quantities (R, I_Y, D_IB, L) are in bits. The exponent
+uses the divergence in natural-log units, which is the same thing as a base-2
+exponent on the bit-valued divergence, so the bit convention and the update
+rule are mutually consistent.
+
+Near a critical beta the plain map contracts slowly, so every solve adds
+squared extrapolation in log-encoder space (SQUAREM; Varadhan and Roland 2008,
+Scand. J. Stat. 35:335), kept only when L after one stabilizing plain step is
+no higher than after two plain steps. L never increases under the plain map,
+so it never increases along a solve. A solve converges when one plain step
+moves the encoder by less than tol in max-abs, and returns that step's output;
+`iterations` counts plain-map evaluations, stabilizing steps included. Solves
+at one beta run in lockstep over a (B, X, T) encoder stack, each one unaffected
+by the rest of its batch.
 
 This is a local method (the problem is not convex); global behavior comes
 from seeded restarts and from warm-started annealing in the curve module.
@@ -42,6 +53,8 @@ from .prob import (
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 10_000
 INIT_NOISE = 1e-2  # multiplicative noise that breaks the symmetric fixed point
+LOG_FLOOR = 1e-300  # encoder entries are floored here before taking logs
+STEP_BOUND = 4.0  # first and smallest SQUAREM step bound, and its growth factor
 
 ORACLE_GUARD = 1_000_000  # max number of deterministic maps to enumerate
 
@@ -128,7 +141,7 @@ class IBSolution:
     def __post_init__(self):
         if self.beta < 0:
             raise ValueError(f"beta must be >= 0, got {self.beta}")
-        if self.R < -1e-9 or self.I_Y < -1e-9 or self.D_IB < -1e-9:
+        if self.R < 0 or self.I_Y < 0 or self.D_IB < 0:
             raise ValueError("information quantities must be nonnegative")
         if abs(self.L - (self.R - self.beta * self.I_Y)) > 1e-9:
             raise ValueError("objective does not satisfy L = R - beta * I_Y")
@@ -139,56 +152,78 @@ class IBSolution:
 
 
 # ---------------------------------------------------------------------------
-# Update kernel
+# Update kernel, on (B, X, T) encoder stacks
 # ---------------------------------------------------------------------------
 
 def _distortion_nats(pygx: np.ndarray, dec: np.ndarray) -> np.ndarray:
-    """d[x, t] = KL(p(y|x) || p(y|t)) in nats; +inf where support is missed."""
+    """d[b, x, t] = KL(p(y|x) || p(y|t)) in nats for a (B, T, Y) decoder
+    stack; +inf where support is missed."""
     pos = pygx > 0
-    logp = np.where(pos, np.log(np.where(pos, pygx, 1.0)), 0.0)
-    h = (pygx * logp).sum(axis=1)  # sum_y p log p per row (negative entropy)
+    h = (pygx * np.log(np.where(pos, pygx, 1.0))).sum(axis=1)  # sum_y p log p per row
     dec_pos = dec > 0
-    logdec = np.where(dec_pos, np.log(np.where(dec_pos, dec, 1.0)), 0.0)
-    cross = pygx @ logdec.T
-    d = h[:, None] - cross
-    # a decoder zero under p(y|x) support makes the divergence infinite
-    missed = pos[:, None, :] & ~dec_pos[None, :, :]
-    d[missed.any(axis=2)] = math.inf
+    d = h[:, None] - pygx @ np.log(np.where(dec_pos, dec, 1.0)).transpose(0, 2, 1)
+    if not dec_pos.all():
+        # a decoder zero under p(y|x) support makes the divergence infinite
+        missed = pos.astype(float) @ (~dec_pos).transpose(0, 2, 1)
+        d[missed > 0] = math.inf
     return d
 
 
 def _decoder_from(px: np.ndarray, pygx: np.ndarray, enc: np.ndarray,
                   pt: np.ndarray) -> np.ndarray:
-    """Bayes decoder p(y|t); zero-mass clusters decode a uniform mixture."""
-    w = enc * px[:, None]
-    pxgt = np.empty_like(w)
-    alive = pt > 0
-    pxgt[:, alive] = w[:, alive] / pt[alive]
-    pxgt[:, ~alive] = 1.0 / px.size
-    return pxgt.T @ pygx
+    """Bayes decoders p(y|t) from (B, T) marginals; zero-mass clusters decode
+    a uniform mixture."""
+    alive = (pt > 0)[:, None, :]
+    pxgt = np.where(alive, enc * px[:, None] / np.where(alive, pt[:, None, :], 1.0),
+                    1.0 / px.size)
+    return pxgt.transpose(0, 2, 1) @ pygx
+
+
+def _encoder_update(pygx: np.ndarray, pt: np.ndarray, dec: np.ndarray,
+                    beta: float) -> np.ndarray:
+    """p(t|x) ~ p(t) exp(-beta KL(p(y|x) || p(y|t))) from (B, T) marginals and
+    (B, T, Y) decoders; NaN rows where every cluster is at infinite divergence."""
+    d = _distortion_nats(pygx, dec)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logw = np.log(pt)[:, None, :] - (beta * d if beta > 0 else np.zeros_like(d))
+        w = np.exp(logw - logw.max(axis=2, keepdims=True))
+        return w / w.sum(axis=2, keepdims=True)
 
 
 def _step(px: np.ndarray, pygx: np.ndarray, enc: np.ndarray,
-          beta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One full update round; returns (new encoder, marginal, decoder)."""
+          beta: float) -> np.ndarray:
+    """One round of the three updates (the plain map) on every encoder."""
     pt = px @ enc
-    dec = _decoder_from(px, pygx, enc, pt)
-    d = _distortion_nats(pygx, dec)
-    with np.errstate(divide="ignore"):
-        logpt = np.log(pt)
-    if beta == 0:
-        expo = np.zeros_like(d)
-    else:
-        expo = np.where(np.isinf(d), -math.inf, -beta * d)
-    logw = logpt[None, :] + expo
-    rowmax = logw.max(axis=1)
-    if not np.all(np.isfinite(rowmax)):
-        bad = int(np.argmin(np.isfinite(rowmax)))
+    new = _encoder_update(pygx, pt, _decoder_from(px, pygx, enc, pt), beta)
+    bad = np.nonzero(np.isnan(new[:, :, 0]))[1]
+    if bad.size:
         raise DegenerateEncoderError(
-            f"every cluster is at infinite divergence for symbol x={bad}"
-        )
-    w = np.exp(logw - rowmax[:, None])
-    return w / w.sum(axis=1, keepdims=True), pt, dec
+            f"every cluster is at infinite divergence for symbol x={bad[0]}")
+    return new
+
+
+def _objective(jp: np.ndarray, px: np.ndarray, enc: np.ndarray,
+               beta: float) -> np.ndarray:
+    """L = I(X;T) - beta * I(T;Y) in nats, up to a constant, per encoder."""
+    def neg_h(p):  # sum p log p over the last two axes
+        return (p * np.log(np.where(p > 0, p, 1.0))).sum(axis=(1, 2))
+
+    return (neg_h(enc * px[:, None]) - (1.0 - beta) * neg_h((px @ enc)[:, None])
+            - beta * neg_h(enc.transpose(0, 2, 1) @ jp))
+
+
+def _extrapolate(e0, e1, e2, bound) -> tuple[np.ndarray, np.ndarray]:
+    """SQUAREM point of two plain steps e0 -> e1 -> e2 in log-encoder space,
+    and its step length alpha in [-bound, -1] (alpha = -1 gives e2)."""
+    l0, l1, l2 = (np.log(np.maximum(e, LOG_FLOOR)) for e in (e0, e1, e2))
+    r, v = l1 - l0, l2 - 2.0 * l1 + l0
+    vv = (v * v).sum(axis=(1, 2))
+    ratio = np.divide((r * r).sum(axis=(1, 2)), vv, out=np.zeros_like(vv), where=vv > 0)
+    alpha = np.clip(-np.sqrt(ratio), -bound, -1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lx = l0 - 2.0 * alpha[:, None, None] * r + (alpha**2)[:, None, None] * v
+        w = np.exp(lx - lx.max(axis=2, keepdims=True))
+        return w / w.sum(axis=2, keepdims=True), alpha
 
 
 def ib_iterate_once(j: JointDistribution, e: Encoder, beta: float) -> Encoder:
@@ -198,15 +233,14 @@ def ib_iterate_once(j: JointDistribution, e: Encoder, beta: float) -> Encoder:
             f"encoder has {e.x_card} rows but the joint has {j.x_card} symbols"
         )
     px, pygx = conditional_rows(j.p)
-    new, _, _ = _step(px, pygx, e.matrix, beta)
-    return Encoder.from_matrix(new)
+    return Encoder.from_matrix(_step(px, pygx, e.matrix[None], beta)[0])
 
 
 def _scalars(jp: np.ndarray, px: np.ndarray, enc: np.ndarray,
              beta: float) -> tuple[float, float, float, float]:
     R = mi_bits(enc * px[:, None])
     I_Y = mi_bits(enc.T @ jp)
-    D_IB = mi_bits(jp) - I_Y
+    D_IB = max(0.0, mi_bits(jp) - I_Y)
     L = R - beta * I_Y
     return R, I_Y, D_IB, L
 
@@ -217,7 +251,7 @@ def solution_from_encoder(j: JointDistribution, e: Encoder, beta: float,
     px, pygx = conditional_rows(j.p)
     enc = e.matrix
     pt = px @ enc
-    dec = _decoder_from(px, pygx, enc, pt)
+    dec = _decoder_from(px, pygx, enc[None], pt[None])[0]
     R, I_Y, D_IB, L = _scalars(j.p, px, enc, beta)
     return IBSolution(
         beta=float(beta),
@@ -229,44 +263,85 @@ def solution_from_encoder(j: JointDistribution, e: Encoder, beta: float,
     )
 
 
-def ib_solve(j: JointDistribution, t_card: int, beta: float,
-             init: Encoder | None = None, tol: float = DEFAULT_TOL,
-             max_iter: int = DEFAULT_MAX_ITER, seed: int = 0) -> IBSolution:
-    """Iterate from init (default: seeded noisy-uniform) until the encoder
-    moves less than tol in max-abs, or max_iter rounds elapse."""
+def _check_query(t_card: int, beta: float, tol: float) -> None:
     if t_card < 1:
         raise DimensionError(f"t_card must be >= 1, got {t_card}")
     if tol <= 0:
         raise ValueError(f"tol must be > 0, got {tol}")
     if beta < 0:
         raise ValueError(f"beta must be >= 0, got {beta}")
-    if init is None:
-        init = Encoder.noisy_uniform(j.x_card, t_card, seed)
-    if init.x_card != j.x_card or init.t_card != t_card:
+
+
+def _solve_batch(j: JointDistribution, t_card: int, beta: float, inits,
+                 tol: float, max_iter: int) -> IBSolution:
+    """Solve from every init at one beta in lockstep, each element with its
+    own SQUAREM step bound, and return the best solution: smallest L, ties to
+    smaller R, then to the earlier init."""
+    if any(e.x_card != j.x_card or e.t_card != t_card for e in inits):
         raise DimensionError("init encoder shape does not match (x_card, t_card)")
-
     px, pygx = conditional_rows(j.p)
-    enc = init.matrix
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        new, _, _ = _step(px, pygx, enc, beta)
-        delta = float(np.max(np.abs(new - enc)))
-        enc = new
-        if delta < tol:
-            converged = True
-            break
+    out = np.array([e.matrix for e in inits])
+    iters, conv = np.zeros(len(out), dtype=int), np.zeros(len(out), dtype=bool)
+    live = np.arange(len(out) if max_iter > 0 else 0)
+    e0, bound = out[live], np.full(live.size, STEP_BOUND)
+    evals = 0
 
-    sol = solution_from_encoder(
-        j, Encoder.from_matrix(enc), beta, iterations=iterations, converged=converged
-    )
-    assert sol.I_Y <= mi_bits(j.p) + 1e-9
-    assert sol.R <= min(entropy_bits(px), math.log2(t_card) if t_card > 1 else 0.0) + 1e-9
+    def settle(src, new, ok, *carried):
+        """Count one map evaluation src -> new, retire the elements it moved
+        less than tol (if ok) or all at the cap; return the rest of new, *carried."""
+        nonlocal evals, live
+        evals += 1
+        done = ok & (np.max(np.abs(new - src), axis=(1, 2)) < tol)
+        stop = done | (evals >= max_iter)
+        if not stop.any():
+            return new, *carried
+        out[live[stop]], iters[live[stop]], conv[live[stop]] = new[stop], evals, done[stop]
+        live = live[~stop]
+        return [a[~stop] for a in (new, *carried)]
+
+    while live.size:
+        e1, e0, bound = settle(e0, _step(px, pygx, e0, beta), True, e0, bound)
+        if live.size:
+            e2, e1, e0, bound = settle(e1, _step(px, pygx, e1, beta), True, e1, e0, bound)
+        if live.size:
+            # the jump stands only if, after one stabilizing plain step, L is
+            # no higher than after the second plain step; a degenerate point
+            # (NaN rows, NaN L) fails
+            ex, alpha = _extrapolate(e0, e1, e2, bound)
+            pt = px @ ex
+            e3 = _encoder_update(pygx, pt, _decoder_from(px, pygx, ex, pt), beta)
+            L = _objective(j.p, px, np.concatenate([e3, e2]), beta)
+            ok = L[:live.size] <= L[live.size:]
+            grown = np.where(alpha == -bound, bound * STEP_BOUND, bound)
+            bound = np.where(ok, grown, np.maximum(bound / STEP_BOUND, STEP_BOUND))
+            e0, bound = settle(ex, np.where(ok[:, None, None], e3, e2), ok, bound)
+
+    keys = [(r - beta * i_y, r) for r, i_y in  # (L, R) exactly as each solution has them
+            ((mi_bits(e * px[:, None]), mi_bits(e.T @ j.p)) for e in out)]
+    b = keys.index(min(keys))
+    sol = solution_from_encoder(j, Encoder.from_matrix(out[b]), beta,
+                                iterations=int(iters[b]), converged=bool(conv[b]))
+    i_xy, r_max = mi_bits(j.p), min(entropy_bits(px), math.log2(t_card))
+    if sol.I_Y > i_xy + 1e-9 or sol.R > r_max + 1e-9:
+        raise ValueError(f"solution breaks I_Y <= I(X;Y) = {i_xy} or "
+                         f"R <= {r_max}: I_Y = {sol.I_Y}, R = {sol.R}")
     return sol
 
 
-def _restart_init(x_card: int, t_card: int, r: int, seed: int) -> Encoder | None:
-    """Init for restart r: None keeps the solver's noisy-uniform default.
+def ib_solve(j: JointDistribution, t_card: int, beta: float,
+             init: Encoder | None = None, tol: float = DEFAULT_TOL,
+             max_iter: int = DEFAULT_MAX_ITER, seed: int = 0) -> IBSolution:
+    """Solve from init (default: seeded noisy-uniform) until one plain step
+    moves the encoder less than tol in max-abs, or max_iter map evaluations
+    elapse."""
+    _check_query(t_card, beta, tol)
+    if init is None:
+        init = Encoder.noisy_uniform(j.x_card, t_card, seed)
+    return _solve_batch(j, t_card, beta, [init], tol, max_iter)
+
+
+def _restart_init(x_card: int, t_card: int, r: int, seed: int) -> Encoder:
+    """Init for restart r: seeded noisy-uniform for even r.
 
     Noisy-uniform inits alone can miss the fine-split basin just past a
     transition (the symmetric fixed point's basin shrinks to nothing there),
@@ -274,7 +349,7 @@ def _restart_init(x_card: int, t_card: int, r: int, seed: int) -> Encoder | None
     partition first, then random assignments.
     """
     if r % 2 == 0 or t_card < 2:
-        return None
+        return Encoder.noisy_uniform(x_card, t_card, seed)
     if r == 1:
         return Encoder.hard_blend(np.arange(x_card) % t_card, t_card)
     rng = np.random.default_rng(seed)
@@ -284,18 +359,13 @@ def _restart_init(x_card: int, t_card: int, r: int, seed: int) -> Encoder | None
 def ib_solve_multistart(j: JointDistribution, t_card: int, beta: float,
                         restarts: int = 20, tol: float = DEFAULT_TOL,
                         max_iter: int = DEFAULT_MAX_ITER, seed: int = 0) -> IBSolution:
-    """Best of `restarts` seeded solves over a diversified init family;
-    smallest L wins, ties go to smaller R."""
+    """Best of `restarts` seeded solves over a diversified init family, run
+    as one batch; smallest L wins, ties go to smaller R."""
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
-    best = None
-    for r in range(restarts):
-        init = _restart_init(j.x_card, t_card, r, seed + r)
-        sol = ib_solve(j, t_card, beta, init=init, tol=tol, max_iter=max_iter,
-                       seed=seed + r)
-        if best is None or (sol.L, sol.R) < (best.L, best.R):
-            best = sol
-    return best
+    _check_query(t_card, beta, tol)
+    inits = [_restart_init(j.x_card, t_card, r, seed + r) for r in range(restarts)]
+    return _solve_batch(j, t_card, beta, inits, tol, max_iter)
 
 
 def self_consistency_residual(j: JointDistribution, sol: IBSolution) -> float:
@@ -309,21 +379,10 @@ def self_consistency_residual(j: JointDistribution, sol: IBSolution) -> float:
     dec = sol.decoder.p
 
     pt_re = px @ enc
-    dec_re = _decoder_from(px, pygx, enc, pt_re)
-
-    d = _distortion_nats(pygx, dec)
-    with np.errstate(divide="ignore"):
-        logpt = np.log(pt)
-    if sol.beta == 0:
-        expo = np.zeros_like(d)
-    else:
-        expo = np.where(np.isinf(d), -math.inf, -sol.beta * d)
-    logw = logpt[None, :] + expo
-    rowmax = logw.max(axis=1)
-    if not np.all(np.isfinite(rowmax)):
+    dec_re = _decoder_from(px, pygx, enc[None], pt_re[None])[0]
+    enc_re = _encoder_update(pygx, pt[None], dec[None], sol.beta)[0]
+    if np.isnan(enc_re).any():
         raise DegenerateEncoderError("stored marginal/decoder normalize to zero")
-    w = np.exp(logw - rowmax[:, None])
-    enc_re = w / w.sum(axis=1, keepdims=True)
 
     return float(max(
         np.max(np.abs(pt_re - pt)),

@@ -188,9 +188,11 @@ def test_criterion_08_naive_bayes_neuron():
 
 
 def test_criterion_09_finite_sample_bound_behavior():
-    j = deterministic_joint(4)
-    c = anneal_curve(j, 4, geometric_grid(0.5, 50.0, 1.1), seed=0)
-    ok = max(p.R for p in c.points) >= 2.0 - 1e-9
+    # a soft curve: the deterministic joint's curve only takes R in {0, 2},
+    # so R* = 2 at every n would be right there and the fall untestable
+    j = SYM
+    c = anneal_curve(j, 2, geometric_grid(0.5, 50.0, 1.1), seed=0)
+    ok = max(p.R for p in c.points) >= math.log2(2) - 1e-9
     stars = []
     for n in (10 ** 6, 10 ** 4, 10 ** 3, 10 ** 2):
         b = bound_curve(c, n, 1.0, y_card=j.y_card)

@@ -2,14 +2,17 @@
 
 import json
 import math
+import re
+import shlex
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ibplane import io
+from ibplane import cli, io
 from ibplane.bounds import bound_curve
 from ibplane.curve import anneal_curve, geometric_grid
 from ibplane.mlp import TrainConfig, init_network, train_sgd
@@ -207,22 +210,24 @@ def test_cli_train_samples_out_round_trips(tmp_path):
     assert np.array_equal(back.pairs, sample_pairs(SYM, 50, seed=3).pairs)
 
 
-def test_cli_thread_cap_does_not_change_results(tmp_path):
-    import os
-    j = tmp_path / "j.json"
-    run_cli("gen", "--preset", "symmetric", "--out", j)
-    outs = {}
-    for tag, threads in (("one", "1"), ("four", "4")):
-        curve = tmp_path / f"curve_{tag}.csv"
-        env = dict(os.environ, IBPLANE_THREADS=threads)
-        r = subprocess.run(
-            [sys.executable, "-m", "ibplane.cli", "ib-curve", "--joint", str(j),
-             "--t-card", "2", "--beta-min", "0.5", "--beta-max", "20",
-             "--grid-factor", "1.3", "--restarts", "3", "--out", str(curve)],
-            capture_output=True, text=True, env=env)
-        assert r.returncode == 0, r.stderr
-        outs[tag] = curve.read_bytes()
-    assert outs["one"] == outs["four"]
+def readme_pipeline():
+    """The argv of every `ibplane` command in the README's pipeline block."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"```sh\n(ibplane gen .*?)```", text, re.S).group(1)
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("ibplane ")]
+
+
+def test_readme_pipeline_runs_verbatim(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    argvs = readme_pipeline()
+    assert [a[0] for a in argvs] == ["gen", "ib-solve", "ib-curve", "train",
+                                     "bounds", "analyze", "plane"]
+    for argv in argvs:
+        assert cli.run(argv) == 0, (argv, capsys.readouterr().err)
+    polylines = [e for e in ET.parse(tmp_path / "plane.svg").getroot().iter()
+                 if e.tag.endswith("polyline")]
+    assert len(polylines) == 3
 
 
 def test_cli_reruns_are_byte_identical(tmp_path):

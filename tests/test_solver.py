@@ -1,9 +1,13 @@
 """Solver behavior: update rule, convergence, oracle dominance, errors."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ibplane.errors import (
     DegenerateEncoderError,
@@ -21,6 +25,7 @@ from ibplane.prob import (
 from ibplane.solver import (
     Encoder,
     IBSolution,
+    _restart_init,
     exhaustive_deterministic_oracle,
     ib_iterate_once,
     ib_solve,
@@ -126,6 +131,62 @@ def test_solve_permutation_equivariance():
     assert a.R == pytest.approx(b.R, abs=1e-12)
     assert a.I_Y == pytest.approx(b.I_Y, abs=1e-12)
     assert a.L == pytest.approx(b.L, abs=1e-12)
+
+
+@pytest.mark.parametrize("beta", [2.777015, 2.7785, 2.79])
+def test_solve_converges_fast_near_critical_beta(beta):
+    # the plain map contracts at a rate near 1 here and stops unconverged at
+    # the 30k cap; the extrapolated solve needs a few hundred evaluations
+    for s in range(6):
+        sol = ib_solve(SYM, 2, beta, tol=1e-10, max_iter=30_000, seed=s)
+        assert sol.converged and sol.iterations <= 1_000, (s, sol.iterations)
+
+
+@st.composite
+def queries(draw):
+    x_card, y_card = draw(st.integers(2, 8)), draw(st.integers(2, 4))
+    w = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=x_card * y_card,
+                               max_size=x_card * y_card))).reshape(x_card, y_card)
+    if draw(st.booleans()):
+        w[:, draw(st.integers(0, y_card - 1))] = 0.0  # a zero-mass y column
+    beta = math.exp(draw(st.floats(math.log(0.5), math.log(50.0))))
+    return (JointDistribution.from_matrix(w / w.sum()), draw(st.integers(2, 4)),
+            beta, draw(st.integers(0, 2**16)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(queries())
+def test_solve_properties_on_random_joints(query):
+    j, t_card, beta, seed = query
+    inits = [_restart_init(j.x_card, t_card, r, seed + r) for r in range(4)]
+    sols = [ib_solve(j, t_card, beta, init=e) for e in inits]
+    for init, sol in zip(inits, sols):
+        if sol.converged:
+            step = ib_iterate_once(j, sol.encoder, beta).matrix - sol.encoder.matrix
+            assert np.max(np.abs(step)) <= 1e-6
+        assert sol.L <= solution_from_encoder(j, init, beta).L + 1e-12 * max(1.0, beta)
+    # a solve stopped at the cap returns its latest iterate, so capping at
+    # k = 1, 2, ... walks one trajectory: L must never rise along it
+    path = [solution_from_encoder(j, inits[0], beta).L]
+    path += [ib_solve(j, t_card, beta, init=inits[0], max_iter=k).L for k in range(1, 25)]
+    assert all(b <= a + 1e-12 * max(1.0, beta) for a, b in zip(path, path[1:]))
+    best = min(sols, key=lambda s: (s.L, s.R))
+    multi = ib_solve_multistart(j, t_card, beta, restarts=4, seed=seed)
+    assert multi.L == pytest.approx(best.L, abs=1e-12)
+
+
+def test_solve_invariant_checks_survive_optimize_flag():
+    # with H(X) read as 0, every informative solution breaks R <= H(X)
+    code = ("import ibplane.solver as s\n"
+            "from ibplane.presets import symmetric_joint\n"
+            "s.entropy_bits = lambda p: 0.0\n"
+            "try:\n"
+            "    s.ib_solve(symmetric_joint(0.2), 2, 5.0)\n"
+            "except ValueError:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit(1)\n")
+    r = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
 
 
 def test_solve_validates_args():
