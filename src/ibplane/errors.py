@@ -30,7 +30,7 @@ class CoverageError(IBError):
 
 
 class DivergenceError(IBError):
-    """Training produced a non-finite loss."""
+    """Training produced a non-finite loss or parameter."""
 
 
 class UnsupportedDegenerateError(IBError):

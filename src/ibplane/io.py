@@ -75,10 +75,18 @@ def joint_to_json(j: JointDistribution) -> str:
     return json_dumps({"x_card": j.x_card, "y_card": j.y_card, "p": j.p}) + "\n"
 
 
-def joint_from_json(text: str) -> JointDistribution:
+def _json_fields(text: str, what: str, *keys) -> list:
+    """The values of keys in a JSON object; a missing key is a ValueError."""
     obj = json.loads(text)
-    return JointDistribution(int(obj["x_card"]), int(obj["y_card"]),
-                             np.asarray(obj["p"], dtype=float))
+    missing = [k for k in keys if not isinstance(obj, dict) or k not in obj]
+    if missing:
+        raise ValueError(f"{what} JSON has no {', '.join(map(repr, missing))}")
+    return [obj[k] for k in keys]
+
+
+def joint_from_json(text: str) -> JointDistribution:
+    x_card, y_card, p = _json_fields(text, "joint", "x_card", "y_card", "p")
+    return JointDistribution(int(x_card), int(y_card), np.asarray(p, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -129,11 +137,11 @@ def network_to_json(net: NetworkParams) -> str:
 
 
 def network_from_json(text: str) -> NetworkParams:
-    obj = json.loads(text)
+    sizes, weights, biases = _json_fields(text, "network", "layer_sizes", "weights", "biases")
     return NetworkParams(
-        tuple(int(s) for s in obj["layer_sizes"]),
-        tuple(np.asarray(w, dtype=float) for w in obj["weights"]),
-        tuple(np.asarray(b, dtype=float) for b in obj["biases"]),
+        tuple(int(s) for s in sizes),
+        tuple(np.asarray(w, dtype=float) for w in weights),
+        tuple(np.asarray(b, dtype=float) for b in biases),
     )
 
 

@@ -4,7 +4,11 @@ Hidden layers apply the standard sigmoid to affine maps; the output layer is
 a normalized exponential over the label alphabet (a single output unit is
 treated as the binary case, where the sigmoid itself is the class-1
 probability). Training is plain seeded SGD on the average cross-entropy,
-measured in bits to match the rest of the package. Everything is
+measured in bits to match the rest of the package. One raw-array kernel
+computes the forward pass, the loss and the backprop gradients for every
+caller. Training updates mutable copies of the parameters in place, freezes
+them into a `NetworkParams` once, at the end, and raises `DivergenceError`
+naming the epoch once the loss or a parameter turns non-finite. Everything is
 deterministic given the seeds.
 """
 
@@ -20,10 +24,18 @@ from .prob import SampleSet, _frozen_array
 
 LN2 = math.log(2.0)
 
+# saturated sigmoids overflow exp, log2(0) makes an infinite loss and a
+# diverging run makes inf - inf; train_sgd checks for the non-finite results
+_QUIET = {"over": "ignore", "divide": "ignore", "invalid": "ignore"}
+
+
+def _logistic(u):
+    return 1.0 / (1.0 + np.exp(-u))
+
 
 def sigmoid(u):
     with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-u))
+        return _logistic(u)
 
 
 def _softmax_rows(u):
@@ -87,8 +99,8 @@ class TrainConfig:
     seed: int
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.epochs < 0 or self.batch_size < 1:
             raise ValueError("epochs must be >= 0 and batch_size >= 1")
 
@@ -108,81 +120,75 @@ def init_network(layer_sizes, seed: int) -> NetworkParams:
     return NetworkParams(sizes, tuple(weights), tuple(biases))
 
 
-def _forward_batch(net: NetworkParams, x: np.ndarray):
-    """Hidden activations (list of (B, width) arrays) and output probs (B, y)."""
+def _kernel(weights, biases, binary_head: bool, x: np.ndarray, y=None):
+    """Forward pass of the input rows x; with labels y, also backprop.
+
+    Without y returns (hidden activations, one (B, width) array per layer;
+    output probabilities (B, labels)). With y returns (bit-valued mean
+    cross-entropy, weight gradients, bias gradients). Callers hold the
+    numpy error state (`_QUIET`).
+    """
     hiddens = []
     h = x
-    for w, b in zip(net.weights[:-1], net.biases[:-1]):
-        h = sigmoid(h @ w.T + b)
+    for w, b in zip(weights[:-1], biases[:-1]):
+        h = _logistic(h @ w.T + b)
         hiddens.append(h)
-    u = h @ net.weights[-1].T + net.biases[-1]
-    if net.layer_sizes[-1] == 1:
-        p1 = sigmoid(u)
+    u = h @ weights[-1].T + biases[-1]
+    if binary_head:
+        p1 = _logistic(u)
         probs = np.concatenate([1.0 - p1, p1], axis=1)
     else:
         probs = _softmax_rows(u)
-    return hiddens, probs
+    if y is None:
+        return hiddens, probs
 
-
-def forward(net: NetworkParams, x_index: int, x_card: int, *,
-            layer_noise: float = 0.0, rng=None) -> LayerActivations:
-    """Run one symbol through the network (one-hot input of width x_card).
-
-    layer_noise > 0 adds seeded Gaussian noise to each hidden pre-activation,
-    turning the deterministic layers into stochastic maps; the default
-    pipeline never uses it.
-    """
-    if net.layer_sizes[0] != x_card:
-        raise DimensionError(
-            f"network input width {net.layer_sizes[0]} does not match x_card {x_card}"
-        )
-    if not 0 <= x_index < x_card:
-        raise DimensionError(f"x_index {x_index} out of range")
-    x = np.zeros((1, x_card))
-    x[0, x_index] = 1.0
-    if layer_noise > 0:
-        if rng is None:
-            raise ValueError("layer_noise > 0 needs an explicit rng")
-        hiddens = []
-        h = x
-        for w, b in zip(net.weights[:-1], net.biases[:-1]):
-            u = h @ w.T + b + rng.normal(0.0, layer_noise, size=(1, w.shape[0]))
-            h = sigmoid(u)
-            hiddens.append(h)
-        u = h @ net.weights[-1].T + net.biases[-1]
-        if net.layer_sizes[-1] == 1:
-            p1 = sigmoid(u)
-            probs = np.concatenate([1.0 - p1, p1], axis=1)
-        else:
-            probs = _softmax_rows(u)
+    n = y.size
+    rows = np.arange(n)
+    loss = float(-np.log2(probs[rows, y]).mean())
+    if binary_head:
+        delta = (p1 - y[:, None]) / (n * LN2)
     else:
-        hiddens, probs = _forward_batch(net, x)
-    return LayerActivations(tuple(h[0] for h in hiddens), probs[0])
+        target = np.zeros_like(probs)
+        target[rows, y] = 1.0
+        delta = (probs - target) / (n * LN2)
+    grads_w, grads_b = [None] * len(weights), [None] * len(biases)
+    inputs = [x] + hiddens
+    for k in range(len(weights) - 1, -1, -1):
+        grads_w[k] = delta.T @ inputs[k]
+        grads_b[k] = delta.sum(axis=0)
+        if k > 0:
+            h = hiddens[k - 1]
+            delta = (delta @ weights[k]) * h * (1.0 - h)
+    return loss, grads_w, grads_b
+
+
+def _run(net: NetworkParams, x_indices, y_indices=None):
+    """`_kernel` on one-hot rows of the given symbols, under `_QUIET`."""
+    x = np.eye(net.layer_sizes[0])[np.asarray(x_indices, dtype=int)]
+    y = None if y_indices is None else np.asarray(y_indices, dtype=int)
+    with np.errstate(**_QUIET):
+        return _kernel(net.weights, net.biases, net.layer_sizes[-1] == 1, x, y)
 
 
 def forward_all(net: NetworkParams, x_card: int) -> list[LayerActivations]:
     """Activations for every symbol of the input alphabet."""
-    x = np.eye(x_card)
     if net.layer_sizes[0] != x_card:
         raise DimensionError(
             f"network input width {net.layer_sizes[0]} does not match x_card {x_card}"
         )
-    hiddens, probs = _forward_batch(net, x)
+    hiddens, probs = _run(net, range(x_card))
     return [
         LayerActivations(tuple(h[i] for h in hiddens), probs[i])
         for i in range(x_card)
     ]
 
 
-def batch_loss(net: NetworkParams, x_indices, y_indices) -> float:
-    """Average cross-entropy -log2 p(y|x) over a batch, in bits."""
-    x_indices = np.asarray(x_indices, dtype=int)
-    y_indices = np.asarray(y_indices, dtype=int)
-    x = np.zeros((x_indices.size, net.layer_sizes[0]))
-    x[np.arange(x_indices.size), x_indices] = 1.0
-    _, probs = _forward_batch(net, x)
-    with np.errstate(divide="ignore"):
-        return float(-np.log2(probs[np.arange(y_indices.size), y_indices]).mean())
+def forward(net: NetworkParams, x_index: int, x_card: int) -> LayerActivations:
+    """Run one symbol through the network (one-hot input of width x_card);
+    the result is exactly entry x_index of `forward_all`."""
+    if not 0 <= x_index < x_card:
+        raise DimensionError(f"x_index {x_index} out of range")
+    return forward_all(net, x_card)[x_index]
 
 
 def batch_gradients(net: NetworkParams, x_indices, y_indices):
@@ -190,72 +196,58 @@ def batch_gradients(net: NetworkParams, x_indices, y_indices):
 
     Returns (weight grads, bias grads, loss).
     """
-    x_indices = np.asarray(x_indices, dtype=int)
-    y_indices = np.asarray(y_indices, dtype=int)
-    n = x_indices.size
-    x = np.zeros((n, net.layer_sizes[0]))
-    x[np.arange(n), x_indices] = 1.0
-
-    hiddens, probs = _forward_batch(net, x)
-    with np.errstate(divide="ignore"):
-        loss = float(-np.log2(probs[np.arange(n), y_indices]).mean())
-
-    if net.layer_sizes[-1] == 1:
-        delta = (probs[:, 1:2] - y_indices[:, None]) / (n * LN2)
-    else:
-        target = np.zeros_like(probs)
-        target[np.arange(n), y_indices] = 1.0
-        delta = (probs - target) / (n * LN2)
-
-    grads_w = [None] * len(net.weights)
-    grads_b = [None] * len(net.biases)
-    inputs = [x] + hiddens
-    for k in range(len(net.weights) - 1, -1, -1):
-        grads_w[k] = delta.T @ inputs[k]
-        grads_b[k] = delta.sum(axis=0)
-        if k > 0:
-            h = hiddens[k - 1]
-            delta = (delta @ net.weights[k]) * h * (1.0 - h)
+    loss, grads_w, grads_b = _run(net, x_indices, y_indices)
     return grads_w, grads_b, loss
+
+
+def batch_loss(net: NetworkParams, x_indices, y_indices) -> float:
+    """Average cross-entropy -log2 p(y|x) over a batch, in bits."""
+    return _run(net, x_indices, y_indices)[0]
 
 
 def train_sgd(net: NetworkParams, samples: SampleSet,
               cfg: TrainConfig) -> tuple[NetworkParams, list[float]]:
     """Seeded mini-batch SGD on cross-entropy; returns the trained parameters
     and the per-epoch loss trace (bits). Zero epochs return the input net
-    untouched with an empty trace."""
+    untouched with an empty trace. Raises DivergenceError naming the epoch
+    after which the loss or any parameter is non-finite."""
     if samples.n == 0:
         raise DimensionError("cannot train on an empty sample set")
     xs = samples.pairs[:, 0]
     ys = samples.pairs[:, 1]
     if np.any(xs >= net.layer_sizes[0]):
         raise DimensionError("sample x index exceeds the network input width")
-    out_card = 2 if net.layer_sizes[-1] == 1 else net.layer_sizes[-1]
-    if np.any(ys >= out_card):
+    binary_head = net.layer_sizes[-1] == 1
+    if np.any(ys >= (2 if binary_head else net.layer_sizes[-1])):
         raise DimensionError("sample y index exceeds the network output width")
     if cfg.epochs == 0:
         return net, []
 
     rng = np.random.default_rng(cfg.seed)
+    eye = np.eye(net.layer_sizes[0])
     weights = [w.copy() for w in net.weights]
     biases = [b.copy() for b in net.biases]
+    params = weights + biases
+    lr = cfg.learning_rate
     trace = []
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(samples.n)
-        running = 0.0
-        current = NetworkParams(net.layer_sizes, tuple(weights), tuple(biases))
-        for start in range(0, samples.n, cfg.batch_size):
-            idx = order[start:start + cfg.batch_size]
-            gw, gb, loss = batch_gradients(current, xs[idx], ys[idx])
-            running += loss * idx.size
-            weights = [w - cfg.learning_rate * g for w, g in zip(weights, gw)]
-            biases = [b - cfg.learning_rate * g for b, g in zip(biases, gb)]
-            current = NetworkParams(net.layer_sizes, tuple(weights), tuple(biases))
-        epoch_loss = running / samples.n
-        if not math.isfinite(epoch_loss):
-            raise DivergenceError(f"non-finite loss at epoch {epoch}")
-        trace.append(epoch_loss)
-    return current, trace
+    with np.errstate(**_QUIET):
+        for epoch in range(cfg.epochs):
+            order = rng.permutation(samples.n)
+            x_epoch = eye[xs[order]]
+            y_epoch = ys[order]
+            running = 0.0
+            for start in range(0, samples.n, cfg.batch_size):
+                y = y_epoch[start:start + cfg.batch_size]
+                loss, gw, gb = _kernel(weights, biases, binary_head,
+                                       x_epoch[start:start + cfg.batch_size], y)
+                running += loss * y.size
+                for p, g in zip(params, gw + gb):
+                    p -= lr * g
+            epoch_loss = running / samples.n
+            if not (math.isfinite(epoch_loss) and all(np.isfinite(p).all() for p in params)):
+                raise DivergenceError(f"non-finite loss or parameter at epoch {epoch}")
+            trace.append(epoch_loss)
+    return NetworkParams(net.layer_sizes, tuple(weights), tuple(biases)), trace
 
 
 def accuracy(net: NetworkParams, samples: SampleSet) -> float:

@@ -96,8 +96,8 @@ class DiscreteDistribution:
         object.__setattr__(self, "p", _frozen_array(self.p))
         if self.p.ndim != 1 or self.p.size < 1:
             raise DimensionError("distribution must be a nonempty vector")
-        if np.any(self.p < 0):
-            raise ValueError("negative probability entry")
+        if not np.all(np.isfinite(self.p)) or np.any(self.p < 0):
+            raise ValueError("negative or non-finite probability entry")
         if abs(float(self.p.sum()) - 1.0) > PROB_TOL:
             raise ValueError(f"probabilities sum to {self.p.sum()!r}, not 1")
 
@@ -122,8 +122,8 @@ class JointDistribution:
                 f"joint matrix shape {self.p.shape} does not match "
                 f"({self.x_card}, {self.y_card})"
             )
-        if np.any(self.p < 0):
-            raise ValueError("negative joint entry")
+        if not np.all(np.isfinite(self.p)) or np.any(self.p < 0):
+            raise ValueError("negative or non-finite joint entry")
         if abs(float(self.p.sum()) - 1.0) > PROB_TOL:
             raise ValueError(f"joint sums to {self.p.sum()!r}, not 1")
 
@@ -151,8 +151,8 @@ class ConditionalMatrix:
             raise DimensionError(
                 f"conditional shape {self.p.shape} does not match ({self.rows}, {self.cols})"
             )
-        if np.any(self.p < 0):
-            raise ValueError("negative conditional entry")
+        if not np.all(np.isfinite(self.p)) or np.any(self.p < 0):
+            raise ValueError("negative or non-finite conditional entry")
         sums = self.p.sum(axis=1)
         if np.any(np.abs(sums - 1.0) > PROB_TOL):
             raise ValueError("every conditional row must sum to 1")

@@ -138,6 +138,31 @@ def test_cli_missing_file_is_computation_error(tmp_path):
     assert "Error" in r.stderr or "error" in r.stderr
 
 
+def test_cli_joint_without_y_card_is_one_line_error(tmp_path, capsys):
+    j = tmp_path / "j.json"
+    j.write_text('{"x_card": 2, "p": [[0.5, 0], [0, 0.5]]}')
+    code = cli.run(["ib-solve", "--joint", str(j), "--t-card", "2", "--beta", "1",
+                    "--out", str(tmp_path / "s.json")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("ValueError: ") and "'y_card'" in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "s.json").exists()
+
+
+def test_cli_network_without_weights_is_one_line_error(tmp_path, capsys):
+    j, net = tmp_path / "j.json", tmp_path / "net.json"
+    j.write_text(io.joint_to_json(SYM))
+    net.write_text('{"layer_sizes": [2, 2], "biases": [[0, 0]]}')
+    code = cli.run(["analyze", "--joint", str(j), "--net", str(net),
+                    "--out", str(tmp_path / "plane.csv")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("ValueError: ") and "'weights'" in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "plane.csv").exists()
+
+
 def test_cli_solve_curve_bounds_train_analyze_plane(tmp_path):
     j = tmp_path / "j.json"
     curve = tmp_path / "curve.csv"

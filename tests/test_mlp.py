@@ -13,6 +13,7 @@ from ibplane.mlp import (
     batch_gradients,
     batch_loss,
     forward,
+    forward_all,
     init_network,
     naive_bayes_neuron,
     sigmoid,
@@ -107,6 +108,18 @@ def test_forward_binary_output_unit():
     assert acts.output.sum() == pytest.approx(1.0, abs=1e-12)
 
 
+def test_forward_equals_row_of_forward_all():
+    for sizes in ([3, 4, 2], [4, 3, 2, 1], [5, 3]):
+        net = init_network(sizes, seed=6)
+        rows = forward_all(net, sizes[0])
+        for i in range(sizes[0]):
+            one = forward(net, i, sizes[0])
+            assert np.array_equal(one.output, rows[i].output)
+            assert len(one.hidden) == len(rows[i].hidden) == len(sizes) - 2
+            for a, b in zip(one.hidden, rows[i].hidden):
+                assert np.array_equal(a, b)
+
+
 def test_forward_validates_width():
     net = init_network([3, 2], seed=0)
     with pytest.raises(DimensionError):
@@ -172,6 +185,57 @@ def test_train_divergence_raises_with_epoch():
     cfg = TrainConfig(learning_rate=1e9, epochs=10, batch_size=100, seed=0)
     with pytest.raises(DivergenceError, match="epoch"):
         train_sgd(net, samples, cfg)
+
+
+@pytest.mark.parametrize("batch_size", [1, 4])
+def test_train_overflowing_step_raises_divergence_error(batch_size):
+    samples = balanced_samples(symmetric_joint(0.2), 100)
+    net = init_network([2, 3, 2], seed=0)
+    with pytest.raises(DivergenceError, match="at epoch 0"):
+        train_sgd(net, samples, TrainConfig(1e308, 5, batch_size, 0))
+
+
+@pytest.mark.parametrize("lr", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_train_config_rejects_bad_learning_rate(lr):
+    with pytest.raises(ValueError, match="learning_rate"):
+        TrainConfig(lr, 5, 1, 0)
+
+
+def reference_sgd(net, samples, cfg):
+    """train_sgd spelled out through the public API: gradients of a freshly
+    built NetworkParams for every minibatch, then w - lr * g."""
+    rng = np.random.default_rng(cfg.seed)
+    xs, ys = samples.pairs[:, 0], samples.pairs[:, 1]
+    trace = []
+    for _ in range(cfg.epochs):
+        order = rng.permutation(samples.n)
+        running = 0.0
+        for start in range(0, samples.n, cfg.batch_size):
+            idx = order[start:start + cfg.batch_size]
+            gw, gb, loss = batch_gradients(net, xs[idx], ys[idx])
+            running += loss * idx.size
+            net = NetworkParams(
+                net.layer_sizes,
+                tuple(w - cfg.learning_rate * g for w, g in zip(net.weights, gw)),
+                tuple(b - cfg.learning_rate * g for b, g in zip(net.biases, gb)))
+        trace.append(running / samples.n)
+    return net, trace
+
+
+@pytest.mark.parametrize("joint, sizes, n, batch_size", [
+    (xor_joint(2), [4, 5, 3, 2], 240, 16),        # softmax head, two hidden layers
+    (symmetric_joint(0.2), [2, 3, 1], 200, 8),    # single-unit binary head
+    (xor_joint(2), [4, 3, 2], 203, 32),           # ragged last minibatch
+], ids=["softmax-two-hidden", "binary-head", "ragged-last-batch"])
+def test_train_matches_reference_loop_bit_for_bit(joint, sizes, n, batch_size):
+    samples = sample_pairs(joint, n, seed=4)
+    net = init_network(sizes, seed=5)
+    cfg = TrainConfig(learning_rate=0.7, epochs=12, batch_size=batch_size, seed=6)
+    got, got_trace = train_sgd(net, samples, cfg)
+    want, want_trace = reference_sgd(net, samples, cfg)
+    assert got_trace == want_trace
+    for a, b in zip(got.weights + got.biases, want.weights + want.biases):
+        assert np.array_equal(a, b)
 
 
 # --- gradients ---------------------------------------------------------------------

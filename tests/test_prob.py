@@ -298,6 +298,21 @@ def test_conditional_rejects_bad_rows():
         ConditionalMatrix.from_matrix([[0.5, 0.4], [0.5, 0.5]])
 
 
+def test_distribution_rejects_nan():
+    with pytest.raises(ValueError, match="non-finite"):
+        DiscreteDistribution([math.nan, 0.5, 0.5])
+
+
+def test_joint_rejects_nan():
+    with pytest.raises(ValueError, match="non-finite"):
+        JointDistribution(2, 2, [[math.nan, 0.5], [0.25, 0.25]])
+
+
+def test_conditional_rejects_nan():
+    with pytest.raises(ValueError, match="non-finite"):
+        ConditionalMatrix.from_matrix([[math.nan, 1.0], [0.5, 0.5]])
+
+
 def test_values_immutable():
     j = JointDistribution.from_matrix([[0.5, 0.0], [0.0, 0.5]])
     with pytest.raises(ValueError):
