@@ -50,6 +50,10 @@ class CurvePoint:
     eff_card: int
 
     def __post_init__(self):
+        fields = ("beta", "R", "I_Y", "D_IB", "L")
+        bad = [k for k in fields if not math.isfinite(getattr(self, k))]
+        if bad:
+            raise ValueError(f"curve point has non-finite {', '.join(bad)}")
         if self.beta < 0:
             raise ValueError(f"beta must be >= 0, got {self.beta}")
         if self.eff_card < 1:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 
 import numpy as np
@@ -75,18 +76,30 @@ def joint_to_json(j: JointDistribution) -> str:
     return json_dumps({"x_card": j.x_card, "y_card": j.y_card, "p": j.p}) + "\n"
 
 
-def _json_fields(text: str, what: str, *keys) -> list:
-    """The values of keys in a JSON object; a missing key is a ValueError."""
+def _json_fields(text: str, what: str, **convert) -> list:
+    """The values of keys in a JSON object, each passed through its converter;
+    a missing key or a value of the wrong type is a ValueError naming the key."""
     obj = json.loads(text)
-    missing = [k for k in keys if not isinstance(obj, dict) or k not in obj]
+    missing = [k for k in convert if not isinstance(obj, dict) or k not in obj]
     if missing:
         raise ValueError(f"{what} JSON has no {', '.join(map(repr, missing))}")
-    return [obj[k] for k in keys]
+    values = []
+    for key, conv in convert.items():
+        try:
+            values.append(conv(obj[key]))
+        except (TypeError, ValueError) as e:
+            raise ValueError(f"{what} JSON {key!r} has the wrong type or shape: {e}") from None
+    return values
+
+
+def _reals(v) -> np.ndarray:
+    return np.asarray(v, dtype=float)
 
 
 def joint_from_json(text: str) -> JointDistribution:
-    x_card, y_card, p = _json_fields(text, "joint", "x_card", "y_card", "p")
-    return JointDistribution(int(x_card), int(y_card), np.asarray(p, dtype=float))
+    x_card, y_card, p = _json_fields(text, "joint", x_card=operator.index,
+                                     y_card=operator.index, p=_reals)
+    return JointDistribution(x_card, y_card, p)
 
 
 # ---------------------------------------------------------------------------
@@ -137,12 +150,10 @@ def network_to_json(net: NetworkParams) -> str:
 
 
 def network_from_json(text: str) -> NetworkParams:
-    sizes, weights, biases = _json_fields(text, "network", "layer_sizes", "weights", "biases")
-    return NetworkParams(
-        tuple(int(s) for s in sizes),
-        tuple(np.asarray(w, dtype=float) for w in weights),
-        tuple(np.asarray(b, dtype=float) for b in biases),
-    )
+    sizes, weights, biases = _json_fields(
+        text, "network", layer_sizes=lambda v: tuple(map(operator.index, v)),
+        weights=lambda v: tuple(map(_reals, v)), biases=lambda v: tuple(map(_reals, v)))
+    return NetworkParams(sizes, weights, biases)
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,13 @@ Hidden layers apply the standard sigmoid to affine maps; the output layer is
 a normalized exponential over the label alphabet (a single output unit is
 treated as the binary case, where the sigmoid itself is the class-1
 probability). Training is plain seeded SGD on the average cross-entropy,
-measured in bits to match the rest of the package. One raw-array kernel
-computes the forward pass, the loss and the backprop gradients for every
-caller. Training updates mutable copies of the parameters in place, freezes
-them into a `NetworkParams` once, at the end, and raises `DivergenceError`
-naming the epoch once the loss or a parameter turns non-finite. Everything is
-deterministic given the seeds.
+measured in bits to match the rest of the package. Every layer is a function
+of the symbol alone, so one raw-array kernel runs a minibatch as its distinct
+symbols with their label counts; it computes the forward pass, the loss and
+the backprop gradients for every caller. Training keeps all parameters in one
+flat buffer updated in place, freezes them into a `NetworkParams` once, at
+the end, and raises `DivergenceError` naming the epoch once the loss or a
+parameter turns non-finite. Everything is deterministic given the seeds.
 """
 
 from __future__ import annotations
@@ -36,12 +37,6 @@ def _logistic(u):
 def sigmoid(u):
     with np.errstate(over="ignore"):
         return _logistic(u)
-
-
-def _softmax_rows(u):
-    z = u - u.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
 
 
 @dataclass(frozen=True)
@@ -111,8 +106,7 @@ def init_network(layer_sizes, seed: int) -> NetworkParams:
     if len(sizes) < 2:
         raise DimensionError("layer_sizes needs at least two entries")
     rng = np.random.default_rng(seed)
-    weights = []
-    biases = []
+    weights, biases = [], []
     for fan_in, fan_out in zip(sizes, sizes[1:]):
         bound = 1.0 / math.sqrt(fan_in)
         weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
@@ -120,67 +114,85 @@ def init_network(layer_sizes, seed: int) -> NetworkParams:
     return NetworkParams(sizes, tuple(weights), tuple(biases))
 
 
-def _kernel(weights, biases, binary_head: bool, x: np.ndarray, y=None):
-    """Forward pass of the input rows x; with labels y, also backprop.
+def _buffer(layer_sizes):
+    """A zeroed flat buffer and its views: (out, in) weights, (out,) biases."""
+    pairs = list(zip(layer_sizes, layer_sizes[1:]))
+    shapes = [(o, i) for i, o in pairs] + [(o,) for _, o in pairs]
+    sizes = [math.prod(s) for s in shapes]
+    flat = np.zeros(sum(sizes))
+    views = [v.reshape(s) for v, s in zip(np.split(flat, np.cumsum(sizes)[:-1]), shapes)]
+    return flat, views[:len(pairs)], views[len(pairs):]
 
-    Without y returns (hidden activations, one (B, width) array per layer;
-    output probabilities (B, labels)). With y returns (bit-valued mean
-    cross-entropy, weight gradients, bias gradients). Callers hold the
-    numpy error state (`_QUIET`).
+
+def _n_labels(net: NetworkParams, xs, ys) -> int:
+    """The label count of the output head; checks the non-empty sample indices."""
+    n_labels = 2 if net.layer_sizes[-1] == 1 else net.layer_sizes[-1]
+    if xs.min() < 0 or xs.max() >= net.layer_sizes[0]:
+        raise DimensionError("sample x index exceeds the network input width")
+    if ys.min() < 0 or ys.max() >= n_labels:
+        raise DimensionError("sample y index exceeds the network output width")
+    return n_labels
+
+
+def _count_table(keys, ys, n_labels: int):
+    """Sorted distinct keys, their (keys, labels) float label counts, row totals."""
+    uniq, inv = np.unique(keys, return_inverse=True)
+    counts = np.bincount(inv * n_labels + ys, minlength=uniq.size * n_labels)
+    counts = counts.reshape(uniq.size, n_labels).astype(float)
+    return uniq, counts, counts.sum(axis=1, keepdims=True)
+
+
+def _kernel(weights, biases, binary_head: bool, sym, batch=None, grads=None):
+    """Forward pass of the distinct input symbols sym: (hidden activations,
+    one (R, width) array per layer; output probabilities (R, labels)).
+
+    Given batch = (counts, row totals, m), the (R, labels) label counts of a
+    minibatch's m samples, returns instead their bit-valued mean cross-entropy
+    and writes the backprop gradients into grads = (weight views, bias views).
+    Callers hold the numpy error state (`_QUIET`).
     """
+    u = weights[0].T.take(sym, axis=0) + biases[0]
     hiddens = []
-    h = x
-    for w, b in zip(weights[:-1], biases[:-1]):
-        h = _logistic(h @ w.T + b)
-        hiddens.append(h)
-    u = h @ weights[-1].T + biases[-1]
+    for w, b in zip(weights[1:], biases[1:]):
+        hiddens.append(_logistic(u))
+        u = hiddens[-1] @ w.T + b
     if binary_head:
         p1 = _logistic(u)
         probs = np.concatenate([1.0 - p1, p1], axis=1)
     else:
-        probs = _softmax_rows(u)
-    if y is None:
+        probs = np.exp(u - u.max(axis=1, keepdims=True))
+        probs /= probs.sum(axis=1, keepdims=True)
+    if batch is None:
         return hiddens, probs
 
-    n = y.size
-    rows = np.arange(n)
-    loss = float(-np.log2(probs[rows, y]).mean())
+    counts, rowcount, m = batch
+    seen = counts > 0  # an unobserved label adds nothing, even at p = 0
+    loss = -float(counts[seen] @ np.log2(probs[seen])) / m
     if binary_head:
-        delta = (p1 - y[:, None]) / (n * LN2)
+        delta = (rowcount * p1 - counts[:, 1:]) / (m * LN2)
     else:
-        target = np.zeros_like(probs)
-        target[rows, y] = 1.0
-        delta = (probs - target) / (n * LN2)
-    grads_w, grads_b = [None] * len(weights), [None] * len(biases)
-    inputs = [x] + hiddens
-    for k in range(len(weights) - 1, -1, -1):
-        grads_w[k] = delta.T @ inputs[k]
-        grads_b[k] = delta.sum(axis=0)
-        if k > 0:
-            h = hiddens[k - 1]
-            delta = (delta @ weights[k]) * h * (1.0 - h)
-    return loss, grads_w, grads_b
-
-
-def _run(net: NetworkParams, x_indices, y_indices=None):
-    """`_kernel` on one-hot rows of the given symbols, under `_QUIET`."""
-    x = np.eye(net.layer_sizes[0])[np.asarray(x_indices, dtype=int)]
-    y = None if y_indices is None else np.asarray(y_indices, dtype=int)
-    with np.errstate(**_QUIET):
-        return _kernel(net.weights, net.biases, net.layer_sizes[-1] == 1, x, y)
+        delta = (rowcount * probs - counts) / (m * LN2)
+    grads_w, grads_b = grads
+    for k in range(len(weights) - 1, 0, -1):
+        h = hiddens[k - 1]
+        np.matmul(delta.T, h, out=grads_w[k])
+        delta.sum(axis=0, out=grads_b[k])
+        delta = (delta @ weights[k]) * h * (1.0 - h)
+    grads_w[0].fill(0.0)  # a one-hot input feeds only the columns of sym
+    grads_w[0][:, sym] = delta.T
+    delta.sum(axis=0, out=grads_b[0])
+    return loss
 
 
 def forward_all(net: NetworkParams, x_card: int) -> list[LayerActivations]:
     """Activations for every symbol of the input alphabet."""
     if net.layer_sizes[0] != x_card:
-        raise DimensionError(
-            f"network input width {net.layer_sizes[0]} does not match x_card {x_card}"
-        )
-    hiddens, probs = _run(net, range(x_card))
-    return [
-        LayerActivations(tuple(h[i] for h in hiddens), probs[i])
-        for i in range(x_card)
-    ]
+        raise DimensionError(f"network input width {net.layer_sizes[0]} "
+                             f"does not match x_card {x_card}")
+    with np.errstate(**_QUIET):
+        hiddens, probs = _kernel(net.weights, net.biases, net.layer_sizes[-1] == 1,
+                                 np.arange(x_card))
+    return [LayerActivations(tuple(h[i] for h in hiddens), probs[i]) for i in range(x_card)]
 
 
 def forward(net: NetworkParams, x_index: int, x_card: int) -> LayerActivations:
@@ -192,17 +204,21 @@ def forward(net: NetworkParams, x_index: int, x_card: int) -> LayerActivations:
 
 
 def batch_gradients(net: NetworkParams, x_indices, y_indices):
-    """Backprop gradients of the bit-valued batch loss.
-
-    Returns (weight grads, bias grads, loss).
-    """
-    loss, grads_w, grads_b = _run(net, x_indices, y_indices)
+    """Backprop gradients of the bit-valued batch loss: (weight grads, bias grads, loss)."""
+    xs, ys = (np.asarray(a, dtype=np.int64) for a in (x_indices, y_indices))
+    if xs.ndim != 1 or xs.shape != ys.shape or xs.size == 0:
+        raise DimensionError("a batch needs equally long, non-empty x and y index vectors")
+    sym, counts, rowcount = _count_table(xs, ys, _n_labels(net, xs, ys))
+    _, grads_w, grads_b = _buffer(net.layer_sizes)
+    with np.errstate(**_QUIET):
+        loss = _kernel(net.weights, net.biases, net.layer_sizes[-1] == 1,
+                       sym, (counts, rowcount, xs.size), (grads_w, grads_b))
     return grads_w, grads_b, loss
 
 
 def batch_loss(net: NetworkParams, x_indices, y_indices) -> float:
     """Average cross-entropy -log2 p(y|x) over a batch, in bits."""
-    return _run(net, x_indices, y_indices)[0]
+    return batch_gradients(net, x_indices, y_indices)[2]
 
 
 def train_sgd(net: NetworkParams, samples: SampleSet,
@@ -213,38 +229,35 @@ def train_sgd(net: NetworkParams, samples: SampleSet,
     after which the loss or any parameter is non-finite."""
     if samples.n == 0:
         raise DimensionError("cannot train on an empty sample set")
-    xs = samples.pairs[:, 0]
-    ys = samples.pairs[:, 1]
-    if np.any(xs >= net.layer_sizes[0]):
-        raise DimensionError("sample x index exceeds the network input width")
-    binary_head = net.layer_sizes[-1] == 1
-    if np.any(ys >= (2 if binary_head else net.layer_sizes[-1])):
-        raise DimensionError("sample y index exceeds the network output width")
+    xs, ys = samples.pairs.T
+    n_labels = _n_labels(net, xs, ys)
     if cfg.epochs == 0:
         return net, []
 
     rng = np.random.default_rng(cfg.seed)
-    eye = np.eye(net.layer_sizes[0])
-    weights = [w.copy() for w in net.weights]
-    biases = [b.copy() for b in net.biases]
-    params = weights + biases
-    lr = cfg.learning_rate
+    x_card, binary_head = net.layer_sizes[0], net.layer_sizes[-1] == 1
+    flat, weights, biases = _buffer(net.layer_sizes)
+    flat[:] = np.concatenate([a.ravel() for a in net.weights + net.biases])
+    grad, grads_w, grads_b = _buffer(net.layer_sizes)
+    sizes = [min(cfg.batch_size, samples.n - s) for s in range(0, samples.n, cfg.batch_size)]
+    # sorted (minibatch, symbol) keys put each minibatch's rows in one run
+    batch_key = np.arange(samples.n) // cfg.batch_size * x_card
     trace = []
     with np.errstate(**_QUIET):
         for epoch in range(cfg.epochs):
             order = rng.permutation(samples.n)
-            x_epoch = eye[xs[order]]
-            y_epoch = ys[order]
+            keys, counts, rowcount = _count_table(batch_key + xs[order], ys[order], n_labels)
+            sym = keys % x_card
+            edges = np.searchsorted(keys, np.arange(len(sizes) + 1) * x_card).tolist()
             running = 0.0
-            for start in range(0, samples.n, cfg.batch_size):
-                y = y_epoch[start:start + cfg.batch_size]
-                loss, gw, gb = _kernel(weights, biases, binary_head,
-                                       x_epoch[start:start + cfg.batch_size], y)
-                running += loss * y.size
-                for p, g in zip(params, gw + gb):
-                    p -= lr * g
+            for r0, r1, m in zip(edges, edges[1:], sizes):
+                loss = _kernel(weights, biases, binary_head, sym[r0:r1],
+                               (counts[r0:r1], rowcount[r0:r1], m), (grads_w, grads_b))
+                running += loss * m
+                grad *= cfg.learning_rate
+                flat -= grad
             epoch_loss = running / samples.n
-            if not (math.isfinite(epoch_loss) and all(np.isfinite(p).all() for p in params)):
+            if not (math.isfinite(epoch_loss) and np.isfinite(flat).all()):
                 raise DivergenceError(f"non-finite loss or parameter at epoch {epoch}")
             trace.append(epoch_loss)
     return NetworkParams(net.layer_sizes, tuple(weights), tuple(biases)), trace

@@ -163,6 +163,43 @@ def test_cli_network_without_weights_is_one_line_error(tmp_path, capsys):
     assert not (tmp_path / "plane.csv").exists()
 
 
+def test_cli_joint_with_wrong_typed_x_card_is_one_line_error(tmp_path, capsys):
+    j = tmp_path / "j.json"
+    j.write_text('{"x_card": [2], "y_card": 2, "p": [[0.5, 0], [0, 0.5]]}')
+    code = cli.run(["ib-solve", "--joint", str(j), "--t-card", "2", "--beta", "1",
+                    "--out", str(tmp_path / "s.json")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("ValueError: ") and "'x_card'" in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "s.json").exists()
+
+
+def test_cli_network_with_wrong_typed_layer_sizes_is_one_line_error(tmp_path, capsys):
+    j, net = tmp_path / "j.json", tmp_path / "net.json"
+    j.write_text(io.joint_to_json(SYM))
+    net.write_text('{"layer_sizes": 2, "weights": [[[0, 0], [0, 0]]], "biases": [[0, 0]]}')
+    code = cli.run(["analyze", "--joint", str(j), "--net", str(net),
+                    "--out", str(tmp_path / "plane.csv")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("ValueError: ") and "'layer_sizes'" in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "plane.csv").exists()
+
+
+def test_cli_bounds_on_non_finite_curve_point_is_one_line_error(tmp_path, capsys):
+    curve = tmp_path / "curve.csv"
+    curve.write_text("beta,R,I_Y,D_IB,L,eff_card\n1,nan,0.1,0.2,nan,1\n")
+    code = cli.run(["bounds", "--curve", str(curve), "--n", "1000", "--y-card", "2",
+                    "--out", str(tmp_path / "bounds.csv")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("ValueError: ") and "non-finite R" in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "bounds.csv").exists()
+
+
 def test_cli_solve_curve_bounds_train_analyze_plane(tmp_path):
     j = tmp_path / "j.json"
     curve = tmp_path / "curve.csv"

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ibplane.errors import DimensionError, DivergenceError, UnsupportedDegenerateError
 from ibplane.mlp import (
@@ -19,8 +21,11 @@ from ibplane.mlp import (
     sigmoid,
     train_sgd,
 )
-from ibplane.presets import symmetric_joint, xor_joint
-from ibplane.prob import SampleSet, entropy_bits, sample_pairs
+from ibplane.presets import random_joint, symmetric_joint, xor_joint
+from ibplane.prob import JointDistribution, SampleSet, entropy_bits, sample_pairs
+
+# x = 2 has no mass, so no sample ever shows it
+NO_X2 = JointDistribution(4, 2, np.array([[0.2, 0.1], [0.1, 0.2], [0.0, 0.0], [0.3, 0.1]]))
 
 
 def balanced_samples(j, n):
@@ -226,7 +231,10 @@ def reference_sgd(net, samples, cfg):
     (xor_joint(2), [4, 5, 3, 2], 240, 16),        # softmax head, two hidden layers
     (symmetric_joint(0.2), [2, 3, 1], 200, 8),    # single-unit binary head
     (xor_joint(2), [4, 3, 2], 203, 32),           # ragged last minibatch
-], ids=["softmax-two-hidden", "binary-head", "ragged-last-batch"])
+    (random_joint(64, 3, seed=1), [64, 5, 3], 100, 8),  # alphabet larger than a batch
+    (NO_X2, [4, 3, 2], 120, 16),                  # a symbol that never occurs
+], ids=["softmax-two-hidden", "binary-head", "ragged-last-batch",
+        "alphabet-larger-than-batch", "unseen-symbol"])
 def test_train_matches_reference_loop_bit_for_bit(joint, sizes, n, batch_size):
     samples = sample_pairs(joint, n, seed=4)
     net = init_network(sizes, seed=5)
@@ -236,6 +244,9 @@ def test_train_matches_reference_loop_bit_for_bit(joint, sizes, n, batch_size):
     assert got_trace == want_trace
     for a, b in zip(got.weights + got.biases, want.weights + want.biases):
         assert np.array_equal(a, b)
+    # no gradient ever reaches the first-layer column of an unseen symbol
+    for x in set(range(sizes[0])) - set(samples.pairs[:, 0].tolist()):
+        assert np.array_equal(got.weights[0][:, x], net.weights[0][:, x])
 
 
 # --- gradients ---------------------------------------------------------------------
@@ -275,6 +286,84 @@ def test_backprop_binary_head_matches_finite_differences():
     lm = batch_loss(NetworkParams(net.layer_sizes, net.weights, tuple(b_minus)), xs, ys)
     fd = (lp - lm) / (2 * h)
     assert abs(gb[1][0] - fd) <= 1e-4 * max(abs(gb[1][0]), abs(fd), 1e-10)
+
+
+def per_sample_backprop(net, xs, ys):
+    """Loss and gradients one one-hot sample at a time, plus for each gradient
+    entry the sum of the absolute values of its terms (its rounding scale)."""
+    m, binary = len(xs), net.layer_sizes[-1] == 1
+    gw = [np.zeros_like(w) for w in net.weights]
+    gb = [np.zeros_like(b) for b in net.biases]
+    scale_w = [np.zeros_like(w) for w in net.weights]
+    scale_b = [np.zeros_like(b) for b in net.biases]
+    loss = 0.0
+    with np.errstate(over="ignore", divide="ignore"):
+        for x, y in zip(xs, ys):
+            acts = [np.eye(net.layer_sizes[0])[x]]
+            for w, b in zip(net.weights[:-1], net.biases[:-1]):
+                acts.append(1.0 / (1.0 + np.exp(-(w @ acts[-1] + b))))
+            u = net.weights[-1] @ acts[-1] + net.biases[-1]
+            if binary:
+                p1 = 1.0 / (1.0 + np.exp(-u))
+                p, d = np.array([1.0 - p1[0], p1[0]]), p1 - y
+            else:
+                e = np.exp(u - u.max())
+                p = e / e.sum()
+                d = p - np.eye(p.size)[y]
+            loss += -math.log2(p[y]) / m if p[y] > 0 else math.inf
+            d = d / (m * math.log(2.0))
+            for k in range(len(net.weights) - 1, -1, -1):
+                gw[k] += np.outer(d, acts[k])
+                gb[k] += d
+                scale_w[k] += np.abs(np.outer(d, acts[k]))
+                scale_b[k] += np.abs(d)
+                d = (net.weights[k].T @ d) * acts[k] * (1.0 - acts[k])
+    return gw, gb, loss, scale_w, scale_b
+
+
+@st.composite
+def nets_and_batches(draw):
+    hidden = draw(st.lists(st.integers(1, 4), min_size=0, max_size=3))
+    x_card, out = draw(st.integers(1, 6)), draw(st.sampled_from([1, 2, 3, 4]))
+    net = init_network([x_card, *hidden, out], seed=draw(st.integers(0, 2**16)))
+    gain = draw(st.floats(0.5, 4.0))
+    net = NetworkParams(net.layer_sizes, tuple(gain * w for w in net.weights),
+                        tuple(gain * np.linspace(-1, 1, b.size) for b in net.biases))
+    # few distinct symbols and labels: repeats, and labels that never occur
+    symbols = draw(st.lists(st.integers(0, x_card - 1), min_size=1, max_size=3))
+    labels = draw(st.lists(st.integers(0, max(out, 2) - 1), min_size=1, max_size=2))
+    m = draw(st.integers(1, 12))
+    xs = [draw(st.sampled_from(symbols)) for _ in range(m)]
+    ys = [draw(st.sampled_from(labels)) for _ in range(m)]
+    return net, xs, ys
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(nets_and_batches())
+def test_count_table_kernel_matches_per_sample_backprop(case):
+    net, xs, ys = case
+    gw, gb, loss = batch_gradients(net, xs, ys)
+    want_w, want_b, want_loss, scale_w, scale_b = per_sample_backprop(net, xs, ys)
+    assert abs(loss - want_loss) <= 1e-12 * want_loss
+    assert batch_loss(net, xs, ys) == loss
+    for got, want, scale in zip(gw + gb, want_w + want_b, scale_w + scale_b):
+        assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("sizes, w0", [([2, 2], [[800.0, 0.0], [-800.0, 0.0]]),
+                                       ([2, 1], [[-800.0, 0.0]])],
+                         ids=["softmax-head", "binary-head"])
+def test_saturated_unobserved_label_keeps_the_loss_finite(sizes, w0):
+    # symbol 0 puts p = 0 exactly on label 1, which no sample of symbol 0 shows
+    net = NetworkParams(sizes, (np.array(w0),), (np.zeros(sizes[1]),))
+    assert forward(net, 0, 2).output[1] == 0.0
+    gw, gb, loss = batch_gradients(net, [0, 0, 1], [0, 0, 1])
+    want_w, want_b, want_loss, _, _ = per_sample_backprop(net, [0, 0, 1], [0, 0, 1])
+    assert math.isfinite(loss) and loss == pytest.approx(want_loss, rel=1e-12)
+    for got, want in zip(gw + gb, want_w + want_b):
+        assert np.all(np.isfinite(got)) and np.allclose(got, want, rtol=1e-12, atol=0)
+    # an observed label at p = 0 still costs an infinite loss
+    assert batch_loss(net, [0], [1]) == math.inf
 
 
 # --- exact posterior neuron -----------------------------------------------------------
