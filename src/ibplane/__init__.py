@@ -35,7 +35,6 @@ from .curve import (
     detect_bifurcations,
     effective_cardinality,
     geometric_grid,
-    jacobi_eigenvalues,
 )
 from .errors import (
     CoverageError,

@@ -12,7 +12,7 @@ it on both axes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .curve import InfoCurve
 
@@ -24,10 +24,16 @@ class BoundPoint:
     I_Y_worst: float
     D_worst: float
 
+    def __post_init__(self):
+        bad = [f.name for f in fields(self) if not math.isfinite(getattr(self, f.name))]
+        if bad:
+            raise ValueError(f"bound point has non-finite {', '.join(bad)}")
+
 
 @dataclass(frozen=True)
 class BoundCurve:
-    """Worst-case corrected curve plus its optimum (R_star, D_star).
+    """Worst-case corrected curve plus its optimum (R_star, D_star), the
+    point at star_index.
 
     rate_corrections carries the companion c*K/sqrt(n) slack on the rate
     axis per point; it is reported but plays no role in the optimum search,
@@ -40,6 +46,7 @@ class BoundCurve:
     R_star: float
     D_star: float
     rate_corrections: tuple[float, ...]
+    star_index: int
 
     def __post_init__(self):
         object.__setattr__(self, "points", tuple(self.points))
@@ -83,8 +90,6 @@ def bound_curve(curve: InfoCurve, n: int, c_bound: float = 1.0, *,
         raise ValueError("cannot bound an empty curve")
     pts = []
     corrections = []
-    best = None
-    best_key = None
     for p in curve.points:
         K = 2.0 ** p.R
         corr = worst_case_correction(K, y_card, n, c_bound)
@@ -95,14 +100,11 @@ def bound_curve(curve: InfoCurve, n: int, c_bound: float = 1.0, *,
         pts.append(BoundPoint(R_hat=p.R, I_Y_hat=p.I_Y, I_Y_worst=i_worst,
                               D_worst=d_worst))
         corrections.append(c_bound * K / math.sqrt(n))
-        key = (d_worst, p.R)
-        if best_key is None or key < best_key:
-            best_key = key
-            best = pts[-1]
+    star = min(range(len(pts)), key=lambda i: (pts[i].D_worst, pts[i].R_hat))
     return BoundCurve(
         points=tuple(pts), n=n, c_bound=c_bound,
-        R_star=best.R_hat, D_star=best.D_worst,
-        rate_corrections=tuple(corrections),
+        R_star=pts[star].R_hat, D_star=pts[star].D_worst,
+        rate_corrections=tuple(corrections), star_index=star,
     )
 
 

@@ -12,8 +12,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from . import analyzer, bounds, curve, io, mlp, presets, prob, solver, svgplot
 from .errors import IBError
 
@@ -64,43 +62,25 @@ def _cmd_ib_solve(args) -> int:
     return _emit(args, {args.out: io.solution_to_json(sol)}, summary)
 
 
-def _sweep(args, j, predict: bool = True):
+def _cmd_ib_curve(args) -> int:
+    j = io.joint_from_json(_read(args.joint))
     grid = curve.geometric_grid(args.beta_min, args.beta_max, args.grid_factor)
     traced = curve.anneal_curve(
         j, args.t_card, grid, perturb_mag=args.perturb, restarts=args.restarts,
         tol=args.tol, max_iter=args.max_iter, seed=args.seed,
         mass_eps=args.mass_eps, merge_tau=args.merge_tau)
-    if not predict:
-        return traced, traced.bifurcations
-    bifs = curve.detect_bifurcations(
-        traced, j, args.t_card, restarts=max(args.restarts, 3), tol=args.tol,
-        max_iter=args.max_iter, seed=args.seed, mass_eps=args.mass_eps,
-        merge_tau=args.merge_tau)
-    return traced, bifs
-
-
-def _cmd_ib_curve(args) -> int:
-    j = io.joint_from_json(_read(args.joint))
-    traced, bifs = _sweep(args, j, predict=bool(args.bifurcations_out))
-    files = {args.out: io.curve_to_csv(traced)}
+    files, bifs = {args.out: io.curve_to_csv(traced)}, traced.bifurcations
     if args.bifurcations_out:
+        bifs = curve.detect_bifurcations(
+            traced, j, args.t_card, restarts=max(args.restarts, 3), tol=args.tol,
+            max_iter=args.max_iter, seed=args.seed, mass_eps=args.mass_eps,
+            merge_tau=args.merge_tau)
         files[args.bifurcations_out] = io.bifurcations_to_json(bifs)
     summary = {
         "cmd": "ib-curve", "points": len(traced.points),
         "bifurcations": len(bifs), "out": args.out,
     }
     return _emit(args, files, summary)
-
-
-def _cmd_bifurcations(args) -> int:
-    j = io.joint_from_json(_read(args.joint))
-    _, bifs = _sweep(args, j)
-    summary = {
-        "cmd": "bifurcations", "bifurcations": len(bifs),
-        "brackets": [[b.beta_low, b.beta_high] for b in bifs],
-        "out": args.out,
-    }
-    return _emit(args, {args.out: io.bifurcations_to_json(bifs)}, summary)
 
 
 def _cmd_bounds(args) -> int:
@@ -111,12 +91,10 @@ def _cmd_bounds(args) -> int:
         y_card = args.y_card
     b = bounds.bound_curve(traced, args.n, args.c_bound, y_card=y_card)
     files = {args.out: io.bound_curve_to_csv(b)}
-    star_index = min(range(len(b.points)),
-                     key=lambda i: (b.points[i].D_worst, b.points[i].R_hat))
     summary = {
         "cmd": "bounds", "n": b.n, "c_bound": b.c_bound,
         "R_star": b.R_star, "D_star": b.D_star,
-        "rate_corr_star": b.rate_corrections[star_index], "out": args.out,
+        "rate_corr_star": b.rate_corrections[b.star_index], "out": args.out,
     }
     if args.net:
         j = io.joint_from_json(_read(args.joint))
@@ -250,14 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--bifurcations-out")
     p.set_defaults(func=_cmd_ib_curve)
-
-    p = sub.add_parser("bifurcations", help="bracket cluster splits and "
-                                            "attach spectral predictions")
-    p.add_argument("--joint", required=True)
-    add_solver_opts(p)
-    add_sweep_opts(p)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_bifurcations)
 
     p = sub.add_parser("bounds", help="worst-case finite-sample curve and gaps")
     p.add_argument("--curve", required=True)

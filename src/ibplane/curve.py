@@ -3,6 +3,9 @@
 The curve is traced by deterministic annealing: sweep beta upward, warm-start
 each solve from the previous solution with a small symmetry-breaking
 perturbation, and keep the best of that candidate plus a few fresh restarts.
+The fresh restarts do not depend on the warm chain, so a sweep solves all of
+them first, every grid point's in one lockstep batch across betas, and then
+walks the grid solving only the warm starts.
 Jumps in the effective cluster count are bracketed by bisection with fresh
 restarts (warm starts would drag hysteresis across the transition).
 
@@ -22,14 +25,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateClusterError, DimensionError
-from .prob import JointDistribution, conditional_rows, js_bits, mi_bits
+from .prob import JointDistribution, conditional_rows, js_bits
 from .solver import (  # noqa: F401  ib_solve stays importable from here
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     IBSolution,
     _check_query,
-    _restart_init,
-    _solve_batch,
+    _encoder_stack,
+    _lockstep,
+    _perturb,
+    _pick,
+    _restart_inits,
     ib_solve,
     ib_solve_multistart,
 )
@@ -136,42 +142,6 @@ def effective_cardinality(sol: IBSolution, mass_eps: float = MASS_EPS,
 # Spectral critical beta
 # ---------------------------------------------------------------------------
 
-def jacobi_eigenvalues(a, tol: float = 1e-12, max_sweeps: int = 100) -> np.ndarray:
-    """Eigenvalues of a small dense symmetric matrix by cyclic Jacobi
-    rotations, sorted in decreasing order."""
-    a = np.array(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionError("jacobi_eigenvalues needs a square matrix")
-    n = a.shape[0]
-    if n == 1:
-        return np.array([a[0, 0]])
-    for _ in range(max_sweeps):
-        off = math.sqrt(2.0 * float(np.sum(np.triu(a, 1) ** 2)))
-        if off <= tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) < 1e-300:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if theta == 0:
-                    t = 1.0
-                else:
-                    t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-    return np.sort(np.diag(a))[::-1]
-
-
 def _cluster_stats(j: JointDistribution, sol: IBSolution,
                    t_index: int) -> tuple[np.ndarray, np.ndarray]:
     """p(x|t) and p(y|t) for one cluster, recomputed from the encoder so the
@@ -225,7 +195,7 @@ def critical_beta_spectral(j: JointDistribution, sol: IBSolution,
     s = ms / np.outer(v, v)
     proj = np.eye(v.size) - np.outer(v, v)
     deflated = proj @ s @ proj
-    lam = float(jacobi_eigenvalues(deflated)[0]) if v.size > 1 else 0.0
+    lam = float(np.linalg.eigvalsh(deflated)[-1]) if v.size > 1 else 0.0
     if lam <= 1e-12:
         return math.inf
     return 1.0 / lam
@@ -258,28 +228,38 @@ def anneal_curve(j: JointDistribution, t_card: int, beta_grid,
                  tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
                  seed: int = 0, mass_eps: float = MASS_EPS,
                  merge_tau: float = MERGE_TAU) -> InfoCurve:
-    """Sweep the beta grid, solving each point's warm start and fresh
-    restarts as one batch, and bracket every effective-cardinality jump by
-    bisection."""
+    """Anneal over the beta grid as the module docstring describes (the first
+    point, which has no warm start, runs at least one fresh restart) and
+    bracket every effective-cardinality jump by bisection."""
     beta_grid = np.asarray(beta_grid, dtype=float)
     if beta_grid.size == 0:
         raise ValueError("beta grid is empty")
     if np.any(beta_grid <= 0) or np.any(np.diff(beta_grid) <= 0):
         raise ValueError("beta grid must be strictly increasing and positive")
+    if restarts < 0:
+        raise ValueError(f"restarts must be >= 0, got {restarts}")
     _check_query(t_card, float(beta_grid[0]), tol)
+
+    counts = [max(restarts, 1)] + [restarts] * (beta_grid.size - 1)
+    fresh = _restart_inits(j.x_card, t_card, [(r, _derived_seed(seed, i, r + 1))
+                                               for i, k in enumerate(counts) for r in range(k)])
+    fresh = _lockstep(j, fresh, np.repeat(beta_grid, counts), tol, max_iter)
+    ends = np.cumsum(counts)
 
     points: list[CurvePoint] = []
     cards: list[int] = []
     prev: IBSolution | None = None
-    for i, beta in enumerate(beta_grid):
-        inits = [] if prev is None else [
-            prev.encoder.perturbed(_derived_seed(seed, i, 0), perturb_mag)]
-        inits += [_restart_init(j.x_card, t_card, r, _derived_seed(seed, i, r + 1))
-                  for r in range(restarts)]
-        best = _solve_batch(j, t_card, float(beta), inits, tol, max_iter)
+    for i, beta in enumerate(map(float, beta_grid)):
+        cands = [a[ends[i] - counts[i]:ends[i]] for a in fresh]
+        if prev is not None:
+            warm = _encoder_stack([_perturb(prev.encoder.matrix, _derived_seed(seed, i, 0),
+                                            perturb_mag)])
+            warm = _lockstep(j, warm, beta, tol, max_iter)
+            cands = [np.concatenate(pair) for pair in zip(warm, cands)]
+        best = _pick(j, t_card, beta, *cands)
         card = effective_cardinality(best, mass_eps, merge_tau)
         points.append(CurvePoint(
-            beta=float(beta), R=best.R, I_Y=best.I_Y, D_IB=best.D_IB,
+            beta=beta, R=best.R, I_Y=best.I_Y, D_IB=best.D_IB,
             L=best.L, eff_card=card,
         ))
         cards.append(card)

@@ -76,10 +76,10 @@ def joint_to_json(j: JointDistribution) -> str:
     return json_dumps({"x_card": j.x_card, "y_card": j.y_card, "p": j.p}) + "\n"
 
 
-def _json_fields(text: str, what: str, **convert) -> list:
-    """The values of keys in a JSON object, each passed through its converter;
-    a missing key or a value of the wrong type is a ValueError naming the key."""
-    obj = json.loads(text)
+def _json_fields(obj, what: str, **convert) -> list:
+    """The values of keys in a parsed JSON object, each passed through its
+    converter; a missing key or a value of the wrong type is a ValueError
+    naming the key."""
     missing = [k for k in convert if not isinstance(obj, dict) or k not in obj]
     if missing:
         raise ValueError(f"{what} JSON has no {', '.join(map(repr, missing))}")
@@ -96,8 +96,20 @@ def _reals(v) -> np.ndarray:
     return np.asarray(v, dtype=float)
 
 
+def _real(v) -> float:
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+        raise TypeError(f"expected a finite number, got {v!r}")
+    return float(v)
+
+
+def _flag(v) -> bool:
+    if not isinstance(v, bool):
+        raise TypeError(f"expected true or false, got {v!r}")
+    return v
+
+
 def joint_from_json(text: str) -> JointDistribution:
-    x_card, y_card, p = _json_fields(text, "joint", x_card=operator.index,
+    x_card, y_card, p = _json_fields(json.loads(text), "joint", x_card=operator.index,
                                      y_card=operator.index, p=_reals)
     return JointDistribution(x_card, y_card, p)
 
@@ -122,19 +134,12 @@ def solution_to_json(sol: IBSolution) -> str:
 
 
 def solution_from_json(text: str) -> IBSolution:
-    obj = json.loads(text)
-    return IBSolution(
-        beta=float(obj["beta"]),
-        encoder=Encoder.from_matrix(np.asarray(obj["encoder"], dtype=float)),
-        decoder=ConditionalMatrix.from_matrix(np.asarray(obj["decoder"], dtype=float)),
-        marginal=DiscreteDistribution(np.asarray(obj["marginal"], dtype=float)),
-        R=float(obj["R"]),
-        I_Y=float(obj["I_Y"]),
-        D_IB=float(obj["D_IB"]),
-        L=float(obj["L"]),
-        iterations=int(obj["iterations"]),
-        converged=bool(obj["converged"]),
-    )
+    beta, enc, dec, pt, *scalars = _json_fields(
+        json.loads(text), "solution", beta=_real, encoder=_reals, decoder=_reals,
+        marginal=_reals, R=_real, I_Y=_real, D_IB=_real, L=_real,
+        iterations=operator.index, converged=_flag)
+    return IBSolution(beta, Encoder.from_matrix(enc), ConditionalMatrix.from_matrix(dec),
+                      DiscreteDistribution(pt), *scalars)
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +156,7 @@ def network_to_json(net: NetworkParams) -> str:
 
 def network_from_json(text: str) -> NetworkParams:
     sizes, weights, biases = _json_fields(
-        text, "network", layer_sizes=lambda v: tuple(map(operator.index, v)),
+        json.loads(text), "network", layer_sizes=lambda v: tuple(map(operator.index, v)),
         weights=lambda v: tuple(map(_reals, v)), biases=lambda v: tuple(map(_reals, v)))
     return NetworkParams(sizes, weights, biases)
 
@@ -220,15 +225,13 @@ def bifurcations_to_json(bifs) -> str:
 
 
 def bifurcations_from_json(text: str) -> tuple[Bifurcation, ...]:
-    return tuple(
-        Bifurcation(
-            beta_low=float(o["beta_low"]), beta_high=float(o["beta_high"]),
-            card_before=int(o["card_before"]), card_after=int(o["card_after"]),
-            beta_predicted=None if o["beta_predicted"] is None
-            else float(o["beta_predicted"]),
-        )
-        for o in json.loads(text)
-    )
+    records = json.loads(text)
+    if not isinstance(records, list):
+        raise ValueError("bifurcations JSON must be a list of records")
+    keys = dict(beta_low=_real, beta_high=_real, card_before=operator.index,
+                card_after=operator.index,
+                beta_predicted=lambda v: None if v is None else _real(v))
+    return tuple(Bifurcation(*_json_fields(o, "bifurcation", **keys)) for o in records)
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,8 @@ no higher than after two plain steps. L never increases under the plain map,
 so it never increases along a solve. A solve converges when one plain step
 moves the encoder by less than tol in max-abs, and returns that step's output;
 `iterations` counts plain-map evaluations, stabilizing steps included. Solves
-at one beta run in lockstep over a (B, X, T) encoder stack, each one unaffected
-by the rest of its batch.
+run in lockstep over a (B, X, T) encoder stack, at one beta or with one beta
+per element, each one unaffected by the rest of its batch.
 
 This is a local method (the problem is not convex); global behavior comes
 from seeded restarts and from warm-started annealing in the curve module.
@@ -42,6 +42,7 @@ from .errors import (
     InstanceTooLargeError,
 )
 from .prob import (
+    PROB_TOL,
     ConditionalMatrix,
     DiscreteDistribution,
     JointDistribution,
@@ -89,11 +90,7 @@ class Encoder:
     def noisy_uniform(cls, x_card: int, t_card: int, seed: int,
                       noise: float = INIT_NOISE) -> "Encoder":
         """Uniform rows with seeded multiplicative noise, renormalized."""
-        rng = np.random.default_rng(seed)
-        m = np.full((x_card, t_card), 1.0 / t_card)
-        m = m * (1.0 + noise * rng.uniform(-1.0, 1.0, size=m.shape))
-        m /= m.sum(axis=1, keepdims=True)
-        return cls.from_matrix(m)
+        return cls.from_matrix(_perturb(np.full((x_card, t_card), 1.0 / t_card), seed, noise))
 
     @classmethod
     def from_assignment(cls, assignment, t_card: int) -> "Encoder":
@@ -106,17 +103,34 @@ class Encoder:
     @classmethod
     def hard_blend(cls, assignment, t_card: int, eta: float = 1e-2) -> "Encoder":
         """Hard assignment blended with a uniform floor so no cluster is dead."""
-        assignment = np.asarray(assignment, dtype=int)
-        m = np.full((assignment.size, t_card), eta / t_card)
-        m[np.arange(assignment.size), assignment] += 1.0 - eta
-        return cls.from_matrix(m)
+        return cls.from_matrix(_hard_blend(assignment, t_card, eta))
 
     def perturbed(self, seed: int, noise: float) -> "Encoder":
         """Multiplicative seeded noise on the rows, renormalized."""
-        rng = np.random.default_rng(seed)
-        m = self.matrix * (1.0 + noise * rng.uniform(-1.0, 1.0, size=self.matrix.shape))
-        m /= m.sum(axis=1, keepdims=True)
-        return Encoder.from_matrix(m)
+        return Encoder.from_matrix(_perturb(self.matrix, seed, noise))
+
+
+def _perturb(m: np.ndarray, seed: int, noise: float) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    m = m * (1.0 + noise * rng.uniform(-1.0, 1.0, size=m.shape))
+    return m / m.sum(axis=1, keepdims=True)
+
+
+def _hard_blend(assignment, t_card: int, eta: float = 1e-2) -> np.ndarray:
+    assignment = np.asarray(assignment, dtype=int)
+    m = np.full((assignment.size, t_card), eta / t_card)
+    m[np.arange(assignment.size), assignment] += 1.0 - eta
+    return m
+
+
+def _encoder_stack(ms) -> np.ndarray:
+    """(B, X, T) stack of encoder matrices, checked once as a whole the way
+    Encoder checks each one."""
+    m = np.array(ms)
+    if not (np.isfinite(m).all() and (m >= 0).all()
+            and (np.abs(m.sum(axis=2) - 1.0) <= PROB_TOL).all()):
+        raise ValueError("negative, non-finite or unnormalized encoder entry")
+    return m
 
 
 @dataclass(frozen=True)
@@ -180,18 +194,21 @@ def _decoder_from(px: np.ndarray, pygx: np.ndarray, enc: np.ndarray,
 
 
 def _encoder_update(pygx: np.ndarray, pt: np.ndarray, dec: np.ndarray,
-                    beta: float) -> np.ndarray:
+                    beta: float | np.ndarray) -> np.ndarray:
     """p(t|x) ~ p(t) exp(-beta KL(p(y|x) || p(y|t))) from (B, T) marginals and
-    (B, T, Y) decoders; NaN rows where every cluster is at infinite divergence."""
+    (B, T, Y) decoders, at one beta >= 0 or a (B, 1, 1) stack of positive
+    betas; NaN rows where every cluster is at infinite divergence."""
     d = _distortion_nats(pygx, dec)
     with np.errstate(divide="ignore", invalid="ignore"):
-        logw = np.log(pt)[:, None, :] - (beta * d if beta > 0 else np.zeros_like(d))
+        # beta = 0 must not turn an infinite divergence into 0 * inf = nan
+        scaled = beta * d if isinstance(beta, np.ndarray) or beta > 0 else np.zeros_like(d)
+        logw = np.log(pt)[:, None, :] - scaled
         w = np.exp(logw - logw.max(axis=2, keepdims=True))
         return w / w.sum(axis=2, keepdims=True)
 
 
 def _step(px: np.ndarray, pygx: np.ndarray, enc: np.ndarray,
-          beta: float) -> np.ndarray:
+          beta: float | np.ndarray) -> np.ndarray:
     """One round of the three updates (the plain map) on every encoder."""
     pt = px @ enc
     new = _encoder_update(pygx, pt, _decoder_from(px, pygx, enc, pt), beta)
@@ -203,8 +220,9 @@ def _step(px: np.ndarray, pygx: np.ndarray, enc: np.ndarray,
 
 
 def _objective(jp: np.ndarray, px: np.ndarray, enc: np.ndarray,
-               beta: float) -> np.ndarray:
-    """L = I(X;T) - beta * I(T;Y) in nats, up to a constant, per encoder."""
+               beta: float | np.ndarray) -> np.ndarray:
+    """L = I(X;T) - beta * I(T;Y) in nats, up to a constant, per encoder (at
+    one beta, or one per encoder)."""
     def neg_h(p):  # sum p log p over the last two axes
         return (p * np.log(np.where(p > 0, p, 1.0))).sum(axis=(1, 2))
 
@@ -272,24 +290,34 @@ def _check_query(t_card: int, beta: float, tol: float) -> None:
         raise ValueError(f"beta must be >= 0, got {beta}")
 
 
-def _solve_batch(j: JointDistribution, t_card: int, beta: float, inits,
-                 tol: float, max_iter: int) -> IBSolution:
-    """Solve from every init at one beta in lockstep, each element with its
-    own SQUAREM step bound, and return the best solution: smallest L, ties to
-    smaller R, then to the earlier init."""
-    if any(e.x_card != j.x_card or e.t_card != t_card for e in inits):
-        raise DimensionError("init encoder shape does not match (x_card, t_card)")
+def _lockstep(j: JointDistribution, enc: np.ndarray, beta: float | np.ndarray,
+              tol: float, max_iter: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Solve from every encoder of a (B, X, T) stack in lockstep, each element
+    with its own SQUAREM step bound, and return every element's final
+    encoder, map-evaluation count and converged flag.
+
+    beta is one float for the whole stack or a (B,) array of positive betas,
+    one per element; either way an element's trajectory is the one it follows
+    when solved alone."""
     px, pygx = conditional_rows(j.p)
-    out = np.array([e.matrix for e in inits])
+    out = np.array(enc)
     iters, conv = np.zeros(len(out), dtype=int), np.zeros(len(out), dtype=bool)
     live = np.arange(len(out) if max_iter > 0 else 0)
     e0, bound = out[live], np.full(live.size, STEP_BOUND)
     evals = 0
 
+    def live_betas():
+        """The live elements' betas for the update and for L of [e3; e2]."""
+        if isinstance(beta, np.ndarray):
+            return beta[live][:, None, None], np.tile(beta[live], 2)
+        return beta, beta
+
+    kb, ob = live_betas()
+
     def settle(src, new, ok, *carried):
         """Count one map evaluation src -> new, retire the elements it moved
         less than tol (if ok) or all at the cap; return the rest of new, *carried."""
-        nonlocal evals, live
+        nonlocal evals, live, kb, ob
         evals += 1
         done = ok & (np.max(np.abs(new - src), axis=(1, 2)) < tol)
         stop = done | (evals >= max_iter)
@@ -297,29 +325,37 @@ def _solve_batch(j: JointDistribution, t_card: int, beta: float, inits,
             return new, *carried
         out[live[stop]], iters[live[stop]], conv[live[stop]] = new[stop], evals, done[stop]
         live = live[~stop]
+        kb, ob = live_betas()
         return [a[~stop] for a in (new, *carried)]
 
     while live.size:
-        e1, e0, bound = settle(e0, _step(px, pygx, e0, beta), True, e0, bound)
+        e1, e0, bound = settle(e0, _step(px, pygx, e0, kb), True, e0, bound)
         if live.size:
-            e2, e1, e0, bound = settle(e1, _step(px, pygx, e1, beta), True, e1, e0, bound)
+            e2, e1, e0, bound = settle(e1, _step(px, pygx, e1, kb), True, e1, e0, bound)
         if live.size:
             # the jump stands only if, after one stabilizing plain step, L is
             # no higher than after the second plain step; a degenerate point
             # (NaN rows, NaN L) fails
             ex, alpha = _extrapolate(e0, e1, e2, bound)
             pt = px @ ex
-            e3 = _encoder_update(pygx, pt, _decoder_from(px, pygx, ex, pt), beta)
-            L = _objective(j.p, px, np.concatenate([e3, e2]), beta)
+            e3 = _encoder_update(pygx, pt, _decoder_from(px, pygx, ex, pt), kb)
+            L = _objective(j.p, px, np.concatenate([e3, e2]), ob)
             ok = L[:live.size] <= L[live.size:]
             grown = np.where(alpha == -bound, bound * STEP_BOUND, bound)
             bound = np.where(ok, grown, np.maximum(bound / STEP_BOUND, STEP_BOUND))
             e0, bound = settle(ex, np.where(ok[:, None, None], e3, e2), ok, bound)
+    return out, iters, conv
 
+
+def _pick(j: JointDistribution, t_card: int, beta: float, enc: np.ndarray,
+          iters: np.ndarray, conv: np.ndarray) -> IBSolution:
+    """The best of a stack of solutions at one beta: smallest L, ties to
+    smaller R, then to the earlier element."""
+    px = j.p.sum(axis=1)
     keys = [(r - beta * i_y, r) for r, i_y in  # (L, R) exactly as each solution has them
-            ((mi_bits(e * px[:, None]), mi_bits(e.T @ j.p)) for e in out)]
+            ((mi_bits(e * px[:, None]), mi_bits(e.T @ j.p)) for e in enc)]
     b = keys.index(min(keys))
-    sol = solution_from_encoder(j, Encoder.from_matrix(out[b]), beta,
+    sol = solution_from_encoder(j, Encoder.from_matrix(enc[b]), beta,
                                 iterations=int(iters[b]), converged=bool(conv[b]))
     i_xy, r_max = mi_bits(j.p), min(entropy_bits(px), math.log2(t_card))
     if sol.I_Y > i_xy + 1e-9 or sol.R > r_max + 1e-9:
@@ -335,25 +371,29 @@ def ib_solve(j: JointDistribution, t_card: int, beta: float,
     moves the encoder less than tol in max-abs, or max_iter map evaluations
     elapse."""
     _check_query(t_card, beta, tol)
-    if init is None:
-        init = Encoder.noisy_uniform(j.x_card, t_card, seed)
-    return _solve_batch(j, t_card, beta, [init], tol, max_iter)
+    if init is not None and (init.x_card, init.t_card) != (j.x_card, t_card):
+        raise DimensionError("init encoder shape does not match (x_card, t_card)")
+    enc = _restart_inits(j.x_card, t_card, [(0, seed)]) if init is None else init.matrix[None]
+    return _pick(j, t_card, beta, *_lockstep(j, enc, beta, tol, max_iter))
 
 
-def _restart_init(x_card: int, t_card: int, r: int, seed: int) -> Encoder:
-    """Init for restart r: seeded noisy-uniform for even r.
+def _restart_inits(x_card: int, t_card: int, restarts) -> np.ndarray:
+    """(B, X, T) stack of the inits of (restart r, seed) pairs: seeded
+    noisy-uniform for even r.
 
     Noisy-uniform inits alone can miss the fine-split basin just past a
     transition (the symmetric fixed point's basin shrinks to nothing there),
     so odd restarts seed blended hard partitions instead: the maximal
     partition first, then random assignments.
     """
-    if r % 2 == 0 or t_card < 2:
-        return Encoder.noisy_uniform(x_card, t_card, seed)
-    if r == 1:
-        return Encoder.hard_blend(np.arange(x_card) % t_card, t_card)
-    rng = np.random.default_rng(seed)
-    return Encoder.hard_blend(rng.integers(0, t_card, size=x_card), t_card)
+    def init(r, seed):
+        if r % 2 == 0 or t_card < 2:
+            return _perturb(np.full((x_card, t_card), 1.0 / t_card), seed, INIT_NOISE)
+        if r == 1:
+            return _hard_blend(np.arange(x_card) % t_card, t_card)
+        return _hard_blend(np.random.default_rng(seed).integers(0, t_card, size=x_card), t_card)
+
+    return _encoder_stack([init(r, seed) for r, seed in restarts])
 
 
 def ib_solve_multistart(j: JointDistribution, t_card: int, beta: float,
@@ -364,8 +404,8 @@ def ib_solve_multistart(j: JointDistribution, t_card: int, beta: float,
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
     _check_query(t_card, beta, tol)
-    inits = [_restart_init(j.x_card, t_card, r, seed + r) for r in range(restarts)]
-    return _solve_batch(j, t_card, beta, inits, tol, max_iter)
+    inits = _restart_inits(j.x_card, t_card, [(r, seed + r) for r in range(restarts)])
+    return _pick(j, t_card, beta, *_lockstep(j, inits, beta, tol, max_iter))
 
 
 def self_consistency_residual(j: JointDistribution, sol: IBSolution) -> float:

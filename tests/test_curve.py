@@ -14,18 +14,26 @@ from ibplane.curve import (
     critical_beta_spectral,
     detect_bifurcations,
     effective_cardinality,
+    _derived_seed,
     geometric_grid,
-    jacobi_eigenvalues,
 )
 from ibplane.errors import DegenerateClusterError
 from ibplane.presets import (
     deterministic_joint,
     hierarchical_joint,
     product_joint,
+    random_joint,
     symmetric_joint,
 )
 from ibplane.prob import mutual_information
-from ibplane.solver import Encoder, ib_solve, solution_from_encoder
+from ibplane.solver import (
+    Encoder,
+    _lockstep,
+    _pick,
+    ib_solve,
+    ib_solve_multistart,
+    solution_from_encoder,
+)
 
 SYM = symmetric_joint(0.2)
 
@@ -46,23 +54,6 @@ def sym_coarse_curve():
     return anneal_curve(SYM, 2, geometric_grid(0.5, 40.0, 1.1), restarts=2, seed=1)
 
 
-# --- jacobi eigenvalues ------------------------------------------------------
-
-def test_jacobi_matches_numpy_eigh():
-    rng = np.random.default_rng(0)
-    for n in (2, 3, 5, 8):
-        for _ in range(10):
-            a = rng.normal(size=(n, n))
-            s = 0.5 * (a + a.T)
-            got = jacobi_eigenvalues(s)
-            want = np.sort(np.linalg.eigvalsh(s))[::-1]
-            assert np.allclose(got, want, atol=1e-9)
-
-
-def test_jacobi_diagonal_passthrough():
-    assert np.allclose(jacobi_eigenvalues(np.diag([3.0, 1.0, 2.0])), [3, 2, 1])
-
-
 # --- correlation matrix ------------------------------------------------------
 
 def test_c_matrix_symmetric_hand_value():
@@ -74,7 +65,7 @@ def test_c_matrix_deterministic_identity():
     j = deterministic_joint(2)
     c = c_matrix(j, trivial_solution(j), 0)
     assert np.allclose(c, np.eye(2), atol=1e-12)
-    assert np.allclose(jacobi_eigenvalues(c), [1.0, 1.0], atol=1e-12)
+    assert np.allclose(np.linalg.eigvalsh(c), [1.0, 1.0], atol=1e-12)
 
 
 def test_c_matrix_ones_vector_is_eigenvector():
@@ -157,6 +148,72 @@ def test_anneal_symmetric_single_split(sym_sweep):
     assert b.beta_high - b.beta_low <= 1e-3 * b.beta_high
     # bracket contains the spectral prediction
     assert b.beta_low <= 1.0 / 0.36 <= b.beta_high
+
+
+def reference_sweep(j, t_card, grid, restarts, seed=0, perturb_mag=1e-3,
+                    tol=1e-8, max_iter=10_000):
+    """The per-point sweep: each grid point's warm start and fresh restarts
+    solved as one batch at that point's beta, then bisection of every jump."""
+    def restart_init(r, s):
+        if r % 2 == 0 or t_card < 2:
+            return Encoder.noisy_uniform(j.x_card, t_card, s)
+        if r == 1:
+            return Encoder.hard_blend(np.arange(j.x_card) % t_card, t_card)
+        rng = np.random.default_rng(s)
+        return Encoder.hard_blend(rng.integers(0, t_card, size=j.x_card), t_card)
+
+    points, prev = [], None
+    for i, beta in enumerate(map(float, grid)):
+        inits = [] if prev is None else [
+            prev.encoder.perturbed(_derived_seed(seed, i, 0), perturb_mag)]
+        inits += [restart_init(r, _derived_seed(seed, i, r + 1))
+                  for r in range(restarts if prev is not None else max(restarts, 1))]
+        stack = np.array([e.matrix for e in inits])
+        prev = _pick(j, t_card, beta, *_lockstep(j, stack, beta, tol, max_iter))
+        points.append(CurvePoint(beta, prev.R, prev.I_Y, prev.D_IB, prev.L,
+                                 effective_cardinality(prev)))
+
+    brackets, probes = [], [0]
+
+    def refine(lo, c_lo, hi, c_hi):
+        if hi - lo <= 1e-3 * hi:
+            brackets.append(Bifurcation(lo, hi, c_lo, c_hi))
+            return
+        mid = 0.5 * (lo + hi)
+        probes[0] += 1
+        c_mid = effective_cardinality(ib_solve_multistart(
+            j, t_card, mid, restarts=max(restarts, 2) + 1, tol=tol * 1e-2,
+            max_iter=3 * max_iter, seed=_derived_seed(seed, 7_777, probes[0])))
+        if c_mid > c_lo:
+            refine(lo, c_lo, mid, c_mid)
+        if c_mid < c_hi:
+            refine(mid, c_mid, hi, c_hi)
+
+    running = points[0].eff_card
+    for lo, hi in zip(points, points[1:]):
+        if hi.eff_card > running:
+            refine(lo.beta, running, hi.beta, hi.eff_card)
+            running = hi.eff_card
+    return points, brackets
+
+
+@pytest.mark.parametrize("joint, t_card, grid, restarts", [
+    (SYM, 2, geometric_grid(0.1, 50.0, 1.05), 3),
+    (random_joint(6, 3, seed=8), 3, geometric_grid(0.5, 20.0, 1.1), 3),
+    (SYM, 2, geometric_grid(0.5, 20.0, 1.1), 0),
+], ids=["symmetric", "random-6x3-T3", "no-restarts"])
+def test_anneal_matches_per_point_reference_sweep(joint, t_card, grid, restarts):
+    got = anneal_curve(joint, t_card, grid, restarts=restarts, seed=0)
+    want_points, want_brackets = reference_sweep(joint, t_card, grid, restarts)
+    assert len(got.points) == len(want_points)
+    assert all(a == b for a, b in zip(got.points, want_points))
+    assert got.bifurcations == tuple(want_brackets)
+    assert got.bifurcations  # every case crosses at least one transition
+
+
+def test_anneal_rejects_negative_restarts():
+    with pytest.raises(ValueError, match="restarts"):
+        anneal_curve(SYM, 2, [1.0, 2.0], restarts=-1)
 
 
 def test_anneal_monotone_and_bounded(sym_coarse_curve):

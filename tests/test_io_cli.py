@@ -95,6 +95,31 @@ def test_bifurcations_round_trip():
     assert io.bifurcations_from_json(text) == bifs
 
 
+@pytest.mark.parametrize("text, key", [
+    ('{"beta": 1.0}', "'encoder'"),
+    (None, "'iterations'"),
+], ids=["missing-key", "wrong-typed-key"])
+def test_solution_reader_names_the_bad_key(text, key):
+    if text is None:
+        obj = json.loads(io.solution_to_json(ib_solve(SYM, 2, beta=5.0, seed=0)))
+        obj["iterations"] = [3]
+        text = json.dumps(obj)
+    with pytest.raises(ValueError, match=f"solution JSON .*{key}"):
+        io.solution_from_json(text)
+
+
+@pytest.mark.parametrize("text, key", [
+    ('[{"beta_low": 1.0}]', "'beta_high'"),
+    ('[{"beta_low": "1.0", "beta_high": 2.0, "card_before": 1, "card_after": 2, '
+     '"beta_predicted": null}]', "'beta_low'"),
+    ('[{"beta_low": 1.0, "beta_high": 2.0, "card_before": 1, "card_after": 2, '
+     '"beta_predicted": NaN}]', "'beta_predicted'"),
+], ids=["missing-key", "wrong-typed-key", "non-finite-key"])
+def test_bifurcations_reader_names_the_bad_key(text, key):
+    with pytest.raises(ValueError, match=f"bifurcation JSON .*{key}"):
+        io.bifurcations_from_json(text)
+
+
 def test_loss_trace_round_trip():
     trace = [1.0, 0.5, 1 / 3]
     text = io.loss_trace_to_csv(trace)
@@ -198,6 +223,22 @@ def test_cli_bounds_on_non_finite_curve_point_is_one_line_error(tmp_path, capsys
     assert err.startswith("ValueError: ") and "non-finite R" in err
     assert err.count("\n") == 1
     assert not (tmp_path / "bounds.csv").exists()
+
+
+def test_cli_plane_on_non_finite_bound_point_is_one_line_error(tmp_path, capsys):
+    paths = {k: tmp_path / k for k in ("j.json", "net.json", "curve.csv", "bounds.csv")}
+    paths["j.json"].write_text(io.joint_to_json(SYM))
+    paths["net.json"].write_text(io.network_to_json(init_network([2, 3, 2], seed=0)))
+    paths["curve.csv"].write_text("beta,R,I_Y,D_IB,L,eff_card\n1,0,0,0.2,0,1\n")
+    paths["bounds.csv"].write_text("R_hat,I_Y_hat,I_Y_worst,D_worst\nnan,0.1,0,0.3\n")
+    code = cli.run(["plane", "--joint", str(paths["j.json"]), "--net", str(paths["net.json"]),
+                    "--curve", str(paths["curve.csv"]), "--bounds", str(paths["bounds.csv"]),
+                    "--out", str(tmp_path / "plane.svg")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("ValueError: ") and "non-finite R_hat" in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "plane.svg").exists()
 
 
 def test_cli_solve_curve_bounds_train_analyze_plane(tmp_path):

@@ -23,9 +23,12 @@ from ibplane.prob import (
     mutual_information,
 )
 from ibplane.solver import (
+    DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
     Encoder,
     IBSolution,
-    _restart_init,
+    _lockstep,
+    _restart_inits,
     exhaustive_deterministic_oracle,
     ib_iterate_once,
     ib_solve,
@@ -158,7 +161,8 @@ def queries(draw):
 @given(queries())
 def test_solve_properties_on_random_joints(query):
     j, t_card, beta, seed = query
-    inits = [_restart_init(j.x_card, t_card, r, seed + r) for r in range(4)]
+    inits = [Encoder.from_matrix(m)
+             for m in _restart_inits(j.x_card, t_card, [(r, seed + r) for r in range(4)])]
     sols = [ib_solve(j, t_card, beta, init=e) for e in inits]
     for init, sol in zip(inits, sols):
         if sol.converged:
@@ -173,6 +177,20 @@ def test_solve_properties_on_random_joints(query):
     best = min(sols, key=lambda s: (s.L, s.R))
     multi = ib_solve_multistart(j, t_card, beta, restarts=4, seed=seed)
     assert multi.L == pytest.approx(best.L, abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(queries(), st.lists(st.floats(math.log(0.5), math.log(50.0)), min_size=1, max_size=6),
+       st.sampled_from([3, 40, DEFAULT_MAX_ITER]))
+def test_mixed_beta_batch_matches_solving_each_alone(query, log_betas, max_iter):
+    j, t_card, _, seed = query
+    betas = np.exp(log_betas)
+    inits = _restart_inits(j.x_card, t_card, [(r, seed + r) for r in range(betas.size)])
+    enc, iters, conv = _lockstep(j, inits, betas, DEFAULT_TOL, max_iter)
+    for b, beta in enumerate(betas):
+        e1, i1, c1 = _lockstep(j, inits[b:b + 1], float(beta), DEFAULT_TOL, max_iter)
+        assert np.array_equal(enc[b], e1[0])
+        assert (iters[b], conv[b]) == (i1[0], c1[0])
 
 
 def test_solve_invariant_checks_survive_optimize_flag():
