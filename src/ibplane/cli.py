@@ -21,7 +21,7 @@ def _read(path: str) -> str:
         return f.read()
 
 
-def _emit(args, text_by_path: dict[str, str], summary: dict) -> int:
+def _emit(text_by_path: dict[str, str], summary: dict) -> int:
     for path, text in text_by_path.items():
         io.atomic_write(path, text)
     print(io.json_dumps(summary))
@@ -46,7 +46,7 @@ def _cmd_gen(args) -> int:
         "cmd": "gen", "preset": args.preset, "x_card": j.x_card,
         "y_card": j.y_card, "I_XY": prob.mutual_information(j), "out": args.out,
     }
-    return _emit(args, {args.out: io.joint_to_json(j)}, summary)
+    return _emit({args.out: io.joint_to_json(j)}, summary)
 
 
 def _cmd_ib_solve(args) -> int:
@@ -59,28 +59,25 @@ def _cmd_ib_solve(args) -> int:
         "D_IB": sol.D_IB, "L": sol.L, "converged": sol.converged,
         "iterations": sol.iterations, "out": args.out,
     }
-    return _emit(args, {args.out: io.solution_to_json(sol)}, summary)
+    return _emit({args.out: io.solution_to_json(sol)}, summary)
 
 
 def _cmd_ib_curve(args) -> int:
     j = io.joint_from_json(_read(args.joint))
     grid = curve.geometric_grid(args.beta_min, args.beta_max, args.grid_factor)
-    traced = curve.anneal_curve(
-        j, args.t_card, grid, perturb_mag=args.perturb, restarts=args.restarts,
-        tol=args.tol, max_iter=args.max_iter, seed=args.seed,
-        mass_eps=args.mass_eps, merge_tau=args.merge_tau)
+    traced = curve.anneal_curve(j, args.t_card, grid, restarts=args.restarts,
+                                tol=args.tol, max_iter=args.max_iter, seed=args.seed)
     files, bifs = {args.out: io.curve_to_csv(traced)}, traced.bifurcations
     if args.bifurcations_out:
         bifs = curve.detect_bifurcations(
             traced, j, args.t_card, restarts=max(args.restarts, 3), tol=args.tol,
-            max_iter=args.max_iter, seed=args.seed, mass_eps=args.mass_eps,
-            merge_tau=args.merge_tau)
+            max_iter=args.max_iter, seed=args.seed)
         files[args.bifurcations_out] = io.bifurcations_to_json(bifs)
     summary = {
         "cmd": "ib-curve", "points": len(traced.points),
         "bifurcations": len(bifs), "out": args.out,
     }
-    return _emit(args, files, summary)
+    return _emit(files, summary)
 
 
 def _cmd_bounds(args) -> int:
@@ -99,13 +96,12 @@ def _cmd_bounds(args) -> int:
     if args.net:
         j = io.joint_from_json(_read(args.joint))
         net = io.network_from_json(_read(args.net))
-        q = analyzer.QuantizerConfig(bins=args.bins)
-        r_n, d_n = analyzer.network_distortion_rate(j, net, q)
+        r_n, d_n = analyzer.network_distortion_rate(j, net, None)
         gaps = bounds.network_gaps(b, r_n, d_n)
         files[args.gaps_out] = io.gaps_to_json(gaps, b)
         summary["delta_G"] = gaps.delta_G
         summary["delta_C"] = gaps.delta_C
-    return _emit(args, files, summary)
+    return _emit(files, summary)
 
 
 def _cmd_train(args) -> int:
@@ -128,7 +124,7 @@ def _cmd_train(args) -> int:
         "final_loss": trace[-1] if trace else None,
         "accuracy": mlp.accuracy(trained, samples), "out": args.out,
     }
-    return _emit(args, files, summary)
+    return _emit(files, summary)
 
 
 def _cmd_analyze(args) -> int:
@@ -153,7 +149,7 @@ def _cmd_analyze(args) -> int:
             assignment.append({"beta": b, "best_layer": best.layer_index,
                                "criterion": best.layer_criterion})
         summary["criterion_sweep"] = assignment
-    return _emit(args, {args.out: io.layer_path_to_csv(path)}, summary)
+    return _emit({args.out: io.layer_path_to_csv(path)}, summary)
 
 
 def _cmd_plane(args) -> int:
@@ -162,7 +158,7 @@ def _cmd_plane(args) -> int:
     traced = io.curve_from_csv(_read(args.curve))
     bound_pts = io.bound_points_from_csv(_read(args.bounds))
     q = analyzer.QuantizerConfig(bins=args.bins)
-    path = analyzer.info_plane_path(j, net, q, beta=args.beta)
+    path = analyzer.info_plane_path(j, net, q)
     svg = svgplot.render_plane(
         [(p.R, p.I_Y) for p in traced.points],
         [(p.R_hat, p.I_Y_worst) for p in bound_pts],
@@ -170,7 +166,7 @@ def _cmd_plane(args) -> int:
     )
     summary = {"cmd": "plane", "series": 3, "layers": len(path.points),
                "out": args.out}
-    return _emit(args, {args.out: svg}, summary)
+    return _emit({args.out: svg}, summary)
 
 
 # ---------------------------------------------------------------------------
@@ -194,10 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--beta-min", type=float, required=True)
         p.add_argument("--beta-max", type=float, required=True)
         p.add_argument("--grid-factor", type=float, default=1.05)
-        p.add_argument("--perturb", type=float, default=1e-3)
         p.add_argument("--restarts", type=int, default=3)
-        p.add_argument("--mass-eps", type=float, default=curve.MASS_EPS)
-        p.add_argument("--merge-tau", type=float, default=curve.MERGE_TAU)
 
     p = sub.add_parser("gen", help="write a preset joint distribution")
     p.add_argument("--preset", choices=presets.PRESET_NAMES, required=True)
@@ -236,7 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--joint", help="joint file supplying |Y| (else --y-card)")
     p.add_argument("--y-card", type=int, default=2)
     p.add_argument("--net", help="network file for gap computation")
-    p.add_argument("--bins", type=int, default=8)
     p.add_argument("--gaps-out")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_bounds)
@@ -274,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--curve", required=True)
     p.add_argument("--bounds", required=True)
     p.add_argument("--bins", type=int, default=8)
-    p.add_argument("--beta", type=float, default=1.0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_plane)
 

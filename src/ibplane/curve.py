@@ -83,6 +83,8 @@ class Bifurcation:
     beta_predicted: float | None = None
 
     def __post_init__(self):
+        if self.beta_predicted is not None and not math.isfinite(self.beta_predicted):
+            raise ValueError(f"bifurcation has non-finite beta_predicted {self.beta_predicted}")
         if not self.beta_low < self.beta_high:
             raise ValueError("bifurcation bracket must satisfy beta_low < beta_high")
         if not self.card_after > self.card_before:
@@ -112,15 +114,12 @@ class InfoCurve:
 # Effective cardinality
 # ---------------------------------------------------------------------------
 
-def effective_cardinality(sol: IBSolution, mass_eps: float = MASS_EPS,
-                          merge_tau: float = MERGE_TAU) -> int:
-    """Number of clusters carrying mass above mass_eps, after merging pairs
-    whose decoder rows differ by less than merge_tau in JS divergence."""
-    if mass_eps <= 0 or merge_tau <= 0:
-        raise ValueError("mass_eps and merge_tau must be > 0")
+def effective_cardinality(sol: IBSolution) -> int:
+    """Number of clusters carrying mass above MASS_EPS, after merging pairs
+    whose decoder rows differ by less than MERGE_TAU in JS divergence."""
     pt = sol.marginal.p
     dec = sol.decoder.p
-    alive = [t for t in range(pt.size) if pt[t] > mass_eps]
+    alive = [t for t in range(pt.size) if pt[t] > MASS_EPS]
     if not alive:
         return 1
     parent = {t: t for t in alive}
@@ -133,7 +132,7 @@ def effective_cardinality(sol: IBSolution, mass_eps: float = MASS_EPS,
 
     for i, a in enumerate(alive):
         for b in alive[i + 1:]:
-            if js_bits(dec[a], dec[b]) < merge_tau:
+            if js_bits(dec[a], dec[b]) < MERGE_TAU:
                 parent[find(b)] = find(a)
     return len({find(t) for t in alive})
 
@@ -226,8 +225,7 @@ def _derived_seed(*parts: int) -> int:
 def anneal_curve(j: JointDistribution, t_card: int, beta_grid,
                  perturb_mag: float = 1e-3, restarts: int = 3,
                  tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
-                 seed: int = 0, mass_eps: float = MASS_EPS,
-                 merge_tau: float = MERGE_TAU) -> InfoCurve:
+                 seed: int = 0) -> InfoCurve:
     """Anneal over the beta grid as the module docstring describes (the first
     point, which has no warm start, runs at least one fresh restart) and
     bracket every effective-cardinality jump by bisection."""
@@ -257,7 +255,7 @@ def anneal_curve(j: JointDistribution, t_card: int, beta_grid,
             warm = _lockstep(j, warm, beta, tol, max_iter)
             cands = [np.concatenate(pair) for pair in zip(warm, cands)]
         best = _pick(j, t_card, beta, *cands)
-        card = effective_cardinality(best, mass_eps, merge_tau)
+        card = effective_cardinality(best)
         points.append(CurvePoint(
             beta=beta, R=best.R, I_Y=best.I_Y, D_IB=best.D_IB,
             L=best.L, eff_card=card,
@@ -275,7 +273,7 @@ def anneal_curve(j: JointDistribution, t_card: int, beta_grid,
         sol = ib_solve_multistart(
             j, t_card, beta, restarts=max(restarts, 2) + 1, tol=tol * 1e-2,
             max_iter=3 * max_iter, seed=_derived_seed(seed, 7_777, probe_counter[0]))
-        return effective_cardinality(sol, mass_eps, merge_tau)
+        return effective_cardinality(sol)
 
     bifurcations: list[Bifurcation] = []
 
@@ -314,9 +312,8 @@ def _monotone_jumps(cards) -> list[tuple[int, int, int, int]]:
 
 def detect_bifurcations(curve: InfoCurve, j: JointDistribution, t_card: int,
                         restarts: int = 5, tol: float = DEFAULT_TOL,
-                        max_iter: int = DEFAULT_MAX_ITER, seed: int = 0,
-                        mass_eps: float = MASS_EPS,
-                        merge_tau: float = MERGE_TAU) -> tuple[Bifurcation, ...]:
+                        max_iter: int = DEFAULT_MAX_ITER,
+                        seed: int = 0) -> tuple[Bifurcation, ...]:
     """Attach a spectral prediction to every bracketed jump of a curve.
 
     The prediction is the smallest finite critical beta over the clusters
@@ -337,7 +334,7 @@ def detect_bifurcations(curve: InfoCurve, j: JointDistribution, t_card: int,
             max_iter=max_iter, seed=_derived_seed(seed, 31_337, k))
         preds = []
         for t in range(sol.t_card):
-            if sol.marginal.p[t] > mass_eps:
+            if sol.marginal.p[t] > MASS_EPS:
                 bc = critical_beta_spectral(j, sol, t)
                 if math.isfinite(bc):
                     preds.append(bc)

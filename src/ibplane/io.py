@@ -2,9 +2,10 @@
 
 Reals are serialized with 17 significant digits, which round-trips binary64
 exactly, and JSON is emitted by a small writer with fixed key order so that
-identical inputs produce byte-identical files. Parsing uses the standard
-library. Writes go through a temp-file-then-rename so readers never observe
-a partial file.
+identical inputs produce byte-identical files. JSON parsing uses the
+standard library; every CSV format is written by `_csv_text` and read by
+`_csv_rows`. Writes go through a temp-file-then-rename so readers never
+observe a partial file.
 """
 
 from __future__ import annotations
@@ -162,53 +163,7 @@ def network_from_json(text: str) -> NetworkParams:
 
 
 # ---------------------------------------------------------------------------
-# Sample CSV: header x,y then one integer pair per line
-# ---------------------------------------------------------------------------
-
-def samples_to_csv(s: SampleSet) -> str:
-    lines = ["x,y"]
-    lines += [f"{int(x)},{int(y)}" for x, y in s.pairs]
-    return "\n".join(lines) + "\n"
-
-
-def samples_from_csv(text: str) -> SampleSet:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != "x,y":
-        raise ValueError("sample CSV must start with the header 'x,y'")
-    pairs = [tuple(int(v) for v in ln.split(",")) for ln in lines[1:]]
-    return SampleSet.from_pairs(pairs)
-
-
-# ---------------------------------------------------------------------------
-# Curve CSV: beta,R,I_Y,D_IB,L,eff_card
-# ---------------------------------------------------------------------------
-
-def curve_to_csv(curve: InfoCurve) -> str:
-    lines = ["beta,R,I_Y,D_IB,L,eff_card"]
-    for p in curve.points:
-        lines.append(",".join([
-            fmt_real(p.beta), fmt_real(p.R), fmt_real(p.I_Y),
-            fmt_real(p.D_IB), fmt_real(p.L), str(p.eff_card),
-        ]))
-    return "\n".join(lines) + "\n"
-
-
-def curve_from_csv(text: str) -> InfoCurve:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != "beta,R,I_Y,D_IB,L,eff_card":
-        raise ValueError("curve CSV header mismatch")
-    points = []
-    for ln in lines[1:]:
-        cells = ln.split(",")
-        points.append(CurvePoint(
-            beta=float(cells[0]), R=float(cells[1]), I_Y=float(cells[2]),
-            D_IB=float(cells[3]), L=float(cells[4]), eff_card=int(cells[5]),
-        ))
-    return InfoCurve(tuple(points), ())
-
-
-# ---------------------------------------------------------------------------
-# Bifurcations JSON: list of bracket records
+# Bifurcations JSON (a list of bracket records) and gaps JSON
 # ---------------------------------------------------------------------------
 
 def bifurcations_to_json(bifs) -> str:
@@ -234,30 +189,6 @@ def bifurcations_from_json(text: str) -> tuple[Bifurcation, ...]:
     return tuple(Bifurcation(*_json_fields(o, "bifurcation", **keys)) for o in records)
 
 
-# ---------------------------------------------------------------------------
-# Bound curve CSV: R_hat,I_Y_hat,I_Y_worst,D_worst
-# ---------------------------------------------------------------------------
-
-def bound_curve_to_csv(b: BoundCurve) -> str:
-    lines = ["R_hat,I_Y_hat,I_Y_worst,D_worst"]
-    for p in b.points:
-        lines.append(",".join([
-            fmt_real(p.R_hat), fmt_real(p.I_Y_hat),
-            fmt_real(p.I_Y_worst), fmt_real(p.D_worst),
-        ]))
-    return "\n".join(lines) + "\n"
-
-
-def bound_points_from_csv(text: str) -> tuple[BoundPoint, ...]:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != "R_hat,I_Y_hat,I_Y_worst,D_worst":
-        raise ValueError("bound CSV header mismatch")
-    return tuple(
-        BoundPoint(*(float(c) for c in ln.split(",")))
-        for ln in lines[1:]
-    )
-
-
 def gaps_to_json(g: NetworkGaps, b: BoundCurve) -> str:
     return json_dumps({
         "R_N": g.R_N, "D_N": g.D_N,
@@ -268,42 +199,86 @@ def gaps_to_json(g: NetworkGaps, b: BoundCurve) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Info-plane CSV: layer,I_X,I_Y,criterion
+# CSV: a header line, then one line of comma-separated cells per row
 # ---------------------------------------------------------------------------
 
-def layer_path_to_csv(path: LayerPath) -> str:
-    lines = ["layer,I_X,I_Y,criterion"]
-    for p in path.points:
-        lines.append(",".join([
-            str(p.layer_index), fmt_real(p.I_X), fmt_real(p.I_Y),
-            fmt_real(p.layer_criterion),
-        ]))
+def _csv_text(header: str, rows) -> str:
+    """CSV text of rows of integer and real cells, reals at 17 digits."""
+    lines = [header]
+    lines += [",".join(str(c) if isinstance(c, (int, np.integer)) else fmt_real(c) for c in row)
+              for row in rows]
     return "\n".join(lines) + "\n"
+
+
+def _csv_rows(text: str, what: str, header: str, *convert) -> list[tuple]:
+    """The rows of CSV text under the given header, blank lines skipped and
+    each cell passed through its column's converter; a wrong header, a row
+    of the wrong width or a cell its converter rejects is a ValueError
+    naming the line."""
+    lines = [(k, ln) for k, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    if not lines or lines[0][1] != header:
+        raise ValueError(f"{what} CSV must start with the header {header!r}")
+    rows = []
+    for k, ln in lines[1:]:
+        cells = ln.split(",")
+        if len(cells) != len(convert):
+            raise ValueError(f"{what} CSV line {k}: {len(cells)} cells, not {len(convert)}")
+        try:
+            rows.append(tuple(conv(c) for conv, c in zip(convert, cells)))
+        except ValueError as e:
+            raise ValueError(f"{what} CSV line {k}: {e}") from None
+    return rows
+
+
+def samples_to_csv(s: SampleSet) -> str:
+    return _csv_text("x,y", s.pairs)
+
+
+def samples_from_csv(text: str) -> SampleSet:
+    return SampleSet.from_pairs(_csv_rows(text, "sample", "x,y", int, int))
+
+
+_CURVE_HEADER = "beta,R,I_Y,D_IB,L,eff_card"
+
+
+def curve_to_csv(curve: InfoCurve) -> str:
+    return _csv_text(_CURVE_HEADER, ((p.beta, p.R, p.I_Y, p.D_IB, p.L, p.eff_card)
+                                     for p in curve.points))
+
+
+def curve_from_csv(text: str) -> InfoCurve:
+    rows = _csv_rows(text, "curve", _CURVE_HEADER, float, float, float, float, float, int)
+    return InfoCurve(tuple(CurvePoint(*r) for r in rows), ())
+
+
+_BOUND_HEADER = "R_hat,I_Y_hat,I_Y_worst,D_worst"
+
+
+def bound_curve_to_csv(b: BoundCurve) -> str:
+    return _csv_text(_BOUND_HEADER, ((p.R_hat, p.I_Y_hat, p.I_Y_worst, p.D_worst)
+                                     for p in b.points))
+
+
+def bound_points_from_csv(text: str) -> tuple[BoundPoint, ...]:
+    rows = _csv_rows(text, "bound", _BOUND_HEADER, float, float, float, float)
+    return tuple(BoundPoint(*r) for r in rows)
+
+
+_LAYER_HEADER = "layer,I_X,I_Y,criterion"
+
+
+def layer_path_to_csv(path: LayerPath) -> str:
+    return _csv_text(_LAYER_HEADER, ((p.layer_index, p.I_X, p.I_Y, p.layer_criterion)
+                                     for p in path.points))
 
 
 def layer_points_from_csv(text: str) -> tuple[tuple[int, float, float, float], ...]:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != "layer,I_X,I_Y,criterion":
-        raise ValueError("info-plane CSV header mismatch")
-    out = []
-    for ln in lines[1:]:
-        cells = ln.split(",")
-        out.append((int(cells[0]), float(cells[1]), float(cells[2]), float(cells[3])))
-    return tuple(out)
+    return tuple(_csv_rows(text, "info-plane", _LAYER_HEADER, int, float, float, float))
 
-
-# ---------------------------------------------------------------------------
-# Loss trace CSV: epoch,loss
-# ---------------------------------------------------------------------------
 
 def loss_trace_to_csv(trace) -> str:
-    lines = ["epoch,loss"]
-    lines += [f"{i},{fmt_real(v)}" for i, v in enumerate(trace)]
-    return "\n".join(lines) + "\n"
+    return _csv_text("epoch,loss", enumerate(trace))
 
 
 def loss_trace_from_csv(text: str) -> list[float]:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != "epoch,loss":
-        raise ValueError("loss CSV header mismatch")
-    return [float(ln.split(",")[1]) for ln in lines[1:]]
+    return [loss for _, loss in _csv_rows(text, "loss", "epoch,loss", int, float)]

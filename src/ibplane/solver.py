@@ -153,6 +153,10 @@ class IBSolution:
     converged: bool
 
     def __post_init__(self):
+        scalars = ("beta", "R", "I_Y", "D_IB", "L")
+        bad = [k for k in scalars if not math.isfinite(getattr(self, k))]
+        if bad:
+            raise ValueError(f"solution has non-finite {', '.join(bad)}")
         if self.beta < 0:
             raise ValueError(f"beta must be >= 0, got {self.beta}")
         if self.R < 0 or self.I_Y < 0 or self.D_IB < 0:

@@ -284,6 +284,12 @@ def test_bifurcation_validation():
         Bifurcation(1.0, 2.0, 2, 2)
 
 
+@pytest.mark.parametrize("predicted", [math.nan, math.inf])
+def test_bifurcation_rejects_non_finite_prediction(predicted):
+    with pytest.raises(ValueError, match="non-finite beta_predicted"):
+        Bifurcation(1.0, 2.0, 1, 2, predicted)
+
+
 def test_curve_validation_rejects_decreasing_beta():
     p1 = CurvePoint(1.0, 0.0, 0.0, 0.1, 0.0, 1)
     with pytest.raises(ValueError):

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from ibplane import cli, io
+from ibplane.analyzer import InfoPlanePoint, LayerPath, QuantizerConfig, info_plane_path
 from ibplane.bounds import bound_curve
 from ibplane.curve import anneal_curve, geometric_grid
 from ibplane.mlp import TrainConfig, init_network, train_sgd
@@ -126,6 +127,41 @@ def test_loss_trace_round_trip():
     assert io.loss_trace_from_csv(text) == trace
 
 
+def test_layer_path_round_trip():
+    path = info_plane_path(SYM, init_network([2, 3, 2], seed=0), QuantizerConfig(bins=8), beta=2.0)
+    text = io.layer_path_to_csv(path)
+    rows = io.layer_points_from_csv(text)
+    assert rows == tuple((p.layer_index, p.I_X, p.I_Y, p.layer_criterion) for p in path.points)
+    back = LayerPath(tuple(InfoPlanePoint(*row) for row in rows), ())
+    assert io.layer_path_to_csv(back) == text
+
+
+# one well-formed row per CSV format, keyed by the name its reader's errors use
+CSV_FORMATS = {
+    "sample": (io.samples_from_csv, "x,y", "1,0"),
+    "curve": (io.curve_from_csv, "beta,R,I_Y,D_IB,L,eff_card", "1,0,0,0.2,0,1"),
+    "bound": (io.bound_points_from_csv, "R_hat,I_Y_hat,I_Y_worst,D_worst", "0,0.1,0,0.3"),
+    "info-plane": (io.layer_points_from_csv, "layer,I_X,I_Y,criterion", "0,1,0.5,0"),
+    "loss": (io.loss_trace_from_csv, "epoch,loss", "0,0.5"),
+}
+
+
+@pytest.mark.parametrize("fault", ["short-row", "long-row", "non-numeric-cell", "wrong-header"])
+@pytest.mark.parametrize("kind", CSV_FORMATS)
+def test_csv_readers_reject_malformed_rows(kind, fault):
+    reader, header, row = CSV_FORMATS[kind]
+    reader(f"{header}\n{row}\n")
+    first, *rest = row.split(",")
+    bad_row = {"short-row": ",".join([first, *rest[:-1]]), "long-row": row + ",0",
+               "non-numeric-cell": ",".join(["one", *rest]), "wrong-header": row}[fault]
+    bad_header = "wrong," + header if fault == "wrong-header" else header
+    # the blank line still counts: the bad row is line 4 of the file
+    text = f"{bad_header}\n{row}\n\n{bad_row}\n"
+    match = "must start with the header" if fault == "wrong-header" else f"^{kind} CSV line 4: "
+    with pytest.raises(ValueError, match=match):
+        reader(text)
+
+
 def test_json_rejects_non_finite():
     with pytest.raises(ValueError):
         io.fmt_real(math.inf)
@@ -213,32 +249,33 @@ def test_cli_network_with_wrong_typed_layer_sizes_is_one_line_error(tmp_path, ca
     assert not (tmp_path / "plane.csv").exists()
 
 
-def test_cli_bounds_on_non_finite_curve_point_is_one_line_error(tmp_path, capsys):
-    curve = tmp_path / "curve.csv"
-    curve.write_text("beta,R,I_Y,D_IB,L,eff_card\n1,nan,0.1,0.2,nan,1\n")
-    code = cli.run(["bounds", "--curve", str(curve), "--n", "1000", "--y-card", "2",
-                    "--out", str(tmp_path / "bounds.csv")])
-    err = capsys.readouterr().err
-    assert code == 1
-    assert err.startswith("ValueError: ") and "non-finite R" in err
-    assert err.count("\n") == 1
-    assert not (tmp_path / "bounds.csv").exists()
+GOOD_CURVE = "beta,R,I_Y,D_IB,L,eff_card\n1,0,0,0.2,0,1\n"
+BOUNDS_ARGV = "bounds --curve curve.csv --n 1000 --y-card 2 --out out"
+PLANE_ARGV = "plane --joint j.json --net net.json --curve curve.csv --bounds bounds.csv --out out"
 
 
-def test_cli_plane_on_non_finite_bound_point_is_one_line_error(tmp_path, capsys):
-    paths = {k: tmp_path / k for k in ("j.json", "net.json", "curve.csv", "bounds.csv")}
-    paths["j.json"].write_text(io.joint_to_json(SYM))
-    paths["net.json"].write_text(io.network_to_json(init_network([2, 3, 2], seed=0)))
-    paths["curve.csv"].write_text("beta,R,I_Y,D_IB,L,eff_card\n1,0,0,0.2,0,1\n")
-    paths["bounds.csv"].write_text("R_hat,I_Y_hat,I_Y_worst,D_worst\nnan,0.1,0,0.3\n")
-    code = cli.run(["plane", "--joint", str(paths["j.json"]), "--net", str(paths["net.json"]),
-                    "--curve", str(paths["curve.csv"]), "--bounds", str(paths["bounds.csv"]),
-                    "--out", str(tmp_path / "plane.svg")])
+@pytest.mark.parametrize("files, argv, expected", [
+    ({"curve.csv": "beta,R,I_Y,D_IB,L,eff_card\n1,nan,0.1,0.2,nan,1\n"}, BOUNDS_ARGV,
+     "non-finite R"),
+    ({"curve.csv": GOOD_CURVE + "2,0,0,0.2\n"}, BOUNDS_ARGV, "curve CSV line 3: "),
+    ({"curve.csv": GOOD_CURVE, "bounds.csv": "R_hat,I_Y_hat,I_Y_worst,D_worst\nnan,0.1,0,0.3\n"},
+     PLANE_ARGV, "non-finite R_hat"),
+    ({"curve.csv": GOOD_CURVE, "bounds.csv": "R_hat,I_Y_hat,I_Y_worst,D_worst\n0,0.1,0\n"},
+     PLANE_ARGV, "bound CSV line 2: "),
+], ids=["bounds-non-finite-curve-point", "bounds-short-curve-row",
+        "plane-non-finite-bound-point", "plane-short-bound-row"])
+def test_cli_bad_csv_row_is_one_line_error(tmp_path, monkeypatch, capsys, files, argv, expected):
+    monkeypatch.chdir(tmp_path)
+    files = {"j.json": io.joint_to_json(SYM),
+             "net.json": io.network_to_json(init_network([2, 3, 2], seed=0)), **files}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    code = cli.run(argv.split())
     err = capsys.readouterr().err
     assert code == 1
-    assert err.startswith("ValueError: ") and "non-finite R_hat" in err
+    assert err.startswith("ValueError: ") and expected in err
     assert err.count("\n") == 1
-    assert not (tmp_path / "plane.svg").exists()
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_solve_curve_bounds_train_analyze_plane(tmp_path):

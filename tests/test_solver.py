@@ -1,5 +1,6 @@
 """Solver behavior: update rule, convergence, oracle dominance, errors."""
 
+import dataclasses
 import math
 import subprocess
 import sys
@@ -224,6 +225,16 @@ def test_solution_validation():
         IBSolution(beta=1.0, encoder=enc, decoder=dec, marginal=marg,
                    R=0.5, I_Y=0.1, D_IB=0.1, L=0.0,  # L should be 0.4
                    iterations=1, converged=True)
+
+
+@pytest.mark.parametrize("changes", [
+    {"R": math.nan, "L": math.nan}, {"I_Y": math.nan}, {"D_IB": math.inf},
+    {"beta": math.nan}, {"beta": math.inf},
+], ids=["R-and-L", "I_Y", "D_IB", "beta-nan", "beta-inf"])
+def test_solution_rejects_non_finite_scalars(changes):
+    sol = ib_solve(SYM, 2, beta=5.0, seed=0)
+    with pytest.raises(ValueError, match="solution has non-finite"):
+        dataclasses.replace(sol, **changes)
 
 
 # --- self-consistency residual -------------------------------------------------
