@@ -10,12 +10,10 @@ from .analyzer import (
     InfoPlanePoint,
     LayerPath,
     QuantizerConfig,
-    dpi_check,
     info_plane_path,
+    layer_codes,
     layer_mutual_information,
     network_distortion_rate,
-    prediction_codes,
-    quantize_activations,
 )
 from .bounds import (
     BoundCurve,
@@ -48,13 +46,11 @@ from .errors import (
     UnsupportedDegenerateError,
 )
 from .mlp import (
-    LayerActivations,
     NetworkParams,
     TrainConfig,
     accuracy,
     batch_gradients,
     batch_loss,
-    forward,
     forward_all,
     init_network,
     naive_bayes_neuron,

@@ -1,25 +1,27 @@
 """Placement of a trained network's layers on the information plane.
 
-Every layer is reduced to a discrete code per input symbol: hidden units are
-binned uniformly on (0,1) (or kept as exact activation tuples), the output
+Every layer is reduced to a discrete code per input symbol: `layer_codes`
+numbers the distinct rows of a hidden layer's (X, width) activation array,
+binned uniformly on (0,1) or kept as exact activation tuples, and the output
 layer becomes its argmax prediction. Since each code is then a deterministic
 function of X, all mutual informations are computed exactly by pushing the
-joint through the code maps; no sample-based estimation is involved.
+joint through the code maps (`_push`); no sample-based estimation is involved.
 
 With exact activation tuples each layer is also a deterministic function of
 the previous one, so relevance can only fall with depth. Binned codes are
 functions of X but not necessarily of the previous binned layer, so the chain
-check reports any increase instead of treating it as fatal.
+check reports any increase with its magnitude instead of raising.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CoverageError, DimensionError
-from .mlp import LayerActivations, NetworkParams, forward_all
+from .mlp import NetworkParams, forward_all
 from .prob import JointDistribution, entropy_bits, mi_bits
 
 DPI_TOL = 1e-9
@@ -36,18 +38,32 @@ class QuantizerConfig:
             raise ValueError(f"bins must be >= 2, got {self.bins}")
 
 
+def _weigh(i_prev: float, i_y_lost: float, beta: float) -> float:
+    if not math.isfinite(beta):
+        raise ValueError(f"layer criterion beta must be finite, got {beta}")
+    return i_prev + beta * i_y_lost
+
+
 @dataclass(frozen=True)
 class InfoPlanePoint:
     """One layer's position: index 0 is the input X, m+1 the prediction.
 
-    layer_criterion is I(h_prev; h) + beta * I(Y; h_prev | h) for the beta the
-    path was computed with; the input layer has no predecessor and carries 0.
+    I_prev = I(h_prev; h) and I_Y_lost = I(Y; h_prev | h) are the terms of the
+    layer criterion I_prev + beta * I_Y_lost; layer_criterion holds it at the
+    beta the path was computed with, and `criterion` at any other, so a beta
+    sweep needs no second pass. The input layer has no predecessor and carries
+    0 in all three. The first four fields are the info-plane CSV row.
     """
 
     layer_index: int
     I_X: float
     I_Y: float
     layer_criterion: float
+    I_prev: float
+    I_Y_lost: float
+
+    def criterion(self, beta: float) -> float:
+        return _weigh(self.I_prev, self.I_Y_lost, beta)
 
 
 @dataclass(frozen=True)
@@ -63,53 +79,33 @@ class LayerPath:
             raise DimensionError("path must cover layers 0..m+1 in order")
 
 
-def _bin_codes(vectors: list[np.ndarray], bins: int | None) -> np.ndarray:
-    """Map each activation vector to a dense integer code, first-seen order."""
-    seen: dict[tuple, int] = {}
-    codes = np.empty(len(vectors), dtype=int)
-    for i, v in enumerate(vectors):
-        if bins is None:
-            key = tuple(v.tolist())
-        else:
-            key = tuple(np.minimum((v * bins).astype(int), bins - 1).tolist())
-        codes[i] = seen.setdefault(key, len(seen))
-    return codes
+def layer_codes(acts, q: QuantizerConfig | None) -> np.ndarray:
+    """One integer code per row of an (X, width) activation array, numbered in
+    first-seen order; rows share a code when their units fall in the same
+    uniform bins, or, for q=None (the lossless variant used for exact chain
+    checks), when they are equal."""
+    acts = np.asarray(acts, dtype=float)
+    if q is not None:
+        acts = np.minimum((acts * q.bins).astype(int), q.bins - 1)
+    _, first, inverse = np.unique(acts, axis=0, return_index=True, return_inverse=True)
+    return np.argsort(np.argsort(first))[inverse.reshape(-1)]
 
 
-def quantize_activations(acts: list[LayerActivations],
-                         q: QuantizerConfig | None) -> list[np.ndarray]:
-    """Per hidden layer, one integer code per input symbol.
-
-    q=None skips binning and codes each exact activation tuple; this is the
-    lossless variant used for exact chain checks.
-    """
-    if not acts:
-        raise DimensionError("no activations given")
-    n_hidden = len(acts[0].hidden)
-    bins = None if q is None else q.bins
-    return [
-        _bin_codes([a.hidden[layer] for a in acts], bins)
-        for layer in range(n_hidden)
-    ]
-
-
-def prediction_codes(acts: list[LayerActivations]) -> np.ndarray:
-    """Argmax label per input symbol; ties break to the lowest index."""
-    return np.array([int(np.argmax(a.output)) for a in acts])
+def _push(codes: np.ndarray, w: np.ndarray, n_codes: int) -> np.ndarray:
+    """Pushforward of per-symbol masses w through a code: out[c] is the sum of
+    w[x] over the x with codes[x] = c, added in x order."""
+    out = np.zeros((n_codes, *w.shape[1:]))
+    np.add.at(out, codes, w)
+    return out
 
 
 def _check_coverage(j: JointDistribution, codes) -> np.ndarray:
     codes = np.asarray(codes)
     if codes.shape != (j.x_card,):
-        raise CoverageError(
-            f"need one code per input symbol ({j.x_card}), got shape {codes.shape}"
-        )
-    px = j.p.sum(axis=1)
-    bad = (codes < 0) & (px > 0)
+        raise CoverageError(f"need one code per input symbol ({j.x_card}), got shape {codes.shape}")
+    bad = (codes < 0) & (j.p.sum(axis=1) > 0)
     if np.any(bad):
-        raise CoverageError(
-            f"missing code for supported symbol x={int(np.argmax(bad))}"
-        )
+        raise CoverageError(f"missing code for supported symbol x={int(np.argmax(bad))}")
     return codes.astype(int)
 
 
@@ -121,27 +117,8 @@ def layer_mutual_information(j: JointDistribution, codes) -> tuple[float, float]
     """
     codes = _check_coverage(j, codes)
     safe = np.where(codes >= 0, codes, 0)
-    n_codes = int(safe.max()) + 1
-    px = j.p.sum(axis=1)
-    pt = np.bincount(safe, weights=px, minlength=n_codes)
-    pty = np.zeros((n_codes, j.y_card))
-    np.add.at(pty, safe, j.p)
-    return entropy_bits(pt), mi_bits(pty)
-
-
-def _pair_mi(j: JointDistribution, codes_a, codes_b) -> tuple[float, float]:
-    """(I(A;B), I(Y;(A,B))) for two deterministic codes of X."""
-    a = np.asarray(codes_a, dtype=int)
-    b = np.asarray(codes_b, dtype=int)
-    px = j.p.sum(axis=1)
-    na = int(a.max()) + 1
-    nb = int(b.max()) + 1
-    pab = np.zeros((na, nb))
-    np.add.at(pab, (a, b), px)
-    pair = a * nb + b
-    p_pair_y = np.zeros((na * nb, j.y_card))
-    np.add.at(p_pair_y, pair, j.p)
-    return mi_bits(pab), mi_bits(p_pair_y)
+    n = int(safe.max()) + 1
+    return entropy_bits(_push(safe, j.p.sum(axis=1), n)), mi_bits(_push(safe, j.p, n))
 
 
 def info_plane_path(j: JointDistribution, net: NetworkParams,
@@ -152,42 +129,29 @@ def info_plane_path(j: JointDistribution, net: NetworkParams,
     there is no principled per-layer choice, so it is caller-supplied (the
     command-line tool sweeps it).
     """
-    acts = forward_all(net, j.x_card)
-    layer_codes = [np.arange(j.x_card)]
-    layer_codes += quantize_activations(acts, q)
-    layer_codes.append(prediction_codes(acts))
-
+    hiddens, probs = forward_all(net, j.x_card)
+    codes = [np.arange(j.x_card), *(layer_codes(h, q) for h in hiddens), probs.argmax(axis=1)]
+    px = j.p.sum(axis=1)
     points = []
-    for i, codes in enumerate(layer_codes):
-        i_x, i_y = layer_mutual_information(j, codes)
-        if i == 0:
-            criterion = 0.0
-        else:
-            i_ab, i_y_pair = _pair_mi(j, layer_codes[i - 1], codes)
+    for i, cur in enumerate(codes):
+        i_x, i_y = layer_mutual_information(j, cur)
+        i_prev = i_y_lost = 0.0
+        if i > 0:
+            n_cur = int(cur.max()) + 1
+            pair = codes[i - 1] * n_cur + cur
+            n_pairs = (int(codes[i - 1].max()) + 1) * n_cur
+            i_prev = mi_bits(_push(pair, px, n_pairs).reshape(-1, n_cur))
             # I(Y; prev | cur) = I(Y; prev, cur) - I(Y; cur)
-            criterion = i_ab + beta * (i_y_pair - i_y)
-        points.append(InfoPlanePoint(layer_index=i, I_X=i_x, I_Y=i_y,
-                                     layer_criterion=criterion))
+            i_y_lost = mi_bits(_push(pair, j.p, n_pairs)) - i_y
+        points.append(InfoPlanePoint(i, i_x, i_y, _weigh(i_prev, i_y_lost, beta),
+                                     i_prev, i_y_lost))
     return LayerPath(tuple(points), _dpi_violations(points))
 
 
 def _dpi_violations(points) -> tuple[tuple[tuple[int, int], float], ...]:
-    out = []
-    for prev, cur in zip(points, points[1:]):
-        rise = cur.I_Y - prev.I_Y
-        if rise > DPI_TOL:
-            out.append(((prev.layer_index, cur.layer_index), float(rise)))
-    return tuple(out)
-
-
-def dpi_check(path: LayerPath) -> tuple[tuple[tuple[int, int], float], ...]:
-    """Adjacent layer pairs where relevance rises with depth beyond 1e-9.
-
-    Exact activation-tuple codes can never appear here; binned codes can,
-    because binning breaks the layer-to-layer functional chain, so findings
-    are reported with their magnitude rather than raised.
-    """
-    return _dpi_violations(path.points)
+    """Adjacent layer pairs where relevance rises with depth beyond DPI_TOL."""
+    rises = ((a.layer_index, b.layer_index, b.I_Y - a.I_Y) for a, b in zip(points, points[1:]))
+    return tuple(((i, k), float(rise)) for i, k, rise in rises if rise > DPI_TOL)
 
 
 def network_distortion_rate(j: JointDistribution, net: NetworkParams,
@@ -197,8 +161,5 @@ def network_distortion_rate(j: JointDistribution, net: NetworkParams,
     quantizer plays no role here; it is accepted for signature symmetry with
     the path computation."""
     del q
-    acts = forward_all(net, j.x_card)
-    codes = prediction_codes(acts)
-    r_n, i_y = layer_mutual_information(j, codes)
-    d_n = mi_bits(j.p) - i_y
-    return r_n, d_n
+    r_n, i_y = layer_mutual_information(j, forward_all(net, j.x_card)[1].argmax(axis=1))
+    return r_n, mi_bits(j.p) - i_y

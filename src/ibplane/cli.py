@@ -140,14 +140,12 @@ def _cmd_analyze(args) -> int:
         "out": args.out,
     }
     if args.sweep:
-        betas = [float(s) for s in args.sweep.split(",")]
+        inner = path.points[1:]  # input layer has no criterion
         assignment = []
-        for b in betas:
-            p = analyzer.info_plane_path(j, net, q, beta=b)
-            inner = p.points[1:]  # input layer has no criterion
-            best = min(inner, key=lambda pt: pt.layer_criterion)
+        for b in (float(s) for s in args.sweep.split(",")):
+            best = min(inner, key=lambda pt: pt.criterion(b))
             assignment.append({"beta": b, "best_layer": best.layer_index,
-                               "criterion": best.layer_criterion})
+                               "criterion": best.criterion(b)})
         summary["criterion_sweep"] = assignment
     return _emit({args.out: io.layer_path_to_csv(path)}, summary)
 

@@ -207,6 +207,9 @@ def critical_beta_spectral(j: JointDistribution, sol: IBSolution,
 def geometric_grid(beta_min: float, beta_max: float,
                    factor: float = 1.05) -> np.ndarray:
     """Geometric beta grid from beta_min to beta_max inclusive."""
+    if not all(map(math.isfinite, (beta_min, beta_max, factor))):
+        raise ValueError(f"grid bounds and factor must be finite, got "
+                         f"{beta_min}, {beta_max}, {factor}")
     if beta_min <= 0 or beta_max <= beta_min:
         raise ValueError("need 0 < beta_min < beta_max")
     if factor <= 1:
@@ -232,6 +235,8 @@ def anneal_curve(j: JointDistribution, t_card: int, beta_grid,
     beta_grid = np.asarray(beta_grid, dtype=float)
     if beta_grid.size == 0:
         raise ValueError("beta grid is empty")
+    if not np.all(np.isfinite(beta_grid)):
+        raise ValueError("beta grid must be finite")
     if np.any(beta_grid <= 0) or np.any(np.diff(beta_grid) <= 0):
         raise ValueError("beta grid must be strictly increasing and positive")
     if restarts < 0:

@@ -7,10 +7,13 @@ probability). Training is plain seeded SGD on the average cross-entropy,
 measured in bits to match the rest of the package. Every layer is a function
 of the symbol alone, so one raw-array kernel runs a minibatch as its distinct
 symbols with their label counts; it computes the forward pass, the loss and
-the backprop gradients for every caller. Training keeps all parameters in one
-flat buffer updated in place, freezes them into a `NetworkParams` once, at
-the end, and raises `DivergenceError` naming the epoch once the loss or a
-parameter turns non-finite. Everything is deterministic given the seeds.
+the backprop gradients for every caller. `forward_all` returns its arrays for
+the whole input alphabet as they are (one (X, width) array per hidden layer,
+and the (X, labels) outputs) for the analyzer and `accuracy` to read. Training
+keeps all parameters in one flat buffer updated in place, freezes them into a
+`NetworkParams` once, at the end, and raises `DivergenceError` naming the
+epoch once the loss or a parameter turns non-finite. Everything is
+deterministic given the seeds.
 """
 
 from __future__ import annotations
@@ -39,6 +42,15 @@ def sigmoid(u):
         return _logistic(u)
 
 
+def _layer_sizes(layer_sizes) -> tuple[int, ...]:
+    sizes = tuple(int(s) for s in layer_sizes)
+    if len(sizes) < 2:
+        raise DimensionError("a network needs at least input and output layers")
+    if min(sizes) < 1:
+        raise ValueError(f"every layer needs at least one unit, got sizes {list(sizes)}")
+    return sizes
+
+
 @dataclass(frozen=True)
 class NetworkParams:
     """Layer sizes plus per-layer weight matrices (out, in) and bias vectors."""
@@ -48,12 +60,10 @@ class NetworkParams:
     biases: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "layer_sizes", tuple(int(s) for s in self.layer_sizes))
+        sizes = _layer_sizes(self.layer_sizes)
+        object.__setattr__(self, "layer_sizes", sizes)
         object.__setattr__(self, "weights", tuple(_frozen_array(w) for w in self.weights))
         object.__setattr__(self, "biases", tuple(_frozen_array(b) for b in self.biases))
-        sizes = self.layer_sizes
-        if len(sizes) < 2:
-            raise DimensionError("a network needs at least input and output layers")
         if len(self.weights) != len(sizes) - 1 or len(self.biases) != len(sizes) - 1:
             raise DimensionError("one weight matrix and bias per layer transition")
         for k, (w, b) in enumerate(zip(self.weights, self.biases)):
@@ -65,25 +75,6 @@ class NetworkParams:
     @property
     def n_hidden(self) -> int:
         return len(self.layer_sizes) - 2
-
-
-@dataclass(frozen=True)
-class LayerActivations:
-    """Hidden activation vectors and the output label distribution for one input."""
-
-    hidden: tuple[np.ndarray, ...]
-    output: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "hidden", tuple(_frozen_array(h) for h in self.hidden))
-        object.__setattr__(self, "output", _frozen_array(self.output))
-        for h in self.hidden:
-            # sigmoid lands in (0,1) mathematically; float saturation can
-            # round to the endpoints, which downstream binning tolerates
-            if np.any(h < 0) or np.any(h > 1):
-                raise ValueError("hidden activation outside [0, 1]")
-        if abs(float(self.output.sum()) - 1.0) > 1e-9:
-            raise ValueError("output distribution must sum to 1")
 
 
 @dataclass(frozen=True)
@@ -102,9 +93,7 @@ class TrainConfig:
 
 def init_network(layer_sizes, seed: int) -> NetworkParams:
     """Weights uniform in [-1/sqrt(fan_in), +1/sqrt(fan_in)], biases zero."""
-    sizes = tuple(int(s) for s in layer_sizes)
-    if len(sizes) < 2:
-        raise DimensionError("layer_sizes needs at least two entries")
+    sizes = _layer_sizes(layer_sizes)
     rng = np.random.default_rng(seed)
     weights, biases = [], []
     for fan_in, fan_out in zip(sizes, sizes[1:]):
@@ -184,23 +173,15 @@ def _kernel(weights, biases, binary_head: bool, sym, batch=None, grads=None):
     return loss
 
 
-def forward_all(net: NetworkParams, x_card: int) -> list[LayerActivations]:
-    """Activations for every symbol of the input alphabet."""
+def forward_all(net: NetworkParams, x_card: int) -> tuple[list[np.ndarray], np.ndarray]:
+    """Every symbol of the input alphabet through the network: one (X, width)
+    array per hidden layer, each entry in [0, 1], and the (X, labels) output
+    distributions."""
     if net.layer_sizes[0] != x_card:
         raise DimensionError(f"network input width {net.layer_sizes[0]} "
                              f"does not match x_card {x_card}")
     with np.errstate(**_QUIET):
-        hiddens, probs = _kernel(net.weights, net.biases, net.layer_sizes[-1] == 1,
-                                 np.arange(x_card))
-    return [LayerActivations(tuple(h[i] for h in hiddens), probs[i]) for i in range(x_card)]
-
-
-def forward(net: NetworkParams, x_index: int, x_card: int) -> LayerActivations:
-    """Run one symbol through the network (one-hot input of width x_card);
-    the result is exactly entry x_index of `forward_all`."""
-    if not 0 <= x_index < x_card:
-        raise DimensionError(f"x_index {x_index} out of range")
-    return forward_all(net, x_card)[x_index]
+        return _kernel(net.weights, net.biases, net.layer_sizes[-1] == 1, np.arange(x_card))
 
 
 def batch_gradients(net: NetworkParams, x_indices, y_indices):
@@ -267,8 +248,7 @@ def accuracy(net: NetworkParams, samples: SampleSet) -> float:
     """Fraction of samples whose label matches the argmax prediction."""
     if samples.n == 0:
         raise DimensionError("cannot score an empty sample set")
-    acts = forward_all(net, net.layer_sizes[0])
-    pred = np.array([int(np.argmax(a.output)) for a in acts])
+    pred = forward_all(net, net.layer_sizes[0])[1].argmax(axis=1)
     return float((pred[samples.pairs[:, 0]] == samples.pairs[:, 1]).mean())
 
 

@@ -288,10 +288,10 @@ def solution_from_encoder(j: JointDistribution, e: Encoder, beta: float,
 def _check_query(t_card: int, beta: float, tol: float) -> None:
     if t_card < 1:
         raise DimensionError(f"t_card must be >= 1, got {t_card}")
-    if tol <= 0:
-        raise ValueError(f"tol must be > 0, got {tol}")
-    if beta < 0:
-        raise ValueError(f"beta must be >= 0, got {beta}")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
+    if not 0 <= beta < math.inf:
+        raise ValueError(f"beta must be finite and >= 0, got {beta}")
 
 
 def _lockstep(j: JointDistribution, enc: np.ndarray, beta: float | np.ndarray,

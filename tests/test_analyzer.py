@@ -2,22 +2,23 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ibplane.analyzer import (
+    DPI_TOL,
     QuantizerConfig,
-    dpi_check,
     info_plane_path,
+    layer_codes,
     layer_mutual_information,
     network_distortion_rate,
-    prediction_codes,
-    quantize_activations,
 )
 from ibplane.curve import anneal_curve, geometric_grid
 from ibplane.errors import CoverageError
 from ibplane.mlp import (
-    LayerActivations,
     NetworkParams,
     TrainConfig,
+    forward_all,
     init_network,
     train_sgd,
 )
@@ -30,11 +31,6 @@ from ibplane.prob import (
 )
 
 SYM = symmetric_joint(0.2)
-
-
-def acts_from_vectors(vectors, output=None):
-    out = np.array([0.5, 0.5]) if output is None else np.asarray(output)
-    return [LayerActivations((np.asarray(v, dtype=float),), out) for v in vectors]
 
 
 def diag_net(scale=20.0):
@@ -54,29 +50,27 @@ def trained_net(hidden, seed, epochs=300, n=1000, lr=0.5):
 # --- quantization -------------------------------------------------------------
 
 def test_bin_threshold_at_half():
-    codes = quantize_activations(acts_from_vectors([[0.49], [0.51]]),
-                                 QuantizerConfig(bins=2))
-    assert codes[0][0] != codes[0][1]
+    codes = layer_codes([[0.49], [0.51]], QuantizerConfig(bins=2))
+    assert codes[0] != codes[1]
 
 
 def test_identical_vectors_share_codes():
-    codes = quantize_activations(acts_from_vectors([[0.3, 0.7], [0.3, 0.7]]),
-                                 QuantizerConfig(bins=8))
-    assert codes[0][0] == codes[0][1]
+    codes = layer_codes([[0.3, 0.7], [0.3, 0.7]], QuantizerConfig(bins=8))
+    assert codes[0] == codes[1]
 
 
 def test_code_count_product_bound():
     rng = np.random.default_rng(0)
-    acts = acts_from_vectors(rng.uniform(0, 1, size=(200, 2)))
-    codes = quantize_activations(acts, QuantizerConfig(bins=8))
-    assert len(set(codes[0].tolist())) <= 64
+    codes = layer_codes(rng.uniform(0, 1, size=(200, 2)), QuantizerConfig(bins=8))
+    assert len(set(codes.tolist())) <= 64
 
 
 def test_exact_codes_distinguish_within_bin():
-    acts = acts_from_vectors([[0.701], [0.702]])
-    assert quantize_activations(acts, None)[0][0] != quantize_activations(acts, None)[0][1]
-    assert quantize_activations(acts, QuantizerConfig(bins=2))[0][0] == \
-        quantize_activations(acts, QuantizerConfig(bins=2))[0][1]
+    acts = [[0.701], [0.702]]
+    exact = layer_codes(acts, None)
+    binned = layer_codes(acts, QuantizerConfig(bins=2))
+    assert exact[0] != exact[1]
+    assert binned[0] == binned[1]
 
 
 def test_quantizer_config_validates():
@@ -147,7 +141,7 @@ def test_path_exact_codes_dpi_monotone():
     relevances = [p.I_Y for p in path.points]
     for a, b in zip(relevances, relevances[1:]):
         assert b <= a + 1e-9
-    assert dpi_check(path) == ()
+    assert path.dpi_violations == ()
 
 
 def test_path_criterion_nonnegative_terms():
@@ -162,8 +156,7 @@ def test_dpi_check_reports_not_raises():
     # coarse two-bin coding of a wide layer may break the layer-to-layer chain
     net = trained_net([6, 5], seed=3)
     path = info_plane_path(SYM, net, QuantizerConfig(bins=2))
-    report = dpi_check(path)
-    for (_, _), magnitude in report:
+    for (_, _), magnitude in path.dpi_violations:
         assert magnitude > 1e-9
 
 
@@ -207,3 +200,60 @@ def test_network_never_beats_the_curve():
     iys = [p.I_Y for p in curve.points]
     i_at_r = np.interp(r_n, rs, iys)
     assert d_n >= (i_xy - i_at_r) - 0.02
+
+
+# --- properties over random joints and nets ---------------------------------------
+
+def dict_codes(rows, bins):
+    """Reference coder: each row's key (exact tuple or bin tuple) mapped to
+    the next free code the first time it is seen."""
+    seen = {}
+    keys = [tuple(r) if bins is None else tuple(min(int(v * bins), bins - 1) for v in r)
+            for r in rows.tolist()]
+    return np.array([seen.setdefault(k, len(seen)) for k in keys])
+
+
+@st.composite
+def joints_and_nets(draw):
+    """A joint from integer counts, one x row possibly massless, and a net
+    of 0-3 hidden layers whose weights scale up to saturation."""
+    x_card = draw(st.integers(1, 6))
+    binary = draw(st.booleans())
+    y_card = 2 if binary else draw(st.integers(2, 4))
+    counts = np.array(draw(st.lists(st.integers(0, 20), min_size=x_card * y_card,
+                                    max_size=x_card * y_card)), dtype=float)
+    counts = counts.reshape(x_card, y_card)
+    if x_card > 1 and draw(st.booleans()):
+        counts[draw(st.integers(0, x_card - 1))] = 0.0
+    assume(counts.sum() > 0)
+    sizes = [x_card, *draw(st.lists(st.integers(1, 6), max_size=3)), 1 if binary else y_card]
+    gain = draw(st.floats(0.5, 1000.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    weights = tuple(gain * rng.standard_normal((o, i)) for i, o in zip(sizes, sizes[1:]))
+    biases = tuple(gain * rng.standard_normal(o) for o in sizes[1:])
+    return JointDistribution.from_matrix(counts / counts.sum()), NetworkParams(sizes, weights, biases)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(joints_and_nets(), st.floats(0.0, 64.0))
+def test_layer_placement_properties(case, beta):
+    j, net = case
+    hiddens, probs = forward_all(net, j.x_card)
+    assert len(hiddens) == net.n_hidden
+    for h in hiddens:
+        assert h.shape[0] == j.x_card and np.all((h >= 0) & (h <= 1))
+        for bins in (None, 2, 8):
+            q = None if bins is None else QuantizerConfig(bins)
+            assert np.array_equal(layer_codes(h, q), dict_codes(h, bins))
+    assert np.all(np.abs(probs.sum(axis=1) - 1.0) <= 1e-9)
+
+    i_xy, h_x = mutual_information(j), entropy_bits(j.p.sum(axis=1))
+    for q in (None, QuantizerConfig(8)):
+        path = info_plane_path(j, net, q)
+        if q is None:
+            assert path.dpi_violations == ()
+            for p in path.points:
+                assert 0.0 <= p.I_Y <= i_xy + DPI_TOL and 0.0 <= p.I_X <= h_x + DPI_TOL
+        fresh = info_plane_path(j, net, q, beta=beta)
+        assert [p.criterion(beta) for p in path.points] == \
+            [p.layer_criterion for p in fresh.points]

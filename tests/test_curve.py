@@ -216,6 +216,12 @@ def test_anneal_rejects_negative_restarts():
         anneal_curve(SYM, 2, [1.0, 2.0], restarts=-1)
 
 
+@pytest.mark.parametrize("grid", [[1.0, math.inf], [1.0, math.nan, 3.0]])
+def test_anneal_rejects_non_finite_grid(grid):
+    with pytest.raises(ValueError, match="must be finite"):
+        anneal_curve(SYM, 2, grid, restarts=1)
+
+
 def test_anneal_monotone_and_bounded(sym_coarse_curve):
     c = sym_coarse_curve
     i_xy = mutual_information(SYM)

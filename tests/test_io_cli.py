@@ -12,11 +12,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ibplane import cli, io
+from ibplane import analyzer, cli, io
 from ibplane.analyzer import InfoPlanePoint, LayerPath, QuantizerConfig, info_plane_path
 from ibplane.bounds import bound_curve
 from ibplane.curve import anneal_curve, geometric_grid
-from ibplane.mlp import TrainConfig, init_network, train_sgd
+from ibplane.mlp import TrainConfig, forward_all, init_network, train_sgd
 from ibplane.presets import symmetric_joint
 from ibplane.prob import SampleSet, sample_pairs
 from ibplane.solver import ib_solve
@@ -132,7 +132,8 @@ def test_layer_path_round_trip():
     text = io.layer_path_to_csv(path)
     rows = io.layer_points_from_csv(text)
     assert rows == tuple((p.layer_index, p.I_X, p.I_Y, p.layer_criterion) for p in path.points)
-    back = LayerPath(tuple(InfoPlanePoint(*row) for row in rows), ())
+    back = LayerPath(tuple(InfoPlanePoint(*row, p.I_prev, p.I_Y_lost)
+                           for row, p in zip(rows, path.points)), ())
     assert io.layer_path_to_csv(back) == text
 
 
@@ -252,6 +253,9 @@ def test_cli_network_with_wrong_typed_layer_sizes_is_one_line_error(tmp_path, ca
 GOOD_CURVE = "beta,R,I_Y,D_IB,L,eff_card\n1,0,0,0.2,0,1\n"
 BOUNDS_ARGV = "bounds --curve curve.csv --n 1000 --y-card 2 --out out"
 PLANE_ARGV = "plane --joint j.json --net net.json --curve curve.csv --bounds bounds.csv --out out"
+CURVE_ARGV = "ib-curve --joint j.json --t-card 2 --beta-min 1 --beta-max 2 --out out"
+ANALYZE_ARGV = "analyze --joint j.json --net net.json --out out"
+NO_UNIT_NET = '{"layer_sizes": [2, 0, 2], "weights": [[], [[], []]], "biases": [[], [0, 0]]}'
 
 
 @pytest.mark.parametrize("files, argv, expected", [
@@ -262,9 +266,24 @@ PLANE_ARGV = "plane --joint j.json --net net.json --curve curve.csv --bounds bou
      PLANE_ARGV, "non-finite R_hat"),
     ({"curve.csv": GOOD_CURVE, "bounds.csv": "R_hat,I_Y_hat,I_Y_worst,D_worst\n0,0.1,0\n"},
      PLANE_ARGV, "bound CSV line 2: "),
+    ({}, "ib-solve --joint j.json --t-card 2 --beta inf --out out", "beta must be finite"),
+    ({}, "ib-solve --joint j.json --t-card 2 --beta 1 --tol nan --out out", "tol must be finite"),
+    ({}, "ib-solve --joint j.json --t-card 2 --beta 1 --tol inf --out out", "tol must be finite"),
+    ({}, CURVE_ARGV + " --tol nan", "tol must be finite"),
+    ({}, CURVE_ARGV + " --grid-factor nan", "must be finite"),
+    ({}, CURVE_ARGV.replace("--beta-max 2", "--beta-max inf"), "must be finite"),
+    ({}, "train --joint j.json --hidden 0 --epochs 1 --out out", "at least one unit"),
+    ({"net.json": NO_UNIT_NET}, ANALYZE_ARGV, "at least one unit"),
+    ({}, ANALYZE_ARGV + " --beta inf", "beta must be finite, got inf"),
+    ({}, ANALYZE_ARGV + " --beta nan", "beta must be finite, got nan"),
+    ({}, ANALYZE_ARGV + " --sweep 1,nan", "beta must be finite, got nan"),
 ], ids=["bounds-non-finite-curve-point", "bounds-short-curve-row",
-        "plane-non-finite-bound-point", "plane-short-bound-row"])
-def test_cli_bad_csv_row_is_one_line_error(tmp_path, monkeypatch, capsys, files, argv, expected):
+        "plane-non-finite-bound-point", "plane-short-bound-row",
+        "ib-solve-infinite-beta", "ib-solve-nan-tol", "ib-solve-infinite-tol", "ib-curve-nan-tol",
+        "ib-curve-nan-grid-factor", "ib-curve-infinite-beta-max", "train-empty-hidden-layer",
+        "analyze-empty-hidden-layer", "analyze-infinite-beta", "analyze-nan-beta",
+        "analyze-nan-sweep-beta"])
+def test_cli_bad_input_is_one_line_error(tmp_path, monkeypatch, capsys, files, argv, expected):
     monkeypatch.chdir(tmp_path)
     files = {"j.json": io.joint_to_json(SYM),
              "net.json": io.network_to_json(init_network([2, 3, 2], seed=0)), **files}
@@ -276,6 +295,17 @@ def test_cli_bad_csv_row_is_one_line_error(tmp_path, monkeypatch, capsys, files,
     assert err.startswith("ValueError: ") and expected in err
     assert err.count("\n") == 1
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_analyze_sweep_runs_two_forward_passes(tmp_path, monkeypatch):
+    # one for the path, whose stored terms serve every beta, one for (R_N, D_N)
+    calls = []
+    monkeypatch.setattr(analyzer, "forward_all", lambda *a: calls.append(a) or forward_all(*a))
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "j.json").write_text(io.joint_to_json(SYM))
+    (tmp_path / "net.json").write_text(io.network_to_json(init_network([2, 3, 2], seed=0)))
+    assert cli.run((ANALYZE_ARGV + " --beta 2 --sweep 0.5,2,8").split()) == 0
+    assert len(calls) == 2
 
 
 def test_cli_solve_curve_bounds_train_analyze_plane(tmp_path):

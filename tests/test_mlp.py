@@ -14,7 +14,6 @@ from ibplane.mlp import (
     accuracy,
     batch_gradients,
     batch_loss,
-    forward,
     forward_all,
     init_network,
     naive_bayes_neuron,
@@ -79,22 +78,29 @@ def test_init_needs_two_layers():
         init_network([4], seed=0)
 
 
+def test_layer_sizes_below_one_rejected():
+    with pytest.raises(ValueError, match="at least one unit"):
+        init_network([2, 0, 2], seed=0)
+    with pytest.raises(ValueError, match="at least one unit"):
+        NetworkParams((2, 0, 2), (np.zeros((0, 2)), np.zeros((2, 0))), (np.zeros(0), np.zeros(2)))
+
+
 # --- forward --------------------------------------------------------------------
 
 def test_forward_all_zero_params():
     net = NetworkParams((2, 3, 2),
                         (np.zeros((3, 2)), np.zeros((2, 3))),
                         (np.zeros(3), np.zeros(2)))
-    acts = forward(net, 0, 2)
-    assert np.allclose(acts.hidden[0], 0.5)
-    assert np.allclose(acts.output, [0.5, 0.5])
+    hiddens, probs = forward_all(net, 2)
+    assert np.allclose(hiddens[0], 0.5)
+    assert np.allclose(probs, 0.5)
 
 
 def test_forward_deterministic():
     net = init_network([3, 4, 2], seed=1)
-    a = forward(net, 1, 3)
-    b = forward(net, 1, 3)
-    assert np.array_equal(a.output, b.output)
+    a = forward_all(net, 3)
+    b = forward_all(net, 3)
+    assert np.array_equal(a[1], b[1])
 
 
 def test_forward_hand_computed_unit():
@@ -102,33 +108,23 @@ def test_forward_hand_computed_unit():
     net = NetworkParams((2, 1, 2),
                         (np.array([[1.0, -1.0]]), np.zeros((2, 1))),
                         (np.zeros(1), np.zeros(2)))
-    acts = forward(net, 0, 2)
-    assert acts.hidden[0][0] == pytest.approx(0.7310585786300049, abs=1e-12)
+    hiddens, _ = forward_all(net, 2)
+    assert hiddens[0].shape == (2, 1)
+    assert hiddens[0][0, 0] == pytest.approx(0.7310585786300049, abs=1e-12)
 
 
 def test_forward_binary_output_unit():
     net = NetworkParams((2, 1), (np.array([[2.0, 0.0]]),), (np.zeros(1),))
-    acts = forward(net, 0, 2)
-    assert acts.output[1] == pytest.approx(float(sigmoid(2.0)), abs=1e-12)
-    assert acts.output.sum() == pytest.approx(1.0, abs=1e-12)
-
-
-def test_forward_equals_row_of_forward_all():
-    for sizes in ([3, 4, 2], [4, 3, 2, 1], [5, 3]):
-        net = init_network(sizes, seed=6)
-        rows = forward_all(net, sizes[0])
-        for i in range(sizes[0]):
-            one = forward(net, i, sizes[0])
-            assert np.array_equal(one.output, rows[i].output)
-            assert len(one.hidden) == len(rows[i].hidden) == len(sizes) - 2
-            for a, b in zip(one.hidden, rows[i].hidden):
-                assert np.array_equal(a, b)
+    hiddens, probs = forward_all(net, 2)
+    assert hiddens == [] and probs.shape == (2, 2)
+    assert probs[0, 1] == pytest.approx(float(sigmoid(2.0)), abs=1e-12)
+    assert probs[0].sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_forward_validates_width():
     net = init_network([3, 2], seed=0)
     with pytest.raises(DimensionError):
-        forward(net, 0, 4)
+        forward_all(net, 4)
 
 
 # --- training --------------------------------------------------------------------
@@ -356,7 +352,7 @@ def test_count_table_kernel_matches_per_sample_backprop(case):
 def test_saturated_unobserved_label_keeps_the_loss_finite(sizes, w0):
     # symbol 0 puts p = 0 exactly on label 1, which no sample of symbol 0 shows
     net = NetworkParams(sizes, (np.array(w0),), (np.zeros(sizes[1]),))
-    assert forward(net, 0, 2).output[1] == 0.0
+    assert forward_all(net, 2)[1][0, 1] == 0.0
     gw, gb, loss = batch_gradients(net, [0, 0, 1], [0, 0, 1])
     want_w, want_b, want_loss, _, _ = per_sample_backprop(net, [0, 0, 1], [0, 0, 1])
     assert math.isfinite(loss) and loss == pytest.approx(want_loss, rel=1e-12)
