@@ -102,10 +102,15 @@ def _push(codes: np.ndarray, w: np.ndarray, n_codes: int) -> np.ndarray:
 def _check_coverage(j: JointDistribution, codes) -> np.ndarray:
     codes = np.asarray(codes)
     if codes.shape != (j.x_card,):
-        raise CoverageError(f"need one code per input symbol ({j.x_card}), got shape {codes.shape}")
-    bad = (codes < 0) & (j.p.sum(axis=1) > 0)
+        raise CoverageError(
+            f"need one code per input symbol ({j.x_card}), got shape {codes.shape}"
+        )
+    px = j.p.sum(axis=1)
+    bad = (codes < 0) & (px > 0)
     if np.any(bad):
-        raise CoverageError(f"missing code for supported symbol x={int(np.argmax(bad))}")
+        raise CoverageError(
+            f"missing code for supported symbol x={int(np.argmax(bad))}"
+        )
     return codes.astype(int)
 
 
@@ -117,8 +122,10 @@ def layer_mutual_information(j: JointDistribution, codes) -> tuple[float, float]
     """
     codes = _check_coverage(j, codes)
     safe = np.where(codes >= 0, codes, 0)
-    n = int(safe.max()) + 1
-    return entropy_bits(_push(safe, j.p.sum(axis=1), n)), mi_bits(_push(safe, j.p, n))
+    n_codes = int(safe.max()) + 1
+    pt = _push(safe, j.p.sum(axis=1), n_codes)
+    pty = _push(safe, j.p, n_codes)
+    return entropy_bits(pt), mi_bits(pty)
 
 
 def info_plane_path(j: JointDistribution, net: NetworkParams,
@@ -130,7 +137,8 @@ def info_plane_path(j: JointDistribution, net: NetworkParams,
     command-line tool sweeps it).
     """
     hiddens, probs = forward_all(net, j.x_card)
-    codes = [np.arange(j.x_card), *(layer_codes(h, q) for h in hiddens), probs.argmax(axis=1)]
+    codes = [np.arange(j.x_card), *(layer_codes(h, q) for h in hiddens),
+             probs.argmax(axis=1)]
     px = j.p.sum(axis=1)
     points = []
     for i, cur in enumerate(codes):
@@ -150,8 +158,12 @@ def info_plane_path(j: JointDistribution, net: NetworkParams,
 
 def _dpi_violations(points) -> tuple[tuple[tuple[int, int], float], ...]:
     """Adjacent layer pairs where relevance rises with depth beyond DPI_TOL."""
-    rises = ((a.layer_index, b.layer_index, b.I_Y - a.I_Y) for a, b in zip(points, points[1:]))
-    return tuple(((i, k), float(rise)) for i, k, rise in rises if rise > DPI_TOL)
+    out = []
+    for prev, cur in zip(points, points[1:]):
+        rise = cur.I_Y - prev.I_Y
+        if rise > DPI_TOL:
+            out.append(((prev.layer_index, cur.layer_index), float(rise)))
+    return tuple(out)
 
 
 def network_distortion_rate(j: JointDistribution, net: NetworkParams,
@@ -161,5 +173,7 @@ def network_distortion_rate(j: JointDistribution, net: NetworkParams,
     quantizer plays no role here; it is accepted for signature symmetry with
     the path computation."""
     del q
-    r_n, i_y = layer_mutual_information(j, forward_all(net, j.x_card)[1].argmax(axis=1))
-    return r_n, mi_bits(j.p) - i_y
+    _, probs = forward_all(net, j.x_card)
+    r_n, i_y = layer_mutual_information(j, probs.argmax(axis=1))
+    d_n = mi_bits(j.p) - i_y
+    return r_n, d_n

@@ -181,7 +181,8 @@ def forward_all(net: NetworkParams, x_card: int) -> tuple[list[np.ndarray], np.n
         raise DimensionError(f"network input width {net.layer_sizes[0]} "
                              f"does not match x_card {x_card}")
     with np.errstate(**_QUIET):
-        return _kernel(net.weights, net.biases, net.layer_sizes[-1] == 1, np.arange(x_card))
+        return _kernel(net.weights, net.biases, net.layer_sizes[-1] == 1,
+                       np.arange(x_card))
 
 
 def batch_gradients(net: NetworkParams, x_indices, y_indices):
