@@ -67,15 +67,12 @@ def _cmd_ib_curve(args) -> int:
     grid = curve.geometric_grid(args.beta_min, args.beta_max, args.grid_factor)
     traced = curve.anneal_curve(j, args.t_card, grid, restarts=args.restarts,
                                 tol=args.tol, max_iter=args.max_iter, seed=args.seed)
-    files, bifs = {args.out: io.curve_to_csv(traced)}, traced.bifurcations
+    files = {args.out: io.curve_to_csv(traced)}
     if args.bifurcations_out:
-        bifs = curve.detect_bifurcations(
-            traced, j, args.t_card, restarts=max(args.restarts, 3), tol=args.tol,
-            max_iter=args.max_iter, seed=args.seed)
-        files[args.bifurcations_out] = io.bifurcations_to_json(bifs)
+        files[args.bifurcations_out] = io.bifurcations_to_json(traced.bifurcations)
     summary = {
         "cmd": "ib-curve", "points": len(traced.points),
-        "bifurcations": len(bifs), "out": args.out,
+        "bifurcations": len(traced.bifurcations), "out": args.out,
     }
     return _emit(files, summary)
 
@@ -132,10 +129,10 @@ def _cmd_analyze(args) -> int:
     net = io.network_from_json(_read(args.net))
     q = None if args.exact else analyzer.QuantizerConfig(bins=args.bins)
     path = analyzer.info_plane_path(j, net, q, beta=args.beta)
-    r_n, d_n = analyzer.network_distortion_rate(j, net, q)
+    pred = path.points[-1]  # the prediction layer holds (R_N, D_N)
     summary = {
         "cmd": "analyze", "layers": len(path.points), "beta": args.beta,
-        "R_N": r_n, "D_N": d_n,
+        "R_N": pred.I_X, "D_N": prob.mutual_information(j) - pred.I_Y,
         "dpi_violations": [[list(pair), mag] for pair, mag in path.dpi_violations],
         "out": args.out,
     }

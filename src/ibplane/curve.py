@@ -9,10 +9,11 @@ walks the grid solving only the warm starts.
 Jumps in the effective cluster count are bracketed by bisection with fresh
 restarts (warm starts would drag hysteresis across the transition).
 
-The first critical beta is also predicted spectrally: linearizing the encoder
-update around a solution gives a second-order correlation matrix over Y whose
-leading admissible eigenvalue lambda sets the instability point at
-beta = 1/lambda. The all-ones direction is always an eigenvector with
+Each bracket also carries a spectral prediction of its critical beta, read
+from the solution the bisection holds at the bracket's low end: linearizing
+the encoder update around a solution gives a second-order correlation matrix
+over Y whose leading admissible eigenvalue lambda sets the instability point
+at beta = 1/lambda. The all-ones direction is always an eigenvector with
 eigenvalue 1 (rows of the correlation matrix are normalized) and is deflated
 before reading off lambda.
 """
@@ -141,10 +142,11 @@ def effective_cardinality(sol: IBSolution) -> int:
 # Spectral critical beta
 # ---------------------------------------------------------------------------
 
-def _cluster_stats(j: JointDistribution, sol: IBSolution,
-                   t_index: int) -> tuple[np.ndarray, np.ndarray]:
-    """p(x|t) and p(y|t) for one cluster, recomputed from the encoder so the
-    correlation matrix is exactly row-normalized."""
+def _moments(j: JointDistribution, sol: IBSolution,
+             t_index: int) -> tuple[np.ndarray, np.ndarray]:
+    """M[y, y'] = sum_x p(x|t) p(y|x) p(y'|x) and p(y|t) for one cluster,
+    recomputed from the encoder so the correlation matrix is exactly
+    row-normalized."""
     if not 0 <= t_index < sol.t_card:
         raise DimensionError(f"cluster index {t_index} out of range")
     px, pygx = conditional_rows(j.p)
@@ -153,7 +155,7 @@ def _cluster_stats(j: JointDistribution, sol: IBSolution,
     if pt <= 0:
         raise DegenerateClusterError(f"cluster {t_index} has zero mass")
     pxgt = px * col / pt
-    return pxgt, pxgt @ pygx
+    return pygx.T @ (pxgt[:, None] * pygx), pxgt @ pygx
 
 
 def c_matrix(j: JointDistribution, sol: IBSolution, t_index: int) -> np.ndarray:
@@ -164,9 +166,7 @@ def c_matrix(j: JointDistribution, sol: IBSolution, t_index: int) -> np.ndarray:
     Rows sum to 1, so the all-ones vector is a right eigenvector with
     eigenvalue 1. Rows for y with p(y|t) = 0 are left at zero.
     """
-    pxgt, pygt = _cluster_stats(j, sol, t_index)
-    _, pygx = conditional_rows(j.p)
-    m = pygx.T @ (pxgt[:, None] * pygx)
+    m, pygt = _moments(j, sol, t_index)
     c = np.zeros_like(m)
     pos = pygt > 0
     c[pos] = m[pos] / pygt[pos, None]
@@ -185,9 +185,7 @@ def critical_beta_spectral(j: JointDistribution, sol: IBSolution,
     eigenvalues are read off. Returns math.inf when no admissible eigenvalue
     is positive (no transition).
     """
-    pxgt, pygt = _cluster_stats(j, sol, t_index)
-    _, pygx = conditional_rows(j.p)
-    m = pygx.T @ (pxgt[:, None] * pygx)
+    m, pygt = _moments(j, sol, t_index)
     sup = pygt > 0
     ms = m[np.ix_(sup, sup)]
     v = np.sqrt(pygt[sup])
@@ -198,6 +196,14 @@ def critical_beta_spectral(j: JointDistribution, sol: IBSolution,
     if lam <= 1e-12:
         return math.inf
     return 1.0 / lam
+
+
+def _predicted_split(j: JointDistribution, sol: IBSolution) -> float | None:
+    """The smallest finite critical beta over the clusters of sol that carry
+    mass above MASS_EPS, or None when none is finite."""
+    preds = (critical_beta_spectral(j, sol, t) for t in range(sol.t_card)
+             if sol.marginal.p[t] > MASS_EPS)
+    return min(filter(math.isfinite, preds), default=None)
 
 
 # ---------------------------------------------------------------------------
@@ -230,8 +236,9 @@ def anneal_curve(j: JointDistribution, t_card: int, beta_grid,
                  tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
                  seed: int = 0) -> InfoCurve:
     """Anneal over the beta grid as the module docstring describes (the first
-    point, which has no warm start, runs at least one fresh restart) and
-    bracket every effective-cardinality jump by bisection."""
+    point, which has no warm start, runs at least one fresh restart),
+    bracket every effective-cardinality jump by bisection and predict each
+    from the solution at its bracket's low end."""
     beta_grid = np.asarray(beta_grid, dtype=float)
     if beta_grid.size == 0:
         raise ValueError("beta grid is empty")
@@ -241,7 +248,7 @@ def anneal_curve(j: JointDistribution, t_card: int, beta_grid,
         raise ValueError("beta grid must be strictly increasing and positive")
     if restarts < 0:
         raise ValueError(f"restarts must be >= 0, got {restarts}")
-    _check_query(t_card, float(beta_grid[0]), tol)
+    _check_query(t_card, float(beta_grid[0]), tol, max_iter)
 
     counts = [max(restarts, 1)] + [restarts] * (beta_grid.size - 1)
     fresh = _restart_inits(j.x_card, t_card, [(r, _derived_seed(seed, i, r + 1))
@@ -250,27 +257,24 @@ def anneal_curve(j: JointDistribution, t_card: int, beta_grid,
     ends = np.cumsum(counts)
 
     points: list[CurvePoint] = []
-    cards: list[int] = []
-    prev: IBSolution | None = None
+    sols: list[IBSolution] = []
     for i, beta in enumerate(map(float, beta_grid)):
         cands = [a[ends[i] - counts[i]:ends[i]] for a in fresh]
-        if prev is not None:
-            warm = _encoder_stack([_perturb(prev.encoder.matrix, _derived_seed(seed, i, 0),
+        if sols:
+            warm = _encoder_stack([_perturb(sols[-1].encoder.matrix, _derived_seed(seed, i, 0),
                                             perturb_mag)])
             warm = _lockstep(j, warm, beta, tol, max_iter)
             cands = [np.concatenate(pair) for pair in zip(warm, cands)]
         best = _pick(j, t_card, beta, *cands)
-        card = effective_cardinality(best)
         points.append(CurvePoint(
             beta=beta, R=best.R, I_Y=best.I_Y, D_IB=best.D_IB,
-            L=best.L, eff_card=card,
+            L=best.L, eff_card=effective_cardinality(best),
         ))
-        cards.append(card)
-        prev = best
+        sols.append(best)
 
     probe_counter = [0]
 
-    def probe_card(beta: float) -> int:
+    def probe(beta: float) -> tuple[int, IBSolution]:
         # fresh restarts avoid warm-start hysteresis; the tightened tolerance
         # suppresses truncation asymmetry between simultaneous splits, which
         # otherwise flips the merge test arbitrarily right at a transition
@@ -278,74 +282,39 @@ def anneal_curve(j: JointDistribution, t_card: int, beta_grid,
         sol = ib_solve_multistart(
             j, t_card, beta, restarts=max(restarts, 2) + 1, tol=tol * 1e-2,
             max_iter=3 * max_iter, seed=_derived_seed(seed, 7_777, probe_counter[0]))
-        return effective_cardinality(sol)
+        return effective_cardinality(sol), sol
 
     bifurcations: list[Bifurcation] = []
 
-    def refine(lo: float, c_lo: int, hi: float, c_hi: int):
+    def refine(lo: float, c_lo: int, s_lo: IBSolution, hi: float, c_hi: int):
         if hi - lo <= BRACKET_REL_WIDTH * hi:
-            bifurcations.append(Bifurcation(lo, hi, c_lo, c_hi))
+            bifurcations.append(Bifurcation(lo, hi, c_lo, c_hi, _predicted_split(j, s_lo)))
             return
         mid = 0.5 * (lo + hi)
-        c_mid = probe_card(mid)
+        c_mid, s_mid = probe(mid)
         if c_mid > c_lo:
-            refine(lo, c_lo, mid, c_mid)
+            refine(lo, c_lo, s_lo, mid, c_mid)
         if c_mid < c_hi:
-            refine(mid, c_mid, hi, c_hi)
+            refine(mid, c_mid, s_mid, hi, c_hi)
 
-    for lo_i, lo_c, hi_i, hi_c in _monotone_jumps(cards):
-        refine(float(beta_grid[lo_i]), lo_c, float(beta_grid[hi_i]), hi_c)
+    # along an annealing sweep the effective cardinality of the optimal branch
+    # does not decrease; an isolated dip in the raw sequence is convergence
+    # noise near a transition, so jumps are taken on the running maximum
+    running = points[0].eff_card
+    for lo, hi, s_lo in zip(points, points[1:], sols):
+        if hi.eff_card > running:
+            refine(lo.beta, running, s_lo, hi.beta, hi.eff_card)
+            running = hi.eff_card
 
     return InfoCurve(tuple(points), tuple(bifurcations))
-
-
-def _monotone_jumps(cards) -> list[tuple[int, int, int, int]]:
-    """Jumps (lo_index, lo_card, hi_index, hi_card) of the running maximum.
-
-    Along an annealing sweep the effective cardinality of the optimal branch
-    does not decrease; an isolated dip in the raw sequence is convergence
-    noise near a transition, so detection works on the running maximum.
-    """
-    jumps = []
-    running = cards[0]
-    for i in range(1, len(cards)):
-        if cards[i] > running:
-            jumps.append((i - 1, running, i, cards[i]))
-            running = cards[i]
-    return jumps
 
 
 def detect_bifurcations(curve: InfoCurve, j: JointDistribution, t_card: int,
                         restarts: int = 5, tol: float = DEFAULT_TOL,
                         max_iter: int = DEFAULT_MAX_ITER,
                         seed: int = 0) -> tuple[Bifurcation, ...]:
-    """Attach a spectral prediction to every bracketed jump of a curve.
-
-    The prediction is the smallest finite critical beta over the clusters
-    alive in a fresh solution just below the jump; later splits may have no
-    finite prediction, in which case it stays None.
-    """
-    brackets = list(curve.bifurcations)
-    if not brackets:
-        cards = [p.eff_card for p in curve.points]
-        for lo_i, lo_c, hi_i, hi_c in _monotone_jumps(cards):
-            brackets.append(Bifurcation(curve.points[lo_i].beta,
-                                        curve.points[hi_i].beta, lo_c, hi_c))
-
-    out = []
-    for k, br in enumerate(brackets):
-        sol = ib_solve_multistart(
-            j, t_card, br.beta_low, restarts=restarts, tol=tol,
-            max_iter=max_iter, seed=_derived_seed(seed, 31_337, k))
-        preds = []
-        for t in range(sol.t_card):
-            if sol.marginal.p[t] > MASS_EPS:
-                bc = critical_beta_spectral(j, sol, t)
-                if math.isfinite(bc):
-                    preds.append(bc)
-        out.append(Bifurcation(
-            beta_low=br.beta_low, beta_high=br.beta_high,
-            card_before=br.card_before, card_after=br.card_after,
-            beta_predicted=min(preds) if preds else None,
-        ))
-    return tuple(out)
+    """The curve's brackets, which `anneal_curve` already predicts; the other
+    parameters are ignored. Kept for perfbench/, which calls and patches it
+    by name; it leaves with the next benchmark change, like the quantizer
+    parameter of `network_distortion_rate`."""
+    return curve.bifurcations

@@ -285,11 +285,13 @@ def solution_from_encoder(j: JointDistribution, e: Encoder, beta: float,
     )
 
 
-def _check_query(t_card: int, beta: float, tol: float) -> None:
+def _check_query(t_card: int, beta: float, tol: float, max_iter: int) -> None:
     if t_card < 1:
         raise DimensionError(f"t_card must be >= 1, got {t_card}")
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be finite and > 0, got {tol}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     if not 0 <= beta < math.inf:
         raise ValueError(f"beta must be finite and >= 0, got {beta}")
 
@@ -306,7 +308,7 @@ def _lockstep(j: JointDistribution, enc: np.ndarray, beta: float | np.ndarray,
     px, pygx = conditional_rows(j.p)
     out = np.array(enc)
     iters, conv = np.zeros(len(out), dtype=int), np.zeros(len(out), dtype=bool)
-    live = np.arange(len(out) if max_iter > 0 else 0)
+    live = np.arange(len(out))
     e0, bound = out[live], np.full(live.size, STEP_BOUND)
     evals = 0
 
@@ -374,7 +376,7 @@ def ib_solve(j: JointDistribution, t_card: int, beta: float,
     """Solve from init (default: seeded noisy-uniform) until one plain step
     moves the encoder less than tol in max-abs, or max_iter map evaluations
     elapse."""
-    _check_query(t_card, beta, tol)
+    _check_query(t_card, beta, tol, max_iter)
     if init is not None and (init.x_card, init.t_card) != (j.x_card, t_card):
         raise DimensionError("init encoder shape does not match (x_card, t_card)")
     enc = _restart_inits(j.x_card, t_card, [(0, seed)]) if init is None else init.matrix[None]
@@ -407,7 +409,7 @@ def ib_solve_multistart(j: JointDistribution, t_card: int, beta: float,
     as one batch; smallest L wins, ties go to smaller R."""
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
-    _check_query(t_card, beta, tol)
+    _check_query(t_card, beta, tol, max_iter)
     inits = _restart_inits(j.x_card, t_card, [(r, seed + r) for r in range(restarts)])
     return _pick(j, t_card, beta, *_lockstep(j, inits, beta, tol, max_iter))
 

@@ -15,7 +15,7 @@ import pytest
 
 from ibplane.analyzer import info_plane_path, network_distortion_rate
 from ibplane.bounds import bound_curve
-from ibplane.curve import anneal_curve, detect_bifurcations, geometric_grid
+from ibplane.curve import anneal_curve, geometric_grid
 from ibplane.mlp import (
     NetworkParams,
     TrainConfig,
@@ -95,7 +95,7 @@ def test_criterion_03_oracle_dominance():
 def test_criterion_04_spectral_phase_transition():
     t0 = time.perf_counter()
     c = anneal_curve(SYM, 2, geometric_grid(0.1, 50.0, 1.05), seed=0)
-    bifs = detect_bifurcations(c, SYM, 2, seed=0)
+    bifs = c.bifurcations
     beta_c = 1.0 / 0.36
     ok = len(bifs) == 1
     if ok:

@@ -44,9 +44,13 @@ def trivial_solution(j, t_card=2, beta=1.0):
 
 @pytest.fixture(scope="module")
 def sym_sweep():
-    c = anneal_curve(SYM, 2, geometric_grid(0.1, 50.0, 1.05), seed=0)
-    bifs = detect_bifurcations(c, SYM, 2, seed=0)
-    return c, bifs
+    return anneal_curve(SYM, 2, geometric_grid(0.1, 50.0, 1.05), seed=0)
+
+
+@pytest.fixture(scope="module")
+def hierarchical_sweep():
+    j = hierarchical_joint(0.2, 0.05)
+    return anneal_curve(j, 4, geometric_grid(0.5, 90.0, 1.07), seed=0)
 
 
 @pytest.fixture(scope="module")
@@ -141,7 +145,7 @@ def test_anneal_below_critical_all_trivial():
 
 
 def test_anneal_symmetric_single_split(sym_sweep):
-    c, _ = sym_sweep
+    c = sym_sweep
     assert len(c.bifurcations) == 1
     b = c.bifurcations[0]
     assert (b.card_before, b.card_after) == (1, 2)
@@ -153,7 +157,8 @@ def test_anneal_symmetric_single_split(sym_sweep):
 def reference_sweep(j, t_card, grid, restarts, seed=0, perturb_mag=1e-3,
                     tol=1e-8, max_iter=10_000):
     """The per-point sweep: each grid point's warm start and fresh restarts
-    solved as one batch at that point's beta, then bisection of every jump."""
+    solved as one batch at that point's beta, then bisection of every jump,
+    each bracket predicted from the solution held at its low end."""
     def restart_init(r, s):
         if r % 2 == 0 or t_card < 2:
             return Encoder.noisy_uniform(j.x_card, t_card, s)
@@ -162,7 +167,7 @@ def reference_sweep(j, t_card, grid, restarts, seed=0, perturb_mag=1e-3,
         rng = np.random.default_rng(s)
         return Encoder.hard_blend(rng.integers(0, t_card, size=j.x_card), t_card)
 
-    points, prev = [], None
+    points, sols, prev = [], [], None
     for i, beta in enumerate(map(float, grid)):
         inits = [] if prev is None else [
             prev.encoder.perturbed(_derived_seed(seed, i, 0), perturb_mag)]
@@ -172,27 +177,38 @@ def reference_sweep(j, t_card, grid, restarts, seed=0, perturb_mag=1e-3,
         prev = _pick(j, t_card, beta, *_lockstep(j, stack, beta, tol, max_iter))
         points.append(CurvePoint(beta, prev.R, prev.I_Y, prev.D_IB, prev.L,
                                  effective_cardinality(prev)))
+        sols.append(prev)
+
+    def predict(sol):
+        best = None
+        for t in range(t_card):
+            if sol.marginal.p[t] > 1e-6:
+                bc = critical_beta_spectral(j, sol, t)
+                if math.isfinite(bc) and (best is None or bc < best):
+                    best = bc
+        return best
 
     brackets, probes = [], [0]
 
-    def refine(lo, c_lo, hi, c_hi):
+    def refine(lo, c_lo, s_lo, hi, c_hi):
         if hi - lo <= 1e-3 * hi:
-            brackets.append(Bifurcation(lo, hi, c_lo, c_hi))
+            brackets.append(Bifurcation(lo, hi, c_lo, c_hi, predict(s_lo)))
             return
         mid = 0.5 * (lo + hi)
         probes[0] += 1
-        c_mid = effective_cardinality(ib_solve_multistart(
+        s_mid = ib_solve_multistart(
             j, t_card, mid, restarts=max(restarts, 2) + 1, tol=tol * 1e-2,
-            max_iter=3 * max_iter, seed=_derived_seed(seed, 7_777, probes[0])))
+            max_iter=3 * max_iter, seed=_derived_seed(seed, 7_777, probes[0]))
+        c_mid = effective_cardinality(s_mid)
         if c_mid > c_lo:
-            refine(lo, c_lo, mid, c_mid)
+            refine(lo, c_lo, s_lo, mid, c_mid)
         if c_mid < c_hi:
-            refine(mid, c_mid, hi, c_hi)
+            refine(mid, c_mid, s_mid, hi, c_hi)
 
     running = points[0].eff_card
-    for lo, hi in zip(points, points[1:]):
+    for lo, hi, s_lo in zip(points, points[1:], sols):
         if hi.eff_card > running:
-            refine(lo.beta, running, hi.beta, hi.eff_card)
+            refine(lo.beta, running, s_lo, hi.beta, hi.eff_card)
             running = hi.eff_card
     return points, brackets
 
@@ -255,15 +271,16 @@ def test_anneal_chord_concavity(sym_coarse_curve):
 
 # --- bifurcation detection --------------------------------------------------------
 
-def test_detect_constant_card_empty():
+def test_detect_constant_card_empty(sym_sweep):
+    # detect_bifurcations only hands back the brackets the sweep predicted
     pts = (CurvePoint(1.0, 0.0, 0.0, 0.1, 0.0, 1),
            CurvePoint(2.0, 0.0, 0.0, 0.1, 0.0, 1))
-    bifs = detect_bifurcations(InfoCurve(pts), SYM, 2)
-    assert bifs == ()
+    assert detect_bifurcations(InfoCurve(pts), SYM, 2) == ()
+    assert detect_bifurcations(sym_sweep, SYM, 2, seed=0) == sym_sweep.bifurcations
 
 
 def test_detect_symmetric_prediction_in_bracket(sym_sweep):
-    _, bifs = sym_sweep
+    bifs = sym_sweep.bifurcations
     assert len(bifs) == 1
     b = bifs[0]
     mid = 0.5 * (b.beta_low + b.beta_high)
@@ -271,16 +288,22 @@ def test_detect_symmetric_prediction_in_bracket(sym_sweep):
     assert b.beta_predicted == pytest.approx(1.0 / 0.36, rel=1e-6)
 
 
-def test_detect_hierarchical_two_splits():
-    j = hierarchical_joint(0.2, 0.05)
-    c = anneal_curve(j, 4, geometric_grid(0.5, 90.0, 1.07), seed=0)
-    bifs = detect_bifurcations(c, j, 4, seed=0)
+def test_detect_hierarchical_two_splits(hierarchical_sweep):
+    bifs = hierarchical_sweep.bifurcations
     assert len(bifs) == 2
     assert bifs[0].beta_high < bifs[1].beta_low
     assert (bifs[0].card_before, bifs[0].card_after) == (1, 2)
     assert bifs[0].card_after < bifs[1].card_after
     # first bracket contains its spectral prediction (within 5% of width slack)
     assert bifs[0].beta_low <= bifs[0].beta_predicted <= bifs[0].beta_high
+
+
+def test_hierarchical_predictions_from_the_bisection_solutions(hierarchical_sweep):
+    # the low-end solutions are solved at tol * 1e-2, so each prediction sits
+    # on its exact critical beta: 1/0.37 for the first split, 64 for the second
+    first, second = (b.beta_predicted for b in hierarchical_sweep.bifurcations)
+    assert first == pytest.approx(1.0 / 0.37, rel=1e-9)
+    assert second == pytest.approx(64.0, rel=1e-6)
 
 
 def test_bifurcation_validation():

@@ -19,7 +19,7 @@ from ibplane.curve import anneal_curve, geometric_grid
 from ibplane.mlp import TrainConfig, forward_all, init_network, train_sgd
 from ibplane.presets import symmetric_joint
 from ibplane.prob import SampleSet, sample_pairs
-from ibplane.solver import ib_solve
+from ibplane.solver import ib_solve, ib_solve_multistart
 
 SYM = symmetric_joint(0.2)
 
@@ -269,7 +269,12 @@ NO_UNIT_NET = '{"layer_sizes": [2, 0, 2], "weights": [[], [[], []]], "biases": [
     ({}, "ib-solve --joint j.json --t-card 2 --beta inf --out out", "beta must be finite"),
     ({}, "ib-solve --joint j.json --t-card 2 --beta 1 --tol nan --out out", "tol must be finite"),
     ({}, "ib-solve --joint j.json --t-card 2 --beta 1 --tol inf --out out", "tol must be finite"),
+    ({}, "ib-solve --joint j.json --t-card 2 --beta 1 --max-iter -3 --out out",
+     "max_iter must be >= 1"),
+    ({}, "ib-solve --joint j.json --t-card 2 --beta 1 --max-iter 0 --out out",
+     "max_iter must be >= 1"),
     ({}, CURVE_ARGV + " --tol nan", "tol must be finite"),
+    ({}, CURVE_ARGV + " --max-iter -1", "max_iter must be >= 1"),
     ({}, CURVE_ARGV + " --grid-factor nan", "must be finite"),
     ({}, CURVE_ARGV.replace("--beta-max 2", "--beta-max inf"), "must be finite"),
     ({}, "train --joint j.json --hidden 0 --epochs 1 --out out", "at least one unit"),
@@ -279,7 +284,9 @@ NO_UNIT_NET = '{"layer_sizes": [2, 0, 2], "weights": [[], [[], []]], "biases": [
     ({}, ANALYZE_ARGV + " --sweep 1,nan", "beta must be finite, got nan"),
 ], ids=["bounds-non-finite-curve-point", "bounds-short-curve-row",
         "plane-non-finite-bound-point", "plane-short-bound-row",
-        "ib-solve-infinite-beta", "ib-solve-nan-tol", "ib-solve-infinite-tol", "ib-curve-nan-tol",
+        "ib-solve-infinite-beta", "ib-solve-nan-tol", "ib-solve-infinite-tol",
+        "ib-solve-negative-max-iter", "ib-solve-zero-max-iter", "ib-curve-nan-tol",
+        "ib-curve-negative-max-iter",
         "ib-curve-nan-grid-factor", "ib-curve-infinite-beta-max", "train-empty-hidden-layer",
         "analyze-empty-hidden-layer", "analyze-infinite-beta", "analyze-nan-beta",
         "analyze-nan-sweep-beta"])
@@ -297,15 +304,31 @@ def test_cli_bad_input_is_one_line_error(tmp_path, monkeypatch, capsys, files, a
     assert not (tmp_path / "out").exists()
 
 
-def test_cli_analyze_sweep_runs_two_forward_passes(tmp_path, monkeypatch):
-    # one for the path, whose stored terms serve every beta, one for (R_N, D_N)
+def test_cli_analyze_sweep_runs_one_forward_pass(tmp_path, monkeypatch):
+    # the path's stored terms serve every beta, its last point (R_N, D_N)
     calls = []
     monkeypatch.setattr(analyzer, "forward_all", lambda *a: calls.append(a) or forward_all(*a))
     monkeypatch.chdir(tmp_path)
     (tmp_path / "j.json").write_text(io.joint_to_json(SYM))
     (tmp_path / "net.json").write_text(io.network_to_json(init_network([2, 3, 2], seed=0)))
     assert cli.run((ANALYZE_ARGV + " --beta 2 --sweep 0.5,2,8").split()) == 0
-    assert len(calls) == 2
+    assert len(calls) == 1
+
+
+def test_cli_bifurcations_out_solves_nothing_outside_the_sweep(tmp_path, monkeypatch):
+    # the sweep's bisection already holds the solution each prediction needs
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "j.json").write_text(io.joint_to_json(SYM))
+    argv = CURVE_ARGV.replace("--beta-max 2", "--beta-max 4").split()
+    counts = []
+    for extra in ([], ["--bifurcations-out", "bifs.json"]):
+        calls = []
+        monkeypatch.setattr("ibplane.curve.ib_solve_multistart",
+                            lambda *a, **k: calls.append(a) or ib_solve_multistart(*a, **k))
+        assert cli.run(argv + extra) == 0
+        counts.append(len(calls))
+    assert len(io.bifurcations_from_json((tmp_path / "bifs.json").read_text())) == 1
+    assert counts[0] == counts[1] > 0
 
 
 def test_cli_solve_curve_bounds_train_analyze_plane(tmp_path):
