@@ -73,6 +73,10 @@ def worst_case_correction(K: float, y_card: int, n: int, c_bound: float = 1.0) -
         raise ValueError(f"sample size must be >= 1, got {n}")
     if K < 1:
         raise ValueError(f"effective cardinality must be >= 1, got {K}")
+    if not (math.isfinite(c_bound) and c_bound >= 0):
+        raise ValueError(f"c_bound must be finite and >= 0, got {c_bound}")
+    if y_card < 1:
+        raise ValueError(f"y_card must be >= 1, got {y_card}")
     return c_bound * K * y_card / math.sqrt(n)
 
 

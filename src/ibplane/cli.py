@@ -79,11 +79,8 @@ def _cmd_ib_curve(args) -> int:
 
 def _cmd_bounds(args) -> int:
     traced = io.curve_from_csv(_read(args.curve))
-    if args.joint:
-        y_card = io.joint_from_json(_read(args.joint)).y_card
-    else:
-        y_card = args.y_card
-    b = bounds.bound_curve(traced, args.n, args.c_bound, y_card=y_card)
+    j = io.joint_from_json(_read(args.joint)) if args.joint else None
+    b = bounds.bound_curve(traced, args.n, args.c_bound, y_card=j.y_card if j else args.y_card)
     files = {args.out: io.bound_curve_to_csv(b)}
     summary = {
         "cmd": "bounds", "n": b.n, "c_bound": b.c_bound,
@@ -91,7 +88,6 @@ def _cmd_bounds(args) -> int:
         "rate_corr_star": b.rate_corrections[b.star_index], "out": args.out,
     }
     if args.net:
-        j = io.joint_from_json(_read(args.joint))
         net = io.network_from_json(_read(args.net))
         r_n, d_n = analyzer.network_distortion_rate(j, net, None)
         gaps = bounds.network_gaps(b, r_n, d_n)

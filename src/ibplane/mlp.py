@@ -6,14 +6,14 @@ treated as the binary case, where the sigmoid itself is the class-1
 probability). Training is plain seeded SGD on the average cross-entropy,
 measured in bits to match the rest of the package. Every layer is a function
 of the symbol alone, so one raw-array kernel runs a minibatch as its distinct
-symbols with their label counts; it computes the forward pass, the loss and
-the backprop gradients for every caller. `forward_all` returns its arrays for
-the whole input alphabet as they are (one (X, width) array per hidden layer,
-and the (X, labels) outputs) for the analyzer and `accuracy` to read. Training
-keeps all parameters in one flat buffer updated in place, freezes them into a
-`NetworkParams` once, at the end, and raises `DivergenceError` naming the
-epoch once the loss or a parameter turns non-finite. Everything is
-deterministic given the seeds.
+symbols with their label counts; it computes the forward pass and the backprop
+gradients for every caller. `forward_all` returns its arrays for the whole
+input alphabet as they are (one (X, width) array per hidden layer, and the (X,
+labels) outputs) for the analyzer and `accuracy` to read. Training updates one
+flat parameter buffer in place and computes an epoch's minibatch losses once,
+after it, from the probabilities its steps wrote. It returns a `NetworkParams`
+and raises `DivergenceError` naming the epoch once the loss or a parameter
+turns non-finite. Everything is deterministic given the seeds.
 """
 
 from __future__ import annotations
@@ -131,46 +131,59 @@ def _count_table(keys, ys, n_labels: int):
     return uniq, counts, counts.sum(axis=1, keepdims=True)
 
 
-def _kernel(weights, biases, binary_head: bool, sym, batch=None, grads=None):
-    """Forward pass of the distinct input symbols sym: (hidden activations,
-    one (R, width) array per layer; output probabilities (R, labels)).
+def _bind(weights, biases, grads=None):
+    """What _kernel reads, bound once per run: whether the head is one unit, each
+    layer's (in, out) weights and bias and, given grads = (weight views, bias
+    views), each layer's (weight, grad weight, grad bias) in backward order."""
+    layers = [(w.T, b) for w, b in zip(weights, biases)]
+    back = None if grads is None else list(zip(weights, *grads))[::-1]
+    return biases[-1].size == 1, layers[0], layers[1:], back
 
-    Given batch = (counts, row totals, m), the (R, labels) label counts of a
-    minibatch's m samples, returns instead their bit-valued mean cross-entropy
-    and writes the backprop gradients into grads = (weight views, bias views).
-    Callers hold the numpy error state (`_QUIET`).
-    """
-    u = weights[0].T.take(sym, axis=0) + biases[0]
+
+def _kernel(bound, sym, batch=None):
+    """Forward pass of the distinct input symbols sym through `_bind` views:
+    (hidden activations, one (R, width) array per layer; output probabilities
+    (R, labels)). Given batch = (counts, row totals, m), the (R, labels) label
+    counts of a minibatch's m samples, writes instead the backprop gradients of
+    their bit-valued mean cross-entropy into the bound grad views and returns
+    the output probabilities. Callers hold the numpy error state (`_QUIET`)."""
+    binary_head, (w0, b0), layers, back = bound
+    u = w0.take(sym, axis=0) + b0
     hiddens = []
-    for w, b in zip(weights[1:], biases[1:]):
+    for w, b in layers:
         hiddens.append(_logistic(u))
-        u = hiddens[-1] @ w.T + b
+        u = hiddens[-1].dot(w) + b
     if binary_head:
-        p1 = _logistic(u)
-        probs = np.concatenate([1.0 - p1, p1], axis=1)
+        head = _logistic(u)
+        probs = np.concatenate([1.0 - head, head], axis=1)
     else:
-        probs = np.exp(u - u.max(axis=1, keepdims=True))
-        probs /= probs.sum(axis=1, keepdims=True)
+        probs = head = np.exp(u - np.maximum.reduce(u, 1, keepdims=True))
+        probs /= np.add.reduce(probs, 1, keepdims=True)
     if batch is None:
         return hiddens, probs
 
     counts, rowcount, m = batch
+    # the labels the output units stand for: label 1 alone for a binary head
+    delta = (rowcount * head - counts[:, -head.shape[1]:]) / (m * LN2)
+    for (w, grad_w, grad_b), h in zip(back, hiddens[::-1]):
+        delta.T.dot(h, out=grad_w)
+        np.add.reduce(delta, 0, out=grad_b)
+        delta = delta.dot(w) * h * (1.0 - h)
+    _, grad_w, grad_b = back[-1]
+    grad_w.fill(0.0)  # a one-hot input feeds only the columns of sym
+    grad_w[:, sym] = delta.T
+    np.add.reduce(delta, 0, out=grad_b)
+    return probs
+
+
+def _losses(counts, probs, edges, sizes) -> list[float]:
+    """Bit-valued mean cross-entropy of each minibatch i, rows edges[i]:edges[i+1]
+    of a (rows, labels) count table and its probabilities, with sizes[i] samples:
+    one log2 over the observed cells, one dot per minibatch over its cells."""
     seen = counts > 0  # an unobserved label adds nothing, even at p = 0
-    loss = -float(counts[seen] @ np.log2(probs[seen])) / m
-    if binary_head:
-        delta = (rowcount * p1 - counts[:, 1:]) / (m * LN2)
-    else:
-        delta = (rowcount * probs - counts) / (m * LN2)
-    grads_w, grads_b = grads
-    for k in range(len(weights) - 1, 0, -1):
-        h = hiddens[k - 1]
-        np.matmul(delta.T, h, out=grads_w[k])
-        delta.sum(axis=0, out=grads_b[k])
-        delta = (delta @ weights[k]) * h * (1.0 - h)
-    grads_w[0].fill(0.0)  # a one-hot input feeds only the columns of sym
-    grads_w[0][:, sym] = delta.T
-    delta.sum(axis=0, out=grads_b[0])
-    return loss
+    c, logp = counts[seen], np.log2(probs[seen])
+    cuts = np.searchsorted(np.flatnonzero(seen), np.multiply(edges, counts.shape[1])).tolist()
+    return [-float(c[a:b].dot(logp[a:b])) / m for a, b, m in zip(cuts, cuts[1:], sizes)]
 
 
 def forward_all(net: NetworkParams, x_card: int) -> tuple[list[np.ndarray], np.ndarray]:
@@ -181,8 +194,7 @@ def forward_all(net: NetworkParams, x_card: int) -> tuple[list[np.ndarray], np.n
         raise DimensionError(f"network input width {net.layer_sizes[0]} "
                              f"does not match x_card {x_card}")
     with np.errstate(**_QUIET):
-        return _kernel(net.weights, net.biases, net.layer_sizes[-1] == 1,
-                       np.arange(x_card))
+        return _kernel(_bind(net.weights, net.biases), np.arange(x_card))
 
 
 def batch_gradients(net: NetworkParams, x_indices, y_indices):
@@ -191,11 +203,10 @@ def batch_gradients(net: NetworkParams, x_indices, y_indices):
     if xs.ndim != 1 or xs.shape != ys.shape or xs.size == 0:
         raise DimensionError("a batch needs equally long, non-empty x and y index vectors")
     sym, counts, rowcount = _count_table(xs, ys, _n_labels(net, xs, ys))
-    _, grads_w, grads_b = _buffer(net.layer_sizes)
+    grads = _buffer(net.layer_sizes)[1:]
     with np.errstate(**_QUIET):
-        loss = _kernel(net.weights, net.biases, net.layer_sizes[-1] == 1,
-                       sym, (counts, rowcount, xs.size), (grads_w, grads_b))
-    return grads_w, grads_b, loss
+        probs = _kernel(_bind(net.weights, net.biases, grads), sym, (counts, rowcount, xs.size))
+        return *grads, _losses(counts, probs, [0, sym.size], [xs.size])[0]
 
 
 def batch_loss(net: NetworkParams, x_indices, y_indices) -> float:
@@ -217,10 +228,11 @@ def train_sgd(net: NetworkParams, samples: SampleSet,
         return net, []
 
     rng = np.random.default_rng(cfg.seed)
-    x_card, binary_head = net.layer_sizes[0], net.layer_sizes[-1] == 1
+    x_card = net.layer_sizes[0]
     flat, weights, biases = _buffer(net.layer_sizes)
     flat[:] = np.concatenate([a.ravel() for a in net.weights + net.biases])
-    grad, grads_w, grads_b = _buffer(net.layer_sizes)
+    grad, *grads = _buffer(net.layer_sizes)
+    bound = _bind(weights, biases, grads)
     sizes = [min(cfg.batch_size, samples.n - s) for s in range(0, samples.n, cfg.batch_size)]
     # sorted (minibatch, symbol) keys put each minibatch's rows in one run
     batch_key = np.arange(samples.n) // cfg.batch_size * x_card
@@ -231,13 +243,14 @@ def train_sgd(net: NetworkParams, samples: SampleSet,
             keys, counts, rowcount = _count_table(batch_key + xs[order], ys[order], n_labels)
             sym = keys % x_card
             edges = np.searchsorted(keys, np.arange(len(sizes) + 1) * x_card).tolist()
-            running = 0.0
+            probs = []
             for r0, r1, m in zip(edges, edges[1:], sizes):
-                loss = _kernel(weights, biases, binary_head, sym[r0:r1],
-                               (counts[r0:r1], rowcount[r0:r1], m), (grads_w, grads_b))
-                running += loss * m
+                probs.append(_kernel(bound, sym[r0:r1], (counts[r0:r1], rowcount[r0:r1], m)))
                 grad *= cfg.learning_rate
                 flat -= grad
+            running = 0.0
+            for loss, m in zip(_losses(counts, np.concatenate(probs), edges, sizes), sizes):
+                running += loss * m
             epoch_loss = running / samples.n
             if not (math.isfinite(epoch_loss) and np.isfinite(flat).all()):
                 raise DivergenceError(f"non-finite loss or parameter at epoch {epoch}")

@@ -262,6 +262,10 @@ NO_UNIT_NET = '{"layer_sizes": [2, 0, 2], "weights": [[], [[], []]], "biases": [
     ({"curve.csv": "beta,R,I_Y,D_IB,L,eff_card\n1,nan,0.1,0.2,nan,1\n"}, BOUNDS_ARGV,
      "non-finite R"),
     ({"curve.csv": GOOD_CURVE + "2,0,0,0.2\n"}, BOUNDS_ARGV, "curve CSV line 3: "),
+    ({"curve.csv": GOOD_CURVE}, BOUNDS_ARGV + " --c-bound -1", "c_bound must be finite and >= 0"),
+    ({"curve.csv": GOOD_CURVE}, BOUNDS_ARGV + " --c-bound nan", "c_bound must be finite and >= 0"),
+    ({"curve.csv": GOOD_CURVE}, BOUNDS_ARGV + " --c-bound inf", "c_bound must be finite and >= 0"),
+    ({"curve.csv": GOOD_CURVE}, BOUNDS_ARGV + " --y-card -2", "y_card must be >= 1"),
     ({"curve.csv": GOOD_CURVE, "bounds.csv": "R_hat,I_Y_hat,I_Y_worst,D_worst\nnan,0.1,0,0.3\n"},
      PLANE_ARGV, "non-finite R_hat"),
     ({"curve.csv": GOOD_CURVE, "bounds.csv": "R_hat,I_Y_hat,I_Y_worst,D_worst\n0,0.1,0\n"},
@@ -282,7 +286,8 @@ NO_UNIT_NET = '{"layer_sizes": [2, 0, 2], "weights": [[], [[], []]], "biases": [
     ({}, ANALYZE_ARGV + " --beta inf", "beta must be finite, got inf"),
     ({}, ANALYZE_ARGV + " --beta nan", "beta must be finite, got nan"),
     ({}, ANALYZE_ARGV + " --sweep 1,nan", "beta must be finite, got nan"),
-], ids=["bounds-non-finite-curve-point", "bounds-short-curve-row",
+], ids=["bounds-non-finite-curve-point", "bounds-short-curve-row", "bounds-negative-c-bound",
+        "bounds-nan-c-bound", "bounds-infinite-c-bound", "bounds-negative-y-card",
         "plane-non-finite-bound-point", "plane-short-bound-row",
         "ib-solve-infinite-beta", "ib-solve-nan-tol", "ib-solve-infinite-tol",
         "ib-solve-negative-max-iter", "ib-solve-zero-max-iter", "ib-curve-nan-tol",

@@ -229,8 +229,11 @@ def reference_sgd(net, samples, cfg):
     (xor_joint(2), [4, 3, 2], 203, 32),           # ragged last minibatch
     (random_joint(64, 3, seed=1), [64, 5, 3], 100, 8),  # alphabet larger than a batch
     (NO_X2, [4, 3, 2], 120, 16),                  # a symbol that never occurs
+    (xor_joint(2), [4, 2], 160, 16),              # no hidden layer: the first is the output
+    (symmetric_joint(0.2), [2, 3, 2], 50, 64),    # batch larger than n: one step per epoch
 ], ids=["softmax-two-hidden", "binary-head", "ragged-last-batch",
-        "alphabet-larger-than-batch", "unseen-symbol"])
+        "alphabet-larger-than-batch", "unseen-symbol", "no-hidden-layer",
+        "one-minibatch-per-epoch"])
 def test_train_matches_reference_loop_bit_for_bit(joint, sizes, n, batch_size):
     samples = sample_pairs(joint, n, seed=4)
     net = init_network(sizes, seed=5)
@@ -346,9 +349,13 @@ def test_count_table_kernel_matches_per_sample_backprop(case):
         assert np.all(np.abs(got - want) <= 1e-12 * scale)
 
 
-@pytest.mark.parametrize("sizes, w0", [([2, 2], [[800.0, 0.0], [-800.0, 0.0]]),
-                                       ([2, 1], [[-800.0, 0.0]])],
-                         ids=["softmax-head", "binary-head"])
+# symbol 0 puts p = 0 exactly on label 1 while every parameter is finite
+SATURATED_LABEL_1 = pytest.mark.parametrize(
+    "sizes, w0", [([2, 2], [[800.0, 0.0], [-800.0, 0.0]]), ([2, 1], [[-800.0, 0.0]])],
+    ids=["softmax-head", "binary-head"])
+
+
+@SATURATED_LABEL_1
 def test_saturated_unobserved_label_keeps_the_loss_finite(sizes, w0):
     # symbol 0 puts p = 0 exactly on label 1, which no sample of symbol 0 shows
     net = NetworkParams(sizes, (np.array(w0),), (np.zeros(sizes[1]),))
@@ -360,6 +367,17 @@ def test_saturated_unobserved_label_keeps_the_loss_finite(sizes, w0):
         assert np.all(np.isfinite(got)) and np.allclose(got, want, rtol=1e-12, atol=0)
     # an observed label at p = 0 still costs an infinite loss
     assert batch_loss(net, [0], [1]) == math.inf
+
+
+@SATURATED_LABEL_1
+def test_train_raises_on_an_observed_label_at_zero_probability(sizes, w0):
+    # the loss alone turns non-finite: the gradients of sample (0, 1) are finite
+    net = NetworkParams(sizes, (np.array(w0),), (np.zeros(sizes[1]),))
+    gw, gb, loss = batch_gradients(net, [0], [1])
+    assert loss == math.inf and all(np.all(np.isfinite(g)) for g in gw + gb)
+    samples = SampleSet.from_pairs([(1, 0), (0, 1), (1, 1)])
+    with pytest.raises(DivergenceError, match="at epoch 0"):
+        train_sgd(net, samples, TrainConfig(0.1, 3, 2, seed=0))
 
 
 # --- exact posterior neuron -----------------------------------------------------------
