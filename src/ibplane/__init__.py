@@ -28,7 +28,6 @@ from .curve import (
     CurvePoint,
     InfoCurve,
     anneal_curve,
-    c_matrix,
     critical_beta_spectral,
     detect_bifurcations,
     effective_cardinality,

@@ -158,21 +158,6 @@ def _moments(j: JointDistribution, sol: IBSolution,
     return pygx.T @ (pxgt[:, None] * pygx), pxgt @ pygx
 
 
-def c_matrix(j: JointDistribution, sol: IBSolution, t_index: int) -> np.ndarray:
-    """Second-order correlation matrix over Y conditioned on one cluster:
-
-        C[y, y'] = sum_x p(x|t) p(y|x) p(y'|x) / p(y|t)
-
-    Rows sum to 1, so the all-ones vector is a right eigenvector with
-    eigenvalue 1. Rows for y with p(y|t) = 0 are left at zero.
-    """
-    m, pygt = _moments(j, sol, t_index)
-    c = np.zeros_like(m)
-    pos = pygt > 0
-    c[pos] = m[pos] / pygt[pos, None]
-    return c
-
-
 def critical_beta_spectral(j: JointDistribution, sol: IBSolution,
                            t_index: int) -> float:
     """Spectral prediction 1/lambda of the beta at which a cluster splits.

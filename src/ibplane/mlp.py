@@ -123,12 +123,20 @@ def _n_labels(net: NetworkParams, xs, ys) -> int:
     return n_labels
 
 
-def _count_table(keys, ys, n_labels: int):
-    """Sorted distinct keys, their (keys, labels) float label counts, row totals."""
-    uniq, inv = np.unique(keys, return_inverse=True)
-    counts = np.bincount(inv * n_labels + ys, minlength=uniq.size * n_labels)
-    counts = counts.reshape(uniq.size, n_labels).astype(float)
-    return uniq, counts, counts.sum(axis=1, keepdims=True)
+def _count_table(keys, ys, n_labels: int, n_keys: int):
+    """Sorted distinct keys in [0, n_keys), their (keys, labels) float label
+    counts and row totals. A table of all n_keys * n_labels cells is counted
+    by one bincount, without a sort, while it has at most two cells per
+    sample; past that, np.unique numbers the keys so memory stays O(n)."""
+    if n_keys * n_labels <= 2 * keys.size:
+        uniq, inv = np.arange(n_keys), keys
+    else:
+        uniq, inv = np.unique(keys, return_inverse=True)
+    table = np.bincount(inv * n_labels + ys, minlength=uniq.size * n_labels)
+    table = table.reshape(uniq.size, n_labels)
+    totals = table.sum(axis=1)
+    live = np.flatnonzero(totals)
+    return uniq[live], table[live].astype(float), totals[live, None].astype(float)
 
 
 def _bind(weights, biases, grads=None):
@@ -202,7 +210,7 @@ def batch_gradients(net: NetworkParams, x_indices, y_indices):
     xs, ys = (np.asarray(a, dtype=np.int64) for a in (x_indices, y_indices))
     if xs.ndim != 1 or xs.shape != ys.shape or xs.size == 0:
         raise DimensionError("a batch needs equally long, non-empty x and y index vectors")
-    sym, counts, rowcount = _count_table(xs, ys, _n_labels(net, xs, ys))
+    sym, counts, rowcount = _count_table(xs, ys, _n_labels(net, xs, ys), net.layer_sizes[0])
     grads = _buffer(net.layer_sizes)[1:]
     with np.errstate(**_QUIET):
         probs = _kernel(_bind(net.weights, net.biases, grads), sym, (counts, rowcount, xs.size))
@@ -240,7 +248,8 @@ def train_sgd(net: NetworkParams, samples: SampleSet,
     with np.errstate(**_QUIET):
         for epoch in range(cfg.epochs):
             order = rng.permutation(samples.n)
-            keys, counts, rowcount = _count_table(batch_key + xs[order], ys[order], n_labels)
+            keys, counts, rowcount = _count_table(batch_key + xs[order], ys[order], n_labels,
+                                                  len(sizes) * x_card)
             sym = keys % x_card
             edges = np.searchsorted(keys, np.arange(len(sizes) + 1) * x_card).tolist()
             probs = []

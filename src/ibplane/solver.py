@@ -14,6 +14,22 @@ uses the divergence in natural-log units, which is the same thing as a base-2
 exponent on the bit-valued divergence, so the bit convention and the update
 rule are mutually consistent.
 
+One map evaluation is a few array operations on a (B, X, T) stack of
+encoders: p(t) = p(x) @ p(t|x), the decoder (p(t|x)^T @ p(x,y)) / p(t), and
+the new encoder as the row-normalized exp of log p(t) + beta * p(y|x) @
+log p(y|t)^T. That drops the row term sum_y p(y|x) log p(y|x) of the
+divergence: it does not depend on t, so it cancels in the normalization. A
+decoder zero under p(y|x)'s support gives log 0 = -inf there, which is the
+zero weight an infinite divergence gives. The formula breaks down (a NaN row)
+only for an element with a zero-mass cluster (0/0 in its decoder), a decoder
+zero facing a zero of some p(y|x) (0 * log 0; a y that no p(y|x) supports
+does this in every element), or such a -inf at beta = 0.
+Those elements alone go down a guarded path, which sums the divergence over
+p(y|x)'s support only, makes it infinite where a decoder misses that
+support, and gives zero-mass clusters no weight. The choice is made from
+each element alone, so no element's result depends on the rest of its
+batch.
+
 Near a critical beta the plain map contracts slowly, so every solve adds
 squared extrapolation in log-encoder space (SQUAREM; Varadhan and Roland 2008,
 Scand. J. Stat. 35:335), kept only when L after one stabilizing plain step is
@@ -83,10 +99,6 @@ class Encoder:
         return cls(ConditionalMatrix.from_matrix(m))
 
     @classmethod
-    def uniform(cls, x_card: int, t_card: int) -> "Encoder":
-        return cls.from_matrix(np.full((x_card, t_card), 1.0 / t_card))
-
-    @classmethod
     def noisy_uniform(cls, x_card: int, t_card: int, seed: int,
                       noise: float = INIT_NOISE) -> "Encoder":
         """Uniform rows with seeded multiplicative noise, renormalized."""
@@ -100,15 +112,6 @@ class Encoder:
         m[np.arange(assignment.size), assignment] = 1.0
         return cls.from_matrix(m)
 
-    @classmethod
-    def hard_blend(cls, assignment, t_card: int, eta: float = 1e-2) -> "Encoder":
-        """Hard assignment blended with a uniform floor so no cluster is dead."""
-        return cls.from_matrix(_hard_blend(assignment, t_card, eta))
-
-    def perturbed(self, seed: int, noise: float) -> "Encoder":
-        """Multiplicative seeded noise on the rows, renormalized."""
-        return Encoder.from_matrix(_perturb(self.matrix, seed, noise))
-
 
 def _perturb(m: np.ndarray, seed: int, noise: float) -> np.ndarray:
     rng = np.random.default_rng(seed)
@@ -117,6 +120,7 @@ def _perturb(m: np.ndarray, seed: int, noise: float) -> np.ndarray:
 
 
 def _hard_blend(assignment, t_card: int, eta: float = 1e-2) -> np.ndarray:
+    """Hard assignment blended with a uniform floor so no cluster is dead."""
     assignment = np.asarray(assignment, dtype=int)
     m = np.full((assignment.size, t_card), eta / t_card)
     m[np.arange(assignment.size), assignment] += 1.0 - eta
@@ -170,56 +174,52 @@ class IBSolution:
 
 
 # ---------------------------------------------------------------------------
-# Update kernel, on (B, X, T) encoder stacks
+# Update kernel, on (B, X, T) encoder stacks; callers hold np.errstate(**_QUIET)
 # ---------------------------------------------------------------------------
 
-def _distortion_nats(pygx: np.ndarray, dec: np.ndarray) -> np.ndarray:
-    """d[b, x, t] = KL(p(y|x) || p(y|t)) in nats for a (B, T, Y) decoder
-    stack; +inf where support is missed."""
-    pos = pygx > 0
-    h = (pygx * np.log(np.where(pos, pygx, 1.0))).sum(axis=1)  # sum_y p log p per row
+# log 0 and 0/0 mark zero-mass clusters and missed supports, which the kernel
+# handles; a rejected extrapolation may overflow exp
+_QUIET = {"over": "ignore", "divide": "ignore", "invalid": "ignore"}
+
+
+def _softmax(z: np.ndarray) -> np.ndarray:
+    """exp(z) normalized over the last axis, computed in z's buffer; NaN rows
+    where z's max is not finite."""
+    z -= np.maximum.reduce(z, axis=2, keepdims=True)
+    np.exp(z, out=z)
+    z /= np.add.reduce(z, axis=2, keepdims=True)
+    return z
+
+
+def _guarded(pygx: np.ndarray, dec: np.ndarray, pt: np.ndarray,
+             beta: float | np.ndarray) -> np.ndarray:
+    """log p(t) + beta sum_y p(y|x) log p(y|t) for (B, T) marginals and
+    (B, T, Y) decoders (NaN rows for zero-mass clusters), the sum taken over
+    p(y|x)'s support, -inf where a decoder misses that support, and no beta
+    term at beta = 0: -beta KL(p(y|x) || p(y|t)) up to its row term."""
     dec_pos = dec > 0
-    d = h[:, None] - pygx @ np.log(np.where(dec_pos, dec, 1.0)).transpose(0, 2, 1)
-    if not dec_pos.all():
-        # a decoder zero under p(y|x) support makes the divergence infinite
-        missed = pos.astype(float) @ (~dec_pos).transpose(0, 2, 1)
-        d[missed > 0] = math.inf
-    return d
+    s = pygx @ np.log(np.where(dec_pos, dec, 1.0)).transpose(0, 2, 1)
+    s[(pygx > 0).astype(float) @ (~dec_pos).transpose(0, 2, 1) > 0] = -math.inf
+    return np.log(pt)[:, None, :] + (beta * s if np.any(beta) else 0.0)
 
 
-def _decoder_from(px: np.ndarray, pygx: np.ndarray, enc: np.ndarray,
-                  pt: np.ndarray) -> np.ndarray:
-    """Bayes decoders p(y|t) from (B, T) marginals; zero-mass clusters decode
-    a uniform mixture."""
-    alive = (pt > 0)[:, None, :]
-    pxgt = np.where(alive, enc * px[:, None] / np.where(alive, pt[:, None, :], 1.0),
-                    1.0 / px.size)
-    return pxgt.transpose(0, 2, 1) @ pygx
-
-
-def _encoder_update(pygx: np.ndarray, pt: np.ndarray, dec: np.ndarray,
-                    beta: float | np.ndarray) -> np.ndarray:
-    """p(t|x) ~ p(t) exp(-beta KL(p(y|x) || p(y|t))) from (B, T) marginals and
-    (B, T, Y) decoders, at one beta >= 0 or a (B, 1, 1) stack of positive
-    betas; NaN rows where every cluster is at infinite divergence."""
-    d = _distortion_nats(pygx, dec)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # beta = 0 must not turn an infinite divergence into 0 * inf = nan
-        scaled = beta * d if isinstance(beta, np.ndarray) or beta > 0 else np.zeros_like(d)
-        logw = np.log(pt)[:, None, :] - scaled
-        w = np.exp(logw - logw.max(axis=2, keepdims=True))
-        return w / w.sum(axis=2, keepdims=True)
-
-
-def _step(px: np.ndarray, pygx: np.ndarray, enc: np.ndarray,
-          beta: float | np.ndarray) -> np.ndarray:
-    """One round of the three updates (the plain map) on every encoder."""
+def _map(px: np.ndarray, pygx: np.ndarray, jp: np.ndarray, enc: np.ndarray,
+         beta: float | np.ndarray, strict: bool = True) -> np.ndarray:
+    """One plain map on every encoder of a (B, X, T) stack, at one beta >= 0
+    or a (B, 1, 1) stack of positive betas, as the module docstring describes.
+    A symbol at infinite divergence from every cluster gets a NaN row, or
+    raises DegenerateEncoderError if strict."""
     pt = px @ enc
-    new = _encoder_update(pygx, pt, _decoder_from(px, pygx, enc, pt), beta)
-    bad = np.nonzero(np.isnan(new[:, :, 0]))[1]
-    if bad.size:
-        raise DegenerateEncoderError(
-            f"every cluster is at infinite divergence for symbol x={bad[0]}")
+    dec = (enc.transpose(0, 2, 1) @ jp) / pt[:, :, None]
+    new = _softmax(np.log(pt)[:, None, :] + beta * (pygx @ np.log(dec).transpose(0, 2, 1)))
+    nan = np.isnan(new[:, :, 0])
+    if nan.any():
+        g = nan.any(axis=1)
+        new[g] = _softmax(_guarded(pygx, dec[g], pt[g], beta[g] if np.ndim(beta) else beta))
+        bad = np.nonzero(np.isnan(new[:, :, 0]))[1]
+        if strict and bad.size:
+            raise DegenerateEncoderError(
+                f"every cluster is at infinite divergence for symbol x={bad[0]}")
     return new
 
 
@@ -237,15 +237,12 @@ def _objective(jp: np.ndarray, px: np.ndarray, enc: np.ndarray,
 def _extrapolate(e0, e1, e2, bound) -> tuple[np.ndarray, np.ndarray]:
     """SQUAREM point of two plain steps e0 -> e1 -> e2 in log-encoder space,
     and its step length alpha in [-bound, -1] (alpha = -1 gives e2)."""
-    l0, l1, l2 = (np.log(np.maximum(e, LOG_FLOOR)) for e in (e0, e1, e2))
+    l0, l1, l2 = np.log(np.maximum(np.stack((e0, e1, e2)), LOG_FLOOR))
     r, v = l1 - l0, l2 - 2.0 * l1 + l0
     vv = (v * v).sum(axis=(1, 2))
     ratio = np.divide((r * r).sum(axis=(1, 2)), vv, out=np.zeros_like(vv), where=vv > 0)
-    alpha = np.clip(-np.sqrt(ratio), -bound, -1.0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        lx = l0 - 2.0 * alpha[:, None, None] * r + (alpha**2)[:, None, None] * v
-        w = np.exp(lx - lx.max(axis=2, keepdims=True))
-        return w / w.sum(axis=2, keepdims=True), alpha
+    alpha = np.minimum(np.maximum(-np.sqrt(ratio), -bound), -1.0)
+    return _softmax(l0 - 2.0 * alpha[:, None, None] * r + (alpha**2)[:, None, None] * v), alpha
 
 
 def ib_iterate_once(j: JointDistribution, e: Encoder, beta: float) -> Encoder:
@@ -254,35 +251,52 @@ def ib_iterate_once(j: JointDistribution, e: Encoder, beta: float) -> Encoder:
         raise DimensionError(
             f"encoder has {e.x_card} rows but the joint has {j.x_card} symbols"
         )
+    with np.errstate(**_QUIET):
+        return Encoder.from_matrix(_map(*conditional_rows(j.p), j.p, e.matrix[None], beta)[0])
+
+
+def _mi_bits(p: np.ndarray) -> np.ndarray:
+    """Mutual information in bits, >= 0, of every joint of a (B, M, N) stack."""
+    pos = p > 0
+    outer = p.sum(axis=2)[:, :, None] * p.sum(axis=1)[:, None, :]
+    q = np.divide(p, outer, out=np.ones_like(p), where=pos)
+    return np.maximum(0.0, (p * np.log2(q)).sum(axis=(1, 2)))
+
+
+def _info_bits(jp: np.ndarray, enc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(R, I_Y) = (I(X;T), I(T;Y)) in bits of every encoder of a (B, X, T) stack."""
+    return _mi_bits(enc * jp.sum(axis=1)[:, None]), _mi_bits(enc.transpose(0, 2, 1) @ jp)
+
+
+def _decoder(j: JointDistribution, enc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """p(t) and the decoder p(y|t) of one encoder; a zero-mass cluster decodes
+    the uniform mixture of the p(y|x)."""
     px, pygx = conditional_rows(j.p)
-    return Encoder.from_matrix(_step(px, pygx, e.matrix[None], beta)[0])
+    pt = px @ enc
+    live = pt > 0
+    return pt, np.where(live[:, None], enc.T @ j.p / np.where(live, pt, 1.0)[:, None],
+                        pygx.mean(axis=0))
 
 
-def _scalars(jp: np.ndarray, px: np.ndarray, enc: np.ndarray,
-             beta: float) -> tuple[float, float, float, float]:
-    R = mi_bits(enc * px[:, None])
-    I_Y = mi_bits(enc.T @ jp)
-    D_IB = max(0.0, mi_bits(jp) - I_Y)
-    L = R - beta * I_Y
-    return R, I_Y, D_IB, L
+def _solution(j: JointDistribution, enc: np.ndarray, beta: float, R: float, I_Y: float,
+              iterations: int, converged: bool) -> IBSolution:
+    """Package an encoder and its (R, I_Y) with its marginal and decoder."""
+    pt, dec = _decoder(j, enc)
+    return IBSolution(
+        beta=float(beta),
+        encoder=Encoder.from_matrix(enc),
+        decoder=ConditionalMatrix.from_matrix(dec),
+        marginal=DiscreteDistribution(pt),
+        R=R, I_Y=I_Y, D_IB=max(0.0, mi_bits(j.p) - I_Y), L=R - beta * I_Y,
+        iterations=iterations, converged=converged,
+    )
 
 
 def solution_from_encoder(j: JointDistribution, e: Encoder, beta: float,
                           iterations: int = 0, converged: bool = True) -> IBSolution:
     """Package an encoder with its induced marginal, decoder and scalars."""
-    px, pygx = conditional_rows(j.p)
-    enc = e.matrix
-    pt = px @ enc
-    dec = _decoder_from(px, pygx, enc[None], pt[None])[0]
-    R, I_Y, D_IB, L = _scalars(j.p, px, enc, beta)
-    return IBSolution(
-        beta=float(beta),
-        encoder=e,
-        decoder=ConditionalMatrix.from_matrix(dec),
-        marginal=DiscreteDistribution(pt),
-        R=R, I_Y=I_Y, D_IB=D_IB, L=L,
-        iterations=iterations, converged=converged,
-    )
+    R, I_Y = _info_bits(j.p, e.matrix[None])
+    return _solution(j, e.matrix, beta, float(R[0]), float(I_Y[0]), iterations, converged)
 
 
 def _check_query(t_card: int, beta: float, tol: float, max_iter: int) -> None:
@@ -305,7 +319,7 @@ def _lockstep(j: JointDistribution, enc: np.ndarray, beta: float | np.ndarray,
     beta is one float for the whole stack or a (B,) array of positive betas,
     one per element; either way an element's trajectory is the one it follows
     when solved alone."""
-    px, pygx = conditional_rows(j.p)
+    (px, pygx), jp = conditional_rows(j.p), j.p
     out = np.array(enc)
     iters, conv = np.zeros(len(out), dtype=int), np.zeros(len(out), dtype=bool)
     live = np.arange(len(out))
@@ -325,7 +339,7 @@ def _lockstep(j: JointDistribution, enc: np.ndarray, beta: float | np.ndarray,
         less than tol (if ok) or all at the cap; return the rest of new, *carried."""
         nonlocal evals, live, kb, ob
         evals += 1
-        done = ok & (np.max(np.abs(new - src), axis=(1, 2)) < tol)
+        done = ok & (np.maximum.reduce(np.abs(new - src).reshape(len(new), -1), axis=1) < tol)
         stop = done | (evals >= max_iter)
         if not stop.any():
             return new, *carried
@@ -334,22 +348,22 @@ def _lockstep(j: JointDistribution, enc: np.ndarray, beta: float | np.ndarray,
         kb, ob = live_betas()
         return [a[~stop] for a in (new, *carried)]
 
-    while live.size:
-        e1, e0, bound = settle(e0, _step(px, pygx, e0, kb), True, e0, bound)
-        if live.size:
-            e2, e1, e0, bound = settle(e1, _step(px, pygx, e1, kb), True, e1, e0, bound)
-        if live.size:
-            # the jump stands only if, after one stabilizing plain step, L is
-            # no higher than after the second plain step; a degenerate point
-            # (NaN rows, NaN L) fails
-            ex, alpha = _extrapolate(e0, e1, e2, bound)
-            pt = px @ ex
-            e3 = _encoder_update(pygx, pt, _decoder_from(px, pygx, ex, pt), kb)
-            L = _objective(j.p, px, np.concatenate([e3, e2]), ob)
-            ok = L[:live.size] <= L[live.size:]
-            grown = np.where(alpha == -bound, bound * STEP_BOUND, bound)
-            bound = np.where(ok, grown, np.maximum(bound / STEP_BOUND, STEP_BOUND))
-            e0, bound = settle(ex, np.where(ok[:, None, None], e3, e2), ok, bound)
+    with np.errstate(**_QUIET):
+        while live.size:
+            e1, e0, bound = settle(e0, _map(px, pygx, jp, e0, kb), True, e0, bound)
+            if live.size:
+                e2, e1, e0, bound = settle(e1, _map(px, pygx, jp, e1, kb), True, e1, e0, bound)
+            if live.size:
+                # the jump stands only if, after one stabilizing plain step, L
+                # is no higher than after the second plain step; a degenerate
+                # point (NaN rows, NaN L) fails
+                ex, alpha = _extrapolate(e0, e1, e2, bound)
+                e3 = _map(px, pygx, jp, ex, kb, strict=False)
+                L = _objective(jp, px, np.concatenate([e3, e2]), ob)
+                ok = L[:live.size] <= L[live.size:]
+                grown = np.where(alpha == -bound, bound * STEP_BOUND, bound)
+                bound = np.where(ok, grown, np.maximum(bound / STEP_BOUND, STEP_BOUND))
+                e0, bound = settle(ex, np.where(ok[:, None, None], e3, e2), ok, bound)
     return out, iters, conv
 
 
@@ -357,13 +371,10 @@ def _pick(j: JointDistribution, t_card: int, beta: float, enc: np.ndarray,
           iters: np.ndarray, conv: np.ndarray) -> IBSolution:
     """The best of a stack of solutions at one beta: smallest L, ties to
     smaller R, then to the earlier element."""
-    px = j.p.sum(axis=1)
-    keys = [(r - beta * i_y, r) for r, i_y in  # (L, R) exactly as each solution has them
-            ((mi_bits(e * px[:, None]), mi_bits(e.T @ j.p)) for e in enc)]
-    b = keys.index(min(keys))
-    sol = solution_from_encoder(j, Encoder.from_matrix(enc[b]), beta,
-                                iterations=int(iters[b]), converged=bool(conv[b]))
-    i_xy, r_max = mi_bits(j.p), min(entropy_bits(px), math.log2(t_card))
+    R, I_Y = _info_bits(j.p, enc)  # L and R exactly as each solution has them
+    b = int(np.lexsort((R, R - beta * I_Y))[0])
+    sol = _solution(j, enc[b], beta, float(R[b]), float(I_Y[b]), int(iters[b]), bool(conv[b]))
+    i_xy, r_max = mi_bits(j.p), min(entropy_bits(j.p.sum(axis=1)), math.log2(t_card))
     if sol.I_Y > i_xy + 1e-9 or sol.R > r_max + 1e-9:
         raise ValueError(f"solution breaks I_Y <= I(X;Y) = {i_xy} or "
                          f"R <= {r_max}: I_Y = {sol.I_Y}, R = {sol.R}")
@@ -415,24 +426,18 @@ def ib_solve_multistart(j: JointDistribution, t_card: int, beta: float,
 
 
 def self_consistency_residual(j: JointDistribution, sol: IBSolution) -> float:
-    """Max-abs gap between each stored quantity and its recomputation from
-    the other two stored quantities."""
+    """Max-abs gap between the stored marginal and decoder and their
+    recomputation from the stored encoder, and between the encoder and its
+    image under one plain map."""
     if sol.encoder.x_card != j.x_card:
         raise DimensionError("solution encoder does not match the joint")
-    px, pygx = conditional_rows(j.p)
     enc = sol.encoder.matrix
-    pt = sol.marginal.p
-    dec = sol.decoder.p
-
-    pt_re = px @ enc
-    dec_re = _decoder_from(px, pygx, enc[None], pt_re[None])[0]
-    enc_re = _encoder_update(pygx, pt[None], dec[None], sol.beta)[0]
-    if np.isnan(enc_re).any():
-        raise DegenerateEncoderError("stored marginal/decoder normalize to zero")
-
+    pt, dec = _decoder(j, enc)
+    with np.errstate(**_QUIET):
+        enc_re = _map(*conditional_rows(j.p), j.p, enc[None], sol.beta)[0]
     return float(max(
-        np.max(np.abs(pt_re - pt)),
-        np.max(np.abs(dec_re - dec)),
+        np.max(np.abs(pt - sol.marginal.p)),
+        np.max(np.abs(dec - sol.decoder.p)),
         np.max(np.abs(enc_re - enc)),
     ))
 

@@ -9,8 +9,8 @@ from ibplane.curve import (
     Bifurcation,
     CurvePoint,
     InfoCurve,
+    _moments,
     anneal_curve,
-    c_matrix,
     critical_beta_spectral,
     detect_bifurcations,
     effective_cardinality,
@@ -28,7 +28,9 @@ from ibplane.presets import (
 from ibplane.prob import mutual_information
 from ibplane.solver import (
     Encoder,
+    _hard_blend,
     _lockstep,
+    _perturb,
     _pick,
     ib_solve,
     ib_solve_multistart,
@@ -39,7 +41,19 @@ SYM = symmetric_joint(0.2)
 
 
 def trivial_solution(j, t_card=2, beta=1.0):
-    return solution_from_encoder(j, Encoder.uniform(j.x_card, t_card), beta)
+    return solution_from_encoder(j, Encoder.from_matrix(np.full((j.x_card, t_card), 1 / t_card)),
+                                 beta)
+
+
+def c_matrix(j, sol, t_index):
+    """Second-order correlation matrix over Y conditioned on one cluster,
+    C[y, y'] = sum_x p(x|t) p(y|x) p(y'|x) / p(y|t), with rows for p(y|t) = 0
+    left at zero: the matrix whose spectrum critical_beta_spectral reads."""
+    m, pygt = _moments(j, sol, t_index)
+    c = np.zeros_like(m)
+    pos = pygt > 0
+    c[pos] = m[pos] / pygt[pos, None]
+    return c
 
 
 @pytest.fixture(scope="module")
@@ -163,14 +177,15 @@ def reference_sweep(j, t_card, grid, restarts, seed=0, perturb_mag=1e-3,
         if r % 2 == 0 or t_card < 2:
             return Encoder.noisy_uniform(j.x_card, t_card, s)
         if r == 1:
-            return Encoder.hard_blend(np.arange(j.x_card) % t_card, t_card)
+            return Encoder.from_matrix(_hard_blend(np.arange(j.x_card) % t_card, t_card))
         rng = np.random.default_rng(s)
-        return Encoder.hard_blend(rng.integers(0, t_card, size=j.x_card), t_card)
+        return Encoder.from_matrix(_hard_blend(rng.integers(0, t_card, size=j.x_card), t_card))
 
     points, sols, prev = [], [], None
     for i, beta in enumerate(map(float, grid)):
         inits = [] if prev is None else [
-            prev.encoder.perturbed(_derived_seed(seed, i, 0), perturb_mag)]
+            Encoder.from_matrix(_perturb(prev.encoder.matrix, _derived_seed(seed, i, 0),
+                                        perturb_mag))]
         inits += [restart_init(r, _derived_seed(seed, i, r + 1))
                   for r in range(restarts if prev is not None else max(restarts, 1))]
         stack = np.array([e.matrix for e in inits])

@@ -1,6 +1,7 @@
 """Network init, forward, SGD training, gradients, exact posterior neuron."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from ibplane.errors import DimensionError, DivergenceError, UnsupportedDegenerateError
 from ibplane.mlp import (
     NetworkParams,
+    _count_table,
     TrainConfig,
     accuracy,
     batch_gradients,
@@ -246,6 +248,28 @@ def test_train_matches_reference_loop_bit_for_bit(joint, sizes, n, batch_size):
     # no gradient ever reaches the first-layer column of an unseen symbol
     for x in set(range(sizes[0])) - set(samples.pairs[:, 0].tolist()):
         assert np.array_equal(got.weights[0][:, x], net.weights[0][:, x])
+
+
+@pytest.mark.parametrize("batch_size", [1, 7, 512], ids=["sorted", "sorted-ragged", "dense"])
+def test_count_table_memory_stays_linear_in_the_sample_count(batch_size):
+    # 64 symbols and 8 labels: at batch 1 a table of every (minibatch, symbol,
+    # label) cell would hold 512 int64 counts, 4 KiB, per sample
+    rng = np.random.default_rng(0)
+    n, x_card, n_labels = 20_000, 64, 8
+    xs, ys = rng.integers(0, x_card, n), rng.integers(0, n_labels, n)
+    keys = np.arange(n) // batch_size * x_card + xs
+    tracemalloc.start()
+    try:
+        uniq, counts, totals = _count_table(keys, ys, n_labels, -(-n // batch_size) * x_card)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * n_labels * keys.nbytes  # a few (n, labels) arrays
+    want, inv = np.unique(keys, return_inverse=True)
+    want_counts = np.zeros((want.size, n_labels))
+    np.add.at(want_counts, (inv, ys), 1.0)
+    assert np.array_equal(uniq, want) and np.array_equal(counts, want_counts)
+    assert np.array_equal(totals, want_counts.sum(axis=1, keepdims=True))
 
 
 # --- gradients ---------------------------------------------------------------------

@@ -20,15 +20,19 @@ from ibplane.prob import (
     ConditionalMatrix,
     DiscreteDistribution,
     JointDistribution,
+    conditional_rows,
     entropy_bits,
     mutual_information,
 )
 from ibplane.solver import (
+    _QUIET,
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     Encoder,
     IBSolution,
     _lockstep,
+    _map,
+    _perturb,
     _restart_inits,
     exhaustive_deterministic_oracle,
     ib_iterate_once,
@@ -64,14 +68,98 @@ def test_iterate_fixed_point_is_stationary():
 
 def test_iterate_preserves_swap_symmetry():
     # symmetric joint + uniform start: swapping x and t labels together is a no-op
-    enc = Encoder.uniform(2, 2)
+    enc = Encoder.from_matrix(np.full((2, 2), 0.5))
     new = ib_iterate_once(SYM, enc, beta=5.0)
     assert np.allclose(new.matrix[0], new.matrix[1][::-1], atol=1e-14)
 
 
 def test_iterate_dimension_mismatch():
     with pytest.raises(DimensionError):
-        ib_iterate_once(SYM, Encoder.uniform(3, 2), beta=1.0)
+        ib_iterate_once(SYM, Encoder.from_matrix(np.full((3, 2), 0.5)), beta=1.0)
+
+
+def reference_map(jp, enc, beta):
+    """The three updates for one encoder, term by term: p(t), then p(y|t) for
+    every cluster with mass, then p(t|x) ~ p(t) exp(-beta KL(p(y|x) || p(y|t)))
+    with KL in nats over p(y|x)'s support, infinite where p(y|t) misses it
+    (no weight, unless beta = 0) and no weight for a zero-mass cluster."""
+    px = jp.sum(axis=1)
+    x_card, t_card = enc.shape
+    pygx = [jp[x] / px[x] if px[x] > 0 else np.full(jp.shape[1], 1 / jp.shape[1])
+            for x in range(x_card)]
+    pt = [sum(px[x] * enc[x, t] for x in range(x_card)) for t in range(t_card)]
+    new = np.empty_like(enc)
+    for x in range(x_card):
+        logw = np.full(t_card, -np.inf)
+        for t in range(t_card):
+            if pt[t] == 0:
+                continue
+            dec = sum(px[x2] * enc[x2, t] / pt[t] * pygx[x2] for x2 in range(x_card))
+            sup = pygx[x] > 0
+            if beta == 0:
+                logw[t] = math.log(pt[t])
+            elif (dec[sup] > 0).all():
+                kl = float((pygx[x][sup] * np.log(pygx[x][sup] / dec[sup])).sum())
+                logw[t] = math.log(pt[t]) - beta * kl
+        if np.isinf(logw).all():
+            new[x] = np.nan
+        else:
+            w = np.exp(logw - logw.max())
+            new[x] = w / w.sum()
+    return new
+
+
+@st.composite
+def map_inputs(draw):
+    """A joint with optionally a zero-mass y column and a massless x row, and
+    a stack of encoders in which some clusters carry exactly zero weight."""
+    x_card, y_card = draw(st.integers(2, 6)), draw(st.integers(2, 4))
+    t_card, b_card = draw(st.integers(2, 4)), draw(st.integers(1, 4))
+    cells = st.floats(0.01, 1.0)
+    w = np.array(draw(st.lists(cells, min_size=x_card * y_card, max_size=x_card * y_card)))
+    w = w.reshape(x_card, y_card)
+    if draw(st.booleans()):
+        w[:, draw(st.integers(0, y_card - 1))] = 0.0
+    if draw(st.booleans()):
+        w[draw(st.integers(0, x_card - 1))] = 0.0
+    enc = np.array(draw(st.lists(cells, min_size=b_card * x_card * t_card,
+                                 max_size=b_card * x_card * t_card)))
+    enc = enc.reshape(b_card, x_card, t_card)
+    for b in draw(st.lists(st.integers(0, b_card - 1), max_size=b_card, unique=True)):
+        enc[b, :, draw(st.integers(0, t_card - 1))] = 0.0
+    enc /= enc.sum(axis=2, keepdims=True)
+    if draw(st.booleans()):
+        beta = np.array(draw(st.lists(st.floats(0.1, 50.0), min_size=b_card,
+                                      max_size=b_card)))[:, None, None]
+    else:
+        beta = draw(st.floats(0.0, 50.0))
+    return w / w.sum(), enc, beta
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(map_inputs())
+def test_map_matches_the_three_updates(inputs):
+    jp, enc, beta = inputs
+    px, pygx = conditional_rows(jp)
+    with np.errstate(**_QUIET):
+        got = _map(px, pygx, jp, enc, beta, strict=False)
+    for b in range(len(enc)):
+        ref = reference_map(jp, enc[b], float(beta[b, 0, 0]) if np.ndim(beta) else beta)
+        np.testing.assert_allclose(got[b], ref, rtol=0, atol=1e-12, equal_nan=True)
+
+
+def test_dead_cluster_element_leaves_its_batch_alone():
+    # the zero-mass cluster sends one element down the guarded path; the live
+    # elements of its batch must still follow their own trajectories bit for bit
+    j = random_joint(5, 3, seed=4)
+    inits = _restart_inits(5, 3, [(r, 11 + r) for r in range(4)])
+    inits[2, :, 1] = 0.0
+    inits[2] /= inits[2].sum(axis=1, keepdims=True)
+    enc, iters, conv = _lockstep(j, inits, 6.0, DEFAULT_TOL, DEFAULT_MAX_ITER)
+    for b in range(len(inits)):
+        e1, i1, c1 = _lockstep(j, inits[b:b + 1], 6.0, DEFAULT_TOL, DEFAULT_MAX_ITER)
+        assert np.array_equal(enc[b], e1[0])
+        assert (iters[b], conv[b]) == (i1[0], c1[0])
 
 
 def test_iterate_degenerate_zero_mass_symbol():
@@ -218,7 +306,7 @@ def test_solve_validates_args():
 
 
 def test_solution_validation():
-    enc = Encoder.uniform(2, 2)
+    enc = Encoder.from_matrix(np.full((2, 2), 0.5))
     dec = ConditionalMatrix.from_matrix([[0.5, 0.5], [0.5, 0.5]])
     marg = DiscreteDistribution([0.5, 0.5])
     with pytest.raises(ValueError):
@@ -253,7 +341,7 @@ def test_residual_zero_for_hand_built_trivial():
 
 def test_residual_detects_perturbation():
     sol = ib_solve(SYM, 2, beta=5.0, tol=1e-10, max_iter=100_000, seed=0)
-    noisy = sol.encoder.perturbed(seed=1, noise=1e-3)
+    noisy = Encoder.from_matrix(_perturb(sol.encoder.matrix, seed=1, noise=1e-3))
     tampered = IBSolution(
         beta=sol.beta, encoder=noisy, decoder=sol.decoder, marginal=sol.marginal,
         R=sol.R, I_Y=sol.I_Y, D_IB=sol.D_IB, L=sol.L,
