@@ -61,10 +61,8 @@ from .prob import (
     DiscreteDistribution,
     JointDistribution,
     SampleSet,
-    decompose,
     empirical_joint,
     entropy,
-    kl_divergence,
     mutual_information,
     sample_pairs,
 )

@@ -1,11 +1,14 @@
 """Tradeoff-curve tracing and phase-transition analysis.
 
-The curve is traced by deterministic annealing: sweep beta upward, warm-start
-each solve from the previous solution with a small symmetry-breaking
-perturbation, and keep the best of that candidate plus a few fresh restarts.
-The fresh restarts do not depend on the warm chain, so a sweep solves all of
-them first, every grid point's in one lockstep batch across betas, and then
-walks the grid solving only the warm starts.
+The curve is traced in passes over the beta grid, each pass one lockstep
+batch with one beta per element. Pass 0 solves a few fresh restarts at every
+grid point and keeps each point's best. Each later pass offers the solution
+of every point that changed, with a small symmetry-breaking perturbation, to
+both neighbours as a warm start; a point takes its best offer only if that
+lowers L by more than OFFER_MARGIN * max(1, beta), and the passes stop when
+no point changes. Offers travel down the grid as well as up, so no point is
+left on the branch that a one-way warm chain (deterministic annealing)
+follows past a first-order transition.
 Jumps in the effective cluster count are bracketed by bisection with fresh
 restarts (warm starts would drag hysteresis across the transition).
 
@@ -20,6 +23,7 @@ before reading off lambda.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -32,7 +36,6 @@ from .solver import (  # noqa: F401  ib_solve stays importable from here
     DEFAULT_TOL,
     IBSolution,
     _check_query,
-    _encoder_stack,
     _lockstep,
     _perturb,
     _pick,
@@ -45,6 +48,9 @@ MASS_EPS = 1e-6     # cluster weight below which a cluster is not counted
 MERGE_TAU = 1e-4    # JS divergence (bits) under which decoder rows merge
 BRACKET_REL_WIDTH = 1e-3  # bisection stops at width <= this * beta
 MONOTONE_SLACK = 1e-6
+# an offer must lower a point's L by more than this * max(1, beta); taking any
+# lower L lets rounding noise bounce solutions between neighbours for passes
+OFFER_MARGIN = 1e-12
 
 
 @dataclass(frozen=True)
@@ -220,10 +226,11 @@ def anneal_curve(j: JointDistribution, t_card: int, beta_grid,
                  perturb_mag: float = 1e-3, restarts: int = 3,
                  tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
                  seed: int = 0) -> InfoCurve:
-    """Anneal over the beta grid as the module docstring describes (the first
-    point, which has no warm start, runs at least one fresh restart),
-    bracket every effective-cardinality jump by bisection and predict each
-    from the solution at its bracket's low end."""
+    """Trace the curve over the beta grid in neighbour passes as the module
+    docstring describes (the first point runs at least one fresh restart, so
+    with restarts=0 the others are reached by offers alone), bracket every
+    effective-cardinality jump by bisection and predict each from the
+    solution at its bracket's low end."""
     beta_grid = np.asarray(beta_grid, dtype=float)
     if beta_grid.size == 0:
         raise ValueError("beta grid is empty")
@@ -235,27 +242,28 @@ def anneal_curve(j: JointDistribution, t_card: int, beta_grid,
         raise ValueError(f"restarts must be >= 0, got {restarts}")
     _check_query(t_card, float(beta_grid[0]), tol, max_iter)
 
-    counts = [max(restarts, 1)] + [restarts] * (beta_grid.size - 1)
-    fresh = _restart_inits(j.x_card, t_card, [(r, _derived_seed(seed, i, r + 1))
-                                               for i, k in enumerate(counts) for r in range(k)])
-    fresh = _lockstep(j, fresh, np.repeat(beta_grid, counts), tol, max_iter)
-    ends = np.cumsum(counts)
-
-    points: list[CurvePoint] = []
-    sols: list[IBSolution] = []
-    for i, beta in enumerate(map(float, beta_grid)):
-        cands = [a[ends[i] - counts[i]:ends[i]] for a in fresh]
-        if sols:
-            warm = _encoder_stack([_perturb(sols[-1].encoder.matrix, _derived_seed(seed, i, 0),
-                                            perturb_mag)])
-            warm = _lockstep(j, warm, beta, tol, max_iter)
-            cands = [np.concatenate(pair) for pair in zip(warm, cands)]
-        best = _pick(j, t_card, beta, *cands)
-        points.append(CurvePoint(
-            beta=beta, R=best.R, I_Y=best.I_Y, D_IB=best.D_IB,
-            L=best.L, eff_card=effective_cardinality(best),
-        ))
-        sols.append(best)
+    betas = list(map(float, beta_grid))
+    counts = [max(restarts, 1)] + [restarts] * (len(betas) - 1)
+    targets = np.repeat(np.arange(len(betas)), counts)
+    inits = _restart_inits(j.x_card, t_card, [(r, _derived_seed(seed, i, r + 1))
+                                              for i, k in enumerate(counts) for r in range(k)])
+    sols: list[IBSolution | None] = [None] * len(betas)
+    for n_pass in itertools.count(1):
+        solved = _lockstep(j, inits, beta_grid[targets], tol, max_iter)
+        changed = []
+        for i in sorted(set(targets.tolist())):
+            best = _pick(j, t_card, betas[i], *(a[targets == i] for a in solved))
+            if sols[i] is None or best.L < sols[i].L - OFFER_MARGIN * max(1.0, betas[i]):
+                sols[i] = best
+                changed.append(i)
+        offers = [(t, s) for s in changed for t in (s - 1, s + 1) if 0 <= t < len(betas)]
+        if not offers:
+            break
+        targets = np.array([t for t, _ in offers])
+        inits = [_perturb(sols[s].encoder.matrix, _derived_seed(seed, t, s, n_pass), perturb_mag)
+                 for t, s in offers]
+    points = [CurvePoint(beta=b, R=s.R, I_Y=s.I_Y, D_IB=s.D_IB, L=s.L,
+                         eff_card=effective_cardinality(s)) for b, s in zip(betas, sols)]
 
     probe_counter = [0]
 

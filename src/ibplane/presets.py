@@ -20,6 +20,8 @@ def symmetric_joint(eps: float = 0.2) -> JointDistribution:
 
 def product_joint(x_card: int = 2, y_card: int = 2) -> JointDistribution:
     """Independent uniform X and Y; zero mutual information."""
+    if x_card < 1 or y_card < 1:
+        raise ValueError("cardinalities must be >= 1")
     p = np.full((x_card, y_card), 1.0 / (x_card * y_card))
     return JointDistribution(x_card, y_card, p)
 

@@ -196,20 +196,9 @@ def entropy(d: DiscreteDistribution) -> float:
     return entropy_bits(d.p)
 
 
-def kl_divergence(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
-    """KL divergence D(p||q) in bits; +inf when q misses mass where p has it."""
-    return kl_bits(p.p, q.p)
-
-
 def mutual_information(j: JointDistribution) -> float:
     """Mutual information I(X;Y) of a joint, in bits."""
     return mi_bits(j.p)
-
-
-def decompose(j: JointDistribution) -> tuple[DiscreteDistribution, ConditionalMatrix]:
-    """Split a joint into p(x) and p(y|x); p(x)*p(y|x) reconstructs the joint."""
-    px, cond = conditional_rows(j.p)
-    return DiscreteDistribution(px), ConditionalMatrix(j.x_card, j.y_card, cond)
 
 
 def sample_pairs(j: JointDistribution, n: int, seed: int) -> SampleSet:

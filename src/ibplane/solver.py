@@ -37,11 +37,12 @@ no higher than after two plain steps. L never increases under the plain map,
 so it never increases along a solve. A solve converges when one plain step
 moves the encoder by less than tol in max-abs, and returns that step's output;
 `iterations` counts plain-map evaluations, stabilizing steps included. Solves
-run in lockstep over a (B, X, T) encoder stack, at one beta or with one beta
-per element, each one unaffected by the rest of its batch.
+run in lockstep over a (B, X, T) encoder stack with one beta per element,
+each one unaffected by the rest of its batch.
 
 This is a local method (the problem is not convex); global behavior comes
-from seeded restarts and from warm-started annealing in the curve module.
+from seeded restarts and from the warm-started neighbour passes of the curve
+module.
 """
 
 from __future__ import annotations
@@ -206,7 +207,8 @@ def _guarded(pygx: np.ndarray, dec: np.ndarray, pt: np.ndarray,
 def _map(px: np.ndarray, pygx: np.ndarray, jp: np.ndarray, enc: np.ndarray,
          beta: float | np.ndarray, strict: bool = True) -> np.ndarray:
     """One plain map on every encoder of a (B, X, T) stack, at one beta >= 0
-    or a (B, 1, 1) stack of positive betas, as the module docstring describes.
+    or a (B, 1, 1) stack of betas, all positive or all zero, as the module
+    docstring describes.
     A symbol at infinite divergence from every cluster gets a NaN row, or
     raises DegenerateEncoderError if strict."""
     pt = px @ enc
@@ -310,29 +312,21 @@ def _check_query(t_card: int, beta: float, tol: float, max_iter: int) -> None:
         raise ValueError(f"beta must be finite and >= 0, got {beta}")
 
 
-def _lockstep(j: JointDistribution, enc: np.ndarray, beta: float | np.ndarray,
+def _lockstep(j: JointDistribution, enc: np.ndarray, beta: np.ndarray,
               tol: float, max_iter: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Solve from every encoder of a (B, X, T) stack in lockstep, each element
-    with its own SQUAREM step bound, and return every element's final
-    encoder, map-evaluation count and converged flag.
-
-    beta is one float for the whole stack or a (B,) array of positive betas,
-    one per element; either way an element's trajectory is the one it follows
-    when solved alone."""
+    at its own beta of the (B,) array beta and with its own SQUAREM step
+    bound, and return every element's final encoder, map-evaluation count
+    and converged flag. An element's trajectory is the one it follows when
+    solved alone."""
     (px, pygx), jp = conditional_rows(j.p), j.p
     out = np.array(enc)
     iters, conv = np.zeros(len(out), dtype=int), np.zeros(len(out), dtype=bool)
     live = np.arange(len(out))
     e0, bound = out[live], np.full(live.size, STEP_BOUND)
     evals = 0
-
-    def live_betas():
-        """The live elements' betas for the update and for L of [e3; e2]."""
-        if isinstance(beta, np.ndarray):
-            return beta[live][:, None, None], np.tile(beta[live], 2)
-        return beta, beta
-
-    kb, ob = live_betas()
+    # the live elements' betas, for the update and for L of [e3; e2]
+    kb, ob = beta[:, None, None], np.concatenate((beta, beta))
 
     def settle(src, new, ok, *carried):
         """Count one map evaluation src -> new, retire the elements it moved
@@ -345,7 +339,7 @@ def _lockstep(j: JointDistribution, enc: np.ndarray, beta: float | np.ndarray,
             return new, *carried
         out[live[stop]], iters[live[stop]], conv[live[stop]] = new[stop], evals, done[stop]
         live = live[~stop]
-        kb, ob = live_betas()
+        kb, ob = beta[live, None, None], np.concatenate((beta[live],) * 2)
         return [a[~stop] for a in (new, *carried)]
 
     with np.errstate(**_QUIET):
@@ -391,7 +385,7 @@ def ib_solve(j: JointDistribution, t_card: int, beta: float,
     if init is not None and (init.x_card, init.t_card) != (j.x_card, t_card):
         raise DimensionError("init encoder shape does not match (x_card, t_card)")
     enc = _restart_inits(j.x_card, t_card, [(0, seed)]) if init is None else init.matrix[None]
-    return _pick(j, t_card, beta, *_lockstep(j, enc, beta, tol, max_iter))
+    return _pick(j, t_card, beta, *_lockstep(j, enc, np.full(1, beta), tol, max_iter))
 
 
 def _restart_inits(x_card: int, t_card: int, restarts) -> np.ndarray:
@@ -422,7 +416,7 @@ def ib_solve_multistart(j: JointDistribution, t_card: int, beta: float,
         raise ValueError(f"restarts must be >= 1, got {restarts}")
     _check_query(t_card, beta, tol, max_iter)
     inits = _restart_inits(j.x_card, t_card, [(r, seed + r) for r in range(restarts)])
-    return _pick(j, t_card, beta, *_lockstep(j, inits, beta, tol, max_iter))
+    return _pick(j, t_card, beta, *_lockstep(j, inits, np.full(restarts, beta), tol, max_iter))
 
 
 def self_consistency_residual(j: JointDistribution, sol: IBSolution) -> float:

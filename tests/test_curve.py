@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from ibplane import curve
 from ibplane.curve import (
     Bifurcation,
     CurvePoint,
@@ -25,13 +26,14 @@ from ibplane.presets import (
     random_joint,
     symmetric_joint,
 )
-from ibplane.prob import mutual_information
+from ibplane.prob import empirical_joint, mutual_information, sample_pairs
 from ibplane.solver import (
     Encoder,
     _hard_blend,
     _lockstep,
     _perturb,
     _pick,
+    exhaustive_deterministic_oracle,
     ib_solve,
     ib_solve_multistart,
     solution_from_encoder,
@@ -168,31 +170,69 @@ def test_anneal_symmetric_single_split(sym_sweep):
     assert b.beta_low <= 1.0 / 0.36 <= b.beta_high
 
 
-def reference_sweep(j, t_card, grid, restarts, seed=0, perturb_mag=1e-3,
-                    tol=1e-8, max_iter=10_000):
-    """The per-point sweep: each grid point's warm start and fresh restarts
-    solved as one batch at that point's beta, then bisection of every jump,
-    each bracket predicted from the solution held at its low end."""
-    def restart_init(r, s):
-        if r % 2 == 0 or t_card < 2:
-            return Encoder.noisy_uniform(j.x_card, t_card, s)
-        if r == 1:
-            return Encoder.from_matrix(_hard_blend(np.arange(j.x_card) % t_card, t_card))
-        rng = np.random.default_rng(s)
-        return Encoder.from_matrix(_hard_blend(rng.integers(0, t_card, size=j.x_card), t_card))
+def restart_init(j, t_card, r, s):
+    if r % 2 == 0 or t_card < 2:
+        return Encoder.noisy_uniform(j.x_card, t_card, s).matrix
+    if r == 1:
+        return _hard_blend(np.arange(j.x_card) % t_card, t_card)
+    return _hard_blend(np.random.default_rng(s).integers(0, t_card, size=j.x_card), t_card)
 
-    points, sols, prev = [], [], None
+
+def curve_point(beta, sol):
+    return CurvePoint(beta, sol.R, sol.I_Y, sol.D_IB, sol.L, effective_cardinality(sol))
+
+
+def reference_walk(j, t_card, grid, restarts, seed=0, perturb_mag=1e-3,
+                   tol=1e-8, max_iter=10_000):
+    """The sequential warm walk: each grid point's warm start (the previous
+    point's solution, perturbed) and fresh restarts solved as one batch at
+    that point's beta."""
+    sols, prev = [], None
     for i, beta in enumerate(map(float, grid)):
         inits = [] if prev is None else [
-            Encoder.from_matrix(_perturb(prev.encoder.matrix, _derived_seed(seed, i, 0),
-                                        perturb_mag))]
-        inits += [restart_init(r, _derived_seed(seed, i, r + 1))
+            _perturb(prev.encoder.matrix, _derived_seed(seed, i, 0), perturb_mag)]
+        inits += [restart_init(j, t_card, r, _derived_seed(seed, i, r + 1))
                   for r in range(restarts if prev is not None else max(restarts, 1))]
-        stack = np.array([e.matrix for e in inits])
-        prev = _pick(j, t_card, beta, *_lockstep(j, stack, beta, tol, max_iter))
-        points.append(CurvePoint(beta, prev.R, prev.I_Y, prev.D_IB, prev.L,
-                                 effective_cardinality(prev)))
+        prev = _pick(j, t_card, beta, *_lockstep(j, np.array(inits), np.full(len(inits), beta),
+                                                 tol, max_iter))
         sols.append(prev)
+    return sols
+
+
+def reference_passes(j, t_card, grid, restarts, seed=0, perturb_mag=1e-3,
+                     tol=1e-8, max_iter=10_000):
+    """The neighbour passes point by point, each offer solved alone on a
+    stack of one. Pass 0 offers each point its fresh restarts; each later
+    pass offers the perturbed solution of every point that changed to both
+    neighbours. A point takes its best offer if it has no solution yet or
+    the offer lowers L by more than 1e-12 * max(1, beta)."""
+    betas = list(map(float, grid))
+    sols = [None] * len(betas)
+    offers = {i: [restart_init(j, t_card, r, _derived_seed(seed, i, r + 1)) for r in range(k)]
+              for i, k in enumerate([max(restarts, 1)] + [restarts] * (len(betas) - 1)) if k}
+    n_pass = 0
+    while offers:
+        n_pass += 1
+        changed = []
+        for i in sorted(offers):
+            alone = [_lockstep(j, e[None], np.array([betas[i]]), tol, max_iter) for e in offers[i]]
+            best = _pick(j, t_card, betas[i], *map(np.concatenate, zip(*alone)))
+            if sols[i] is None or best.L < sols[i].L - 1e-12 * max(1.0, betas[i]):
+                sols[i] = best
+                changed.append(i)
+        offers = {}
+        for s in changed:
+            for t in (s - 1, s + 1):
+                if 0 <= t < len(betas):
+                    offers.setdefault(t, []).append(_perturb(
+                        sols[s].encoder.matrix, _derived_seed(seed, t, s, n_pass), perturb_mag))
+    return sols
+
+
+def reference_brackets(j, t_card, grid, sols, restarts, seed=0, tol=1e-8, max_iter=10_000):
+    """Bisection of every jump of the running maximum effective cardinality,
+    each bracket predicted from the solution held at its low end."""
+    points = [curve_point(float(b), s) for b, s in zip(grid, sols)]
 
     def predict(sol):
         best = None
@@ -225,21 +265,71 @@ def reference_sweep(j, t_card, grid, restarts, seed=0, perturb_mag=1e-3,
         if hi.eff_card > running:
             refine(lo.beta, running, s_lo, hi.beta, hi.eff_card)
             running = hi.eff_card
-    return points, brackets
+    return tuple(brackets)
 
 
-@pytest.mark.parametrize("joint, t_card, grid, restarts", [
-    (SYM, 2, geometric_grid(0.1, 50.0, 1.05), 3),
-    (random_joint(6, 3, seed=8), 3, geometric_grid(0.5, 20.0, 1.1), 3),
-    (SYM, 2, geometric_grid(0.5, 20.0, 1.1), 0),
+@pytest.mark.parametrize("joint, t_card, grid, restarts, lower, moved", [
+    (SYM, 2, geometric_grid(0.1, 50.0, 1.05), 3, 0, None),
+    # the passes find the better branch at two points past each first-order
+    # switch, so both brackets move down to where the optimum switches
+    (random_joint(6, 3, seed=8), 3, geometric_grid(0.5, 20.0, 1.1), 3, 2,
+     [(2.2942, 2.2959), (3.8360, 3.8389)]),
+    (SYM, 2, geometric_grid(0.5, 20.0, 1.1), 0, 0, None),
 ], ids=["symmetric", "random-6x3-T3", "no-restarts"])
-def test_anneal_matches_per_point_reference_sweep(joint, t_card, grid, restarts):
+def test_anneal_matches_per_point_reference_sweep(joint, t_card, grid, restarts, lower, moved):
     got = anneal_curve(joint, t_card, grid, restarts=restarts, seed=0)
-    want_points, want_brackets = reference_sweep(joint, t_card, grid, restarts)
-    assert len(got.points) == len(want_points)
-    assert all(a == b for a, b in zip(got.points, want_points))
-    assert got.bifurcations == tuple(want_brackets)
+    want = reference_passes(joint, t_card, grid, restarts)
+    assert got.points == tuple(curve_point(float(b), s) for b, s in zip(grid, want))
+    assert got.bifurcations == reference_brackets(joint, t_card, grid, want, restarts)
     assert got.bifurcations  # every case crosses at least one transition
+    # never worse than the sequential warm walk, and strictly better only
+    # where the walk stayed on a worse branch
+    walk = reference_walk(joint, t_card, grid, restarts)
+    slack = [1e-12 * max(1.0, w.beta) for w in walk]
+    assert all(p.L <= w.L + e for p, w, e in zip(got.points, walk, slack))
+    assert sum(p.L < w.L - e for p, w, e in zip(got.points, walk, slack)) == lower
+    walk_brackets = reference_brackets(joint, t_card, grid, walk, restarts)
+    if moved is None:
+        assert got.bifurcations == walk_brackets
+    else:
+        assert [(round(b.beta_low, 4), round(b.beta_high, 4)) for b in got.bifurcations] == moved
+        assert all(a.beta_high < b.beta_low for a, b in zip(got.bifurcations, walk_brackets))
+
+
+@pytest.mark.parametrize("joint, t_card, grid", [
+    (SYM, 2, geometric_grid(0.1, 50.0, 1.05)),
+    (random_joint(6, 3, seed=8), 3, geometric_grid(0.5, 20.0, 1.1)),
+], ids=["symmetric", "random-6x3-T3"])
+def test_anneal_solves_the_grid_in_few_batches(monkeypatch, joint, t_card, grid):
+    # bisection probes go through ib_solve_multistart; every grid solve goes
+    # through curve._lockstep, once per pass
+    calls = []
+    monkeypatch.setattr(curve, "_lockstep", lambda *a: calls.append(len(a[1])) or _lockstep(*a))
+    anneal_curve(joint, t_card, grid, seed=0)
+    assert 2 <= len(calls) <= 3
+    assert calls[0] == 3 * len(grid)
+
+
+@pytest.mark.parametrize("x_card, y_card, t_card, seed", [
+    (4, 2, 2, 0), (4, 2, 2, 3), (4, 2, 2, 5), (4, 2, 2, 16),
+    (5, 3, 2, 6), (6, 2, 3, 8), (6, 2, 3, 9), (6, 2, 3, 16),
+])
+def test_anneal_never_above_the_deterministic_oracle(x_card, y_card, t_card, seed):
+    # on each joint a one-way warm walk up the grid stays on a worse branch
+    # past a first-order transition, above the best deterministic encoder
+    j = random_joint(x_card, y_card, seed=seed)
+    c = anneal_curve(j, t_card, geometric_grid(0.5, 50.0, 1.15))
+    for p in c.points:
+        assert p.L <= exhaustive_deterministic_oracle(j, t_card, p.beta)[1] + 1e-9
+
+
+@pytest.mark.parametrize("seed", [3, 13])
+def test_anneal_empirical_joint_curve_is_monotone(seed):
+    # a one-way warm walk left a point on a worse branch, and InfoCurve
+    # rejected the sweep with "curve is not monotone"
+    j = empirical_joint(sample_pairs(random_joint(8, 4, seed), 20, seed=3), 8, 4)
+    grid = geometric_grid(0.5, 50.0, 1.15)
+    assert len(anneal_curve(j, 3, grid).points) == grid.size
 
 
 def test_anneal_rejects_negative_restarts():

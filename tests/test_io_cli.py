@@ -200,6 +200,15 @@ def test_cli_missing_file_is_computation_error(tmp_path):
     assert "Error" in r.stderr or "error" in r.stderr
 
 
+@pytest.mark.parametrize("card", [["--x-card", 0], ["--y-card", 0], ["--x-card", -1]])
+@pytest.mark.parametrize("preset", ["product", "random"])
+def test_cli_gen_empty_alphabet_is_one_line_error(tmp_path, preset, card):
+    r = run_cli("gen", "--preset", preset, *card, "--out", tmp_path / "j.json")
+    assert r.returncode == 1
+    assert r.stderr == "ValueError: cardinalities must be >= 1\n"
+    assert not (tmp_path / "j.json").exists()
+
+
 def test_cli_joint_without_y_card_is_one_line_error(tmp_path, capsys):
     j = tmp_path / "j.json"
     j.write_text('{"x_card": 2, "p": [[0.5, 0], [0, 0.5]]}')

@@ -155,9 +155,10 @@ def test_dead_cluster_element_leaves_its_batch_alone():
     inits = _restart_inits(5, 3, [(r, 11 + r) for r in range(4)])
     inits[2, :, 1] = 0.0
     inits[2] /= inits[2].sum(axis=1, keepdims=True)
-    enc, iters, conv = _lockstep(j, inits, 6.0, DEFAULT_TOL, DEFAULT_MAX_ITER)
+    betas = np.full(len(inits), 6.0)
+    enc, iters, conv = _lockstep(j, inits, betas, DEFAULT_TOL, DEFAULT_MAX_ITER)
     for b in range(len(inits)):
-        e1, i1, c1 = _lockstep(j, inits[b:b + 1], 6.0, DEFAULT_TOL, DEFAULT_MAX_ITER)
+        e1, i1, c1 = _lockstep(j, inits[b:b + 1], betas[b:b + 1], DEFAULT_TOL, DEFAULT_MAX_ITER)
         assert np.array_equal(enc[b], e1[0])
         assert (iters[b], conv[b]) == (i1[0], c1[0])
 
@@ -276,8 +277,8 @@ def test_mixed_beta_batch_matches_solving_each_alone(query, log_betas, max_iter)
     betas = np.exp(log_betas)
     inits = _restart_inits(j.x_card, t_card, [(r, seed + r) for r in range(betas.size)])
     enc, iters, conv = _lockstep(j, inits, betas, DEFAULT_TOL, max_iter)
-    for b, beta in enumerate(betas):
-        e1, i1, c1 = _lockstep(j, inits[b:b + 1], float(beta), DEFAULT_TOL, max_iter)
+    for b in range(betas.size):
+        e1, i1, c1 = _lockstep(j, inits[b:b + 1], betas[b:b + 1], DEFAULT_TOL, max_iter)
         assert np.array_equal(enc[b], e1[0])
         assert (iters[b], conv[b]) == (i1[0], c1[0])
 
