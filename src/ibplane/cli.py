@@ -72,7 +72,8 @@ def _cmd_ib_curve(args) -> int:
         files[args.bifurcations_out] = io.bifurcations_to_json(traced.bifurcations)
     summary = {
         "cmd": "ib-curve", "points": len(traced.points),
-        "bifurcations": len(traced.bifurcations), "out": args.out,
+        "bifurcations": len(traced.bifurcations), "unconverged": traced.unconverged,
+        "out": args.out,
     }
     return _emit(files, summary)
 

@@ -8,7 +8,9 @@ both neighbours as a warm start; a point takes its best offer only if that
 lowers L by more than OFFER_MARGIN * max(1, beta), and the passes stop when
 no point changes. Offers travel down the grid as well as up, so no point is
 left on the branch that a one-way warm chain (deterministic annealing)
-follows past a first-order transition.
+follows past a first-order transition. The kept solutions stay in arrays,
+each pass picks every point's best offer in one grouped sort, and a full
+IBSolution is built only at a bracket's low end.
 Jumps in the effective cluster count are bracketed by bisection with fresh
 restarts (warm starts would drag hysteresis across the transition).
 
@@ -30,16 +32,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateClusterError, DimensionError
-from .prob import JointDistribution, conditional_rows, js_bits
+from .prob import JointDistribution, conditional_rows, js_bits, mi_bits
 from .solver import (  # noqa: F401  ib_solve stays importable from here
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     IBSolution,
     _check_query,
+    _decoder,
     _lockstep,
     _perturb,
-    _pick,
     _restart_inits,
+    _solution,
+    _winners,
     ib_solve,
     ib_solve_multistart,
 )
@@ -100,8 +104,11 @@ class Bifurcation:
 
 @dataclass(frozen=True)
 class InfoCurve:
+    """unconverged: kept grid solutions and bisection probes not converged."""
+
     points: tuple[CurvePoint, ...]
     bifurcations: tuple[Bifurcation, ...] = ()
+    unconverged: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "points", tuple(self.points))
@@ -124,24 +131,20 @@ class InfoCurve:
 def effective_cardinality(sol: IBSolution) -> int:
     """Number of clusters carrying mass above MASS_EPS, after merging pairs
     whose decoder rows differ by less than MERGE_TAU in JS divergence."""
-    pt = sol.marginal.p
-    dec = sol.decoder.p
-    alive = [t for t in range(pt.size) if pt[t] > MASS_EPS]
-    if not alive:
-        return 1
-    parent = {t: t for t in alive}
+    return int(_effective_cards(sol.marginal.p[None], sol.decoder.p[None])[0])
 
-    def find(t):
-        while parent[t] != t:
-            parent[t] = parent[parent[t]]
-            t = parent[t]
-        return t
 
-    for i, a in enumerate(alive):
-        for b in alive[i + 1:]:
-            if js_bits(dec[a], dec[b]) < MERGE_TAU:
-                parent[find(b)] = find(a)
-    return len({find(t) for t in alive})
+def _effective_cards(pt: np.ndarray, dec: np.ndarray) -> np.ndarray:
+    """effective_cardinality of every solution of a stack, from its (B, T)
+    marginals p(t) and (B, T, Y) decoders p(y|t)."""
+    alive, t_card = pt > MASS_EPS, pt.shape[1]
+    link = (alive[:, :, None] & alive[:, None, :]
+            & (js_bits(dec[:, :, None], dec[:, None]) < MERGE_TAU)) | np.eye(t_card, dtype=bool)
+    for _ in range((t_card - 1).bit_length()):  # transitive closure: merges chain
+        link = link @ link
+    # a live cluster heads its merged group when it links to no earlier cluster
+    heads = alive & ~(link & np.tri(t_card, k=-1, dtype=bool)).any(axis=2)
+    return np.maximum(heads.sum(axis=1), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -242,39 +245,44 @@ def anneal_curve(j: JointDistribution, t_card: int, beta_grid,
         raise ValueError(f"restarts must be >= 0, got {restarts}")
     _check_query(t_card, float(beta_grid[0]), tol, max_iter)
 
-    betas = list(map(float, beta_grid))
-    counts = [max(restarts, 1)] + [restarts] * (len(betas) - 1)
-    targets = np.repeat(np.arange(len(betas)), counts)
+    betas, n = beta_grid.tolist(), beta_grid.size
+    counts = [max(restarts, 1)] + [restarts] * (n - 1)
+    targets = np.repeat(np.arange(n), counts)
     inits = _restart_inits(j.x_card, t_card, [(r, _derived_seed(seed, i, r + 1))
                                               for i, k in enumerate(counts) for r in range(k)])
-    sols: list[IBSolution | None] = [None] * len(betas)
+    # the solution each grid point keeps, as arrays; L is inf until one is kept
+    enc, R, I_Y = np.empty((n, j.x_card, t_card)), np.zeros(n), np.zeros(n)
+    L, iters, conv = np.full(n, math.inf), np.zeros(n, dtype=int), np.zeros(n, dtype=bool)
     for n_pass in itertools.count(1):
-        solved = _lockstep(j, inits, beta_grid[targets], tol, max_iter)
-        changed = []
-        for i in sorted(set(targets.tolist())):
-            best = _pick(j, t_card, betas[i], *(a[targets == i] for a in solved))
-            if sols[i] is None or best.L < sols[i].L - OFFER_MARGIN * max(1.0, betas[i]):
-                sols[i] = best
-                changed.append(i)
-        offers = [(t, s) for s in changed for t in (s - 1, s + 1) if 0 <= t < len(betas)]
+        solved, s_iters, s_conv = _lockstep(j, inits, beta_grid[targets], tol, max_iter)
+        win, s_R, s_I_Y, s_L = _winners(j, t_card, beta_grid[targets], solved, targets)
+        win = win[s_L[win] < (L - OFFER_MARGIN * np.maximum(1.0, beta_grid))[targets[win]]]
+        changed = targets[win]
+        for kept, new in zip((enc, R, I_Y, L, iters, conv),
+                             (solved, s_R, s_I_Y, s_L, s_iters, s_conv)):
+            kept[changed] = new[win]
+        offers = [(t, s) for s in changed.tolist() for t in (s - 1, s + 1) if 0 <= t < n]
         if not offers:
             break
-        targets = np.array([t for t, _ in offers])
-        inits = [_perturb(sols[s].encoder.matrix, _derived_seed(seed, t, s, n_pass), perturb_mag)
-                 for t, s in offers]
-    points = [CurvePoint(beta=b, R=s.R, I_Y=s.I_Y, D_IB=s.D_IB, L=s.L,
-                         eff_card=effective_cardinality(s)) for b, s in zip(betas, sols)]
+        targets, sources = np.array(offers).T
+        inits = _perturb(enc[sources], [_derived_seed(seed, t, s, n_pass) for t, s in offers],
+                         perturb_mag)
+    points = tuple(map(CurvePoint, betas, R.tolist(), I_Y.tolist(),
+                       np.maximum(0.0, mi_bits(j.p) - I_Y).tolist(), L.tolist(),
+                       _effective_cards(*_decoder(j, enc)).tolist()))
 
-    probe_counter = [0]
+    n_probes, unconverged = 0, int(np.count_nonzero(~conv))
 
     def probe(beta: float) -> tuple[int, IBSolution]:
         # fresh restarts avoid warm-start hysteresis; the tightened tolerance
         # suppresses truncation asymmetry between simultaneous splits, which
         # otherwise flips the merge test arbitrarily right at a transition
-        probe_counter[0] += 1
+        nonlocal n_probes, unconverged
+        n_probes += 1
         sol = ib_solve_multistart(
             j, t_card, beta, restarts=max(restarts, 2) + 1, tol=tol * 1e-2,
-            max_iter=3 * max_iter, seed=_derived_seed(seed, 7_777, probe_counter[0]))
+            max_iter=3 * max_iter, seed=_derived_seed(seed, 7_777, n_probes))
+        unconverged += not sol.converged
         return effective_cardinality(sol), sol
 
     bifurcations: list[Bifurcation] = []
@@ -294,12 +302,13 @@ def anneal_curve(j: JointDistribution, t_card: int, beta_grid,
     # does not decrease; an isolated dip in the raw sequence is convergence
     # noise near a transition, so jumps are taken on the running maximum
     running = points[0].eff_card
-    for lo, hi, s_lo in zip(points, points[1:], sols):
+    for i, (lo, hi) in enumerate(zip(points, points[1:])):
         if hi.eff_card > running:
+            s_lo = _solution(j, enc[i], lo.beta, lo.R, lo.I_Y, int(iters[i]), bool(conv[i]))
             refine(lo.beta, running, s_lo, hi.beta, hi.eff_card)
             running = hi.eff_card
 
-    return InfoCurve(tuple(points), tuple(bifurcations))
+    return InfoCurve(points, tuple(bifurcations), unconverged)
 
 
 def detect_bifurcations(curve: InfoCurve, j: JointDistribution, t_card: int,

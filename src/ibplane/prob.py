@@ -49,12 +49,15 @@ def kl_bits(p, q) -> float:
     return float((p[pos] * np.log2(p[pos] / q[pos])).sum())
 
 
-def js_bits(p, q) -> float:
-    """Jensen-Shannon divergence in bits; always finite and symmetric."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    m = 0.5 * (p + q)
-    return 0.5 * kl_bits(p, m) + 0.5 * kl_bits(q, m)
+def js_bits(p, q):
+    """Jensen-Shannon divergence in bits over the last axis, broadcast over
+    the others; always finite and symmetric."""
+    p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+    if p.shape[-1:] != q.shape[-1:]:
+        raise DimensionError(f"JS operands differ in length: {p.shape} vs {q.shape}")
+    m = 0.5 * (p + q)  # > 0 wherever p or q is: 0.5 KL(p || m) + 0.5 KL(q || m)
+    return sum(0.5 * (a * np.log2(np.where(a > 0, a, 1.0) / np.where(a > 0, m, 1.0))).sum(axis=-1)
+               for a in (p, q))
 
 
 def mi_bits(joint) -> float:

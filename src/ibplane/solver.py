@@ -114,10 +114,12 @@ class Encoder:
         return cls.from_matrix(m)
 
 
-def _perturb(m: np.ndarray, seed: int, noise: float) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    m = m * (1.0 + noise * rng.uniform(-1.0, 1.0, size=m.shape))
-    return m / m.sum(axis=1, keepdims=True)
+def _perturb(m: np.ndarray, seed, noise: float) -> np.ndarray:
+    """Seeded noise on m, rows renormalized; a (B, X, T) stack takes one seed per element."""
+    u = [np.random.default_rng(s).uniform(-1.0, 1.0, size=m.shape[-2:])
+         for s in (seed if m.ndim == 3 else [seed])]
+    m = m * (1.0 + noise * np.reshape(u, m.shape))
+    return m / m.sum(axis=-1, keepdims=True)
 
 
 def _hard_blend(assignment, t_card: int, eta: float = 1e-2) -> np.ndarray:
@@ -226,14 +228,14 @@ def _map(px: np.ndarray, pygx: np.ndarray, jp: np.ndarray, enc: np.ndarray,
 
 
 def _objective(jp: np.ndarray, px: np.ndarray, enc: np.ndarray,
-               beta: float | np.ndarray) -> np.ndarray:
-    """L = I(X;T) - beta * I(T;Y) in nats, up to a constant, per encoder (at
-    one beta, or one per encoder)."""
+               beta: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """L = I(X;T) - beta * I(T;Y) in nats, up to a constant, per encoder, from
+    the pair (beta, 1 - beta) of per-encoder arrays."""
     def neg_h(p):  # sum p log p over the last two axes
         return (p * np.log(np.where(p > 0, p, 1.0))).sum(axis=(1, 2))
 
-    return (neg_h(enc * px[:, None]) - (1.0 - beta) * neg_h((px @ enc)[:, None])
-            - beta * neg_h(enc.transpose(0, 2, 1) @ jp))
+    return (neg_h(enc * px[:, None]) - beta[1] * neg_h((px @ enc)[:, None])
+            - beta[0] * neg_h(enc.transpose(0, 2, 1) @ jp))
 
 
 def _extrapolate(e0, e1, e2, bound) -> tuple[np.ndarray, np.ndarray]:
@@ -271,13 +273,13 @@ def _info_bits(jp: np.ndarray, enc: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 
 def _decoder(j: JointDistribution, enc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """p(t) and the decoder p(y|t) of one encoder; a zero-mass cluster decodes
-    the uniform mixture of the p(y|x)."""
+    """p(t) and the decoder p(y|t) of one encoder, or of each of a stack; a
+    zero-mass cluster decodes the uniform mixture of the p(y|x)."""
     px, pygx = conditional_rows(j.p)
     pt = px @ enc
     live = pt > 0
-    return pt, np.where(live[:, None], enc.T @ j.p / np.where(live, pt, 1.0)[:, None],
-                        pygx.mean(axis=0))
+    dec = np.swapaxes(enc, -1, -2) @ j.p / np.where(live, pt, 1.0)[..., None]
+    return pt, np.where(live[..., None], dec, pygx.mean(axis=0))
 
 
 def _solution(j: JointDistribution, enc: np.ndarray, beta: float, R: float, I_Y: float,
@@ -325,8 +327,9 @@ def _lockstep(j: JointDistribution, enc: np.ndarray, beta: np.ndarray,
     live = np.arange(len(out))
     e0, bound = out[live], np.full(live.size, STEP_BOUND)
     evals = 0
-    # the live elements' betas, for the update and for L of [e3; e2]
+    # the live elements' betas for the update, and betas and 1 - betas for L of [e3; e2]
     kb, ob = beta[:, None, None], np.concatenate((beta, beta))
+    ob = ob, 1.0 - ob
 
     def settle(src, new, ok, *carried):
         """Count one map evaluation src -> new, retire the elements it moved
@@ -340,6 +343,7 @@ def _lockstep(j: JointDistribution, enc: np.ndarray, beta: np.ndarray,
         out[live[stop]], iters[live[stop]], conv[live[stop]] = new[stop], evals, done[stop]
         live = live[~stop]
         kb, ob = beta[live, None, None], np.concatenate((beta[live],) * 2)
+        ob = ob, 1.0 - ob
         return [a[~stop] for a in (new, *carried)]
 
     with np.errstate(**_QUIET):
@@ -361,18 +365,28 @@ def _lockstep(j: JointDistribution, enc: np.ndarray, beta: np.ndarray,
     return out, iters, conv
 
 
+def _winners(j: JointDistribution, t_card: int, beta: float | np.ndarray, enc: np.ndarray,
+             groups: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Each group's best (smallest L, then smaller R, then earlier), as indices in ascending
+    group order, and every R, I_Y, L; winners must keep I_Y <= I(X;Y), R <= min(H(X), log T)."""
+    R, I_Y = _info_bits(j.p, enc)
+    L = R - beta * I_Y
+    order = np.lexsort((R, L, groups))
+    g = groups[order]
+    win = order[np.concatenate(([True], g[1:] != g[:-1]))]
+    i_xy, r_max = mi_bits(j.p), min(entropy_bits(j.p.sum(axis=1)), math.log2(t_card))
+    bad = win[(I_Y[win] > i_xy + 1e-9) | (R[win] > r_max + 1e-9)]
+    if bad.size:
+        raise ValueError(f"solution breaks I_Y <= I(X;Y) = {i_xy} or "
+                         f"R <= {r_max}: I_Y = {I_Y[bad[0]]}, R = {R[bad[0]]}")
+    return win, R, I_Y, L
+
+
 def _pick(j: JointDistribution, t_card: int, beta: float, enc: np.ndarray,
           iters: np.ndarray, conv: np.ndarray) -> IBSolution:
-    """The best of a stack of solutions at one beta: smallest L, ties to
-    smaller R, then to the earlier element."""
-    R, I_Y = _info_bits(j.p, enc)  # L and R exactly as each solution has them
-    b = int(np.lexsort((R, R - beta * I_Y))[0])
-    sol = _solution(j, enc[b], beta, float(R[b]), float(I_Y[b]), int(iters[b]), bool(conv[b]))
-    i_xy, r_max = mi_bits(j.p), min(entropy_bits(j.p.sum(axis=1)), math.log2(t_card))
-    if sol.I_Y > i_xy + 1e-9 or sol.R > r_max + 1e-9:
-        raise ValueError(f"solution breaks I_Y <= I(X;Y) = {i_xy} or "
-                         f"R <= {r_max}: I_Y = {sol.I_Y}, R = {sol.R}")
-    return sol
+    """The best of a stack of solutions at one beta, as `_winners` ranks them."""
+    (b,), R, I_Y, _ = _winners(j, t_card, beta, enc, np.zeros(len(enc), dtype=int))
+    return _solution(j, enc[b], beta, float(R[b]), float(I_Y[b]), int(iters[b]), bool(conv[b]))
 
 
 def ib_solve(j: JointDistribution, t_card: int, beta: float,
@@ -397,14 +411,14 @@ def _restart_inits(x_card: int, t_card: int, restarts) -> np.ndarray:
     so odd restarts seed blended hard partitions instead: the maximal
     partition first, then random assignments.
     """
-    def init(r, seed):
-        if r % 2 == 0 or t_card < 2:
-            return _perturb(np.full((x_card, t_card), 1.0 / t_card), seed, INIT_NOISE)
-        if r == 1:
-            return _hard_blend(np.arange(x_card) % t_card, t_card)
-        return _hard_blend(np.random.default_rng(seed).integers(0, t_card, size=x_card), t_card)
-
-    return _encoder_stack([init(r, seed) for r, seed in restarts])
+    noisy = np.array([r % 2 == 0 or t_card < 2 for r, _ in restarts], dtype=bool)
+    m = np.full((len(restarts), x_card, t_card), 1.0 / t_card)
+    m[noisy] = _perturb(m[noisy], [s for (_, s), k in zip(restarts, noisy) if k], INIT_NOISE)
+    for i, (r, seed) in enumerate(restarts):
+        if not noisy[i]:
+            m[i] = _hard_blend(np.arange(x_card) % t_card if r == 1 else
+                               np.random.default_rng(seed).integers(0, t_card, size=x_card), t_card)
+    return _encoder_stack(m)
 
 
 def ib_solve_multistart(j: JointDistribution, t_card: int, beta: float,

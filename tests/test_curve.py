@@ -1,11 +1,15 @@
 """Curve tracing, cluster counting, spectral transition prediction."""
 
 import math
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ibplane import curve
+from ibplane import curve, solver
 from ibplane.curve import (
     Bifurcation,
     CurvePoint,
@@ -16,6 +20,7 @@ from ibplane.curve import (
     detect_bifurcations,
     effective_cardinality,
     _derived_seed,
+    _effective_cards,
     geometric_grid,
 )
 from ibplane.errors import DegenerateClusterError
@@ -26,13 +31,15 @@ from ibplane.presets import (
     random_joint,
     symmetric_joint,
 )
-from ibplane.prob import empirical_joint, mutual_information, sample_pairs
+from ibplane.prob import empirical_joint, kl_bits, mutual_information, sample_pairs
 from ibplane.solver import (
     Encoder,
+    _decoder,
     _hard_blend,
     _lockstep,
     _perturb,
     _pick,
+    _winners,
     exhaustive_deterministic_oracle,
     ib_solve,
     ib_solve_multistart,
@@ -143,6 +150,64 @@ def test_eff_card_ignores_massless_cluster():
 def test_eff_card_just_above_split():
     sol = ib_solve(SYM, 2, beta=3.2, seed=0)
     assert effective_cardinality(sol) == 2
+
+
+def js_ref(p, q):
+    """JS divergence in bits from kl_bits, independent of prob.js_bits."""
+    return 0.5 * kl_bits(p, 0.5 * (p + q)) + 0.5 * kl_bits(q, 0.5 * (p + q))
+
+
+def union_find_card(sol):
+    """effective_cardinality as a loop: union every pair of live clusters
+    whose decoder rows are within MERGE_TAU in JS divergence, then count the
+    groups."""
+    alive = [t for t in range(sol.t_card) if sol.marginal.p[t] > 1e-6]
+    parent = {t: t for t in alive}
+
+    def find(t):
+        while parent[t] != t:
+            t = parent[t]
+        return t
+
+    for i, a in enumerate(alive):
+        for b in alive[i + 1:]:
+            if js_ref(sol.decoder.p[a], sol.decoder.p[b]) < 1e-4:
+                parent[find(b)] = find(a)
+    return max(1, len({find(t) for t in alive}))
+
+
+def test_eff_card_merges_a_chain_of_close_clusters():
+    # rows 0 and 2 are too far apart to merge directly, but each is close to
+    # row 1, so the three are one effective cluster and row 3 is another
+    dec = np.array([[[0.5, 0.5], [0.509, 0.491], [0.518, 0.482], [0.9, 0.1]]])
+    pt = np.full((1, 4), 0.25)
+    rows = dec[0]
+    assert max(js_ref(rows[0], rows[1]), js_ref(rows[1], rows[2])) < 1e-4 < js_ref(rows[0], rows[2])
+    sol = SimpleNamespace(t_card=4, marginal=SimpleNamespace(p=pt[0]),
+                          decoder=SimpleNamespace(p=dec[0]))
+    assert _effective_cards(pt, dec).tolist() == [union_find_card(sol)] == [2]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 5), st.integers(2, 6))
+def test_eff_card_array_form_matches_each_solution(seed, t_card, x_card):
+    # random encoders with some clusters emptied (zero-mass clusters) and
+    # some columns copied onto others (duplicated decoder rows)
+    rng = np.random.default_rng(seed)
+    j = random_joint(x_card, 3, seed=seed % 1000)
+    enc = rng.dirichlet(np.ones(t_card), size=(8, x_card))
+    for e in enc:
+        dead, copy, *rest = rng.permutation(t_card)
+        if rng.random() < 0.7:
+            e[:, dead] = 0.0
+        if rest and rng.random() < 0.7:
+            e[:, copy] = e[:, rest[0]]
+    enc[1] = enc[0]
+    enc /= enc.sum(axis=2, keepdims=True)
+    sols = [solution_from_encoder(j, Encoder.from_matrix(e), 1.0) for e in enc]
+    want = [union_find_card(s) for s in sols]
+    assert [effective_cardinality(s) for s in sols] == want
+    assert _effective_cards(*_decoder(j, enc)).tolist() == want
 
 
 # --- annealing sweep -------------------------------------------------------------
@@ -308,6 +373,58 @@ def test_anneal_solves_the_grid_in_few_batches(monkeypatch, joint, t_card, grid)
     anneal_curve(joint, t_card, grid, seed=0)
     assert 2 <= len(calls) <= 3
     assert calls[0] == 3 * len(grid)
+
+
+def test_anneal_builds_one_solution_per_bracket(monkeypatch):
+    # every other grid point stays in the sweep's arrays; only the solution
+    # a bracket predicts from is packaged
+    built = []
+    monkeypatch.setattr(curve, "_solution", lambda *a: built.append(a[2]) or solver._solution(*a))
+    c = anneal_curve(SYM, 2, geometric_grid(0.1, 50.0, 1.05), seed=0)
+    assert len(c.bifurcations) == 1
+    assert len(built) == 1
+    # the grid point just below the jump
+    assert built[0] == max(p.beta for p in c.points if p.beta <= c.bifurcations[0].beta_low)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(st.integers(0, 3), st.sampled_from([0.0, 0.25, 0.5]),
+                          st.sampled_from([0.0, 0.125, 0.25])), min_size=1, max_size=12))
+def test_grouped_pick_matches_pick_on_each_target(elements):
+    # R and I_Y from a few exact binary fractions at beta = 2, so L ties with
+    # and without R ties, and duplicated (L, R), are common; each element's
+    # encoder carries its index, so the pick is read off the winner's encoder
+    targets = np.array([t for t, _, _ in elements])
+    R = np.array([r for _, r, _ in elements])
+    I_Y = np.array([i for _, _, i in elements])
+    n = len(elements)
+    enc = np.stack([[[(k + 1) / (n + 1), 1 - (k + 1) / (n + 1)]] * 2 for k in range(n)])
+
+    def info_bits(jp, e):  # the drawn (R, I_Y) of each element of e
+        k = np.rint(e[:, 0, 0] * (n + 1)).astype(int) - 1
+        return R[k], I_Y[k]
+
+    # the rule spelled out: smallest L, then smaller R, then the earlier element
+    want = [min(np.flatnonzero(targets == t), key=lambda k: (R[k] - 2.0 * I_Y[k], R[k], k))
+            for t in sorted(set(targets.tolist()))]
+    with mock.patch.object(solver, "_info_bits", info_bits):
+        assert _winners(SYM, 2, np.full(n, 2.0), enc, targets)[0].tolist() == want
+        for k in want:
+            mine = targets == targets[k]
+            sol = _pick(SYM, 2, 2.0, enc[mine], np.zeros(n, int)[mine], np.ones(n, bool)[mine])
+            assert np.array_equal(sol.encoder.matrix, enc[k])
+
+
+def test_anneal_counts_unconverged_solves():
+    # one map evaluation converges nothing, so every kept grid solution and
+    # every probe of the bracket counts, without failing the sweep
+    c = anneal_curve(SYM, 2, geometric_grid(0.5, 20.0, 1.25), max_iter=1)
+    assert c.bifurcations
+    assert c.unconverged > len(c.points)
+
+
+def test_readme_sweep_has_no_unconverged_solve(sym_sweep):
+    assert sym_sweep.unconverged == 0
 
 
 @pytest.mark.parametrize("x_card, y_card, t_card, seed", [

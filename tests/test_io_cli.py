@@ -209,6 +209,21 @@ def test_cli_gen_empty_alphabet_is_one_line_error(tmp_path, preset, card):
     assert not (tmp_path / "j.json").exists()
 
 
+def test_cli_curve_summary_reports_unconverged_solves(tmp_path, capsys):
+    # the count goes to the stdout summary, not into the curve file
+    j, out = tmp_path / "j.json", tmp_path / "curve.csv"
+    assert cli.run(["gen", "--preset", "symmetric", "--out", str(j)]) == 0
+    argv = ["ib-curve", "--joint", str(j), "--t-card", "2", "--beta-min", "0.5",
+            "--beta-max", "20", "--grid-factor", "1.25", "--out", str(out)]
+    capsys.readouterr()
+    assert cli.run(argv + ["--max-iter", "3"]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["unconverged"] > 0
+    assert "unconverged" not in out.read_text()
+    assert cli.run(argv) == 0
+    assert json.loads(capsys.readouterr().out)["unconverged"] == 0
+
+
 def test_cli_joint_without_y_card_is_one_line_error(tmp_path, capsys):
     j = tmp_path / "j.json"
     j.write_text('{"x_card": 2, "p": [[0.5, 0], [0, 0.5]]}')

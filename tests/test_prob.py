@@ -172,6 +172,15 @@ def test_js_divergence_basic():
     assert js_bits([0.9, 0.1], [0.1, 0.9]) == js_bits([0.1, 0.9], [0.9, 0.1])
 
 
+def test_js_divergence_broadcasts_over_leading_axes():
+    rows = np.array([[0.5, 0.5, 0.0], [0.2, 0.0, 0.8], [0.0, 0.0, 1.0]])
+    table = js_bits(rows[:, None], rows[None])
+    assert table.shape == (3, 3)
+    assert table.tolist() == [[js_bits(a, b) for b in rows] for a in rows]
+    with pytest.raises(DimensionError):
+        js_bits([0.5, 0.5], [1.0])
+
+
 # --- conditional rows ----------------------------------------------------------------
 
 def test_decompose_identity():
