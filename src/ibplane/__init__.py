@@ -4,77 +4,56 @@ Computes optimal compression/relevance tradeoff curves for discrete joints,
 detects the representational phase transitions along them, corrects the curve
 for finite samples, and places the layers of small trained sigmoidal networks
 on the same information plane.
+
+`import ibplane` loads no submodule. Each public name below, and each
+submodule name (`ibplane.curve`, `from ibplane import solver`), imports its
+module on first access (PEP 562), so a caller pays only for the modules it
+uses.
 """
 
-from .analyzer import (
-    InfoPlanePoint,
-    LayerPath,
-    QuantizerConfig,
-    info_plane_path,
-    layer_codes,
-    layer_mutual_information,
-    network_distortion_rate,
-)
-from .bounds import (
-    BoundCurve,
-    BoundPoint,
-    NetworkGaps,
-    bound_curve,
-    network_gaps,
-    worst_case_correction,
-)
-from .curve import (
-    Bifurcation,
-    CurvePoint,
-    InfoCurve,
-    anneal_curve,
-    critical_beta_spectral,
-    detect_bifurcations,
-    effective_cardinality,
-    geometric_grid,
-)
-from .errors import (
-    CoverageError,
-    DegenerateClusterError,
-    DegenerateEncoderError,
-    DimensionError,
-    DivergenceError,
-    EmptySampleError,
-    IBError,
-    InstanceTooLargeError,
-    UnsupportedDegenerateError,
-)
-from .mlp import (
-    NetworkParams,
-    TrainConfig,
-    accuracy,
-    batch_gradients,
-    batch_loss,
-    forward_all,
-    init_network,
-    naive_bayes_neuron,
-    train_sgd,
-)
-from .presets import gen_preset
-from .prob import (
-    ConditionalMatrix,
-    DiscreteDistribution,
-    JointDistribution,
-    SampleSet,
-    empirical_joint,
-    entropy,
-    mutual_information,
-    sample_pairs,
-)
-from .solver import (
-    Encoder,
-    IBSolution,
-    exhaustive_deterministic_oracle,
-    ib_iterate_once,
-    ib_solve,
-    ib_solve_multistart,
-    self_consistency_residual,
-    solution_from_encoder,
-)
+from importlib import import_module as _import
 
 __version__ = "0.1.0"
+
+# submodule -> the public names it defines; cli, io and svgplot export none
+_EXPORTS = {
+    "analyzer": """InfoPlanePoint LayerPath QuantizerConfig info_plane_path
+        layer_codes layer_mutual_information network_distortion_rate""",
+    "bounds": """BoundCurve BoundPoint NetworkGaps bound_curve network_gaps
+        worst_case_correction""",
+    "cli": "",
+    "curve": """Bifurcation CurvePoint InfoCurve anneal_curve
+        critical_beta_spectral detect_bifurcations effective_cardinality
+        geometric_grid""",
+    "errors": """CoverageError DegenerateClusterError DegenerateEncoderError
+        DimensionError DivergenceError EmptySampleError IBError
+        InstanceTooLargeError UnsupportedDegenerateError""",
+    "io": "",
+    "mlp": """NetworkParams TrainConfig accuracy batch_gradients batch_loss
+        forward_all init_network naive_bayes_neuron train_sgd""",
+    "presets": "gen_preset",
+    "prob": """ConditionalMatrix DiscreteDistribution JointDistribution
+        SampleSet empirical_joint entropy mutual_information sample_pairs""",
+    "solver": """Encoder IBSolution exhaustive_deterministic_oracle
+        ib_iterate_once ib_solve ib_solve_multistart self_consistency_residual
+        solution_from_encoder""",
+    "svgplot": "",
+}
+_HOME = {name: mod for mod, names in _EXPORTS.items() for name in names.split()}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    if name in _HOME:
+        value = getattr(_import(f".{_HOME[name]}", __name__), name)
+    elif name in _EXPORTS:
+        value = _import(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_EXPORTS})

@@ -272,7 +272,7 @@ def run(argv=None) -> int:
             parser.error("gap computation needs --joint, --net and --gaps-out")
     try:
         return args.func(args)
-    except (IBError, ValueError, OSError) as e:
+    except (IBError, ValueError, OSError, MemoryError) as e:
         print(f"{type(e).__name__}: {e}", file=sys.stderr)
         return 1
 

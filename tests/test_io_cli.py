@@ -209,6 +209,16 @@ def test_cli_gen_empty_alphabet_is_one_line_error(tmp_path, preset, card):
     assert not (tmp_path / "j.json").exists()
 
 
+# 2^40 symbols: the 16 TiB allocation fails at once, it is never attempted in part
+@pytest.mark.parametrize("args", [["--preset", "xor", "--d", 40],
+                                  ["--preset", "hierarchical", "--levels", 40]])
+def test_cli_gen_too_large_is_one_line_error(tmp_path, args):
+    r = run_cli("gen", *args, "--out", tmp_path / "j.json")
+    assert r.returncode == 1
+    assert r.stderr.startswith("MemoryError: ") and r.stderr.count("\n") == 1
+    assert not (tmp_path / "j.json").exists()
+
+
 def test_cli_curve_summary_reports_unconverged_solves(tmp_path, capsys):
     # the count goes to the stdout summary, not into the curve file
     j, out = tmp_path / "j.json", tmp_path / "curve.csv"
