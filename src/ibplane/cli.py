@@ -114,7 +114,7 @@ def _cmd_train(args) -> int:
         files[args.loss_out] = io.loss_trace_to_csv(trace)
     summary = {
         "cmd": "train", "layer_sizes": sizes, "n": args.n,
-        "epochs": args.epochs,
+        "epochs": args.epochs, "steps": len(trace) * -(-samples.n // cfg.batch_size),
         "final_loss": trace[-1] if trace else None,
         "accuracy": mlp.accuracy(trained, samples), "out": args.out,
     }

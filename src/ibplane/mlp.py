@@ -6,15 +6,16 @@ treated as the binary case, where the sigmoid itself is the class-1
 probability). Training is plain seeded SGD on the average cross-entropy,
 measured in bits to match the rest of the package. Every layer is a function
 of the symbol alone, so one raw-array kernel runs a minibatch as its distinct
-symbols with their label counts; it computes the forward pass and the backprop
-gradients for every caller. `forward_all` returns its arrays for the whole
-input alphabet as they are (one (X, width) array per hidden layer, and the (X,
-labels) outputs) for the analyzer and `accuracy` to read. Training updates one
-flat parameter buffer in place and computes an epoch's minibatch losses once,
-after it, from the probabilities its steps wrote. It returns a `NetworkParams`
-and raises `DivergenceError` naming the epoch once the loss or a parameter
-turns non-finite. Everything is deterministic given the seeds.
-"""
+symbols with their label counts, forward and backprop, for every caller. It
+holds each layer as an augmented block [W.T; b] fed rows ending in 1 (inputs
+[e_x, 1]; each hidden layer adds a unit fixed at 1), so a layer and its weight
+and bias gradient are one `dot` each and no step broadcasts or reduces but the
+softmax max. `NetworkParams` keeps (out, in) weights and (out,) biases, and
+`forward_all` returns fresh (X, width) arrays. Training updates one flat
+buffer in place, computes an epoch's minibatch losses once, after it, from the
+probabilities its steps wrote, and raises `DivergenceError` naming the epoch
+once the loss or a parameter turns non-finite. All is deterministic given the
+seeds."""
 
 from __future__ import annotations
 
@@ -27,6 +28,8 @@ from .errors import DimensionError, DivergenceError, UnsupportedDegenerateError
 from .prob import SampleSet, _frozen_array
 
 LN2 = math.log(2.0)
+
+_SATURATED = 40.0  # its logistic, like that of any u >= 53 ln 2, rounds to 1.0
 
 # saturated sigmoids overflow exp, log2(0) makes an infinite loss and a
 # diverging run makes inf - inf; train_sgd checks for the non-finite results
@@ -103,14 +106,15 @@ def init_network(layer_sizes, seed: int) -> NetworkParams:
     return NetworkParams(sizes, tuple(weights), tuple(biases))
 
 
-def _buffer(layer_sizes):
-    """A zeroed flat buffer and its views: (out, in) weights, (out,) biases."""
-    pairs = list(zip(layer_sizes, layer_sizes[1:]))
-    shapes = [(o, i) for i, o in pairs] + [(o,) for _, o in pairs]
-    sizes = [math.prod(s) for s in shapes]
-    flat = np.zeros(sum(sizes))
-    views = [v.reshape(s) for v, s in zip(np.split(flat, np.cumsum(sizes)[:-1]), shapes)]
-    return flat, views[:len(pairs)], views[len(pairs):]
+def _buffer(net: NetworkParams):
+    """A flat copy of net's parameters and its per-layer views, (in + 1, out)
+    blocks [W.T; b]. A hidden layer's block gains a column [0; _SATURATED]: its
+    unit is exactly 1, the bias input of the next layer, and gets zero gradient."""
+    blocks = [np.vstack([w.T, b]) for w, b in zip(net.weights, net.biases)]
+    blocks[:-1] = [np.hstack([a, np.eye(len(a), 1, 1 - len(a)) * _SATURATED]) for a in blocks[:-1]]
+    flat = np.concatenate([a.ravel() for a in blocks])
+    cuts = np.cumsum([a.size for a in blocks])[:-1]
+    return flat, [v.reshape(a.shape) for v, a in zip(np.split(flat, cuts), blocks)]
 
 
 def _n_labels(net: NetworkParams, xs, ys) -> int:
@@ -139,49 +143,49 @@ def _count_table(keys, ys, n_labels: int, n_keys: int):
     return uniq[live], table[live].astype(float), totals[live, None].astype(float)
 
 
-def _bind(weights, biases, grads=None):
-    """What _kernel reads, bound once per run: whether the head is one unit, each
-    layer's (in, out) weights and bias and, given grads = (weight views, bias
-    views), each layer's (weight, grad weight, grad bias) in backward order."""
-    layers = [(w.T, b) for w, b in zip(weights, biases)]
-    back = None if grads is None else list(zip(weights, *grads))[::-1]
-    return biases[-1].size == 1, layers[0], layers[1:], back
+def _errors(counts, rowcount, m, k: int):
+    """The two terms of the output error of the k head units (label 1 alone
+    for a binary head), row totals and label counts over m * ln 2 at (rows, k),
+    where m is each row's minibatch sample count."""
+    scale = m * LN2
+    return np.repeat(rowcount / scale, k, axis=1), counts[:, -k:] / scale
 
 
-def _kernel(bound, sym, batch=None):
-    """Forward pass of the distinct input symbols sym through `_bind` views:
-    (hidden activations, one (R, width) array per layer; output probabilities
-    (R, labels)). Given batch = (counts, row totals, m), the (R, labels) label
-    counts of a minibatch's m samples, writes instead the backprop gradients of
-    their bit-valued mean cross-entropy into the bound grad views and returns
-    the output probabilities. Callers hold the numpy error state (`_QUIET`)."""
-    binary_head, (w0, b0), layers, back = bound
-    u = w0.take(sym, axis=0) + b0
-    hiddens = []
-    for w, b in layers:
-        hiddens.append(_logistic(u))
-        u = hiddens[-1].dot(w) + b
-    if binary_head:
-        head = _logistic(u)
-        probs = np.concatenate([1.0 - head, head], axis=1)
+def _bind(layer_sizes, blocks, grads=None):
+    """The (X, X + 1) input rows [e_x, 1] and what _kernel reads, bound once per
+    call: the first block, the later ones, a softmax head's (k, k) ones and, given
+    grad blocks, the first's and, backward, each later one with its block.T."""
+    x_card, k = layer_sizes[0], layer_sizes[-1]
+    inputs = np.hstack([np.eye(x_card), np.ones((x_card, 1))])
+    back = None if grads is None else (
+        grads[0], list(zip(grads[:0:-1], [b.T for b in blocks[:0:-1]])))
+    return inputs, (blocks[0], blocks[1:], None if k == 1 else np.ones((k, k)), back)
+
+
+def _kernel(bound, a0, probs, errs=None):
+    """Forward pass of distinct symbols' input rows a0 through `_bind` blocks:
+    writes the output probabilities into probs and returns the hidden layers'
+    activations. Given a minibatch's `_errors` rows, writes the gradients of its
+    bit-valued mean cross-entropy into the grad blocks. Callers hold `_QUIET`."""
+    first, layers, ones, back = bound
+    acts, u = [a0], a0.dot(first)
+    for block in layers:
+        acts.append(_logistic(u))
+        u = acts[-1].dot(block)
+    if ones is None:  # one unit: its sigmoid is the label-1 probability
+        head = probs[:, 1:]
+        np.divide(1.0, 1.0 + np.exp(-u), out=head)
+        np.subtract(1.0, head, out=probs[:, :1])
     else:
-        probs = head = np.exp(u - np.maximum.reduce(u, 1, keepdims=True))
-        probs /= np.add.reduce(probs, 1, keepdims=True)
-    if batch is None:
-        return hiddens, probs
-
-    counts, rowcount, m = batch
-    # the labels the output units stand for: label 1 alone for a binary head
-    delta = (rowcount * head - counts[:, -head.shape[1]:]) / (m * LN2)
-    for (w, grad_w, grad_b), h in zip(back, hiddens[::-1]):
-        delta.T.dot(h, out=grad_w)
-        np.add.reduce(delta, 0, out=grad_b)
-        delta = delta.dot(w) * h * (1.0 - h)
-    _, grad_w, grad_b = back[-1]
-    grad_w.fill(0.0)  # a one-hot input feeds only the columns of sym
-    grad_w[:, sym] = delta.T
-    np.add.reduce(delta, 0, out=grad_b)
-    return probs
+        head = np.exp(u - np.maximum.reduce(u, 1, keepdims=True))
+        head = np.divide(head, head.dot(ones), out=probs)
+    if errs is None:
+        return acts[1:]
+    delta = errs[0] * head - errs[1]
+    for (grad, w), a in zip(back[1], acts[:0:-1]):
+        a.T.dot(delta, out=grad)
+        delta = delta.dot(w) * a * (1.0 - a)  # 0 at the constant unit
+    a0.T.dot(delta, out=back[0])  # exact zeros in the rows of symbols not in a0
 
 
 def _losses(counts, probs, edges, sizes) -> list[float]:
@@ -201,8 +205,10 @@ def forward_all(net: NetworkParams, x_card: int) -> tuple[list[np.ndarray], np.n
     if net.layer_sizes[0] != x_card:
         raise DimensionError(f"network input width {net.layer_sizes[0]} "
                              f"does not match x_card {x_card}")
+    inputs, bound = _bind(net.layer_sizes, _buffer(net)[1])
+    probs = np.empty((x_card, max(net.layer_sizes[-1], 2)))
     with np.errstate(**_QUIET):
-        return _kernel(_bind(net.weights, net.biases), np.arange(x_card))
+        return [a[:, :-1].copy() for a in _kernel(bound, inputs, probs)], probs
 
 
 def batch_gradients(net: NetworkParams, x_indices, y_indices):
@@ -211,10 +217,15 @@ def batch_gradients(net: NetworkParams, x_indices, y_indices):
     if xs.ndim != 1 or xs.shape != ys.shape or xs.size == 0:
         raise DimensionError("a batch needs equally long, non-empty x and y index vectors")
     sym, counts, rowcount = _count_table(xs, ys, _n_labels(net, xs, ys), net.layer_sizes[0])
-    grads = _buffer(net.layer_sizes)[1:]
+    grads = _buffer(net)[1]  # the kernel overwrites every entry
+    inputs, bound = _bind(net.layer_sizes, _buffer(net)[1], grads)
+    probs = np.empty_like(counts)
     with np.errstate(**_QUIET):
-        probs = _kernel(_bind(net.weights, net.biases, grads), sym, (counts, rowcount, xs.size))
-        return *grads, _losses(counts, probs, [0, sym.size], [xs.size])[0]
+        _kernel(bound, inputs.take(sym, axis=0), probs,
+                _errors(counts, rowcount, xs.size, net.layer_sizes[-1]))
+        loss = _losses(counts, probs, [0, sym.size], [xs.size])[0]
+    pairs = list(zip(grads, net.layer_sizes[1:]))
+    return [g[:-1, :m].T for g, m in pairs], [g[-1, :m] for g, m in pairs], loss
 
 
 def batch_loss(net: NetworkParams, x_indices, y_indices) -> float:
@@ -237,10 +248,9 @@ def train_sgd(net: NetworkParams, samples: SampleSet,
 
     rng = np.random.default_rng(cfg.seed)
     x_card = net.layer_sizes[0]
-    flat, weights, biases = _buffer(net.layer_sizes)
-    flat[:] = np.concatenate([a.ravel() for a in net.weights + net.biases])
-    grad, *grads = _buffer(net.layer_sizes)
-    bound = _bind(weights, biases, grads)
+    flat, blocks = _buffer(net)
+    grad, grads = _buffer(net)  # each step overwrites every entry
+    inputs, bound = _bind(net.layer_sizes, blocks, grads)
     sizes = [min(cfg.batch_size, samples.n - s) for s in range(0, samples.n, cfg.batch_size)]
     # sorted (minibatch, symbol) keys put each minibatch's rows in one run
     batch_key = np.arange(samples.n) // cfg.batch_size * x_card
@@ -250,29 +260,34 @@ def train_sgd(net: NetworkParams, samples: SampleSet,
             order = rng.permutation(samples.n)
             keys, counts, rowcount = _count_table(batch_key + xs[order], ys[order], n_labels,
                                                   len(sizes) * x_card)
-            sym = keys % x_card
             edges = np.searchsorted(keys, np.arange(len(sizes) + 1) * x_card).tolist()
-            probs = []
-            for r0, r1, m in zip(edges, edges[1:], sizes):
-                probs.append(_kernel(bound, sym[r0:r1], (counts[r0:r1], rowcount[r0:r1], m)))
+            a0 = inputs.take(keys % x_card, axis=0)
+            totals, labels = _errors(counts, rowcount, np.take(sizes, keys // x_card)[:, None],
+                                     net.layer_sizes[-1])
+            probs = np.empty_like(counts)
+            for r0, r1 in zip(edges, edges[1:]):
+                _kernel(bound, a0[r0:r1], probs[r0:r1], (totals[r0:r1], labels[r0:r1]))
                 grad *= cfg.learning_rate
                 flat -= grad
             running = 0.0
-            for loss, m in zip(_losses(counts, np.concatenate(probs), edges, sizes), sizes):
+            for loss, m in zip(_losses(counts, probs, edges, sizes), sizes):
                 running += loss * m
             epoch_loss = running / samples.n
             if not (math.isfinite(epoch_loss) and np.isfinite(flat).all()):
                 raise DivergenceError(f"non-finite loss or parameter at epoch {epoch}")
             trace.append(epoch_loss)
-    return NetworkParams(net.layer_sizes, tuple(weights), tuple(biases)), trace
+    pairs = list(zip(blocks, net.layer_sizes[1:]))
+    return NetworkParams(net.layer_sizes, tuple(b[:-1, :m].T for b, m in pairs),
+                         tuple(b[-1, :m] for b, m in pairs)), trace
 
 
 def accuracy(net: NetworkParams, samples: SampleSet) -> float:
     """Fraction of samples whose label matches the argmax prediction."""
     if samples.n == 0:
         raise DimensionError("cannot score an empty sample set")
-    pred = forward_all(net, net.layer_sizes[0])[1].argmax(axis=1)
-    return float((pred[samples.pairs[:, 0]] == samples.pairs[:, 1]).mean())
+    xs, ys = samples.pairs.T
+    _n_labels(net, xs, ys)
+    return float((forward_all(net, net.layer_sizes[0])[1].argmax(axis=1)[xs] == ys).mean())
 
 
 def naive_bayes_neuron(p_active_pos, p_active_neg,

@@ -442,6 +442,17 @@ def test_cli_train_samples_out_round_trips(tmp_path):
     assert np.array_equal(back.pairs, sample_pairs(SYM, 50, seed=3).pairs)
 
 
+def test_cli_train_reports_its_step_count(tmp_path):
+    # 50 samples in minibatches of 16: three full ones and a ragged one of 2
+    j, net = tmp_path / "j.json", tmp_path / "n.json"
+    run_cli("gen", "--preset", "symmetric", "--out", j)
+    r = run_cli("train", "--joint", j, "--n", 50, "--epochs", 3, "--batch-size", 16,
+                "--out", net)
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["steps"] == 3 * 4
+    assert "steps" not in net.read_text()
+
+
 def readme_pipeline():
     """The argv of every `ibplane` command in the README's pipeline block."""
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()

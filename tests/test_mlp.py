@@ -129,6 +129,56 @@ def test_forward_validates_width():
         forward_all(net, 4)
 
 
+def plain_forward(net):
+    """forward_all spelled out: sigmoid layers on the identity, then the head."""
+    h = np.eye(net.layer_sizes[0])
+    for w, b in zip(net.weights[:-1], net.biases[:-1]):
+        h = 1 / (1 + np.exp(-(h @ w.T + b)))
+        yield h
+    u = h @ net.weights[-1].T + net.biases[-1]
+    if u.shape[1] == 1:
+        p1 = 1 / (1 + np.exp(-u))
+        yield np.hstack([1 - p1, p1])
+    else:
+        e = np.exp(u - u.max(axis=1, keepdims=True))
+        yield e / e.sum(axis=1, keepdims=True)
+
+
+@st.composite
+def nets_and_samples(draw):
+    # no hidden layer, a single-unit binary head and X larger than the batch
+    # are all in range
+    hidden = draw(st.lists(st.integers(1, 5), min_size=0, max_size=3))
+    x_card, out = draw(st.integers(1, 20)), draw(st.integers(1, 4))
+    sizes = [x_card, *hidden, out]
+    nets = [init_network(sizes, seed=draw(st.integers(0, 2**16))) for _ in range(2)]
+    gain = draw(st.floats(0.5, 4.0))
+    net = NetworkParams(sizes, tuple(gain * w for w in nets[0].weights),
+                        tuple(gain * np.linspace(-1, 1, b.size) for b in nets[0].biases))
+    pairs = draw(st.lists(st.tuples(st.integers(0, x_card - 1), st.integers(0, max(out, 2) - 1)),
+                          min_size=1, max_size=30))
+    return net, nets[1], SampleSet.from_pairs(pairs), draw(st.integers(1, 8))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(nets_and_samples())
+def test_forward_all_matches_plain_numpy_and_keeps_its_arrays(case):
+    net, other, samples, batch_size = case
+    hiddens, probs = forward_all(net, net.layer_sizes[0])
+    *want_hiddens, want_probs = plain_forward(net)
+    assert len(hiddens) == len(want_hiddens)
+    for got, want in zip(hiddens + [probs], want_hiddens + [want_probs]):
+        assert got.shape == want.shape and got.flags.c_contiguous
+        assert np.all(np.abs(got - want) <= 1e-12)
+    # no later forward pass or training run may write into the returned arrays
+    kept = [a.copy() for a in hiddens + [probs]]
+    forward_all(other, other.layer_sizes[0])
+    train_sgd(net, samples, TrainConfig(0.5, 2, batch_size, seed=0))
+    forward_all(net, net.layer_sizes[0])
+    for got, want in zip(hiddens + [probs], kept):
+        assert np.array_equal(got, want)
+
+
 # --- training --------------------------------------------------------------------
 
 def test_train_zero_epochs_noop():
@@ -233,9 +283,12 @@ def reference_sgd(net, samples, cfg):
     (NO_X2, [4, 3, 2], 120, 16),                  # a symbol that never occurs
     (xor_joint(2), [4, 2], 160, 16),              # no hidden layer: the first is the output
     (symmetric_joint(0.2), [2, 3, 2], 50, 64),    # batch larger than n: one step per epoch
+    (symmetric_joint(0.2), [2, 1], 200, 16),      # binary head, no hidden layer
+    (random_joint(64, 2, seed=2), [64, 3, 1], 100, 8),  # binary head, alphabet larger than a batch
 ], ids=["softmax-two-hidden", "binary-head", "ragged-last-batch",
         "alphabet-larger-than-batch", "unseen-symbol", "no-hidden-layer",
-        "one-minibatch-per-epoch"])
+        "one-minibatch-per-epoch", "binary-head-no-hidden-layer",
+        "binary-head-alphabet-larger-than-batch"])
 def test_train_matches_reference_loop_bit_for_bit(joint, sizes, n, batch_size):
     samples = sample_pairs(joint, n, seed=4)
     net = init_network(sizes, seed=5)
@@ -270,6 +323,14 @@ def test_count_table_memory_stays_linear_in_the_sample_count(batch_size):
     np.add.at(want_counts, (inv, ys), 1.0)
     assert np.array_equal(uniq, want) and np.array_equal(counts, want_counts)
     assert np.array_equal(totals, want_counts.sum(axis=1, keepdims=True))
+
+
+@pytest.mark.parametrize("pairs, match", [([(0, 5), (1, 0)], "y index"), ([(7, 0)], "x index")],
+                         ids=["label-beyond-the-head", "symbol-beyond-the-input"])
+def test_accuracy_rejects_samples_outside_the_network(pairs, match):
+    net = init_network([2, 3, 2], seed=0)
+    with pytest.raises(DimensionError, match=match):
+        accuracy(net, SampleSet.from_pairs(pairs))
 
 
 # --- gradients ---------------------------------------------------------------------
