@@ -105,8 +105,7 @@ def _check_coverage(j: JointDistribution, codes) -> np.ndarray:
         raise CoverageError(
             f"need one code per input symbol ({j.x_card}), got shape {codes.shape}"
         )
-    px = j.p.sum(axis=1)
-    bad = (codes < 0) & (px > 0)
+    bad = (codes < 0) & (j.px > 0)
     if np.any(bad):
         raise CoverageError(
             f"missing code for supported symbol x={int(np.argmax(bad))}"
@@ -123,7 +122,7 @@ def layer_mutual_information(j: JointDistribution, codes) -> tuple[float, float]
     codes = _check_coverage(j, codes)
     safe = np.where(codes >= 0, codes, 0)
     n_codes = int(safe.max()) + 1
-    pt = _push(safe, j.p.sum(axis=1), n_codes)
+    pt = _push(safe, j.px, n_codes)
     pty = _push(safe, j.p, n_codes)
     return entropy_bits(pt), mi_bits(pty)
 
@@ -139,7 +138,6 @@ def info_plane_path(j: JointDistribution, net: NetworkParams,
     hiddens, probs = forward_all(net, j.x_card)
     codes = [np.arange(j.x_card), *(layer_codes(h, q) for h in hiddens),
              probs.argmax(axis=1)]
-    px = j.p.sum(axis=1)
     points = []
     for i, cur in enumerate(codes):
         i_x, i_y = layer_mutual_information(j, cur)
@@ -148,7 +146,7 @@ def info_plane_path(j: JointDistribution, net: NetworkParams,
             n_cur = int(cur.max()) + 1
             pair = codes[i - 1] * n_cur + cur
             n_pairs = (int(codes[i - 1].max()) + 1) * n_cur
-            i_prev = mi_bits(_push(pair, px, n_pairs).reshape(-1, n_cur))
+            i_prev = mi_bits(_push(pair, j.px, n_pairs).reshape(-1, n_cur))
             # I(Y; prev | cur) = I(Y; prev, cur) - I(Y; cur)
             i_y_lost = mi_bits(_push(pair, j.p, n_pairs)) - i_y
         points.append(InfoPlanePoint(i, i_x, i_y, _weigh(i_prev, i_y_lost, beta),
@@ -175,5 +173,5 @@ def network_distortion_rate(j: JointDistribution, net: NetworkParams,
     del q
     _, probs = forward_all(net, j.x_card)
     r_n, i_y = layer_mutual_information(j, probs.argmax(axis=1))
-    d_n = mi_bits(j.p) - i_y
+    d_n = j.i_xy - i_y
     return r_n, d_n

@@ -21,6 +21,18 @@ def _read(path: str) -> str:
         return f.read()
 
 
+def _list_of(kind):
+    """argparse type for a comma-separated list of kind values, "" for none;
+    a malformed entry is an argument error that names the flag."""
+    def parse(text: str) -> list:
+        try:
+            return [kind(s) for s in text.split(",")] if text else []
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated {kind.__name__} values, got {text!r}") from None
+    return parse
+
+
 def _emit(text_by_path: dict[str, str], summary: dict) -> int:
     for path, text in text_by_path.items():
         io.atomic_write(path, text)
@@ -101,8 +113,7 @@ def _cmd_bounds(args) -> int:
 def _cmd_train(args) -> int:
     j = io.joint_from_json(_read(args.joint))
     samples = prob.sample_pairs(j, args.n, args.seed)
-    hidden = [int(s) for s in args.hidden.split(",")] if args.hidden else []
-    sizes = [j.x_card, *hidden, j.y_card]
+    sizes = [j.x_card, *args.hidden, j.y_card]
     net = mlp.init_network(sizes, seed=args.seed + 1)
     cfg = mlp.TrainConfig(learning_rate=args.lr, epochs=args.epochs,
                           batch_size=args.batch_size, seed=args.seed + 2)
@@ -136,7 +147,7 @@ def _cmd_analyze(args) -> int:
     if args.sweep:
         inner = path.points[1:]  # input layer has no criterion
         assignment = []
-        for b in (float(s) for s in args.sweep.split(",")):
+        for b in args.sweep:
             best = min(inner, key=lambda pt: pt.criterion(b))
             assignment.append({"beta": b, "best_layer": best.layer_index,
                                "criterion": best.criterion(b)})
@@ -228,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="sample a joint and train a network")
     p.add_argument("--joint", required=True)
     p.add_argument("--n", type=int, default=1000)
-    p.add_argument("--hidden", default="4,3",
+    p.add_argument("--hidden", type=_list_of(int), default="4,3",
                    help="comma-separated hidden layer widths (empty for none)")
     p.add_argument("--epochs", type=int, default=500)
     p.add_argument("--lr", type=float, default=0.5)
@@ -247,8 +258,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exact", action="store_true",
                    help="use exact activation tuples instead of bins")
     p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--sweep", help="comma-separated betas; reports the "
-                                   "criterion-minimizing layer per beta")
+    p.add_argument("--sweep", type=_list_of(float),
+                   help="comma-separated betas; reports the criterion-minimizing "
+                        "layer per beta")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_analyze)
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateClusterError, DimensionError
-from .prob import JointDistribution, conditional_rows, js_bits, mi_bits
+from .prob import JointDistribution, js_bits
 from .solver import (  # noqa: F401  ib_solve stays importable from here
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
@@ -158,7 +158,7 @@ def _moments(j: JointDistribution, sol: IBSolution,
     row-normalized."""
     if not 0 <= t_index < sol.t_card:
         raise DimensionError(f"cluster index {t_index} out of range")
-    px, pygx = conditional_rows(j.p)
+    px, pygx = j.px, j.pygx
     col = sol.encoder.matrix[:, t_index]
     pt = float(px @ col)
     if pt <= 0:
@@ -268,7 +268,7 @@ def anneal_curve(j: JointDistribution, t_card: int, beta_grid,
         inits = _perturb(enc[sources], [_derived_seed(seed, t, s, n_pass) for t, s in offers],
                          perturb_mag)
     points = tuple(map(CurvePoint, betas, R.tolist(), I_Y.tolist(),
-                       np.maximum(0.0, mi_bits(j.p) - I_Y).tolist(), L.tolist(),
+                       np.maximum(0.0, j.i_xy - I_Y).tolist(), L.tolist(),
                        _effective_cards(*_decoder(j, enc)).tolist()))
 
     n_probes, unconverged = 0, int(np.count_nonzero(~conv))

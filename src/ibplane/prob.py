@@ -4,13 +4,16 @@ Joints, marginals, conditionals, entropies, divergences, i.i.d. sampling and
 empirical estimation over finite alphabets. All information quantities are in
 bits (log base 2), 0*log(0) counts as 0, and conditioning on a zero-mass row
 yields a uniform row. Values are immutable after construction and every
-operation is pure.
+operation is pure. A joint computes its constants p(x), p(y|x), I(X;Y) and
+H(X) on first use, once per object, and hands out the same read-only values
+to every later caller.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -137,6 +140,26 @@ class JointDistribution:
             raise DimensionError("joint must be a 2-D matrix")
         return cls(p.shape[0], p.shape[1], p)
 
+    @cached_property
+    def px(self) -> np.ndarray:
+        """Row marginal p(x), read-only, as `conditional_rows` gives it."""
+        return _frozen_array(conditional_rows(self.p)[0])
+
+    @cached_property
+    def pygx(self) -> np.ndarray:
+        """Row conditionals p(y|x), read-only, as `conditional_rows` gives them."""
+        return _frozen_array(conditional_rows(self.p)[1])
+
+    @cached_property
+    def i_xy(self) -> float:
+        """I(X;Y) in bits."""
+        return mi_bits(self.p)
+
+    @cached_property
+    def h_x(self) -> float:
+        """H(X) in bits."""
+        return entropy_bits(self.px)
+
 
 @dataclass(frozen=True)
 class ConditionalMatrix:
@@ -201,7 +224,7 @@ def entropy(d: DiscreteDistribution) -> float:
 
 def mutual_information(j: JointDistribution) -> float:
     """Mutual information I(X;Y) of a joint, in bits."""
-    return mi_bits(j.p)
+    return j.i_xy
 
 
 def sample_pairs(j: JointDistribution, n: int, seed: int) -> SampleSet:

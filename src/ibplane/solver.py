@@ -43,10 +43,18 @@ each one unaffected by the rest of its batch.
 This is a local method (the problem is not convex); global behavior comes
 from seeded restarts and from the warm-started neighbour passes of the curve
 module.
+
+A query pays its fixed costs once. The seeded init stack of
+`ib_solve_multistart`, and of `ib_solve`'s default init (one restart), depends
+only on (x_card, t_card, restarts, seed); it is built once per key, kept
+read-only in an LRU memo of INIT_MEMO_SIZE stacks and shared by every query
+with that key. The joint's p(x), p(y|x), I(X;Y) and H(X) are computed once
+per JointDistribution object (see `prob`).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -63,7 +71,6 @@ from .prob import (
     ConditionalMatrix,
     DiscreteDistribution,
     JointDistribution,
-    conditional_rows,
     entropy_bits,
     mi_bits,
 )
@@ -75,6 +82,7 @@ LOG_FLOOR = 1e-300  # encoder entries are floored here before taking logs
 STEP_BOUND = 4.0  # first and smallest SQUAREM step bound, and its growth factor
 
 ORACLE_GUARD = 1_000_000  # max number of deterministic maps to enumerate
+INIT_MEMO_SIZE = 64  # restart-init stacks kept, one per (x_card, t_card, restarts, seed)
 
 
 @dataclass(frozen=True)
@@ -256,7 +264,7 @@ def ib_iterate_once(j: JointDistribution, e: Encoder, beta: float) -> Encoder:
             f"encoder has {e.x_card} rows but the joint has {j.x_card} symbols"
         )
     with np.errstate(**_QUIET):
-        return Encoder.from_matrix(_map(*conditional_rows(j.p), j.p, e.matrix[None], beta)[0])
+        return Encoder.from_matrix(_map(j.px, j.pygx, j.p, e.matrix[None], beta)[0])
 
 
 def _mi_bits(p: np.ndarray) -> np.ndarray:
@@ -267,19 +275,18 @@ def _mi_bits(p: np.ndarray) -> np.ndarray:
     return np.maximum(0.0, (p * np.log2(q)).sum(axis=(1, 2)))
 
 
-def _info_bits(jp: np.ndarray, enc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _info_bits(j: JointDistribution, enc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(R, I_Y) = (I(X;T), I(T;Y)) in bits of every encoder of a (B, X, T) stack."""
-    return _mi_bits(enc * jp.sum(axis=1)[:, None]), _mi_bits(enc.transpose(0, 2, 1) @ jp)
+    return _mi_bits(enc * j.px[:, None]), _mi_bits(enc.transpose(0, 2, 1) @ j.p)
 
 
 def _decoder(j: JointDistribution, enc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """p(t) and the decoder p(y|t) of one encoder, or of each of a stack; a
     zero-mass cluster decodes the uniform mixture of the p(y|x)."""
-    px, pygx = conditional_rows(j.p)
-    pt = px @ enc
+    pt = j.px @ enc
     live = pt > 0
     dec = np.swapaxes(enc, -1, -2) @ j.p / np.where(live, pt, 1.0)[..., None]
-    return pt, np.where(live[..., None], dec, pygx.mean(axis=0))
+    return pt, np.where(live[..., None], dec, j.pygx.mean(axis=0))
 
 
 def _solution(j: JointDistribution, enc: np.ndarray, beta: float, R: float, I_Y: float,
@@ -291,7 +298,7 @@ def _solution(j: JointDistribution, enc: np.ndarray, beta: float, R: float, I_Y:
         encoder=Encoder.from_matrix(enc),
         decoder=ConditionalMatrix.from_matrix(dec),
         marginal=DiscreteDistribution(pt),
-        R=R, I_Y=I_Y, D_IB=max(0.0, mi_bits(j.p) - I_Y), L=R - beta * I_Y,
+        R=R, I_Y=I_Y, D_IB=max(0.0, j.i_xy - I_Y), L=R - beta * I_Y,
         iterations=iterations, converged=converged,
     )
 
@@ -299,7 +306,7 @@ def _solution(j: JointDistribution, enc: np.ndarray, beta: float, R: float, I_Y:
 def solution_from_encoder(j: JointDistribution, e: Encoder, beta: float,
                           iterations: int = 0, converged: bool = True) -> IBSolution:
     """Package an encoder with its induced marginal, decoder and scalars."""
-    R, I_Y = _info_bits(j.p, e.matrix[None])
+    R, I_Y = _info_bits(j, e.matrix[None])
     return _solution(j, e.matrix, beta, float(R[0]), float(I_Y[0]), iterations, converged)
 
 
@@ -321,7 +328,7 @@ def _lockstep(j: JointDistribution, enc: np.ndarray, beta: np.ndarray,
     bound, and return every element's final encoder, map-evaluation count
     and converged flag. An element's trajectory is the one it follows when
     solved alone."""
-    (px, pygx), jp = conditional_rows(j.p), j.p
+    px, pygx, jp = j.px, j.pygx, j.p
     out = np.array(enc)
     iters, conv = np.zeros(len(out), dtype=int), np.zeros(len(out), dtype=bool)
     live = np.arange(len(out))
@@ -369,12 +376,12 @@ def _winners(j: JointDistribution, t_card: int, beta: float | np.ndarray, enc: n
              groups: np.ndarray) -> tuple[np.ndarray, ...]:
     """Each group's best (smallest L, then smaller R, then earlier), as indices in ascending
     group order, and every R, I_Y, L; winners must keep I_Y <= I(X;Y), R <= min(H(X), log T)."""
-    R, I_Y = _info_bits(j.p, enc)
+    R, I_Y = _info_bits(j, enc)
     L = R - beta * I_Y
     order = np.lexsort((R, L, groups))
     g = groups[order]
     win = order[np.concatenate(([True], g[1:] != g[:-1]))]
-    i_xy, r_max = mi_bits(j.p), min(entropy_bits(j.p.sum(axis=1)), math.log2(t_card))
+    i_xy, r_max = j.i_xy, min(j.h_x, math.log2(t_card))
     bad = win[(I_Y[win] > i_xy + 1e-9) | (R[win] > r_max + 1e-9)]
     if bad.size:
         raise ValueError(f"solution breaks I_Y <= I(X;Y) = {i_xy} or "
@@ -398,7 +405,7 @@ def ib_solve(j: JointDistribution, t_card: int, beta: float,
     _check_query(t_card, beta, tol, max_iter)
     if init is not None and (init.x_card, init.t_card) != (j.x_card, t_card):
         raise DimensionError("init encoder shape does not match (x_card, t_card)")
-    enc = _restart_inits(j.x_card, t_card, [(0, seed)]) if init is None else init.matrix[None]
+    enc = _multistart_inits(j.x_card, t_card, 1, seed) if init is None else init.matrix[None]
     return _pick(j, t_card, beta, *_lockstep(j, enc, np.full(1, beta), tol, max_iter))
 
 
@@ -421,6 +428,16 @@ def _restart_inits(x_card: int, t_card: int, restarts) -> np.ndarray:
     return _encoder_stack(m)
 
 
+# typed: a float seed equal to a cached int one must still raise, as it does cold
+@functools.lru_cache(maxsize=INIT_MEMO_SIZE, typed=True)
+def _multistart_inits(x_card: int, t_card: int, restarts: int, seed: int) -> np.ndarray:
+    """The read-only init stack of restarts (r, seed + r), r < restarts, built
+    once per key: it depends on nothing else, and every query reuses it."""
+    m = _restart_inits(x_card, t_card, [(r, seed + r) for r in range(restarts)])
+    m.setflags(write=False)
+    return m
+
+
 def ib_solve_multistart(j: JointDistribution, t_card: int, beta: float,
                         restarts: int = 20, tol: float = DEFAULT_TOL,
                         max_iter: int = DEFAULT_MAX_ITER, seed: int = 0) -> IBSolution:
@@ -429,7 +446,7 @@ def ib_solve_multistart(j: JointDistribution, t_card: int, beta: float,
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
     _check_query(t_card, beta, tol, max_iter)
-    inits = _restart_inits(j.x_card, t_card, [(r, seed + r) for r in range(restarts)])
+    inits = _multistart_inits(j.x_card, t_card, restarts, seed)
     return _pick(j, t_card, beta, *_lockstep(j, inits, np.full(restarts, beta), tol, max_iter))
 
 
@@ -442,7 +459,7 @@ def self_consistency_residual(j: JointDistribution, sol: IBSolution) -> float:
     enc = sol.encoder.matrix
     pt, dec = _decoder(j, enc)
     with np.errstate(**_QUIET):
-        enc_re = _map(*conditional_rows(j.p), j.p, enc[None], sol.beta)[0]
+        enc_re = _map(j.px, j.pygx, j.p, enc[None], sol.beta)[0]
     return float(max(
         np.max(np.abs(pt - sol.marginal.p)),
         np.max(np.abs(dec - sol.decoder.p)),
@@ -466,12 +483,11 @@ def exhaustive_deterministic_oracle(j: JointDistribution, t_card: int,
             f"{t_card}^{j.x_card} = {n_maps} deterministic maps exceeds the "
             f"guard of {ORACLE_GUARD}"
         )
-    px = j.p.sum(axis=1)
     best_key = None
     best_assign = None
     for assign in itertools.product(range(t_card), repeat=j.x_card):
         a = np.asarray(assign, dtype=int)
-        pt = np.bincount(a, weights=px, minlength=t_card)
+        pt = np.bincount(a, weights=j.px, minlength=t_card)
         pty = np.zeros((t_card, j.y_card))
         np.add.at(pty, a, j.p)
         R = entropy_bits(pt)  # I(X;T) = H(T) for a deterministic map

@@ -193,6 +193,24 @@ def test_cli_unknown_preset_is_argument_error(tmp_path):
     assert r.returncode == 2
 
 
+@pytest.mark.parametrize("cmd, flag, value", [
+    ("train --joint j.json", "--hidden", "4,,3"),
+    ("analyze --joint j.json --net net.json", "--sweep", "1,,"),
+], ids=["train-hidden", "analyze-sweep"])
+def test_cli_malformed_list_is_argument_error(cmd, flag, value):
+    r = run_cli(*cmd.split(), flag, value, "--out", "out")
+    assert r.returncode == 2
+    assert f"argument {flag}: expected comma-separated" in r.stderr
+
+
+def test_cli_empty_hidden_trains_without_hidden_layer(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "j.json").write_text(io.joint_to_json(SYM))
+    assert cli.run(["train", "--joint", "j.json", "--hidden", "", "--epochs", "1",
+                    "--out", "net.json"]) == 0
+    assert json.loads(capsys.readouterr().out)["layer_sizes"] == [2, 2]
+
+
 def test_cli_missing_file_is_computation_error(tmp_path):
     r = run_cli("ib-solve", "--joint", tmp_path / "absent.json",
                 "--t-card", 2, "--beta", 1.0, "--out", tmp_path / "s.json")

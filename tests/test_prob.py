@@ -17,6 +17,7 @@ from ibplane.prob import (
     entropy_bits,
     js_bits,
     kl_bits,
+    mi_bits,
     mutual_information,
     sample_pairs,
 )
@@ -53,6 +54,17 @@ def oracle_mi(joint):
 def random_dist(rng, size):
     g = rng.gamma(1.0, size=size)
     return g / g.sum()
+
+
+# an empirical joint with a massless x row (x=1) and a zero-mass y column (y=2)
+GAPPY = empirical_joint(SampleSet.from_pairs([(0, 0), (0, 1), (2, 0), (2, 1), (0, 0)]), 3, 3)
+
+
+def assert_constants_match(j):
+    """The joint's cached constants equal the free functions bit for bit."""
+    px, cond = conditional_rows(j.p)
+    assert (j.px.tobytes(), j.pygx.tobytes()) == (px.tobytes(), cond.tobytes())
+    assert (j.i_xy, j.h_x) == (mi_bits(j.p), entropy_bits(px))
 
 
 # --- entropy ----------------------------------------------------------------
@@ -146,15 +158,15 @@ def test_mi_transpose_symmetry():
 def test_mi_chain_consistency():
     # I(X;Y) = H(Y) - sum_x p(x) H(p(y|x))
     rng = np.random.default_rng(3)
-    for _ in range(25):
-        m = random_dist(rng, (4, 3))
-        j = JointDistribution.from_matrix(m)
+    for j in [*(JointDistribution.from_matrix(random_dist(rng, (4, 3))) for _ in range(25)),
+              GAPPY]:
         px, cond = conditional_rows(j.p)
         h_y_given_x = sum(
             px[i] * entropy_bits(cond[i]) for i in range(j.x_card)
         )
-        hy = entropy_bits(m.sum(axis=0))
+        hy = entropy_bits(j.p.sum(axis=0))
         assert mutual_information(j) == pytest.approx(hy - h_y_given_x, abs=1e-10)
+        assert_constants_match(j)
 
 
 def test_mi_grouping_identical_rows():
@@ -198,12 +210,13 @@ def test_decompose_symmetric_rows():
 
 
 def test_decompose_zero_row_uniform():
-    j = JointDistribution.from_matrix([[0.5, 0.5], [0.0, 0.0]])
-    px, cond = conditional_rows(j.p)
-    assert np.allclose(cond[1], [0.5, 0.5])
-    # reconstruction matches on supported rows
-    recon = px[:, None] * cond
-    assert np.max(np.abs(recon - j.p)) < 1e-12
+    for j in (JointDistribution.from_matrix([[0.5, 0.5], [0.0, 0.0]]), GAPPY):
+        px, cond = conditional_rows(j.p)
+        assert np.allclose(cond[1], np.full(j.y_card, 1 / j.y_card))
+        # reconstruction matches on supported rows
+        recon = px[:, None] * cond
+        assert np.max(np.abs(recon - j.p)) < 1e-12
+        assert_constants_match(j)
 
 
 def test_decompose_reconstructs():
@@ -213,6 +226,7 @@ def test_decompose_reconstructs():
         j = JointDistribution.from_matrix(m)
         px, cond = conditional_rows(j.p)
         assert np.max(np.abs(px[:, None] * cond - j.p)) < 1e-12
+        assert_constants_match(j)
 
 
 # --- sampling ----------------------------------------------------------------
@@ -320,5 +334,6 @@ def test_conditional_rejects_nan():
 
 def test_values_immutable():
     j = JointDistribution.from_matrix([[0.5, 0.0], [0.0, 0.5]])
-    with pytest.raises(ValueError):
-        j.p[0, 0] = 0.9
+    for a in (j.p, j.px, j.pygx):
+        with pytest.raises(ValueError):
+            a[0] = 0.9

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ibplane import solver
 from ibplane.errors import (
     DegenerateEncoderError,
     DimensionError,
@@ -283,11 +284,34 @@ def test_mixed_beta_batch_matches_solving_each_alone(query, log_betas, max_iter)
         assert (iters[b], conv[b]) == (i1[0], c1[0])
 
 
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(queries())
+def test_memoized_inits_and_joint_constants_change_no_solution(query):
+    j, t_card, beta, seed = query
+
+    def solve(joint):
+        return [(s.encoder.matrix.tobytes(), s.L, s.iterations, s.converged)
+                for s in (ib_solve_multistart(joint, t_card, beta, restarts=4, seed=seed),
+                          ib_solve(joint, t_card, beta, max_iter=7, seed=seed))]
+
+    solver._multistart_inits.cache_clear()
+    cold = solve(JointDistribution.from_matrix(j.p))  # cleared memo, fresh joint
+    reused = JointDistribution.from_matrix(j.p)
+    assert solve(reused) == cold  # warm memo, fresh joint
+    assert solve(reused) == cold  # warm memo, the joint's constants already read
+    for a in (solver._multistart_inits(j.x_card, t_card, 4, seed), reused.px, reused.pygx):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.5
+    with pytest.raises(TypeError):  # as on a cold memo, though seed's key is cached
+        ib_solve_multistart(reused, t_card, beta, restarts=4, seed=float(seed))
+
+
 def test_solve_invariant_checks_survive_optimize_flag():
-    # with H(X) read as 0, every informative solution breaks R <= H(X)
-    code = ("import ibplane.solver as s\n"
+    # with H(X) read as 0, every informative solution breaks R <= H(X); the
+    # joint computes H(X) through prob.entropy_bits on first use
+    code = ("import ibplane.prob as p, ibplane.solver as s\n"
             "from ibplane.presets import symmetric_joint\n"
-            "s.entropy_bits = lambda p: 0.0\n"
+            "p.entropy_bits = lambda p: 0.0\n"
             "try:\n"
             "    s.ib_solve(symmetric_joint(0.2), 2, 5.0)\n"
             "except ValueError:\n"
