@@ -38,6 +38,12 @@ class QuantizerConfig:
             raise ValueError(f"bins must be >= 2, got {self.bins}")
 
 
+def relevance_lost(whole: float, kept: float) -> float:
+    """whole - kept, clamped at 0: kept is never more, so a negative
+    difference is rounding, and information is never reported negative."""
+    return max(0.0, whole - kept)
+
+
 def _weigh(i_prev: float, i_y_lost: float, beta: float) -> float:
     if not math.isfinite(beta):
         raise ValueError(f"layer criterion beta must be finite, got {beta}")
@@ -148,7 +154,7 @@ def info_plane_path(j: JointDistribution, net: NetworkParams,
             n_pairs = (int(codes[i - 1].max()) + 1) * n_cur
             i_prev = mi_bits(_push(pair, j.px, n_pairs).reshape(-1, n_cur))
             # I(Y; prev | cur) = I(Y; prev, cur) - I(Y; cur)
-            i_y_lost = mi_bits(_push(pair, j.p, n_pairs)) - i_y
+            i_y_lost = relevance_lost(mi_bits(_push(pair, j.p, n_pairs)), i_y)
         points.append(InfoPlanePoint(i, i_x, i_y, _weigh(i_prev, i_y_lost, beta),
                                      i_prev, i_y_lost))
     return LayerPath(tuple(points), _dpi_violations(points))
@@ -167,11 +173,10 @@ def _dpi_violations(points) -> tuple[tuple[tuple[int, int], float], ...]:
 def network_distortion_rate(j: JointDistribution, net: NetworkParams,
                             q: QuantizerConfig | None) -> tuple[float, float]:
     """(R_N, D_N) of the output layer: rate I(X;Yhat) and residual relevance
-    I(X;Y) - I(Yhat;Y). The prediction is the exact argmax symbol, so the
-    quantizer plays no role here; it is accepted for signature symmetry with
-    the path computation."""
+    I(X;Y) - I(Yhat;Y), clamped by `relevance_lost`. The prediction is the
+    exact argmax symbol, so the quantizer plays no role here; it is accepted
+    for signature symmetry with the path computation."""
     del q
     _, probs = forward_all(net, j.x_card)
     r_n, i_y = layer_mutual_information(j, probs.argmax(axis=1))
-    d_n = j.i_xy - i_y
-    return r_n, d_n
+    return r_n, relevance_lost(j.i_xy, i_y)

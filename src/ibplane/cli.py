@@ -140,7 +140,7 @@ def _cmd_analyze(args) -> int:
     pred = path.points[-1]  # the prediction layer holds (R_N, D_N)
     summary = {
         "cmd": "analyze", "layers": len(path.points), "beta": args.beta,
-        "R_N": pred.I_X, "D_N": prob.mutual_information(j) - pred.I_Y,
+        "R_N": pred.I_X, "D_N": analyzer.relevance_lost(j.i_xy, pred.I_Y),
         "dpi_violations": [[list(pair), mag] for pair, mag in path.dpi_violations],
         "out": args.out,
     }
@@ -230,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--c-bound", type=float, default=1.0)
     p.add_argument("--joint", help="joint file supplying |Y| (else --y-card)")
-    p.add_argument("--y-card", type=int, default=2)
+    p.add_argument("--y-card", type=int)
     p.add_argument("--net", help="network file for gap computation")
     p.add_argument("--gaps-out")
     p.add_argument("--out", required=True)
@@ -282,6 +282,8 @@ def run(argv=None) -> int:
     if args.cmd == "bounds" and (args.net or args.gaps_out):
         if not (args.joint and args.net and args.gaps_out):
             parser.error("gap computation needs --joint, --net and --gaps-out")
+    if args.cmd == "bounds" and args.joint is None and args.y_card is None:
+        parser.error("bounds needs --joint or --y-card")
     try:
         return args.func(args)
     except (IBError, ValueError, OSError, MemoryError) as e:

@@ -17,10 +17,11 @@ restarts (warm starts would drag hysteresis across the transition).
 Each bracket also carries a spectral prediction of its critical beta, read
 from the solution the bisection holds at the bracket's low end: linearizing
 the encoder update around a solution gives a second-order correlation matrix
-over Y whose leading admissible eigenvalue lambda sets the instability point
-at beta = 1/lambda. The all-ones direction is always an eigenvector with
-eigenvalue 1 (rows of the correlation matrix are normalized) and is deflated
-before reading off lambda.
+over Y per cluster whose eigenvalue lambda sets the instability point at
+beta = 1/lambda. The all-ones direction is always an eigenvector with
+eigenvalue 1 (rows of the correlation matrix are normalized), the largest,
+so lambda is the second eigenvalue; one batched eigen-solve over every
+cluster of the solution reads them all.
 """
 
 from __future__ import annotations
@@ -151,53 +152,49 @@ def _effective_cards(pt: np.ndarray, dec: np.ndarray) -> np.ndarray:
 # Spectral critical beta
 # ---------------------------------------------------------------------------
 
-def _moments(j: JointDistribution, sol: IBSolution,
-             t_index: int) -> tuple[np.ndarray, np.ndarray]:
-    """M[y, y'] = sum_x p(x|t) p(y|x) p(y'|x) and p(y|t) for one cluster,
-    recomputed from the encoder so the correlation matrix is exactly
-    row-normalized."""
-    if not 0 <= t_index < sol.t_card:
-        raise DimensionError(f"cluster index {t_index} out of range")
-    px, pygx = j.px, j.pygx
-    col = sol.encoder.matrix[:, t_index]
-    pt = float(px @ col)
-    if pt <= 0:
-        raise DegenerateClusterError(f"cluster {t_index} has zero mass")
-    pxgt = px * col / pt
-    return pygx.T @ (pxgt[:, None] * pygx), pxgt @ pygx
+def _spectral_lambdas(j: JointDistribution, sol: IBSolution) -> np.ndarray:
+    """lambda of every cluster of sol, 0 for a zero-mass one, read from one
+    batched eigen-solve of S = D^{-1/2} M D^{-1/2} as its second eigenvalue,
+    0 when |Y| = 1. A y with p(y|t) = 0 has a zero row and column in M;
+    dividing them by 1 adds only an eigenvalue 0."""
+    pt = sol.marginal.p
+    pxgt = (j.px[:, None] * sol.encoder.matrix / np.where(pt > 0, pt, 1.0)).T
+    m = j.pygx.T @ (pxgt[:, :, None] * j.pygx)
+    pygt = pxgt @ j.pygx
+    d = np.sqrt(np.where(pygt > 0, pygt, 1.0))
+    lam = np.linalg.eigvalsh(m / (d[:, :, None] * d[:, None, :]))
+    # ascending, the trivial mode's 1 last; nothing is left when |Y| = 1
+    return lam[:, :-1].max(axis=1, initial=0.0)
+
+
+def _beta_of(lam: float) -> float:
+    return 1.0 / lam if lam > 1e-12 else math.inf
 
 
 def critical_beta_spectral(j: JointDistribution, sol: IBSolution,
                            t_index: int) -> float:
     """Spectral prediction 1/lambda of the beta at which a cluster splits.
 
-    lambda is the largest eigenvalue of the cluster's second-order
-    correlation matrix restricted to the complement of the trivial
-    (all-ones, eigenvalue-1) mode. The matrix is symmetrized as
-    S = D^{-1/2} M D^{-1/2} with D = diag p(y|t), whose unit eigenvector for
-    the trivial mode is sqrt(p(y|t)); that mode is projected out before the
-    eigenvalues are read off. Returns math.inf when no admissible eigenvalue
-    is positive (no transition).
+    lambda is the second eigenvalue of the cluster's second-order
+    correlation matrix M[y, y'] = sum_x p(x|t) p(y|x) p(y'|x), symmetrized as
+    S = D^{-1/2} M D^{-1/2} with D = diag p(y|t). S is positive semidefinite
+    with spectrum in [0, 1], and S sqrt(p(y|t)) = sqrt(p(y|t)), so its largest
+    is the trivial (all-ones, eigenvalue-1) mode's. lambda is read from one
+    batched eigen-solve over every cluster of sol. Returns math.inf when
+    lambda is not positive (no transition).
     """
-    m, pygt = _moments(j, sol, t_index)
-    sup = pygt > 0
-    ms = m[np.ix_(sup, sup)]
-    v = np.sqrt(pygt[sup])
-    s = ms / np.outer(v, v)
-    proj = np.eye(v.size) - np.outer(v, v)
-    deflated = proj @ s @ proj
-    lam = float(np.linalg.eigvalsh(deflated)[-1]) if v.size > 1 else 0.0
-    if lam <= 1e-12:
-        return math.inf
-    return 1.0 / lam
+    if not 0 <= t_index < sol.t_card:
+        raise DimensionError(f"cluster index {t_index} out of range")
+    if sol.marginal.p[t_index] <= 0:
+        raise DegenerateClusterError(f"cluster {t_index} has zero mass")
+    return _beta_of(float(_spectral_lambdas(j, sol)[t_index]))
 
 
 def _predicted_split(j: JointDistribution, sol: IBSolution) -> float | None:
     """The smallest finite critical beta over the clusters of sol that carry
     mass above MASS_EPS, or None when none is finite."""
-    preds = (critical_beta_spectral(j, sol, t) for t in range(sol.t_card)
-             if sol.marginal.p[t] > MASS_EPS)
-    return min(filter(math.isfinite, preds), default=None)
+    lam = _spectral_lambdas(j, sol)[sol.marginal.p > MASS_EPS]
+    return min(filter(math.isfinite, map(_beta_of, lam.tolist())), default=None)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """File formats: JSON for structured objects, CSV for tabular series.
 
-Reals are serialized with 17 significant digits, which round-trips binary64
-exactly, and JSON is emitted by a small writer with fixed key order so that
-identical inputs produce byte-identical files. JSON parsing uses the
-standard library; every CSV format is written by `_csv_text` and read by
+Reals are serialized as Python's repr, the shortest decimal that reads back
+to the same binary64, and JSON is written and parsed by the standard library
+with keys in a fixed insertion order, so identical inputs produce
+byte-identical files. Every integer field is read by `_int`, which rejects
+`true` and `false`. Every CSV format is written by `_csv_text` and read by
 `_csv_rows`. Writes go through a temp-file-then-rename so readers never
 observe a partial file.
 """
@@ -34,31 +35,20 @@ def fmt_real(x: float) -> str:
     x = float(x)
     if not math.isfinite(x):
         raise ValueError(f"cannot serialize non-finite real {x}")
-    return f"{x:.17g}"
+    return repr(x)
+
+
+def _plain(value):
+    """The list or int json.dumps writes for a numpy array or integer."""
+    if isinstance(value, (np.ndarray, np.integer)):
+        return value.tolist()
+    raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
 def json_dumps(value) -> str:
-    """Minimal JSON writer: insertion-ordered dicts, 17-digit reals."""
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, float):
-        return fmt_real(value)
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, str):
-        return json.dumps(value)
-    if isinstance(value, np.ndarray):
-        return json_dumps(value.tolist())
-    if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(json_dumps(v) for v in value) + "]"
-    if isinstance(value, dict):
-        items = (f"{json.dumps(str(k))}: {json_dumps(v)}" for k, v in value.items())
-        return "{" + ", ".join(items) + "}"
-    raise TypeError(f"cannot serialize {type(value).__name__}")
+    """JSON text with dicts in insertion order and reals as the shortest
+    repr; a non-finite real is a ValueError."""
+    return json.dumps(value, allow_nan=False, default=_plain)
 
 
 def atomic_write(path: str, text: str) -> None:
@@ -103,6 +93,12 @@ def _real(v) -> float:
     return float(v)
 
 
+def _int(v) -> int:
+    if isinstance(v, bool):
+        raise TypeError(f"expected an integer, got {v!r}")
+    return operator.index(v)
+
+
 def _flag(v) -> bool:
     if not isinstance(v, bool):
         raise TypeError(f"expected true or false, got {v!r}")
@@ -110,8 +106,7 @@ def _flag(v) -> bool:
 
 
 def joint_from_json(text: str) -> JointDistribution:
-    x_card, y_card, p = _json_fields(json.loads(text), "joint", x_card=operator.index,
-                                     y_card=operator.index, p=_reals)
+    x_card, y_card, p = _json_fields(json.loads(text), "joint", x_card=_int, y_card=_int, p=_reals)
     return JointDistribution(x_card, y_card, p)
 
 
@@ -138,7 +133,7 @@ def solution_from_json(text: str) -> IBSolution:
     beta, enc, dec, pt, *scalars = _json_fields(
         json.loads(text), "solution", beta=_real, encoder=_reals, decoder=_reals,
         marginal=_reals, R=_real, I_Y=_real, D_IB=_real, L=_real,
-        iterations=operator.index, converged=_flag)
+        iterations=_int, converged=_flag)
     return IBSolution(beta, Encoder.from_matrix(enc), ConditionalMatrix.from_matrix(dec),
                       DiscreteDistribution(pt), *scalars)
 
@@ -157,7 +152,7 @@ def network_to_json(net: NetworkParams) -> str:
 
 def network_from_json(text: str) -> NetworkParams:
     sizes, weights, biases = _json_fields(
-        json.loads(text), "network", layer_sizes=lambda v: tuple(map(operator.index, v)),
+        json.loads(text), "network", layer_sizes=lambda v: tuple(map(_int, v)),
         weights=lambda v: tuple(map(_reals, v)), biases=lambda v: tuple(map(_reals, v)))
     return NetworkParams(sizes, weights, biases)
 
@@ -183,8 +178,7 @@ def bifurcations_from_json(text: str) -> tuple[Bifurcation, ...]:
     records = json.loads(text)
     if not isinstance(records, list):
         raise ValueError("bifurcations JSON must be a list of records")
-    keys = dict(beta_low=_real, beta_high=_real, card_before=operator.index,
-                card_after=operator.index,
+    keys = dict(beta_low=_real, beta_high=_real, card_before=_int, card_after=_int,
                 beta_predicted=lambda v: None if v is None else _real(v))
     return tuple(Bifurcation(*_json_fields(o, "bifurcation", **keys)) for o in records)
 
@@ -203,7 +197,7 @@ def gaps_to_json(g: NetworkGaps, b: BoundCurve) -> str:
 # ---------------------------------------------------------------------------
 
 def _csv_text(header: str, rows) -> str:
-    """CSV text of rows of integer and real cells, reals at 17 digits."""
+    """CSV text of rows of integer and real cells, reals as `fmt_real` writes them."""
     lines = [header]
     lines += [",".join(str(c) if isinstance(c, (int, np.integer)) else fmt_real(c) for c in row)
               for row in rows]

@@ -63,14 +63,16 @@ def js_bits(p, q):
                for a in (p, q))
 
 
+def mi_bits_stack(p: np.ndarray) -> np.ndarray:
+    """Mutual information in bits, >= 0, of every joint of a (B, M, N) stack."""
+    outer = np.add.reduce(p, axis=2, keepdims=True) * np.add.reduce(p, axis=1, keepdims=True)
+    q = np.divide(p, outer, out=np.ones_like(p), where=p > 0)
+    return np.maximum(0.0, np.add.reduce(p * np.log2(q), axis=(1, 2)))
+
+
 def mi_bits(joint) -> float:
     """Mutual information of a joint probability matrix, in bits, >= 0."""
-    joint = np.asarray(joint, dtype=float)
-    px = joint.sum(axis=1)
-    py = joint.sum(axis=0)
-    outer = np.outer(px, py)
-    pos = joint > 0
-    return max(0.0, float((joint[pos] * np.log2(joint[pos] / outer[pos])).sum()))
+    return float(mi_bits_stack(np.asarray(joint, dtype=float)[None])[0])
 
 
 def conditional_rows(joint) -> tuple[np.ndarray, np.ndarray]:

@@ -73,6 +73,7 @@ from .prob import (
     JointDistribution,
     entropy_bits,
     mi_bits,
+    mi_bits_stack,
 )
 
 DEFAULT_TOL = 1e-8
@@ -267,17 +268,9 @@ def ib_iterate_once(j: JointDistribution, e: Encoder, beta: float) -> Encoder:
         return Encoder.from_matrix(_map(j.px, j.pygx, j.p, e.matrix[None], beta)[0])
 
 
-def _mi_bits(p: np.ndarray) -> np.ndarray:
-    """Mutual information in bits, >= 0, of every joint of a (B, M, N) stack."""
-    pos = p > 0
-    outer = p.sum(axis=2)[:, :, None] * p.sum(axis=1)[:, None, :]
-    q = np.divide(p, outer, out=np.ones_like(p), where=pos)
-    return np.maximum(0.0, (p * np.log2(q)).sum(axis=(1, 2)))
-
-
 def _info_bits(j: JointDistribution, enc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(R, I_Y) = (I(X;T), I(T;Y)) in bits of every encoder of a (B, X, T) stack."""
-    return _mi_bits(enc * j.px[:, None]), _mi_bits(enc.transpose(0, 2, 1) @ j.p)
+    return mi_bits_stack(enc * j.px[:, None]), mi_bits_stack(enc.transpose(0, 2, 1) @ j.p)
 
 
 def _decoder(j: JointDistribution, enc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

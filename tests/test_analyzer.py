@@ -1,10 +1,13 @@
 """Layer quantization, exact plane placement, chain checks, output rate."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from ibplane import cli, io
 from ibplane.analyzer import (
     DPI_TOL,
     QuantizerConfig,
@@ -181,6 +184,42 @@ def test_perfect_predictor_on_deterministic_joint():
     r_n, d_n = network_distortion_rate(j, diag_net(), QuantizerConfig(bins=8))
     assert r_n == pytest.approx(1.0, abs=1e-12)
     assert d_n == pytest.approx(0.0, abs=1e-12)
+
+
+def permuting_net(seed):
+    """A random joint over k symbols and a net with one hidden layer whose
+    units and argmax prediction relabel x by seeded permutations: every
+    layer keeps all of I(X;Y), and only rounding tells the sums apart."""
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(2, 6))
+    g = rng.gamma(1.0, size=(k, k))
+    hidden, out = rng.permutation(k), rng.permutation(k)
+    w1, w2 = np.full((k, k), -5.0), np.full((k, k), -5.0)
+    w1[hidden, np.arange(k)] = w2[out, hidden] = 5.0
+    return (JointDistribution.from_matrix(g / g.sum()),
+            NetworkParams((k, k, k), (w1, w2), (np.zeros(k), np.zeros(k))))
+
+
+def test_rounding_never_reports_negative_information(tmp_path, monkeypatch, capsys):
+    # at 10 of these 40 seeds, I(X;Y) - I(Yhat;Y) and I_Y_lost round below 0
+    # unless clamped; the analyze summary and gaps.json report D_N too
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.csv").write_text("beta,R,I_Y,D_IB,L,eff_card\n1,0,0,0,0,1\n")
+    for seed in range(40):
+        j, net = permuting_net(seed)
+        r_n, d_n = network_distortion_rate(j, net, None)
+        assert r_n == pytest.approx(entropy_bits(j.px), abs=1e-12)
+        assert 0.0 <= d_n <= 1e-12
+        for p in info_plane_path(j, net, None).points:
+            assert 0.0 <= p.I_Y_lost <= 1e-12 and p.I_prev >= 0.0
+        (tmp_path / "j.json").write_text(io.joint_to_json(j))
+        (tmp_path / "net.json").write_text(io.network_to_json(net))
+        assert cli.run("analyze --joint j.json --net net.json --exact --out p.csv".split()) == 0
+        assert json.loads(capsys.readouterr().out)["D_N"] >= 0.0
+        assert cli.run("bounds --curve c.csv --n 100 --joint j.json --net net.json "
+                       "--gaps-out g.json --out b.csv".split()) == 0
+        capsys.readouterr()
+        assert json.loads((tmp_path / "g.json").read_text())["D_N"] >= 0.0
 
 
 def test_constant_predictor():

@@ -14,7 +14,7 @@ from ibplane.curve import (
     Bifurcation,
     CurvePoint,
     InfoCurve,
-    _moments,
+    _predicted_split,
     anneal_curve,
     critical_beta_spectral,
     detect_bifurcations,
@@ -31,7 +31,13 @@ from ibplane.presets import (
     random_joint,
     symmetric_joint,
 )
-from ibplane.prob import empirical_joint, kl_bits, mutual_information, sample_pairs
+from ibplane.prob import (
+    JointDistribution,
+    empirical_joint,
+    kl_bits,
+    mutual_information,
+    sample_pairs,
+)
 from ibplane.solver import (
     Encoder,
     _decoder,
@@ -54,15 +60,38 @@ def trivial_solution(j, t_card=2, beta=1.0):
                                  beta)
 
 
+def plain_moments(j, sol, t_index):
+    """M[y, y'] = sum_x p(x|t) p(y|x) p(y'|x) and p(y|t) of one cluster, in
+    plain numpy from the joint and the encoder."""
+    px = j.p.sum(axis=1)
+    pygx = np.divide(j.p, px[:, None], out=np.zeros_like(j.p), where=px[:, None] > 0)
+    col = sol.encoder.matrix[:, t_index]
+    pxgt = px * col / (px @ col)
+    return np.einsum("x,xy,xz->yz", pxgt, pygx, pygx), pxgt @ pygx
+
+
 def c_matrix(j, sol, t_index):
     """Second-order correlation matrix over Y conditioned on one cluster,
     C[y, y'] = sum_x p(x|t) p(y|x) p(y'|x) / p(y|t), with rows for p(y|t) = 0
     left at zero: the matrix whose spectrum critical_beta_spectral reads."""
-    m, pygt = _moments(j, sol, t_index)
+    m, pygt = plain_moments(j, sol, t_index)
     c = np.zeros_like(m)
     pos = pygt > 0
     c[pos] = m[pos] / pygt[pos, None]
     return c
+
+
+def projector_beta(j, sol, t_index):
+    """The critical beta by deflation, independently of curve: restrict
+    S = D^{-1/2} M D^{-1/2} to p(y|t)'s support, project the trivial mode
+    sqrt(p(y|t)) out, and invert the top eigenvalue left."""
+    m, pygt = plain_moments(j, sol, t_index)
+    sup = pygt > 0
+    v = np.sqrt(pygt[sup])
+    proj = np.eye(v.size) - np.outer(v, v)
+    lam = np.linalg.eigvalsh(proj @ (m[np.ix_(sup, sup)] / np.outer(v, v)) @ proj)[-1] \
+        if v.size > 1 else 0.0
+    return 1.0 / lam if lam > 1e-12 else math.inf
 
 
 @pytest.fixture(scope="module")
@@ -111,7 +140,7 @@ def test_c_matrix_ones_vector_is_eigenvector():
 def test_c_matrix_zero_mass_cluster_raises():
     sol = solution_from_encoder(SYM, Encoder.from_matrix([[1, 0], [1, 0]]), 1.0)
     with pytest.raises(DegenerateClusterError):
-        c_matrix(SYM, sol, 1)
+        critical_beta_spectral(SYM, sol, 1)
 
 
 # --- spectral critical beta ----------------------------------------------------
@@ -129,6 +158,43 @@ def test_critical_beta_product_no_transition():
 def test_critical_beta_deterministic():
     j = deterministic_joint(2)
     assert critical_beta_spectral(j, trivial_solution(j), 0) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_batched_spectral_matches_projector_reference():
+    # random joints with zero rows and columns, random encoders with
+    # tiny-mass and zero-mass clusters, and |Y| = 1
+    rng = np.random.default_rng(17)
+    finite = 0
+    for _ in range(300):
+        x_card, y_card, t_card = rng.integers(1, 7), rng.integers(1, 5), rng.integers(1, 5)
+        w = rng.gamma(0.7, size=(x_card, y_card))
+        if x_card > 1 and rng.random() < 0.3:
+            w[rng.integers(x_card)] = 0.0
+        if y_card > 1 and rng.random() < 0.3:
+            w[:, rng.integers(y_card)] = 0.0
+        if not w.any():
+            continue
+        j = JointDistribution.from_matrix(w / w.sum())
+        enc = rng.gamma(0.5, size=(x_card, t_card))
+        if t_card > 1 and rng.random() < 0.3:
+            enc[:, rng.integers(t_card)] *= 10.0 ** -rng.integers(4, 12)
+        if t_card > 1 and rng.random() < 0.2:
+            enc[:, rng.integers(t_card)] = 0.0
+        sol = solution_from_encoder(j, Encoder.from_matrix(enc / enc.sum(axis=1, keepdims=True)),
+                                    1.0)
+        want = []
+        for t in range(t_card):
+            if sol.marginal.p[t] <= 0:
+                with pytest.raises(DegenerateClusterError):
+                    critical_beta_spectral(j, sol, t)
+                continue
+            ref, got = projector_beta(j, sol, t), critical_beta_spectral(j, sol, t)
+            assert got == ref if math.isinf(ref) else math.isclose(got, ref, rel_tol=1e-9)
+            finite += math.isfinite(ref)
+            if sol.marginal.p[t] > curve.MASS_EPS and math.isfinite(got):
+                want.append(got)
+        assert _predicted_split(j, sol) == min(want, default=None)
+    assert finite > 300
 
 
 # --- effective cardinality ------------------------------------------------------

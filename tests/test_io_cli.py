@@ -8,6 +8,7 @@ import subprocess
 import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -98,12 +99,13 @@ def test_bifurcations_round_trip():
 
 @pytest.mark.parametrize("text, key", [
     ('{"beta": 1.0}', "'encoder'"),
-    (None, "'iterations'"),
-], ids=["missing-key", "wrong-typed-key"])
+    ([3], "'iterations'"),
+    (True, "'iterations'"),
+], ids=["missing-key", "wrong-typed-key", "boolean-key"])
 def test_solution_reader_names_the_bad_key(text, key):
-    if text is None:
+    if not isinstance(text, str):
         obj = json.loads(io.solution_to_json(ib_solve(SYM, 2, beta=5.0, seed=0)))
-        obj["iterations"] = [3]
+        obj["iterations"] = text
         text = json.dumps(obj)
     with pytest.raises(ValueError, match=f"solution JSON .*{key}"):
         io.solution_from_json(text)
@@ -115,7 +117,9 @@ def test_solution_reader_names_the_bad_key(text, key):
      '"beta_predicted": null}]', "'beta_low'"),
     ('[{"beta_low": 1.0, "beta_high": 2.0, "card_before": 1, "card_after": 2, '
      '"beta_predicted": NaN}]', "'beta_predicted'"),
-], ids=["missing-key", "wrong-typed-key", "non-finite-key"])
+    ('[{"beta_low": 1.0, "beta_high": 2.0, "card_before": true, "card_after": 2, '
+     '"beta_predicted": null}]', "'card_before'"),
+], ids=["missing-key", "wrong-typed-key", "non-finite-key", "boolean-key"])
 def test_bifurcations_reader_names_the_bad_key(text, key):
     with pytest.raises(ValueError, match=f"bifurcation JSON .*{key}"):
         io.bifurcations_from_json(text)
@@ -164,8 +168,47 @@ def test_csv_readers_reject_malformed_rows(kind, fault):
 
 
 def test_json_rejects_non_finite():
-    with pytest.raises(ValueError):
-        io.fmt_real(math.inf)
+    for value in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError):
+            io.fmt_real(value)
+        for wrapped in (value, [1.0, value], {"a": {"b": value}}, np.array([[0.5, value]]),
+                        np.float64(value)):
+            with pytest.raises(ValueError):
+                io.json_dumps(wrapped)
+
+
+def test_json_writer_converts_numpy_and_rejects_other_types():
+    assert io.json_dumps({"a": np.array([[1.0, 0.1]]), "n": np.int64(3), "t": (1, None, True)}) \
+        == '{"a": [[1.0, 0.1]], "n": 3, "t": [1, null, true]}'
+    for value in (object(), np.float32(0.5), {1, 2}):
+        with pytest.raises(TypeError):
+            io.json_dumps(value)
+
+
+# excerpts of files written with 17 significant digits, as earlier versions
+# wrote every real; each must read to the same values as its shortest repr
+SEVENTEEN_DIGIT_FILES = [
+    (io.joint_from_json, '{"x_card": 2, "y_card": 2, "p": [[0.40000000000000002, '
+     '0.10000000000000001], [0.10000000000000001, 0.40000000000000002]]}',
+     lambda j: j.p.tolist(), [[0.4, 0.1], [0.1, 0.4]]),
+    (io.bifurcations_from_json, '[{"beta_low": 2.7770150290350024, "beta_high": '
+     '2.779171096604129, "card_before": 1, "card_after": 2, "beta_predicted": '
+     '2.7777777777777777}]', lambda b: b[0].beta_predicted, 25 / 9),
+    (io.curve_from_csv, "beta,R,I_Y,D_IB,L,eff_card\n0.10000000000000001,0,0,"
+     "0.27807190511263774,0,1\n", lambda c: (c.points[0].beta, c.points[0].D_IB),
+     (0.1, 0.27807190511263774)),
+    (io.loss_trace_from_csv, "epoch,loss\n0,1.0083931527413739\n1,0.99420279992371285\n",
+     list, [1.0083931527413739, 0.99420279992371285]),
+]
+
+
+@pytest.mark.parametrize("reader, text, values, expected", SEVENTEEN_DIGIT_FILES,
+                         ids=["joint", "bifurcations", "curve", "loss"])
+def test_seventeen_digit_files_read_to_the_same_values(reader, text, values, expected):
+    assert values(reader(text)) == expected
+    reals = re.findall(r"\d\.\d{15,}", text)
+    assert reals and all(float(io.fmt_real(float(r))) == float(r) for r in reals)
+    assert all(len(io.fmt_real(float(r))) <= len(r) for r in reals)
 
 
 def test_atomic_write(tmp_path):
@@ -287,6 +330,17 @@ def test_cli_joint_with_wrong_typed_x_card_is_one_line_error(tmp_path, capsys):
     assert err.startswith("ValueError: ") and "'x_card'" in err
     assert err.count("\n") == 1
     assert not (tmp_path / "s.json").exists()
+
+
+@pytest.mark.parametrize("reader, text, key", [
+    (io.joint_from_json, '{"x_card": true, "y_card": true, "p": [[1.0]]}', "'x_card'"),
+    (io.joint_from_json, '{"x_card": 1, "y_card": true, "p": [[1.0]]}', "'y_card'"),
+    (io.network_from_json, '{"layer_sizes": [true, true], "weights": [[[0.0]]], '
+     '"biases": [[0.0]]}', "'layer_sizes'"),
+], ids=["joint-x-card", "joint-y-card", "network-layer-sizes"])
+def test_json_readers_reject_true_as_an_integer(reader, text, key):
+    with pytest.raises(ValueError, match=f"JSON {key} has the wrong type"):
+        reader(text)
 
 
 def test_cli_network_with_wrong_typed_layer_sizes_is_one_line_error(tmp_path, capsys):
@@ -450,6 +504,23 @@ def test_cli_bounds_gap_flags_must_come_together(tmp_path):
     assert r.returncode == 2
 
 
+def test_cli_bounds_needs_joint_or_y_card(tmp_path, monkeypatch, capsys):
+    # |Y| sets the bound; there is no default to fall back on silently
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.csv").write_text(GOOD_CURVE)
+    (tmp_path / "j.json").write_text(io.joint_to_json(SYM))
+    argv = "bounds --curve c.csv --n 100 --out b.csv".split()
+    with pytest.raises(SystemExit) as e:
+        cli.run(argv)
+    assert e.value.code == 2
+    assert "bounds needs --joint or --y-card" in capsys.readouterr().err
+    assert not (tmp_path / "b.csv").exists()
+    assert cli.run(argv + ["--y-card", "2"]) == 0
+    by_card = (tmp_path / "b.csv").read_text()
+    assert cli.run(argv + ["--joint", "j.json"]) == 0
+    assert (tmp_path / "b.csv").read_text() == by_card
+
+
 def test_cli_train_samples_out_round_trips(tmp_path):
     j, net, samples = tmp_path / "j.json", tmp_path / "n.json", tmp_path / "s.csv"
     run_cli("gen", "--preset", "symmetric", "--out", j)
@@ -489,6 +560,22 @@ def test_readme_pipeline_runs_verbatim(tmp_path, monkeypatch, capsys):
     polylines = [e for e in ET.parse(tmp_path / "plane.svg").getroot().iter()
                  if e.tag.endswith("polyline")]
     assert len(polylines) == 3
+    # every output file that has a reader is written back byte for byte
+    rewrite = {
+        "j.json": lambda t: io.joint_to_json(io.joint_from_json(t)),
+        "sol.json": lambda t: io.solution_to_json(io.solution_from_json(t)),
+        "curve.csv": lambda t: io.curve_to_csv(io.curve_from_csv(t)),
+        "bifs.json": lambda t: io.bifurcations_to_json(io.bifurcations_from_json(t)),
+        "net.json": lambda t: io.network_to_json(io.network_from_json(t)),
+        "loss.csv": lambda t: io.loss_trace_to_csv(io.loss_trace_from_csv(t)),
+        "bounds.csv": lambda t: io.bound_curve_to_csv(
+            SimpleNamespace(points=io.bound_points_from_csv(t))),
+        "plane.csv": lambda t: io.layer_path_to_csv(LayerPath(
+            [InfoPlanePoint(*row, 0.0, 0.0) for row in io.layer_points_from_csv(t)], ())),
+    }
+    for name, again in rewrite.items():
+        text = (tmp_path / name).read_text()
+        assert again(text) == text, name
 
 
 def test_cli_reruns_are_byte_identical(tmp_path):
