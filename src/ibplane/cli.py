@@ -1,13 +1,13 @@
 """Command-line orchestration.
 
-Each subcommand runs one pipeline, writes its declared output files
-atomically, and prints a one-line JSON summary to stdout. Exit codes: 0 on
-success, 2 on argument errors, 1 on computation errors (the error class name
-goes to stderr). Reruns with identical flags and seed produce byte-identical
-outputs.
+A run builds the parser of its one subcommand only; help, a missing or an
+unknown command get the full parser, so their output lists all seven. Each
+subcommand runs one pipeline, writes its declared output files atomically
+(a failed write leaves no temp file and replaces no output), and prints a
+one-line JSON summary to stdout. Exit codes: 0 on success, 2 on argument
+errors, 1 on computation errors (the error class name goes to stderr).
+Reruns with identical flags and seed produce byte-identical outputs.
 """
-
-from __future__ import annotations
 
 import argparse
 import sys
@@ -34,15 +34,10 @@ def _list_of(kind):
 
 
 def _emit(text_by_path: dict[str, str], summary: dict) -> int:
-    for path, text in text_by_path.items():
-        io.atomic_write(path, text)
+    io.write_all(text_by_path)
     print(io.json_dumps(summary))
     return 0
 
-
-# ---------------------------------------------------------------------------
-# Subcommands
-# ---------------------------------------------------------------------------
 
 def _cmd_gen(args) -> int:
     params = {
@@ -82,11 +77,9 @@ def _cmd_ib_curve(args) -> int:
     files = {args.out: io.curve_to_csv(traced)}
     if args.bifurcations_out:
         files[args.bifurcations_out] = io.bifurcations_to_json(traced.bifurcations)
-    summary = {
-        "cmd": "ib-curve", "points": len(traced.points),
-        "bifurcations": len(traced.bifurcations), "unconverged": traced.unconverged,
-        "out": args.out,
-    }
+    summary = {"cmd": "ib-curve", "points": len(traced.points),
+               "bifurcations": len(traced.bifurcations),
+               "unconverged": traced.unconverged, "out": args.out}
     return _emit(files, summary)
 
 
@@ -162,26 +155,16 @@ def _cmd_plane(args) -> int:
     bound_pts = io.bound_points_from_csv(_read(args.bounds))
     q = analyzer.QuantizerConfig(bins=args.bins)
     path = analyzer.info_plane_path(j, net, q)
-    svg = svgplot.render_plane(
-        [(p.R, p.I_Y) for p in traced.points],
-        [(p.R_hat, p.I_Y_worst) for p in bound_pts],
-        [(p.I_X, p.I_Y) for p in path.points],
-    )
-    summary = {"cmd": "plane", "series": 3, "layers": len(path.points),
-               "out": args.out}
+    svg = svgplot.render_plane([(p.R, p.I_Y) for p in traced.points],
+                               [(p.R_hat, p.I_Y_worst) for p in bound_pts],
+                               [(p.I_X, p.I_Y) for p in path.points])
+    summary = {"cmd": "plane", "series": 3, "layers": len(path.points), "out": args.out}
     return _emit({args.out: svg}, summary)
 
 
-# ---------------------------------------------------------------------------
-# Parser
-# ---------------------------------------------------------------------------
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ibplane",
-        description="Tradeoff curves, phase transitions, finite-sample bounds "
-                    "and information-plane placement for discrete joints.")
-    sub = parser.add_subparsers(dest="cmd", required=True)
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser with only `command`'s subparser when it names one, else
+    with all seven; either way the top-level usage lists every command."""
 
     def add_solver_opts(p):
         p.add_argument("--t-card", type=int, required=True)
@@ -189,101 +172,117 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-iter", type=int, default=solver.DEFAULT_MAX_ITER)
         p.add_argument("--seed", type=int, default=0)
 
-    def add_sweep_opts(p):
+    def gen_args(p):
+        p.add_argument("--preset", choices=presets.PRESET_NAMES, required=True)
+        p.add_argument("--eps", type=float, default=0.2)
+        p.add_argument("--eps1", type=float, default=0.2)
+        p.add_argument("--eps2", type=float, default=0.05)
+        p.add_argument("--levels", type=int, default=2)
+        p.add_argument("--k", type=int, default=2)
+        p.add_argument("--d", type=int, default=2)
+        p.add_argument("--x-card", type=int, default=3)
+        p.add_argument("--y-card", type=int, default=2)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--out", required=True)
+
+    def ib_solve_args(p):
+        p.add_argument("--joint", required=True)
+        p.add_argument("--beta", type=float, required=True)
+        p.add_argument("--restarts", type=int, default=10)
+        add_solver_opts(p)
+        p.add_argument("--out", required=True)
+
+    def ib_curve_args(p):
+        p.add_argument("--joint", required=True)
+        add_solver_opts(p)
         p.add_argument("--beta-min", type=float, required=True)
         p.add_argument("--beta-max", type=float, required=True)
         p.add_argument("--grid-factor", type=float, default=1.05)
         p.add_argument("--restarts", type=int, default=3)
+        p.add_argument("--out", required=True)
+        p.add_argument("--bifurcations-out")
 
-    p = sub.add_parser("gen", help="write a preset joint distribution")
-    p.add_argument("--preset", choices=presets.PRESET_NAMES, required=True)
-    p.add_argument("--eps", type=float, default=0.2)
-    p.add_argument("--eps1", type=float, default=0.2)
-    p.add_argument("--eps2", type=float, default=0.05)
-    p.add_argument("--levels", type=int, default=2)
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--d", type=int, default=2)
-    p.add_argument("--x-card", type=int, default=3)
-    p.add_argument("--y-card", type=int, default=2)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_gen)
+    def bounds_args(p):
+        p.add_argument("--curve", required=True)
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--c-bound", type=float, default=1.0)
+        y_card = p.add_mutually_exclusive_group(required=True)
+        y_card.add_argument("--joint", help="joint file supplying |Y| (else --y-card)")
+        y_card.add_argument("--y-card", type=int)
+        p.add_argument("--net", help="network file for gap computation")
+        p.add_argument("--gaps-out")
+        p.add_argument("--out", required=True)
+        parse = p.parse_known_args
 
-    p = sub.add_parser("ib-solve", help="solve at a single beta")
-    p.add_argument("--joint", required=True)
-    p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--restarts", type=int, default=10)
-    add_solver_opts(p)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_ib_solve)
+        def parse_known_args(*a):  # a rule across flags, with this command's usage
+            ns, rest = parse(*a)
+            if (ns.net or ns.gaps_out) and not (ns.joint and ns.net and ns.gaps_out):
+                p.error("gap computation needs --joint, --net and --gaps-out")
+            return ns, rest
+        p.parse_known_args = parse_known_args
 
-    p = sub.add_parser("ib-curve", help="anneal the tradeoff curve over beta")
-    p.add_argument("--joint", required=True)
-    add_solver_opts(p)
-    add_sweep_opts(p)
-    p.add_argument("--out", required=True)
-    p.add_argument("--bifurcations-out")
-    p.set_defaults(func=_cmd_ib_curve)
+    def train_args(p):
+        p.add_argument("--joint", required=True)
+        p.add_argument("--n", type=int, default=1000)
+        p.add_argument("--hidden", type=_list_of(int), default="4,3",
+                       help="comma-separated hidden layer widths (empty for none)")
+        p.add_argument("--epochs", type=int, default=500)
+        p.add_argument("--lr", type=float, default=0.5)
+        p.add_argument("--batch-size", type=int, default=32)
+        p.add_argument("--seed", type=int, default=0,
+                       help="base seed; sampling, init and shuffling derive from it")
+        p.add_argument("--out", required=True)
+        p.add_argument("--loss-out")
+        p.add_argument("--samples-out", help="also write the drawn sample CSV")
 
-    p = sub.add_parser("bounds", help="worst-case finite-sample curve and gaps")
-    p.add_argument("--curve", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--c-bound", type=float, default=1.0)
-    p.add_argument("--joint", help="joint file supplying |Y| (else --y-card)")
-    p.add_argument("--y-card", type=int)
-    p.add_argument("--net", help="network file for gap computation")
-    p.add_argument("--gaps-out")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_bounds)
+    def analyze_args(p):
+        p.add_argument("--joint", required=True)
+        p.add_argument("--net", required=True)
+        p.add_argument("--bins", type=int, default=8)
+        p.add_argument("--exact", action="store_true",
+                       help="use exact activation tuples instead of bins")
+        p.add_argument("--beta", type=float, default=1.0)
+        p.add_argument("--sweep", type=_list_of(float),
+                       help="comma-separated betas; reports the criterion-minimizing "
+                            "layer per beta")
+        p.add_argument("--out", required=True)
 
-    p = sub.add_parser("train", help="sample a joint and train a network")
-    p.add_argument("--joint", required=True)
-    p.add_argument("--n", type=int, default=1000)
-    p.add_argument("--hidden", type=_list_of(int), default="4,3",
-                   help="comma-separated hidden layer widths (empty for none)")
-    p.add_argument("--epochs", type=int, default=500)
-    p.add_argument("--lr", type=float, default=0.5)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--seed", type=int, default=0,
-                   help="base seed; sampling, init and shuffling derive from it")
-    p.add_argument("--out", required=True)
-    p.add_argument("--loss-out")
-    p.add_argument("--samples-out", help="also write the drawn sample CSV")
-    p.set_defaults(func=_cmd_train)
+    def plane_args(p):
+        p.add_argument("--joint", required=True)
+        p.add_argument("--net", required=True)
+        p.add_argument("--curve", required=True)
+        p.add_argument("--bounds", required=True)
+        p.add_argument("--bins", type=int, default=8)
+        p.add_argument("--out", required=True)
 
-    p = sub.add_parser("analyze", help="place the layers on the information plane")
-    p.add_argument("--joint", required=True)
-    p.add_argument("--net", required=True)
-    p.add_argument("--bins", type=int, default=8)
-    p.add_argument("--exact", action="store_true",
-                   help="use exact activation tuples instead of bins")
-    p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--sweep", type=_list_of(float),
-                   help="comma-separated betas; reports the criterion-minimizing "
-                        "layer per beta")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_analyze)
-
-    p = sub.add_parser("plane", help="render curve, bound and layer path as SVG")
-    p.add_argument("--joint", required=True)
-    p.add_argument("--net", required=True)
-    p.add_argument("--curve", required=True)
-    p.add_argument("--bounds", required=True)
-    p.add_argument("--bins", type=int, default=8)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_plane)
-
+    commands = {  # name: (help, argument-adding function, handler), in help order
+        "gen": ("write a preset joint distribution", gen_args, _cmd_gen),
+        "ib-solve": ("solve at a single beta", ib_solve_args, _cmd_ib_solve),
+        "ib-curve": ("anneal the tradeoff curve over beta", ib_curve_args, _cmd_ib_curve),
+        "bounds": ("worst-case finite-sample curve and gaps", bounds_args, _cmd_bounds),
+        "train": ("sample a joint and train a network", train_args, _cmd_train),
+        "analyze": ("place the layers on the information plane", analyze_args, _cmd_analyze),
+        "plane": ("render curve, bound and layer path as SVG", plane_args, _cmd_plane),
+    }
+    only = command in commands
+    parser = argparse.ArgumentParser(
+        prog="ibplane",
+        description="Tradeoff curves, phase transitions, finite-sample bounds "
+                    "and information-plane placement for discrete joints.")
+    sub = parser.add_subparsers(
+        dest="cmd", required=True,
+        metavar="{%s}" % ",".join(commands) if only else None)
+    for name, (help_, add_args, func) in commands.items():
+        if name == command or not only:
+            p = sub.add_parser(name, help=help_)
+            add_args(p)
+            p.set_defaults(func=func)
     return parser
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.cmd == "bounds" and (args.net or args.gaps_out):
-        if not (args.joint and args.net and args.gaps_out):
-            parser.error("gap computation needs --joint, --net and --gaps-out")
-    if args.cmd == "bounds" and args.joint is None and args.y_card is None:
-        parser.error("bounds needs --joint or --y-card")
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except (IBError, ValueError, OSError, MemoryError) as e:

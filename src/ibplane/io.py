@@ -6,11 +6,14 @@ with keys in a fixed insertion order, so identical inputs produce
 byte-identical files. Every integer field is read by `_int`, which rejects
 `true` and `false`. Every CSV format is written by `_csv_text` and read by
 `_csv_rows`. Writes go through a temp-file-then-rename so readers never
-observe a partial file.
+observe a partial file; `write_all` writes every temp file before it
+renames any, and a failure leaves no temp file behind.
 """
 
 from __future__ import annotations
 
+import contextlib
+import errno
 import json
 import math
 import operator
@@ -51,12 +54,43 @@ def json_dumps(value) -> str:
     return json.dumps(value, allow_nan=False, default=_plain)
 
 
-def atomic_write(path: str, text: str) -> None:
-    """Write text to path via a temp file and rename."""
+def atomic_write(path: str, text: str, staged: list | None = None) -> None:
+    """Write text to path via a temp file and rename; a failed write or
+    rename removes the temp file. With `staged`, the rename is left to the
+    caller: the (temp, path) pair is appended there instead."""
+    # refused before anything is written: a rename onto a directory fails
+    # only after write_all may have renamed the files before it
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     tmp = path + ".tmp~"
-    with open(tmp, "w", newline="") as f:
-        f.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", newline="") as f:
+            f.write(text)
+        if staged is None:
+            os.replace(tmp, path)
+        else:
+            staged.append((tmp, path))
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
+def write_all(text_by_path: dict[str, str]) -> None:
+    """atomic_write for several files: every temp file is written before
+    any is renamed, and a failure removes them all, so a failed write
+    replaces no output."""
+    staged: list[tuple[str, str]] = []
+    try:
+        for path, text in text_by_path.items():
+            atomic_write(path, text, staged)
+        for tmp, path in staged:
+            os.replace(tmp, path)
+    except BaseException:
+        for tmp, _ in staged:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
+        raise
 
 
 # ---------------------------------------------------------------------------

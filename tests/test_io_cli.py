@@ -1,5 +1,6 @@
 """Serialization round-trips and end-to-end command-line pipelines."""
 
+import argparse
 import json
 import math
 import re
@@ -211,11 +212,28 @@ def test_seventeen_digit_files_read_to_the_same_values(reader, text, values, exp
     assert all(len(io.fmt_real(float(r))) <= len(r) for r in reals)
 
 
-def test_atomic_write(tmp_path):
+def test_atomic_write(tmp_path, monkeypatch, capsys):
     p = tmp_path / "out.txt"
     io.atomic_write(str(p), "payload")
     assert p.read_text() == "payload"
     assert not (tmp_path / "out.txt.tmp~").exists()
+    # a failed write leaves no temp file and replaces no output
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "adir").mkdir()
+    with pytest.raises(IsADirectoryError):
+        io.atomic_write("adir", "payload")
+    assert cli.run(["gen", "--preset", "symmetric", "--out", "adir"]) == 1
+    assert capsys.readouterr().err.startswith("IsADirectoryError: ")
+    (tmp_path / "c.csv").write_text("old")
+    (tmp_path / "j.json").write_text(io.joint_to_json(SYM))
+    assert cli.run(CURVE_ARGV.replace("--out out", "--out c.csv").split()
+                   + ["--bifurcations-out", "absent/b.json"]) == 1
+    assert capsys.readouterr().err.startswith("FileNotFoundError: ")
+    assert (tmp_path / "c.csv").read_text() == "old"
+    with pytest.raises(IsADirectoryError):
+        io.write_all({"c.csv": "new", "adir": "payload"})
+    assert (tmp_path / "c.csv").read_text() == "old"
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["adir", "c.csv", "j.json", "out.txt"]
 
 
 # --- CLI pipelines ------------------------------------------------------------------
@@ -502,6 +520,12 @@ def test_cli_bounds_gap_flags_must_come_together(tmp_path):
     r = run_cli("bounds", "--curve", curve, "--n", 100,
                 "--net", tmp_path / "net.json", "--out", tmp_path / "b.csv")
     assert r.returncode == 2
+    r = run_cli("bounds", "--curve", curve, "--n", 100, "--y-card", 2,
+                "--net", tmp_path / "net.json", "--out", tmp_path / "b.csv")
+    assert r.returncode == 2
+    assert r.stderr.startswith("usage: ibplane bounds ")
+    assert r.stderr.endswith(
+        "ibplane bounds: error: gap computation needs --joint, --net and --gaps-out\n")
 
 
 def test_cli_bounds_needs_joint_or_y_card(tmp_path, monkeypatch, capsys):
@@ -513,12 +537,25 @@ def test_cli_bounds_needs_joint_or_y_card(tmp_path, monkeypatch, capsys):
     with pytest.raises(SystemExit) as e:
         cli.run(argv)
     assert e.value.code == 2
-    assert "bounds needs --joint or --y-card" in capsys.readouterr().err
+    assert "ibplane bounds: error: one of the arguments --joint --y-card is required" \
+        in capsys.readouterr().err
     assert not (tmp_path / "b.csv").exists()
     assert cli.run(argv + ["--y-card", "2"]) == 0
     by_card = (tmp_path / "b.csv").read_text()
     assert cli.run(argv + ["--joint", "j.json"]) == 0
     assert (tmp_path / "b.csv").read_text() == by_card
+
+
+def test_cli_bounds_refuses_joint_with_y_card(tmp_path, monkeypatch, capsys):
+    # the joint fixes |Y|; a second, conflicting value is refused, not ignored
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.csv").write_text(GOOD_CURVE)
+    (tmp_path / "j.json").write_text(io.joint_to_json(SYM))
+    with pytest.raises(SystemExit) as e:
+        cli.run("bounds --curve c.csv --n 100 --joint j.json --y-card 7 --out b.csv".split())
+    assert e.value.code == 2
+    assert "argument --y-card: not allowed with argument --joint" in capsys.readouterr().err
+    assert not (tmp_path / "b.csv").exists()
 
 
 def test_cli_train_samples_out_round_trips(tmp_path):
@@ -591,3 +628,95 @@ def test_cli_reruns_are_byte_identical(tmp_path):
                 "--seed", 1, "--out", net)
         outputs[tag] = (j.read_bytes(), curve.read_bytes(), net.read_bytes())
     assert outputs["a"] == outputs["b"]
+
+
+# --- one subparser per run ------------------------------------------------------
+
+COMMANDS = ["gen", "ib-solve", "ib-curve", "bounds", "train", "analyze", "plane"]
+
+
+def parse_outcome(parse, argv, capsys):
+    """(exit code, stdout, stderr) of parse(argv); the code is None when
+    parse returns instead of exiting."""
+    try:
+        parse(argv)
+        code = None
+    except SystemExit as e:
+        code = e.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def subcommands(parser):
+    """The names of the subcommands registered on parser."""
+    sub, = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return list(sub.choices)
+
+
+@pytest.mark.parametrize("cmd", COMMANDS)
+def test_command_help_is_the_same_from_the_one_command_parser(cmd, capsys):
+    full = parse_outcome(cli.build_parser().parse_args, [cmd, "--help"], capsys)
+    alone = parse_outcome(cli.build_parser(cmd).parse_args, [cmd, "--help"], capsys)
+    assert full[0] == 0 and full[1].startswith(f"usage: ibplane {cmd} ")
+    assert alone == full
+
+
+def test_readme_argv_parses_the_same_from_the_one_command_parser():
+    for argv in readme_pipeline():
+        assert cli.build_parser(argv[0]).parse_args(argv) == cli.build_parser().parse_args(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    "gen --out j.json",
+    "gen --preset nope --out j.json",
+    "gen --preset symmetric --out j.json --bogus 1",
+    "ib-solve --joint j.json --t-card 2 --beta 1 --out s.json extra",
+    "train --joint j.json --hidden 4,,3 --out net.json",
+], ids=["missing-required", "bad-choice", "unknown-option", "extra-argument",
+        "malformed-hidden"])
+def test_argument_errors_are_the_same_from_the_one_command_parser(argv, capsys):
+    # an unknown option is reported by the top-level parser, whose usage
+    # line must still list every command
+    full = parse_outcome(cli.build_parser().parse_args, argv.split(), capsys)
+    assert full[0] == 2 and full[2].startswith("usage: ibplane ")
+    assert parse_outcome(cli.run, argv.split(), capsys) == full
+
+
+@pytest.mark.parametrize("argv", [[], ["--help"], ["-h"], ["nope"], ["-x", "gen"]],
+                         ids=["none", "help", "h", "unknown-command", "leading-option"])
+def test_help_and_unknown_commands_get_the_full_parser(argv, capsys):
+    outcome = parse_outcome(cli.run, argv, capsys)
+    assert outcome == parse_outcome(cli.build_parser().parse_args, argv, capsys)
+    text = outcome[1] + outcome[2]
+    assert text.startswith(
+        "usage: ibplane [-h] {gen,ib-solve,ib-curve,bounds,train,analyze,plane} ...\n"
+        if argv[:1] != ["-x"] else "usage: ibplane gen ")
+    if argv[:1] in (["--help"], ["-h"]):
+        assert all(f"\n    {cmd} " in text for cmd in COMMANDS)
+
+
+def test_run_builds_only_the_requested_subparser(monkeypatch, capsys):
+    built = []
+
+    def spy(command=None):
+        built.append(build(command))
+        return built[-1]
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", spy)
+    assert subcommands(build()) == COMMANDS
+    for cmd in COMMANDS:
+        assert parse_outcome(cli.run, [cmd, "--help"], capsys)[0] == 0
+        assert subcommands(built[-1]) == [cmd]
+    parse_outcome(cli.run, ["nope"], capsys)
+    assert subcommands(built[-1]) == COMMANDS
+
+
+def test_console_script_reads_sys_argv(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "argv", ["ibplane", "gen", "--preset", "symmetric",
+                                      "--out", "j.json"])
+    with pytest.raises(SystemExit) as e:
+        cli.main()
+    assert e.value.code == 0
+    assert json.loads(capsys.readouterr().out)["cmd"] == "gen"
+    assert io.joint_from_json((tmp_path / "j.json").read_text()).x_card == 2
