@@ -12,9 +12,10 @@ it on both axes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from .curve import InfoCurve
+from .solver import _check_fields
 
 
 @dataclass(frozen=True)
@@ -25,9 +26,7 @@ class BoundPoint:
     D_worst: float
 
     def __post_init__(self):
-        bad = [f.name for f in fields(self) if not math.isfinite(getattr(self, f.name))]
-        if bad:
-            raise ValueError(f"bound point has non-finite {', '.join(bad)}")
+        _check_fields(self, "bound point", vars(self))  # every field, in order
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,9 @@ from .solver import (  # noqa: F401  ib_solve stays importable from here
     DEFAULT_TOL,
     IBSolution,
     _check_query,
+    _check_tradeoff_point,
     _decoder,
+    _encoder_stack,
     _lockstep,
     _perturb,
     _restart_inits,
@@ -68,16 +70,9 @@ class CurvePoint:
     eff_card: int
 
     def __post_init__(self):
-        fields = ("beta", "R", "I_Y", "D_IB", "L")
-        bad = [k for k in fields if not math.isfinite(getattr(self, k))]
-        if bad:
-            raise ValueError(f"curve point has non-finite {', '.join(bad)}")
-        if self.beta < 0:
-            raise ValueError(f"beta must be >= 0, got {self.beta}")
+        _check_tradeoff_point(self, "curve point")
         if self.eff_card < 1:
             raise ValueError(f"eff_card must be >= 1, got {self.eff_card}")
-        if abs(self.L - (self.R - self.beta * self.I_Y)) > 1e-9:
-            raise ValueError("curve point violates L = R - beta * I_Y")
 
 
 @dataclass(frozen=True)
@@ -245,8 +240,8 @@ def anneal_curve(j: JointDistribution, t_card: int, beta_grid,
     betas, n = beta_grid.tolist(), beta_grid.size
     counts = [max(restarts, 1)] + [restarts] * (n - 1)
     targets = np.repeat(np.arange(n), counts)
-    inits = _restart_inits(j.x_card, t_card, [(r, _derived_seed(seed, i, r + 1))
-                                              for i, k in enumerate(counts) for r in range(k)])
+    inits = _encoder_stack(_restart_inits(j.x_card, t_card, [
+        (r, _derived_seed(seed, i, r + 1)) for i, k in enumerate(counts) for r in range(k)]))
     # the solution each grid point keeps, as arrays; L is inf until one is kept
     enc, R, I_Y = np.empty((n, j.x_card, t_card)), np.zeros(n), np.zeros(n)
     L, iters, conv = np.full(n, math.inf), np.zeros(n, dtype=int), np.zeros(n, dtype=bool)

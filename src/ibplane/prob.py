@@ -4,9 +4,11 @@ Joints, marginals, conditionals, entropies, divergences, i.i.d. sampling and
 empirical estimation over finite alphabets. All information quantities are in
 bits (log base 2), 0*log(0) counts as 0, and conditioning on a zero-mass row
 yields a uniform row. Values are immutable after construction and every
-operation is pure. A joint computes its constants p(x), p(y|x), I(X;Y) and
-H(X) on first use, once per object, and hands out the same read-only values
-to every later caller.
+operation is pure. One function, `_check_table`, checks every table: each
+distribution, joint and conditional matrix (the solver's `Encoder` is one)
+and the solver's encoder stacks. A joint computes its constants p(x),
+p(y|x), I(X;Y) and H(X) on first use, once per object, and hands out the
+same read-only values to every later caller.
 """
 
 from __future__ import annotations
@@ -26,6 +28,26 @@ def _frozen_array(a, dtype=float) -> np.ndarray:
     out = np.array(a, dtype=dtype)
     out.setflags(write=False)
     return out
+
+
+def _check_table(p, what: str, shape: tuple, rows: bool = False) -> np.ndarray:
+    """p as a read-only float array, checked as a probability table: of shape
+    `shape` (None allows any length on that axis) with no empty axis, every
+    entry finite and >= 0, and summing to 1 within PROB_TOL, in total or,
+    with rows, along the last axis."""
+    p = _frozen_array(p)
+    if p.ndim != len(shape) or 0 in p.shape or any(
+            n is not None and n != m for n, m in zip(shape, p.shape)):
+        want = ", ".join("n" if n is None else str(n) for n in shape)
+        raise DimensionError(f"{what} has shape {p.shape}, not a nonempty ({want})")
+    if not (np.isfinite(p).all() and (p >= 0).all()):
+        raise ValueError(f"negative or non-finite {what} entry")
+    sums = p.sum(axis=-1 if rows else None)
+    off = np.abs(sums - 1.0) > PROB_TOL
+    if off.any():
+        raise ValueError(f"{what}{' row' if rows else ''} sums to "
+                         f"{float(np.extract(off, sums)[0])!r}, not 1")
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -101,20 +123,23 @@ class DiscreteDistribution:
     p: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "p", _frozen_array(self.p))
-        if self.p.ndim != 1 or self.p.size < 1:
-            raise DimensionError("distribution must be a nonempty vector")
-        if not np.all(np.isfinite(self.p)) or np.any(self.p < 0):
-            raise ValueError("negative or non-finite probability entry")
-        if abs(float(self.p.sum()) - 1.0) > PROB_TOL:
-            raise ValueError(f"probabilities sum to {self.p.sum()!r}, not 1")
+        object.__setattr__(self, "p", _check_table(self.p, "DiscreteDistribution", (None,)))
 
     def __len__(self) -> int:
         return self.p.size
 
 
+class _Matrix:  # from_matrix for the tables built as cls(rows, cols, p)
+    @classmethod
+    def from_matrix(cls, p):
+        p = np.asarray(p, dtype=float)
+        if p.ndim != 2:
+            raise DimensionError(f"{cls.__name__} must be a 2-D matrix, got {p.ndim}-D")
+        return cls(*p.shape, p)
+
+
 @dataclass(frozen=True)
-class JointDistribution:
+class JointDistribution(_Matrix):
     """Joint p(X, Y) over finite alphabets as an x_card by y_card matrix."""
 
     x_card: int
@@ -122,25 +147,8 @@ class JointDistribution:
     p: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "p", _frozen_array(self.p))
-        if self.x_card < 1 or self.y_card < 1:
-            raise DimensionError("alphabet cardinalities must be >= 1")
-        if self.p.shape != (self.x_card, self.y_card):
-            raise DimensionError(
-                f"joint matrix shape {self.p.shape} does not match "
-                f"({self.x_card}, {self.y_card})"
-            )
-        if not np.all(np.isfinite(self.p)) or np.any(self.p < 0):
-            raise ValueError("negative or non-finite joint entry")
-        if abs(float(self.p.sum()) - 1.0) > PROB_TOL:
-            raise ValueError(f"joint sums to {self.p.sum()!r}, not 1")
-
-    @classmethod
-    def from_matrix(cls, p) -> "JointDistribution":
-        p = np.asarray(p, dtype=float)
-        if p.ndim != 2:
-            raise DimensionError("joint must be a 2-D matrix")
-        return cls(p.shape[0], p.shape[1], p)
+        object.__setattr__(self, "p", _check_table(self.p, "JointDistribution",
+                                                   (self.x_card, self.y_card)))
 
     @cached_property
     def px(self) -> np.ndarray:
@@ -164,7 +172,7 @@ class JointDistribution:
 
 
 @dataclass(frozen=True)
-class ConditionalMatrix:
+class ConditionalMatrix(_Matrix):
     """Row-stochastic matrix: one distribution per conditioning symbol."""
 
     rows: int
@@ -172,25 +180,8 @@ class ConditionalMatrix:
     p: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "p", _frozen_array(self.p))
-        if self.rows < 1 or self.cols < 1:
-            raise DimensionError("conditional matrix needs at least one row and column")
-        if self.p.shape != (self.rows, self.cols):
-            raise DimensionError(
-                f"conditional shape {self.p.shape} does not match ({self.rows}, {self.cols})"
-            )
-        if not np.all(np.isfinite(self.p)) or np.any(self.p < 0):
-            raise ValueError("negative or non-finite conditional entry")
-        sums = self.p.sum(axis=1)
-        if np.any(np.abs(sums - 1.0) > PROB_TOL):
-            raise ValueError("every conditional row must sum to 1")
-
-    @classmethod
-    def from_matrix(cls, p) -> "ConditionalMatrix":
-        p = np.asarray(p, dtype=float)
-        if p.ndim != 2:
-            raise DimensionError("conditional must be a 2-D matrix")
-        return cls(p.shape[0], p.shape[1], p)
+        object.__setattr__(self, "p", _check_table(self.p, type(self).__name__,
+                                                   (self.rows, self.cols), rows=True))
 
 
 @dataclass(frozen=True)

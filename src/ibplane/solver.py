@@ -49,7 +49,9 @@ A query pays its fixed costs once. The seeded init stack of
 only on (x_card, t_card, restarts, seed); it is built once per key, kept
 read-only in an LRU memo of INIT_MEMO_SIZE stacks and shared by every query
 with that key. The joint's p(x), p(y|x), I(X;Y) and H(X) are computed once
-per JointDistribution object (see `prob`).
+per JointDistribution object (see `prob`). `Encoder` is a
+`prob.ConditionalMatrix`, and `prob._check_table` checks every encoder and
+init stack; `_check_tradeoff_point` checks IBSolution and the curve's points.
 """
 
 from __future__ import annotations
@@ -67,10 +69,10 @@ from .errors import (
     InstanceTooLargeError,
 )
 from .prob import (
-    PROB_TOL,
     ConditionalMatrix,
     DiscreteDistribution,
     JointDistribution,
+    _check_table,
     entropy_bits,
     mi_bits,
     mi_bits_stack,
@@ -79,6 +81,7 @@ from .prob import (
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 10_000
 INIT_NOISE = 1e-2  # multiplicative noise that breaks the symmetric fixed point
+BLEND_FLOOR = 1e-2  # uniform mass blended into a hard-partition init
 LOG_FLOOR = 1e-300  # encoder entries are floored here before taking logs
 STEP_BOUND = 4.0  # first and smallest SQUAREM step bound, and its growth factor
 
@@ -87,26 +90,13 @@ INIT_MEMO_SIZE = 64  # restart-init stacks kept, one per (x_card, t_card, restar
 
 
 @dataclass(frozen=True)
-class Encoder:
-    """Soft assignment p(t|x) of input symbols to clusters."""
+class Encoder(ConditionalMatrix):
+    """Soft assignment p(t|x) of input symbols to clusters, a conditional
+    matrix whose p, rows and cols are also its matrix, x_card and t_card."""
 
-    p_t_given_x: ConditionalMatrix
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.p_t_given_x.p
-
-    @property
-    def x_card(self) -> int:
-        return self.p_t_given_x.rows
-
-    @property
-    def t_card(self) -> int:
-        return self.p_t_given_x.cols
-
-    @classmethod
-    def from_matrix(cls, m) -> "Encoder":
-        return cls(ConditionalMatrix.from_matrix(m))
+    matrix = property(lambda self: self.p)
+    x_card = property(lambda self: self.rows)
+    t_card = property(lambda self: self.cols)
 
     @classmethod
     def noisy_uniform(cls, x_card: int, t_card: int, seed: int,
@@ -131,22 +121,34 @@ def _perturb(m: np.ndarray, seed, noise: float) -> np.ndarray:
     return m / m.sum(axis=-1, keepdims=True)
 
 
-def _hard_blend(assignment, t_card: int, eta: float = 1e-2) -> np.ndarray:
+def _hard_blend(assignment, t_card: int) -> np.ndarray:
     """Hard assignment blended with a uniform floor so no cluster is dead."""
     assignment = np.asarray(assignment, dtype=int)
-    m = np.full((assignment.size, t_card), eta / t_card)
-    m[np.arange(assignment.size), assignment] += 1.0 - eta
+    m = np.full((assignment.size, t_card), BLEND_FLOOR / t_card)
+    m[np.arange(assignment.size), assignment] += 1.0 - BLEND_FLOOR
     return m
 
 
 def _encoder_stack(ms) -> np.ndarray:
-    """(B, X, T) stack of encoder matrices, checked once as a whole the way
-    Encoder checks each one."""
-    m = np.array(ms)
-    if not (np.isfinite(m).all() and (m >= 0).all()
-            and (np.abs(m.sum(axis=2) - 1.0) <= PROB_TOL).all()):
-        raise ValueError("negative, non-finite or unnormalized encoder entry")
-    return m
+    """Read-only (B, X, T) stack of encoders, checked as a whole as Encoder checks one."""
+    return _check_table(ms, "encoder stack", (None, None, None), rows=True)
+
+
+def _check_fields(record, what: str, names) -> None:
+    """Every named field of record is finite and >= 0; a ValueError names
+    the record and the first field that is not."""
+    for k in names:
+        v = getattr(record, k)
+        if not 0 <= v < math.inf:  # NaN fails too
+            raise ValueError(f"{what} has {'negative' if math.isfinite(v) else 'non-finite'} {k}")
+
+
+def _check_tradeoff_point(point, what: str) -> None:
+    """The rules every point of the tradeoff keeps: beta, R, I_Y and D_IB
+    finite and >= 0, and L = R - beta * I_Y within 1e-9 (so L is finite)."""
+    _check_fields(point, what, ("beta", "R", "I_Y", "D_IB"))
+    if not abs(point.L - (point.R - point.beta * point.I_Y)) <= 1e-9:  # NaN fails too
+        raise ValueError(f"{what} violates L = R - beta * I_Y")
 
 
 @dataclass(frozen=True)
@@ -169,16 +171,7 @@ class IBSolution:
     converged: bool
 
     def __post_init__(self):
-        scalars = ("beta", "R", "I_Y", "D_IB", "L")
-        bad = [k for k in scalars if not math.isfinite(getattr(self, k))]
-        if bad:
-            raise ValueError(f"solution has non-finite {', '.join(bad)}")
-        if self.beta < 0:
-            raise ValueError(f"beta must be >= 0, got {self.beta}")
-        if self.R < 0 or self.I_Y < 0 or self.D_IB < 0:
-            raise ValueError("information quantities must be nonnegative")
-        if abs(self.L - (self.R - self.beta * self.I_Y)) > 1e-9:
-            raise ValueError("objective does not satisfy L = R - beta * I_Y")
+        _check_tradeoff_point(self, "solution")
 
     @property
     def t_card(self) -> int:
@@ -418,7 +411,7 @@ def _restart_inits(x_card: int, t_card: int, restarts) -> np.ndarray:
         if not noisy[i]:
             m[i] = _hard_blend(np.arange(x_card) % t_card if r == 1 else
                                np.random.default_rng(seed).integers(0, t_card, size=x_card), t_card)
-    return _encoder_stack(m)
+    return m
 
 
 # typed: a float seed equal to a cached int one must still raise, as it does cold
@@ -426,9 +419,8 @@ def _restart_inits(x_card: int, t_card: int, restarts) -> np.ndarray:
 def _multistart_inits(x_card: int, t_card: int, restarts: int, seed: int) -> np.ndarray:
     """The read-only init stack of restarts (r, seed + r), r < restarts, built
     once per key: it depends on nothing else, and every query reuses it."""
-    m = _restart_inits(x_card, t_card, [(r, seed + r) for r in range(restarts)])
-    m.setflags(write=False)
-    return m
+    return _encoder_stack(_restart_inits(x_card, t_card,
+                                         [(r, seed + r) for r in range(restarts)]))
 
 
 def ib_solve_multistart(j: JointDistribution, t_card: int, beta: float,

@@ -385,6 +385,12 @@ NO_UNIT_NET = '{"layer_sizes": [2, 0, 2], "weights": [[], [[], []]], "biases": [
 @pytest.mark.parametrize("files, argv, expected", [
     ({"curve.csv": "beta,R,I_Y,D_IB,L,eff_card\n1,nan,0.1,0.2,nan,1\n"}, BOUNDS_ARGV,
      "non-finite R"),
+    ({"curve.csv": "beta,R,I_Y,D_IB,L,eff_card\n1,0,-0.25,0.2,0.25,1\n"}, BOUNDS_ARGV,
+     "curve point has negative I_Y"),
+    ({"curve.csv": "beta,R,I_Y,D_IB,L,eff_card\n1,0,0,-0.1,0,1\n"}, BOUNDS_ARGV,
+     "curve point has negative D_IB"),
+    ({"curve.csv": "beta,R,I_Y,D_IB,L,eff_card\n1,-0.5,0,0.2,-0.5,1\n"}, BOUNDS_ARGV,
+     "curve point has negative R"),
     ({"curve.csv": GOOD_CURVE + "2,0,0,0.2\n"}, BOUNDS_ARGV, "curve CSV line 3: "),
     ({"curve.csv": GOOD_CURVE}, BOUNDS_ARGV + " --c-bound -1", "c_bound must be finite and >= 0"),
     ({"curve.csv": GOOD_CURVE}, BOUNDS_ARGV + " --c-bound nan", "c_bound must be finite and >= 0"),
@@ -392,6 +398,8 @@ NO_UNIT_NET = '{"layer_sizes": [2, 0, 2], "weights": [[], [[], []]], "biases": [
     ({"curve.csv": GOOD_CURVE}, BOUNDS_ARGV + " --y-card -2", "y_card must be >= 1"),
     ({"curve.csv": GOOD_CURVE, "bounds.csv": "R_hat,I_Y_hat,I_Y_worst,D_worst\nnan,0.1,0,0.3\n"},
      PLANE_ARGV, "non-finite R_hat"),
+    ({"curve.csv": GOOD_CURVE, "bounds.csv": "R_hat,I_Y_hat,I_Y_worst,D_worst\n0,0.1,-0.4,0.3\n"},
+     PLANE_ARGV, "bound point has negative I_Y_worst"),
     ({"curve.csv": GOOD_CURVE, "bounds.csv": "R_hat,I_Y_hat,I_Y_worst,D_worst\n0,0.1,0\n"},
      PLANE_ARGV, "bound CSV line 2: "),
     ({}, "ib-solve --joint j.json --t-card 2 --beta inf --out out", "beta must be finite"),
@@ -410,9 +418,11 @@ NO_UNIT_NET = '{"layer_sizes": [2, 0, 2], "weights": [[], [[], []]], "biases": [
     ({}, ANALYZE_ARGV + " --beta inf", "beta must be finite, got inf"),
     ({}, ANALYZE_ARGV + " --beta nan", "beta must be finite, got nan"),
     ({}, ANALYZE_ARGV + " --sweep 1,nan", "beta must be finite, got nan"),
-], ids=["bounds-non-finite-curve-point", "bounds-short-curve-row", "bounds-negative-c-bound",
-        "bounds-nan-c-bound", "bounds-infinite-c-bound", "bounds-negative-y-card",
-        "plane-non-finite-bound-point", "plane-short-bound-row",
+], ids=["bounds-non-finite-curve-point", "bounds-negative-curve-I_Y",
+        "bounds-negative-curve-D_IB", "bounds-negative-curve-R", "bounds-short-curve-row",
+        "bounds-negative-c-bound", "bounds-nan-c-bound", "bounds-infinite-c-bound",
+        "bounds-negative-y-card", "plane-non-finite-bound-point",
+        "plane-negative-bound-I_Y_worst", "plane-short-bound-row",
         "ib-solve-infinite-beta", "ib-solve-nan-tol", "ib-solve-infinite-tol",
         "ib-solve-negative-max-iter", "ib-solve-zero-max-iter", "ib-curve-nan-tol",
         "ib-curve-negative-max-iter",

@@ -1,5 +1,6 @@
 """Probability primitives against independent brute-force oracles."""
 
+import itertools
 import math
 
 import numpy as np
@@ -21,6 +22,7 @@ from ibplane.prob import (
     mutual_information,
     sample_pairs,
 )
+from ibplane.solver import Encoder, _encoder_stack
 
 
 # --- independent oracles (plain summation, no shared code paths) -----------
@@ -297,39 +299,49 @@ def test_plugin_mi_consistency():
 
 # --- construction validation ---------------------------------------------------
 
-def test_distribution_rejects_negative():
-    with pytest.raises(ValueError):
-        DiscreteDistribution([-0.1, 1.1])
+# every table and encoder stack goes through one check; each constructor is
+# given a valid table of its kind, then one fault
+TABLES = {
+    "DiscreteDistribution": (DiscreteDistribution, [0.5, 0.5]),
+    "JointDistribution": (lambda p: JointDistribution(2, 3, p), np.full((2, 3), 1 / 6)),
+    "JointDistribution.from_matrix": (JointDistribution.from_matrix, np.full((2, 2), 0.25)),
+    "ConditionalMatrix.from_matrix": (ConditionalMatrix.from_matrix, [[0.5, 0.5], [0.9, 0.1]]),
+    "Encoder.from_matrix": (Encoder.from_matrix, [[0.5, 0.5], [0.9, 0.1]]),
+    "_encoder_stack": (_encoder_stack, [[[0.5, 0.5], [0.9, 0.1]], [[1.0, 0.0], [0.2, 0.8]]]),
+}
+TABLE_FAULTS = {"nan": ValueError, "inf": ValueError, "negative-entry": ValueError,
+                "bad-sum": ValueError, "extra-axis": DimensionError,
+                "empty-axis": DimensionError, "shape-mismatch": DimensionError}
 
 
-def test_distribution_rejects_bad_sum():
-    with pytest.raises(ValueError):
-        DiscreteDistribution([0.5, 0.6])
+def _with_fault(p: np.ndarray, fault: str) -> np.ndarray:
+    p = p.copy()
+    if fault in ("nan", "inf"):
+        p.flat[0] = math.nan if fault == "nan" else math.inf
+    elif fault == "negative-entry":  # moved within a row: every sum stays 1
+        p.flat[0] -= 1.0
+        p.flat[1] += 1.0
+    elif fault == "bad-sum":
+        p.flat[0] += 0.1
+    elif fault == "extra-axis":
+        p = p[None]
+    elif fault == "empty-axis":
+        p = np.zeros(p.shape[:-1] + (0,))
+    elif fault == "shape-mismatch":  # JointDistribution(2, 3, a 2x2 joint)
+        p = np.full((2, 2), 0.25)
+    return p
 
 
-def test_joint_rejects_shape_mismatch():
-    with pytest.raises(DimensionError):
-        JointDistribution(2, 3, np.full((2, 2), 0.25))
-
-
-def test_conditional_rejects_bad_rows():
-    with pytest.raises(ValueError):
-        ConditionalMatrix.from_matrix([[0.5, 0.4], [0.5, 0.5]])
-
-
-def test_distribution_rejects_nan():
-    with pytest.raises(ValueError, match="non-finite"):
-        DiscreteDistribution([math.nan, 0.5, 0.5])
-
-
-def test_joint_rejects_nan():
-    with pytest.raises(ValueError, match="non-finite"):
-        JointDistribution(2, 2, [[math.nan, 0.5], [0.25, 0.25]])
-
-
-def test_conditional_rejects_nan():
-    with pytest.raises(ValueError, match="non-finite"):
-        ConditionalMatrix.from_matrix([[math.nan, 1.0], [0.5, 0.5]])
+@pytest.mark.parametrize("kind, fault", [
+    *itertools.product(TABLES, list(TABLE_FAULTS)[:-1]), ("JointDistribution", "shape-mismatch"),
+])
+def test_table_constructors_reject_bad_tables(kind, fault):
+    make, good = TABLES[kind]
+    make(np.asarray(good, dtype=float))
+    with pytest.raises(TABLE_FAULTS[fault]) as caught:
+        make(_with_fault(np.asarray(good, dtype=float), fault))
+    if fault in ("nan", "inf", "negative-entry"):
+        assert "negative or non-finite" in str(caught.value)
 
 
 def test_values_immutable():
