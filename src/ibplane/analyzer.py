@@ -5,7 +5,10 @@ numbers the distinct rows of a hidden layer's (X, width) activation array,
 binned uniformly on (0,1) or kept as exact activation tuples, and the output
 layer becomes its argmax prediction. Since each code is then a deterministic
 function of X, all mutual informations are computed exactly by pushing the
-joint through the code maps (`_push`); no sample-based estimation is involved.
+joint through the code maps with `prob.pushforward_bits`; no sample-based
+estimation is involved. A path makes two such calls: one on the stack of
+every layer's code, one on the codes of adjacent layer pairs. As every layer
+is a function of X, I(prev; cur) = H(prev) + H(cur) - H(prev, cur).
 
 With exact activation tuples each layer is also a deterministic function of
 the previous one, so relevance can only fall with depth. Binned codes are
@@ -22,7 +25,7 @@ import numpy as np
 
 from .errors import CoverageError, DimensionError
 from .mlp import NetworkParams, forward_all
-from .prob import JointDistribution, entropy_bits, mi_bits
+from .prob import JointDistribution, pushforward_bits
 
 DPI_TOL = 1e-9
 
@@ -97,14 +100,6 @@ def layer_codes(acts, q: QuantizerConfig | None) -> np.ndarray:
     return np.argsort(np.argsort(first))[inverse.reshape(-1)]
 
 
-def _push(codes: np.ndarray, w: np.ndarray, n_codes: int) -> np.ndarray:
-    """Pushforward of per-symbol masses w through a code: out[c] is the sum of
-    w[x] over the x with codes[x] = c, added in x order."""
-    out = np.zeros((n_codes, *w.shape[1:]))
-    np.add.at(out, codes, w)
-    return out
-
-
 def _check_coverage(j: JointDistribution, codes) -> np.ndarray:
     codes = np.asarray(codes)
     if codes.shape != (j.x_card,):
@@ -120,17 +115,11 @@ def _check_coverage(j: JointDistribution, codes) -> np.ndarray:
 
 
 def layer_mutual_information(j: JointDistribution, codes) -> tuple[float, float]:
-    """(I(X;T), I(T;Y)) for a deterministic layer code T of X.
-
-    I(X;T) equals H(T) because T is a function of X; both quantities come
-    from the exact pushforward of the joint.
-    """
+    """(I(X;T), I(T;Y)) for a deterministic layer code T of X, exactly."""
     codes = _check_coverage(j, codes)
-    safe = np.where(codes >= 0, codes, 0)
-    n_codes = int(safe.max()) + 1
-    pt = _push(safe, j.px, n_codes)
-    pty = _push(safe, j.p, n_codes)
-    return entropy_bits(pt), mi_bits(pty)
+    # stacked under X's own code as in info_plane_path, so its sums match the path's
+    i_x, i_y = pushforward_bits(j, [np.arange(j.x_card), np.where(codes >= 0, codes, 0)])
+    return float(i_x[1]), float(i_y[1])
 
 
 def info_plane_path(j: JointDistribution, net: NetworkParams,
@@ -142,32 +131,23 @@ def info_plane_path(j: JointDistribution, net: NetworkParams,
     command-line tool sweeps it).
     """
     hiddens, probs = forward_all(net, j.x_card)
-    codes = [np.arange(j.x_card), *(layer_codes(h, q) for h in hiddens),
-             probs.argmax(axis=1)]
-    points = []
-    for i, cur in enumerate(codes):
-        i_x, i_y = layer_mutual_information(j, cur)
-        i_prev = i_y_lost = 0.0
-        if i > 0:
-            n_cur = int(cur.max()) + 1
-            pair = codes[i - 1] * n_cur + cur
-            n_pairs = (int(codes[i - 1].max()) + 1) * n_cur
-            i_prev = mi_bits(_push(pair, j.px, n_pairs).reshape(-1, n_cur))
-            # I(Y; prev | cur) = I(Y; prev, cur) - I(Y; cur)
-            i_y_lost = relevance_lost(mi_bits(_push(pair, j.p, n_pairs)), i_y)
-        points.append(InfoPlanePoint(i, i_x, i_y, _weigh(i_prev, i_y_lost, beta),
-                                     i_prev, i_y_lost))
-    return LayerPath(tuple(points), _dpi_violations(points))
+    codes = np.stack([np.arange(j.x_card), *(layer_codes(h, q) for h in hiddens),
+                      probs.argmax(axis=1)])
+    i_x, i_y = pushforward_bits(j, codes)
+    h_pair, i_y_pair = pushforward_bits(j, codes[:-1] * (int(codes.max()) + 1) + codes[1:])
+    # each layer is a function of X: I(prev; cur) = H(prev) + H(cur) - H(prev, cur)
+    i_prev = [0.0, *np.maximum(0.0, i_x[:-1] + i_x[1:] - h_pair).tolist()]
+    # I(Y; prev | cur) = I(Y; prev, cur) - I(Y; cur)
+    i_y_lost = [0.0, *map(relevance_lost, i_y_pair.tolist(), i_y[1:].tolist())]
+    points = tuple(InfoPlanePoint(i, x, y, _weigh(p, lost, beta), p, lost) for i, (x, y, p, lost)
+                   in enumerate(zip(i_x.tolist(), i_y.tolist(), i_prev, i_y_lost)))
+    return LayerPath(points, _dpi_violations(i_y))
 
 
-def _dpi_violations(points) -> tuple[tuple[tuple[int, int], float], ...]:
-    """Adjacent layer pairs where relevance rises with depth beyond DPI_TOL."""
-    out = []
-    for prev, cur in zip(points, points[1:]):
-        rise = cur.I_Y - prev.I_Y
-        if rise > DPI_TOL:
-            out.append(((prev.layer_index, cur.layer_index), float(rise)))
-    return tuple(out)
+def _dpi_violations(i_y: np.ndarray) -> tuple[tuple[tuple[int, int], float], ...]:
+    """Adjacent layer pairs where relevance I_Y rises with depth beyond DPI_TOL."""
+    rise = np.diff(i_y)
+    return tuple(((i, i + 1), float(rise[i])) for i in np.flatnonzero(rise > DPI_TOL).tolist())
 
 
 def network_distortion_rate(j: JointDistribution, net: NetworkParams,

@@ -5,9 +5,10 @@ to the same binary64, and JSON is written and parsed by the standard library
 with keys in a fixed insertion order, so identical inputs produce
 byte-identical files. Every integer field is read by `_int`, which rejects
 `true` and `false`. Every CSV format is written by `_csv_text` and read by
-`_csv_rows`. Writes go through a temp-file-then-rename so readers never
-observe a partial file; `write_all` writes every temp file before it
-renames any, and a failure leaves no temp file behind.
+`_csv_rows`, which builds each row's record, so a rejected record names its
+line. Writes go through a temp-file-then-rename so readers never observe a
+partial file; `write_all` writes every temp file before it renames any, and
+a failure leaves no temp file behind.
 """
 
 from __future__ import annotations
@@ -238,11 +239,11 @@ def _csv_text(header: str, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _csv_rows(text: str, what: str, header: str, *convert) -> list[tuple]:
-    """The rows of CSV text under the given header, blank lines skipped and
-    each cell passed through its column's converter; a wrong header, a row
-    of the wrong width or a cell its converter rejects is a ValueError
-    naming the line."""
+def _csv_rows(text: str, what: str, header: str, *convert, record=lambda *cells: cells) -> list:
+    """The records of CSV text under the given header, blank lines skipped,
+    each cell passed through its column's converter and each row's cells
+    through record; a wrong header, a row of the wrong width, or a row its
+    converters or record reject is a ValueError naming the line."""
     lines = [(k, ln) for k, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines or lines[0][1] != header:
         raise ValueError(f"{what} CSV must start with the header {header!r}")
@@ -252,7 +253,7 @@ def _csv_rows(text: str, what: str, header: str, *convert) -> list[tuple]:
         if len(cells) != len(convert):
             raise ValueError(f"{what} CSV line {k}: {len(cells)} cells, not {len(convert)}")
         try:
-            rows.append(tuple(conv(c) for conv, c in zip(convert, cells)))
+            rows.append(record(*(conv(c) for conv, c in zip(convert, cells))))
         except ValueError as e:
             raise ValueError(f"{what} CSV line {k}: {e}") from None
     return rows
@@ -275,8 +276,8 @@ def curve_to_csv(curve: InfoCurve) -> str:
 
 
 def curve_from_csv(text: str) -> InfoCurve:
-    rows = _csv_rows(text, "curve", _CURVE_HEADER, float, float, float, float, float, int)
-    return InfoCurve(tuple(CurvePoint(*r) for r in rows), ())
+    return InfoCurve(_csv_rows(text, "curve", _CURVE_HEADER, float, float, float, float, float,
+                               int, record=CurvePoint), ())
 
 
 _BOUND_HEADER = "R_hat,I_Y_hat,I_Y_worst,D_worst"
@@ -288,8 +289,8 @@ def bound_curve_to_csv(b: BoundCurve) -> str:
 
 
 def bound_points_from_csv(text: str) -> tuple[BoundPoint, ...]:
-    rows = _csv_rows(text, "bound", _BOUND_HEADER, float, float, float, float)
-    return tuple(BoundPoint(*r) for r in rows)
+    return tuple(_csv_rows(text, "bound", _BOUND_HEADER, float, float, float, float,
+                           record=BoundPoint))
 
 
 _LAYER_HEADER = "layer,I_X,I_Y,criterion"

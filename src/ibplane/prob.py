@@ -6,9 +6,11 @@ bits (log base 2), 0*log(0) counts as 0, and conditioning on a zero-mass row
 yields a uniform row. Values are immutable after construction and every
 operation is pure. One function, `_check_table`, checks every table: each
 distribution, joint and conditional matrix (the solver's `Encoder` is one)
-and the solver's encoder stacks. A joint computes its constants p(x),
-p(y|x), I(X;Y) and H(X) on first use, once per object, and hands out the
-same read-only values to every later caller.
+and the solver's encoder stacks. One function, `pushforward_bits`, pushes a
+joint through deterministic codes of X: the analyzer's layer codes and the
+oracle's maps. A joint computes its constants p(x), p(y|x), I(X;Y) and H(X)
+on first use, once per object, and hands out the same read-only values to
+every later caller.
 """
 
 from __future__ import annotations
@@ -90,6 +92,23 @@ def mi_bits_stack(p: np.ndarray) -> np.ndarray:
     outer = np.add.reduce(p, axis=2, keepdims=True) * np.add.reduce(p, axis=1, keepdims=True)
     q = np.divide(p, outer, out=np.ones_like(p), where=p > 0)
     return np.maximum(0.0, np.add.reduce(p * np.log2(q), axis=(1, 2)))
+
+
+def pushforward_bits(j: JointDistribution, codes) -> tuple[np.ndarray, np.ndarray]:
+    """(H(T), I(T;Y)) in bits, as (B,) arrays, of every deterministic code
+    T = codes[b][X] of a (B, X) stack of codes >= 0; H(T) = I(X;T), since T
+    is a function of X. One bincount pushes p(x) and each column of p(x, y)
+    through every code, adding each code's masses in x order."""
+    codes = np.asarray(codes)
+    w = np.column_stack((j.px, j.p))  # (X, 1 + Y)
+    b, n, k = len(codes), int(codes.max()) + 1, w.shape[1]
+    cells = (codes + n * np.arange(b)[:, None])[:, :, None] * k + np.arange(k)
+    pushed = np.bincount(cells.ravel(), weights=np.broadcast_to(w, cells.shape).ravel(),
+                         minlength=b * n * k).reshape(b, n, k)
+    pt = pushed[:, :, 0]
+    # 0.0 - s, not -s: a one-symbol code has H(T) = +0.0, never -0.0
+    h = np.maximum(0.0, 0.0 - (pt * np.log2(np.where(pt > 0, pt, 1.0))).sum(axis=1))
+    return h, mi_bits_stack(pushed[:, :, 1:])
 
 
 def mi_bits(joint) -> float:

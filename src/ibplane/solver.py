@@ -57,7 +57,6 @@ init stack; `_check_tradeoff_point` checks IBSolution and the curve's points.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -73,9 +72,8 @@ from .prob import (
     DiscreteDistribution,
     JointDistribution,
     _check_table,
-    entropy_bits,
-    mi_bits,
     mi_bits_stack,
+    pushforward_bits,
 )
 
 DEFAULT_TOL = 1e-8
@@ -86,6 +84,7 @@ LOG_FLOOR = 1e-300  # encoder entries are floored here before taking logs
 STEP_BOUND = 4.0  # first and smallest SQUAREM step bound, and its growth factor
 
 ORACLE_GUARD = 1_000_000  # max number of deterministic maps to enumerate
+ORACLE_BLOCK = 4_096  # maps the oracle pushes the joint through at once
 INIT_MEMO_SIZE = 64  # restart-init stacks kept, one per (x_card, t_card, restarts, seed)
 
 
@@ -132,6 +131,13 @@ def _hard_blend(assignment, t_card: int) -> np.ndarray:
 def _encoder_stack(ms) -> np.ndarray:
     """Read-only (B, X, T) stack of encoders, checked as a whole as Encoder checks one."""
     return _check_table(ms, "encoder stack", (None, None, None), rows=True)
+
+
+def _check_encoder(j: JointDistribution, e: Encoder, t_card: int | None = None) -> None:
+    """An encoder used with j has one row per symbol of X (and t_card columns, if given)."""
+    want = (j.x_card, e.t_card if t_card is None else t_card)
+    if (e.x_card, e.t_card) != want:
+        raise DimensionError(f"encoder has shape {(e.x_card, e.t_card)}, not {want}")
 
 
 def _check_fields(record, what: str, names) -> None:
@@ -253,10 +259,7 @@ def _extrapolate(e0, e1, e2, bound) -> tuple[np.ndarray, np.ndarray]:
 
 def ib_iterate_once(j: JointDistribution, e: Encoder, beta: float) -> Encoder:
     """Apply one round of the three updates and return the new encoder."""
-    if e.x_card != j.x_card:
-        raise DimensionError(
-            f"encoder has {e.x_card} rows but the joint has {j.x_card} symbols"
-        )
+    _check_encoder(j, e)
     with np.errstate(**_QUIET):
         return Encoder.from_matrix(_map(j.px, j.pygx, j.p, e.matrix[None], beta)[0])
 
@@ -292,6 +295,7 @@ def _solution(j: JointDistribution, enc: np.ndarray, beta: float, R: float, I_Y:
 def solution_from_encoder(j: JointDistribution, e: Encoder, beta: float,
                           iterations: int = 0, converged: bool = True) -> IBSolution:
     """Package an encoder with its induced marginal, decoder and scalars."""
+    _check_encoder(j, e)
     R, I_Y = _info_bits(j, e.matrix[None])
     return _solution(j, e.matrix, beta, float(R[0]), float(I_Y[0]), iterations, converged)
 
@@ -389,8 +393,8 @@ def ib_solve(j: JointDistribution, t_card: int, beta: float,
     moves the encoder less than tol in max-abs, or max_iter map evaluations
     elapse."""
     _check_query(t_card, beta, tol, max_iter)
-    if init is not None and (init.x_card, init.t_card) != (j.x_card, t_card):
-        raise DimensionError("init encoder shape does not match (x_card, t_card)")
+    if init is not None:
+        _check_encoder(j, init, t_card)
     enc = _multistart_inits(j.x_card, t_card, 1, seed) if init is None else init.matrix[None]
     return _pick(j, t_card, beta, *_lockstep(j, enc, np.full(1, beta), tol, max_iter))
 
@@ -439,8 +443,7 @@ def self_consistency_residual(j: JointDistribution, sol: IBSolution) -> float:
     """Max-abs gap between the stored marginal and decoder and their
     recomputation from the stored encoder, and between the encoder and its
     image under one plain map."""
-    if sol.encoder.x_card != j.x_card:
-        raise DimensionError("solution encoder does not match the joint")
+    _check_encoder(j, sol.encoder)
     enc = sol.encoder.matrix
     pt, dec = _decoder(j, enc)
     with np.errstate(**_QUIET):
@@ -455,10 +458,13 @@ def self_consistency_residual(j: JointDistribution, sol: IBSolution) -> float:
 def exhaustive_deterministic_oracle(j: JointDistribution, t_card: int,
                                     beta: float) -> tuple[Encoder, float]:
     """Enumerate all deterministic maps X -> T and return the one minimizing
-    L = R - beta * I_Y, with its objective value.
+    L = R - beta * I_Y, with its objective value; ties go to the smaller R,
+    then to the earlier map.
 
-    Independent of the iterative solver: rate and relevance come straight
-    from the pushforward of the joint under each map.
+    Map m sends x to digit x of m in base t_card, most significant first:
+    the order of itertools.product. Independent of the iterative solver:
+    `prob.pushforward_bits` gives each map's rate and relevance, ORACLE_BLOCK
+    maps at a time, so memory stays bounded up to ORACLE_GUARD maps.
     """
     if t_card < 1:
         raise DimensionError(f"t_card must be >= 1, got {t_card}")
@@ -468,18 +474,10 @@ def exhaustive_deterministic_oracle(j: JointDistribution, t_card: int,
             f"{t_card}^{j.x_card} = {n_maps} deterministic maps exceeds the "
             f"guard of {ORACLE_GUARD}"
         )
-    best_key = None
-    best_assign = None
-    for assign in itertools.product(range(t_card), repeat=j.x_card):
-        a = np.asarray(assign, dtype=int)
-        pt = np.bincount(a, weights=j.px, minlength=t_card)
-        pty = np.zeros((t_card, j.y_card))
-        np.add.at(pty, a, j.p)
-        R = entropy_bits(pt)  # I(X;T) = H(T) for a deterministic map
-        I_Y = mi_bits(pty)
-        L = R - beta * I_Y
-        key = (L, R)
-        if best_key is None or key < best_key:
-            best_key = key
-            best_assign = a
-    return Encoder.from_assignment(best_assign, t_card), best_key[0]
+    place = t_card ** np.arange(j.x_card - 1, -1, -1)
+    blocks = [pushforward_bits(j, np.arange(m, min(m + ORACLE_BLOCK, n_maps))[:, None]
+                               // place % t_card) for m in range(0, n_maps, ORACLE_BLOCK)]
+    R, I_Y = (np.concatenate(a) for a in zip(*blocks))
+    L = R - beta * I_Y
+    best = np.lexsort((R, L))[0]  # stable: the earliest of equal (L, R)
+    return Encoder.from_assignment(best // place % t_card, t_card), float(L[best])

@@ -1,6 +1,7 @@
 """Layer quantization, exact plane placement, chain checks, output rate."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -25,10 +26,11 @@ from ibplane.mlp import (
     init_network,
     train_sgd,
 )
-from ibplane.presets import deterministic_joint, symmetric_joint
+from ibplane.presets import deterministic_joint, random_joint, symmetric_joint
 from ibplane.prob import (
     JointDistribution,
     entropy_bits,
+    mi_bits,
     mutual_information,
     sample_pairs,
 )
@@ -84,7 +86,10 @@ def test_quantizer_config_validates():
 # --- layer mutual information ---------------------------------------------------
 
 def test_constant_layer_zero_information():
-    assert layer_mutual_information(SYM, [0, 0]) == (0.0, 0.0)
+    # +0.0, which == cannot tell from the -0.0 a CSV would print
+    i_x, i_y = layer_mutual_information(SYM, [0, 0])
+    assert (i_x, i_y) == (0.0, 0.0)
+    assert math.copysign(1.0, i_x) == math.copysign(1.0, i_y) == 1.0
 
 
 def test_injective_layer_lossless():
@@ -145,6 +150,32 @@ def test_path_exact_codes_dpi_monotone():
     for a, b in zip(relevances, relevances[1:]):
         assert b <= a + 1e-9
     assert path.dpi_violations == ()
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_path_pair_terms_match_the_pair_tables(seed):
+    # H(prev) + H(cur) - H(prev, cur) and I(Y; prev, cur) - I(Y; cur) agree
+    # with mi_bits of the np.add.at tables of each adjacent layer pair
+    rng = np.random.default_rng(seed)
+    x_card, y_card = int(rng.integers(2, 9)), int(rng.integers(2, 5))
+    j = random_joint(x_card, y_card, seed)
+    sizes = [x_card, *rng.integers(1, 7, size=int(rng.integers(1, 4))).tolist(), y_card]
+    shapes = list(zip(sizes[1:], sizes))  # (out, in)
+    net = NetworkParams(sizes, [3.0 * rng.standard_normal(s) for s in shapes],
+                        [3.0 * rng.standard_normal(o) for o, _ in shapes])
+    hiddens, probs = forward_all(net, x_card)
+    for q in (None, QuantizerConfig(2), QuantizerConfig(8)):
+        codes = [np.arange(x_card), *(layer_codes(h, q) for h in hiddens), probs.argmax(axis=1)]
+        for prev, cur, p in zip(codes, codes[1:], info_plane_path(j, net, q).points[1:]):
+            n_cur = int(cur.max()) + 1
+            px_pair = np.zeros((int(prev.max()) + 1, n_cur))
+            np.add.at(px_pair, (prev, cur), j.px)
+            pxy_pair = np.zeros((px_pair.size, y_card))
+            np.add.at(pxy_pair, prev * n_cur + cur, j.p)
+            assert p.I_prev == pytest.approx(mi_bits(px_pair), abs=1e-12)
+            assert p.I_Y_lost == pytest.approx(max(0.0, mi_bits(pxy_pair) - p.I_Y), abs=1e-12)
+            # to the last bit, so analyze's (R_N, D_N) and gaps.json's agree
+            assert (p.I_X, p.I_Y) == layer_mutual_information(j, cur)
 
 
 def test_path_criterion_nonnegative_terms():

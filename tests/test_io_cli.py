@@ -384,22 +384,22 @@ NO_UNIT_NET = '{"layer_sizes": [2, 0, 2], "weights": [[], [[], []]], "biases": [
 
 @pytest.mark.parametrize("files, argv, expected", [
     ({"curve.csv": "beta,R,I_Y,D_IB,L,eff_card\n1,nan,0.1,0.2,nan,1\n"}, BOUNDS_ARGV,
-     "non-finite R"),
+     "curve CSV line 2: curve point has non-finite R"),
     ({"curve.csv": "beta,R,I_Y,D_IB,L,eff_card\n1,0,-0.25,0.2,0.25,1\n"}, BOUNDS_ARGV,
-     "curve point has negative I_Y"),
+     "curve CSV line 2: curve point has negative I_Y"),
     ({"curve.csv": "beta,R,I_Y,D_IB,L,eff_card\n1,0,0,-0.1,0,1\n"}, BOUNDS_ARGV,
-     "curve point has negative D_IB"),
+     "curve CSV line 2: curve point has negative D_IB"),
     ({"curve.csv": "beta,R,I_Y,D_IB,L,eff_card\n1,-0.5,0,0.2,-0.5,1\n"}, BOUNDS_ARGV,
-     "curve point has negative R"),
+     "curve CSV line 2: curve point has negative R"),
     ({"curve.csv": GOOD_CURVE + "2,0,0,0.2\n"}, BOUNDS_ARGV, "curve CSV line 3: "),
     ({"curve.csv": GOOD_CURVE}, BOUNDS_ARGV + " --c-bound -1", "c_bound must be finite and >= 0"),
     ({"curve.csv": GOOD_CURVE}, BOUNDS_ARGV + " --c-bound nan", "c_bound must be finite and >= 0"),
     ({"curve.csv": GOOD_CURVE}, BOUNDS_ARGV + " --c-bound inf", "c_bound must be finite and >= 0"),
     ({"curve.csv": GOOD_CURVE}, BOUNDS_ARGV + " --y-card -2", "y_card must be >= 1"),
     ({"curve.csv": GOOD_CURVE, "bounds.csv": "R_hat,I_Y_hat,I_Y_worst,D_worst\nnan,0.1,0,0.3\n"},
-     PLANE_ARGV, "non-finite R_hat"),
+     PLANE_ARGV, "bound CSV line 2: bound point has non-finite R_hat"),
     ({"curve.csv": GOOD_CURVE, "bounds.csv": "R_hat,I_Y_hat,I_Y_worst,D_worst\n0,0.1,-0.4,0.3\n"},
-     PLANE_ARGV, "bound point has negative I_Y_worst"),
+     PLANE_ARGV, "bound CSV line 2: bound point has negative I_Y_worst"),
     ({"curve.csv": GOOD_CURVE, "bounds.csv": "R_hat,I_Y_hat,I_Y_worst,D_worst\n0,0.1,0\n"},
      PLANE_ARGV, "bound CSV line 2: "),
     ({}, "ib-solve --joint j.json --t-card 2 --beta inf --out out", "beta must be finite"),

@@ -1,9 +1,11 @@
 """Solver behavior: update rule, convergence, oracle dominance, errors."""
 
 import dataclasses
+import itertools
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from ibplane.prob import (
     JointDistribution,
     conditional_rows,
     entropy_bits,
+    mi_bits,
     mutual_information,
 )
 from ibplane.solver import (
@@ -77,6 +80,18 @@ def test_iterate_preserves_swap_symmetry():
 def test_iterate_dimension_mismatch():
     with pytest.raises(DimensionError):
         ib_iterate_once(SYM, Encoder.from_matrix(np.full((3, 2), 0.5)), beta=1.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda e: ib_solve(SYM, 2, 1.0, init=e),
+    lambda e: ib_iterate_once(SYM, e, 1.0),
+    lambda e: self_consistency_residual(SYM, solution_from_encoder(random_joint(3, 2, 0), e, 1.0)),
+    lambda e: solution_from_encoder(SYM, e, 2.0),
+], ids=["ib_solve-init", "ib_iterate_once", "self_consistency_residual", "solution_from_encoder"])
+def test_encoder_must_match_the_joint(call):
+    # one rule, one message, at every entry point that takes an encoder
+    with pytest.raises(DimensionError, match=r"encoder has shape \(3, 2\), not \(2, 2\)"):
+        call(Encoder.noisy_uniform(3, 2, seed=0))
 
 
 def reference_map(jp, enc, beta):
@@ -391,6 +406,52 @@ def test_oracle_guard():
     j = random_joint(8, 2, seed=0)
     with pytest.raises(InstanceTooLargeError):
         exhaustive_deterministic_oracle(j, 6, beta=1.0)
+
+
+def reference_oracle_keys(j, t_card):
+    """Every map of itertools.product(range(t_card), repeat=x_card), in that
+    order, with its (R, I_Y) from an np.add.at pushforward of the joint."""
+    out = []
+    for a in itertools.product(range(t_card), repeat=j.x_card):
+        pt, pty = np.zeros(t_card), np.zeros((t_card, j.y_card))
+        np.add.at(pt, list(a), j.px)
+        np.add.at(pty, list(a), j.p)
+        out.append((list(a), entropy_bits(pt), mi_bits(pty)))
+    return out
+
+
+def joint_with_zeros(x_card, y_card, seed):
+    """A seeded random joint; odd seeds zero one row, seeds = 2 mod 3 one column."""
+    p = random_joint(x_card, y_card, seed).p.copy()
+    if seed % 2:
+        p[seed % x_card] = 0.0
+    if seed % 3 == 2:
+        p[:, seed % y_card] = 0.0
+    return JointDistribution.from_matrix(p / p.sum())
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_oracle_matches_a_per_map_reference(seed):
+    # smallest L, then smaller R, then the earlier map; a zero L is +0.0
+    for (x_card, y_card), t_card in itertools.product([(3, 2), (4, 3), (5, 2)], (1, 2, 3, 4)):
+        j = joint_with_zeros(x_card, y_card, seed)
+        maps = reference_oracle_keys(j, t_card)
+        for beta in (0.0, 0.7, 3.0, 40.0):
+            a, R, I_Y = min(maps, key=lambda m: (m[1] - beta * m[2], m[1]))
+            enc, L = exhaustive_deterministic_oracle(j, t_card, beta)
+            assert (enc.matrix.argmax(axis=1).tolist(), L) == (a, R - beta * I_Y)
+            assert L != 0.0 or math.copysign(1.0, L) == 1.0
+
+
+def test_oracle_memory_is_bounded_by_its_blocks():
+    j = random_joint(19, 2, seed=0)  # 2^19 maps at T = 2
+    tracemalloc.start()
+    try:
+        exhaustive_deterministic_oracle(j, 2, beta=1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 def test_solver_dominates_oracle_single_case():
