@@ -6,7 +6,7 @@ c * K * |Y| / sqrt(n) (the constant is not pinned down by theory, so it is an
 explicit parameter surfaced in all outputs). Subtracting that slack gives a
 worst-case curve whose minimum-distortion point is the best defensible
 operating point at sample size n; networks are scored by their distance from
-it on both axes.
+it on both axes. A BoundCurve computes that optimum from its points on read.
 """
 
 from __future__ import annotations
@@ -27,33 +27,33 @@ class BoundPoint:
 
     def __post_init__(self):
         _check_fields(self, "bound point", vars(self))  # every field, in order
+        if self.I_Y_worst > self.I_Y_hat:
+            raise ValueError("bound point has I_Y_worst above I_Y_hat")
 
 
 @dataclass(frozen=True)
 class BoundCurve:
-    """Worst-case corrected curve plus its optimum (R_star, D_star), the
-    point at star_index.
+    """Worst-case corrected curve; its optimum (R_star, D_star) is the point
+    at star_index.
 
     rate_corrections carries the companion c*K/sqrt(n) slack on the rate
     axis per point; it is reported but plays no role in the optimum search,
-    which happens on the distortion axis.
+    which happens on the distortion axis. R_star, D_star and
+    rate_corrections are computed from the points on read.
     """
 
     points: tuple[BoundPoint, ...]
     n: int
     c_bound: float
-    R_star: float
-    D_star: float
-    rate_corrections: tuple[float, ...]
     star_index: int
 
     def __post_init__(self):
         object.__setattr__(self, "points", tuple(self.points))
-        object.__setattr__(self, "rate_corrections", tuple(self.rate_corrections))
 
-    @property
-    def optimum(self) -> tuple[float, float]:
-        return (self.R_star, self.D_star)
+    R_star = property(lambda self: self.points[self.star_index].R_hat)
+    D_star = property(lambda self: self.points[self.star_index].D_worst)
+    rate_corrections = property(lambda self: tuple(
+        self.c_bound * 2.0 ** p.R_hat / math.sqrt(self.n) for p in self.points))
 
 
 @dataclass(frozen=True)
@@ -92,23 +92,13 @@ def bound_curve(curve: InfoCurve, n: int, c_bound: float = 1.0, *,
     if not curve.points:
         raise ValueError("cannot bound an empty curve")
     pts = []
-    corrections = []
     for p in curve.points:
-        K = 2.0 ** p.R
-        corr = worst_case_correction(K, y_card, n, c_bound)
-        i_worst = max(0.0, p.I_Y - corr)
+        i_worst = max(0.0, p.I_Y - worst_case_correction(2.0 ** p.R, y_card, n, c_bound))
         # written as D_IB plus a nonnegative term so the pointwise ordering
         # D_worst >= D_IB holds exactly in floating point
-        d_worst = p.D_IB + (p.I_Y - i_worst)
-        pts.append(BoundPoint(R_hat=p.R, I_Y_hat=p.I_Y, I_Y_worst=i_worst,
-                              D_worst=d_worst))
-        corrections.append(c_bound * K / math.sqrt(n))
+        pts.append(BoundPoint(p.R, p.I_Y, i_worst, p.D_IB + (p.I_Y - i_worst)))
     star = min(range(len(pts)), key=lambda i: (pts[i].D_worst, pts[i].R_hat))
-    return BoundCurve(
-        points=tuple(pts), n=n, c_bound=c_bound,
-        R_star=pts[star].R_hat, D_star=pts[star].D_worst,
-        rate_corrections=tuple(corrections), star_index=star,
-    )
+    return BoundCurve(tuple(pts), n, c_bound, star)
 
 
 def network_gaps(b: BoundCurve, R_N: float, D_N: float) -> NetworkGaps:

@@ -39,9 +39,11 @@ from .solver import (  # noqa: F401  ib_solve stays importable from here
     DEFAULT_TOL,
     IBSolution,
     _check_query,
+    _check_fields,
     _check_tradeoff_point,
     _decoder,
     _encoder_stack,
+    _lagrangian,
     _lockstep,
     _perturb,
     _restart_inits,
@@ -66,13 +68,14 @@ class CurvePoint:
     R: float
     I_Y: float
     D_IB: float
-    L: float
     eff_card: int
 
     def __post_init__(self):
         _check_tradeoff_point(self, "curve point")
         if self.eff_card < 1:
             raise ValueError(f"eff_card must be >= 1, got {self.eff_card}")
+
+    L = _lagrangian
 
 
 @dataclass(frozen=True)
@@ -90,10 +93,12 @@ class Bifurcation:
     beta_predicted: float | None = None
 
     def __post_init__(self):
-        if self.beta_predicted is not None and not math.isfinite(self.beta_predicted):
-            raise ValueError(f"bifurcation has non-finite beta_predicted {self.beta_predicted}")
+        _check_fields(self, "bifurcation", ("beta_low", "beta_high") + (
+            () if self.beta_predicted is None else ("beta_predicted",)))
         if not self.beta_low < self.beta_high:
             raise ValueError("bifurcation bracket must satisfy beta_low < beta_high")
+        if self.card_before < 1:
+            raise ValueError(f"card_before must be >= 1, got {self.card_before}")
         if not self.card_after > self.card_before:
             raise ValueError("bifurcation must increase the effective cardinality")
 
@@ -109,6 +114,7 @@ class InfoCurve:
     def __post_init__(self):
         object.__setattr__(self, "points", tuple(self.points))
         object.__setattr__(self, "bifurcations", tuple(self.bifurcations))
+        _check_fields(self, "curve", ("unconverged",))
         betas = [p.beta for p in self.points]
         if any(b2 <= b1 for b1, b2 in zip(betas, betas[1:])):
             raise ValueError("curve betas must be strictly increasing")
@@ -260,7 +266,7 @@ def anneal_curve(j: JointDistribution, t_card: int, beta_grid,
         inits = _perturb(enc[sources], [_derived_seed(seed, t, s, n_pass) for t, s in offers],
                          perturb_mag)
     points = tuple(map(CurvePoint, betas, R.tolist(), I_Y.tolist(),
-                       np.maximum(0.0, j.i_xy - I_Y).tolist(), L.tolist(),
+                       np.maximum(0.0, j.i_xy - I_Y).tolist(),
                        _effective_cards(*_decoder(j, enc)).tolist()))
 
     n_probes, unconverged = 0, int(np.count_nonzero(~conv))

@@ -25,6 +25,7 @@ import numpy as np
 from .analyzer import LayerPath
 from .bounds import BoundCurve, BoundPoint, NetworkGaps
 from .curve import Bifurcation, CurvePoint, InfoCurve
+from .errors import DimensionError
 from .mlp import NetworkParams
 from .prob import (
     ConditionalMatrix,
@@ -141,8 +142,19 @@ def _flag(v) -> bool:
 
 
 def joint_from_json(text: str) -> JointDistribution:
+    """The joint, once the file's x_card and y_card agree with p's shape."""
     x_card, y_card, p = _json_fields(json.loads(text), "joint", x_card=_int, y_card=_int, p=_reals)
-    return JointDistribution(x_card, y_card, p)
+    if p.shape != (x_card, y_card):
+        raise DimensionError(f"JointDistribution has shape {p.shape}, "
+                             f"not a nonempty ({x_card}, {y_card})")
+    return JointDistribution(p)
+
+
+def _with_L(point, L: float, what: str):
+    """point, once a file's L is within 1e-9 of the L = R - beta * I_Y it computes."""
+    if not abs(L - point.L) <= 1e-9:  # NaN fails too
+        raise ValueError(f"{what} violates L = R - beta * I_Y")
+    return point
 
 
 # ---------------------------------------------------------------------------
@@ -165,12 +177,12 @@ def solution_to_json(sol: IBSolution) -> str:
 
 
 def solution_from_json(text: str) -> IBSolution:
-    beta, enc, dec, pt, *scalars = _json_fields(
+    beta, enc, dec, pt, R, I_Y, D_IB, L, *rest = _json_fields(
         json.loads(text), "solution", beta=_real, encoder=_reals, decoder=_reals,
         marginal=_reals, R=_real, I_Y=_real, D_IB=_real, L=_real,
         iterations=_int, converged=_flag)
-    return IBSolution(beta, Encoder.from_matrix(enc), ConditionalMatrix.from_matrix(dec),
-                      DiscreteDistribution(pt), *scalars)
+    return _with_L(IBSolution(beta, Encoder(enc), ConditionalMatrix(dec),
+                              DiscreteDistribution(pt), R, I_Y, D_IB, *rest), L, "solution")
 
 
 # ---------------------------------------------------------------------------
@@ -276,8 +288,9 @@ def curve_to_csv(curve: InfoCurve) -> str:
 
 
 def curve_from_csv(text: str) -> InfoCurve:
-    return InfoCurve(_csv_rows(text, "curve", _CURVE_HEADER, float, float, float, float, float,
-                               int, record=CurvePoint), ())
+    return InfoCurve(_csv_rows(
+        text, "curve", _CURVE_HEADER, float, float, float, float, float, int,
+        record=lambda b, R, I_Y, D, L, k: _with_L(CurvePoint(b, R, I_Y, D, k), L, "curve point")))
 
 
 _BOUND_HEADER = "R_hat,I_Y_hat,I_Y_worst,D_worst"

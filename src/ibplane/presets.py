@@ -15,22 +15,21 @@ def symmetric_joint(eps: float = 0.2) -> JointDistribution:
     if not 0 < eps < 1:
         raise ValueError(f"eps must be in (0, 1), got {eps}")
     rows = np.array([[1.0 - eps, eps], [eps, 1.0 - eps]])
-    return JointDistribution(2, 2, 0.5 * rows)
+    return JointDistribution(0.5 * rows)
 
 
 def product_joint(x_card: int = 2, y_card: int = 2) -> JointDistribution:
     """Independent uniform X and Y; zero mutual information."""
     if x_card < 1 or y_card < 1:
         raise ValueError("cardinalities must be >= 1")
-    p = np.full((x_card, y_card), 1.0 / (x_card * y_card))
-    return JointDistribution(x_card, y_card, p)
+    return JointDistribution(np.full((x_card, y_card), 1.0 / (x_card * y_card)))
 
 
 def deterministic_joint(k: int = 2) -> JointDistribution:
     """Uniform X with Y = X over k symbols; I(X;Y) = log2 k."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    return JointDistribution(k, k, np.eye(k) / k)
+    return JointDistribution(np.eye(k) / k)
 
 
 def hierarchical_joint(eps1: float = 0.2, eps2: float = 0.05,
@@ -61,7 +60,7 @@ def hierarchical_joint(eps1: float = 0.2, eps2: float = 0.05,
         if not 0 < p0 < 1:
             raise ValueError("offsets leave the probability simplex; shrink eps2")
         rows[x] = (p0, 1.0 - p0)
-    return JointDistribution(x_card, 2, rows / x_card)
+    return JointDistribution(rows / x_card)
 
 
 def xor_joint(d: int = 2) -> JointDistribution:
@@ -72,7 +71,7 @@ def xor_joint(d: int = 2) -> JointDistribution:
     p = np.zeros((x_card, 2))
     for x in range(x_card):
         p[x, bin(x).count("1") % 2] = 1.0 / x_card
-    return JointDistribution(x_card, 2, p)
+    return JointDistribution(p)
 
 
 def random_joint(x_card: int = 3, y_card: int = 2, seed: int = 0) -> JointDistribution:
@@ -81,7 +80,7 @@ def random_joint(x_card: int = 3, y_card: int = 2, seed: int = 0) -> JointDistri
         raise ValueError("cardinalities must be >= 1")
     rng = np.random.default_rng(seed)
     g = rng.gamma(1.0, size=(x_card, y_card))
-    return JointDistribution(x_card, y_card, g / g.sum())
+    return JointDistribution(g / g.sum())
 
 
 def gen_preset(name: str, seed: int = 0, **params) -> JointDistribution:

@@ -4,13 +4,15 @@ Joints, marginals, conditionals, entropies, divergences, i.i.d. sampling and
 empirical estimation over finite alphabets. All information quantities are in
 bits (log base 2), 0*log(0) counts as 0, and conditioning on a zero-mass row
 yields a uniform row. Values are immutable after construction and every
-operation is pure. One function, `_check_table`, checks every table: each
-distribution, joint and conditional matrix (the solver's `Encoder` is one)
-and the solver's encoder stacks. One function, `pushforward_bits`, pushes a
-joint through deterministic codes of X: the analyzer's layer codes and the
-oracle's maps. A joint computes its constants p(x), p(y|x), I(X;Y) and H(X)
-on first use, once per object, and hands out the same read-only values to
-every later caller.
+operation is pure. A table takes its dimensions from its array: a joint's
+x_card and y_card, a conditional matrix's rows and cols and a sample set's n
+are read from the shape, never passed beside it. One function,
+`_check_table`, checks every table: each distribution, joint and conditional
+matrix (the solver's `Encoder` is one) and the solver's encoder stacks. One
+function, `pushforward_bits`, pushes a joint through deterministic codes of
+X: the analyzer's layer codes and the oracle's maps. A joint computes its
+constants p(x), p(y|x), I(X;Y) and H(X) on first use, once per object, and
+hands out the same read-only values to every later caller.
 """
 
 from __future__ import annotations
@@ -32,15 +34,13 @@ def _frozen_array(a, dtype=float) -> np.ndarray:
     return out
 
 
-def _check_table(p, what: str, shape: tuple, rows: bool = False) -> np.ndarray:
-    """p as a read-only float array, checked as a probability table: of shape
-    `shape` (None allows any length on that axis) with no empty axis, every
-    entry finite and >= 0, and summing to 1 within PROB_TOL, in total or,
-    with rows, along the last axis."""
+def _check_table(p, what: str, axes: int, rows: bool = False) -> np.ndarray:
+    """p as a read-only float array, checked as a probability table: `axes`
+    axes, none of them empty, every entry finite and >= 0, and summing to 1
+    within PROB_TOL, in total or, with rows, along the last axis."""
     p = _frozen_array(p)
-    if p.ndim != len(shape) or 0 in p.shape or any(
-            n is not None and n != m for n, m in zip(shape, p.shape)):
-        want = ", ".join("n" if n is None else str(n) for n in shape)
+    if p.ndim != axes or 0 in p.shape:
+        want = ", ".join("n" * axes)
         raise DimensionError(f"{what} has shape {p.shape}, not a nonempty ({want})")
     if not (np.isfinite(p).all() and (p >= 0).all()):
         raise ValueError(f"negative or non-finite {what} entry")
@@ -142,32 +142,20 @@ class DiscreteDistribution:
     p: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "p", _check_table(self.p, "DiscreteDistribution", (None,)))
-
-    def __len__(self) -> int:
-        return self.p.size
-
-
-class _Matrix:  # from_matrix for the tables built as cls(rows, cols, p)
-    @classmethod
-    def from_matrix(cls, p):
-        p = np.asarray(p, dtype=float)
-        if p.ndim != 2:
-            raise DimensionError(f"{cls.__name__} must be a 2-D matrix, got {p.ndim}-D")
-        return cls(*p.shape, p)
+        object.__setattr__(self, "p", _check_table(self.p, "DiscreteDistribution", 1))
 
 
 @dataclass(frozen=True)
-class JointDistribution(_Matrix):
+class JointDistribution:
     """Joint p(X, Y) over finite alphabets as an x_card by y_card matrix."""
 
-    x_card: int
-    y_card: int
     p: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "p", _check_table(self.p, "JointDistribution",
-                                                   (self.x_card, self.y_card)))
+        object.__setattr__(self, "p", _check_table(self.p, "JointDistribution", 2))
+
+    x_card = property(lambda self: self.p.shape[0])
+    y_card = property(lambda self: self.p.shape[1])
 
     @cached_property
     def px(self) -> np.ndarray:
@@ -191,38 +179,36 @@ class JointDistribution(_Matrix):
 
 
 @dataclass(frozen=True)
-class ConditionalMatrix(_Matrix):
+class ConditionalMatrix:
     """Row-stochastic matrix: one distribution per conditioning symbol."""
 
-    rows: int
-    cols: int
     p: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "p", _check_table(self.p, type(self).__name__,
-                                                   (self.rows, self.cols), rows=True))
+        object.__setattr__(self, "p", _check_table(self.p, type(self).__name__, 2, rows=True))
+
+    rows = property(lambda self: self.p.shape[0])
+    cols = property(lambda self: self.p.shape[1])
 
 
 @dataclass(frozen=True)
 class SampleSet:
-    """Sequence of (x_index, y_index) pairs drawn from a joint."""
+    """Sequence of n (x_index, y_index) pairs drawn from a joint."""
 
     pairs: np.ndarray
-    n: int
 
     def __post_init__(self):
         object.__setattr__(self, "pairs", _frozen_array(self.pairs, dtype=np.int64))
         if self.pairs.ndim != 2 or self.pairs.shape[1] != 2:
             raise DimensionError("pairs must be an (n, 2) integer array")
-        if self.n != self.pairs.shape[0]:
-            raise DimensionError(f"n={self.n} does not match {self.pairs.shape[0]} pairs")
-        if self.n > 0 and np.any(self.pairs < 0):
+        if np.any(self.pairs < 0):
             raise ValueError("negative sample index")
+
+    n = property(lambda self: len(self.pairs))
 
     @classmethod
     def from_pairs(cls, pairs) -> "SampleSet":
-        arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-        return cls(arr, arr.shape[0])
+        return cls(np.asarray(pairs, dtype=np.int64).reshape(-1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +234,7 @@ def sample_pairs(j: JointDistribution, n: int, seed: int) -> SampleSet:
     flat = flat / flat.sum()
     cells = rng.choice(flat.size, size=n, p=flat)
     pairs = np.stack([cells // j.y_card, cells % j.y_card], axis=1)
-    return SampleSet(pairs, n)
+    return SampleSet(pairs)
 
 
 def empirical_joint(s: SampleSet, x_card: int, y_card: int) -> JointDistribution:
@@ -261,4 +247,4 @@ def empirical_joint(s: SampleSet, x_card: int, y_card: int) -> JointDistribution
         raise DimensionError("sample index outside the declared alphabets")
     counts = np.bincount(xs * y_card + ys, minlength=x_card * y_card)
     p = counts.reshape(x_card, y_card) / float(s.n)
-    return JointDistribution(x_card, y_card, p)
+    return JointDistribution(p)

@@ -52,6 +52,8 @@ with that key. The joint's p(x), p(y|x), I(X;Y) and H(X) are computed once
 per JointDistribution object (see `prob`). `Encoder` is a
 `prob.ConditionalMatrix`, and `prob._check_table` checks every encoder and
 init stack; `_check_tradeoff_point` checks IBSolution and the curve's points.
+Both compute L = R - beta * I_Y on read and do not store it; a file's L is
+checked against it by the file's reader.
 """
 
 from __future__ import annotations
@@ -101,7 +103,7 @@ class Encoder(ConditionalMatrix):
     def noisy_uniform(cls, x_card: int, t_card: int, seed: int,
                       noise: float = INIT_NOISE) -> "Encoder":
         """Uniform rows with seeded multiplicative noise, renormalized."""
-        return cls.from_matrix(_perturb(np.full((x_card, t_card), 1.0 / t_card), seed, noise))
+        return cls(_perturb(np.full((x_card, t_card), 1.0 / t_card), seed, noise))
 
     @classmethod
     def from_assignment(cls, assignment, t_card: int) -> "Encoder":
@@ -109,7 +111,7 @@ class Encoder(ConditionalMatrix):
         assignment = np.asarray(assignment, dtype=int)
         m = np.zeros((assignment.size, t_card))
         m[np.arange(assignment.size), assignment] = 1.0
-        return cls.from_matrix(m)
+        return cls(m)
 
 
 def _perturb(m: np.ndarray, seed, noise: float) -> np.ndarray:
@@ -130,7 +132,7 @@ def _hard_blend(assignment, t_card: int) -> np.ndarray:
 
 def _encoder_stack(ms) -> np.ndarray:
     """Read-only (B, X, T) stack of encoders, checked as a whole as Encoder checks one."""
-    return _check_table(ms, "encoder stack", (None, None, None), rows=True)
+    return _check_table(ms, "encoder stack", 3, rows=True)
 
 
 def _check_encoder(j: JointDistribution, e: Encoder, t_card: int | None = None) -> None:
@@ -149,12 +151,16 @@ def _check_fields(record, what: str, names) -> None:
             raise ValueError(f"{what} has {'negative' if math.isfinite(v) else 'non-finite'} {k}")
 
 
-def _check_tradeoff_point(point, what: str) -> None:
-    """The rules every point of the tradeoff keeps: beta, R, I_Y and D_IB
-    finite and >= 0, and L = R - beta * I_Y within 1e-9 (so L is finite)."""
-    _check_fields(point, what, ("beta", "R", "I_Y", "D_IB"))
-    if not abs(point.L - (point.R - point.beta * point.I_Y)) <= 1e-9:  # NaN fails too
-        raise ValueError(f"{what} violates L = R - beta * I_Y")
+def _check_tradeoff_point(point, what: str, *more) -> None:
+    """The rules every point of the tradeoff keeps: beta, R, I_Y and D_IB, then
+    the fields named in more, finite and >= 0, and L (`_lagrangian`) finite."""
+    _check_fields(point, what, ("beta", "R", "I_Y", "D_IB", *more))
+    if not math.isfinite(point.L):  # beta * I_Y can overflow
+        raise ValueError(f"{what} has non-finite L")
+
+
+# the tradeoff L = R - beta * I_Y of IBSolution and CurvePoint, computed on read
+_lagrangian = property(lambda self: self.R - self.beta * self.I_Y)
 
 
 @dataclass(frozen=True)
@@ -172,16 +178,14 @@ class IBSolution:
     R: float
     I_Y: float
     D_IB: float
-    L: float
     iterations: int
     converged: bool
 
     def __post_init__(self):
-        _check_tradeoff_point(self, "solution")
+        _check_tradeoff_point(self, "solution", "iterations")
 
-    @property
-    def t_card(self) -> int:
-        return self.encoder.t_card
+    L = _lagrangian
+    t_card = property(lambda self: self.encoder.t_card)
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +265,7 @@ def ib_iterate_once(j: JointDistribution, e: Encoder, beta: float) -> Encoder:
     """Apply one round of the three updates and return the new encoder."""
     _check_encoder(j, e)
     with np.errstate(**_QUIET):
-        return Encoder.from_matrix(_map(j.px, j.pygx, j.p, e.matrix[None], beta)[0])
+        return Encoder(_map(j.px, j.pygx, j.p, e.matrix[None], beta)[0])
 
 
 def _info_bits(j: JointDistribution, enc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -284,10 +288,10 @@ def _solution(j: JointDistribution, enc: np.ndarray, beta: float, R: float, I_Y:
     pt, dec = _decoder(j, enc)
     return IBSolution(
         beta=float(beta),
-        encoder=Encoder.from_matrix(enc),
-        decoder=ConditionalMatrix.from_matrix(dec),
+        encoder=Encoder(enc),
+        decoder=ConditionalMatrix(dec),
         marginal=DiscreteDistribution(pt),
-        R=R, I_Y=I_Y, D_IB=max(0.0, j.i_xy - I_Y), L=R - beta * I_Y,
+        R=R, I_Y=I_Y, D_IB=max(0.0, j.i_xy - I_Y),
         iterations=iterations, converged=converged,
     )
 

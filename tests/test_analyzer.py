@@ -99,7 +99,7 @@ def test_injective_layer_lossless():
 
 
 def test_merging_equivalent_rows_keeps_relevance():
-    j = JointDistribution.from_matrix(
+    j = JointDistribution(
         [[0.2, 0.05], [0.2, 0.05], [0.05, 0.2], [0.05, 0.2]])
     i_x, i_y = layer_mutual_information(j, [0, 0, 1, 1])
     assert i_y == pytest.approx(mutual_information(j), abs=1e-10)
@@ -114,7 +114,7 @@ def test_missing_code_raises():
 
 
 def test_unsupported_symbol_may_lack_code():
-    j = JointDistribution.from_matrix([[0.5, 0.5], [0.0, 0.0]])
+    j = JointDistribution([[0.5, 0.5], [0.0, 0.0]])
     i_x, i_y = layer_mutual_information(j, [0, -1])
     assert i_x == 0.0 and i_y == 0.0
 
@@ -227,7 +227,7 @@ def permuting_net(seed):
     hidden, out = rng.permutation(k), rng.permutation(k)
     w1, w2 = np.full((k, k), -5.0), np.full((k, k), -5.0)
     w1[hidden, np.arange(k)] = w2[out, hidden] = 5.0
-    return (JointDistribution.from_matrix(g / g.sum()),
+    return (JointDistribution(g / g.sum()),
             NetworkParams((k, k, k), (w1, w2), (np.zeros(k), np.zeros(k))))
 
 
@@ -301,7 +301,7 @@ def joints_and_nets(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     weights = tuple(gain * rng.standard_normal((o, i)) for i, o in zip(sizes, sizes[1:]))
     biases = tuple(gain * rng.standard_normal(o) for o in sizes[1:])
-    return JointDistribution.from_matrix(counts / counts.sum()), NetworkParams(sizes, weights, biases)
+    return JointDistribution(counts / counts.sum()), NetworkParams(sizes, weights, biases)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)

@@ -12,7 +12,7 @@ def make_curve(points):
     """points: iterable of (beta, R, I_Y) with I_XY inferred as 1.0."""
     i_xy = 1.0
     pts = tuple(
-        CurvePoint(beta=b, R=r, I_Y=i, D_IB=i_xy - i, L=r - b * i, eff_card=1)
+        CurvePoint(beta=b, R=r, I_Y=i, D_IB=i_xy - i, eff_card=1)
         for b, r, i in points
     )
     return InfoCurve(pts)
@@ -77,7 +77,7 @@ def test_bound_small_n_forces_compression():
 def test_bound_single_point_curve():
     single = make_curve([(1.0, 0.5, 0.3)])
     b = bound_curve(single, 100, 1.0, y_card=2)
-    assert b.optimum == (0.5, b.points[0].D_worst)
+    assert (b.R_star, b.D_star) == (0.5, b.points[0].D_worst)
 
 
 def test_bound_pointwise_ordering_exact():

@@ -23,7 +23,7 @@ from ibplane.curve import (
     _effective_cards,
     geometric_grid,
 )
-from ibplane.errors import DegenerateClusterError
+from ibplane.errors import DegenerateClusterError, DegenerateEncoderError
 from ibplane.presets import (
     deterministic_joint,
     hierarchical_joint,
@@ -56,7 +56,7 @@ SYM = symmetric_joint(0.2)
 
 
 def trivial_solution(j, t_card=2, beta=1.0):
-    return solution_from_encoder(j, Encoder.from_matrix(np.full((j.x_card, t_card), 1 / t_card)),
+    return solution_from_encoder(j, Encoder(np.full((j.x_card, t_card), 1 / t_card)),
                                  beta)
 
 
@@ -129,7 +129,7 @@ def test_c_matrix_ones_vector_is_eigenvector():
     for s in range(5):
         g = rng.gamma(1.0, size=(4, 3))
         from ibplane.prob import JointDistribution
-        j = JointDistribution.from_matrix(g / g.sum())
+        j = JointDistribution(g / g.sum())
         sol = ib_solve(j, 2, beta=3.0, seed=s)
         for t in range(2):
             if sol.marginal.p[t] > 1e-9:
@@ -138,7 +138,7 @@ def test_c_matrix_ones_vector_is_eigenvector():
 
 
 def test_c_matrix_zero_mass_cluster_raises():
-    sol = solution_from_encoder(SYM, Encoder.from_matrix([[1, 0], [1, 0]]), 1.0)
+    sol = solution_from_encoder(SYM, Encoder([[1, 0], [1, 0]]), 1.0)
     with pytest.raises(DegenerateClusterError):
         critical_beta_spectral(SYM, sol, 1)
 
@@ -174,13 +174,13 @@ def test_batched_spectral_matches_projector_reference():
             w[:, rng.integers(y_card)] = 0.0
         if not w.any():
             continue
-        j = JointDistribution.from_matrix(w / w.sum())
+        j = JointDistribution(w / w.sum())
         enc = rng.gamma(0.5, size=(x_card, t_card))
         if t_card > 1 and rng.random() < 0.3:
             enc[:, rng.integers(t_card)] *= 10.0 ** -rng.integers(4, 12)
         if t_card > 1 and rng.random() < 0.2:
             enc[:, rng.integers(t_card)] = 0.0
-        sol = solution_from_encoder(j, Encoder.from_matrix(enc / enc.sum(axis=1, keepdims=True)),
+        sol = solution_from_encoder(j, Encoder(enc / enc.sum(axis=1, keepdims=True)),
                                     1.0)
         want = []
         for t in range(t_card):
@@ -270,7 +270,7 @@ def test_eff_card_array_form_matches_each_solution(seed, t_card, x_card):
             e[:, copy] = e[:, rest[0]]
     enc[1] = enc[0]
     enc /= enc.sum(axis=2, keepdims=True)
-    sols = [solution_from_encoder(j, Encoder.from_matrix(e), 1.0) for e in enc]
+    sols = [solution_from_encoder(j, Encoder(e), 1.0) for e in enc]
     want = [union_find_card(s) for s in sols]
     assert [effective_cardinality(s) for s in sols] == want
     assert _effective_cards(*_decoder(j, enc)).tolist() == want
@@ -310,7 +310,7 @@ def restart_init(j, t_card, r, s):
 
 
 def curve_point(beta, sol):
-    return CurvePoint(beta, sol.R, sol.I_Y, sol.D_IB, sol.L, effective_cardinality(sol))
+    return CurvePoint(beta, sol.R, sol.I_Y, sol.D_IB, effective_cardinality(sol))
 
 
 def reference_walk(j, t_card, grid, restarts, seed=0, perturb_mag=1e-3,
@@ -493,9 +493,17 @@ def test_readme_sweep_has_no_unconverged_solve(sym_sweep):
     assert sym_sweep.unconverged == 0
 
 
+# known defects, strict so that the change that mends one must flip it: on
+# these two joints no pass of the sweep finds the better branch, and the
+# curves lie 0.1916 and 0.0269 bits above the best deterministic encoder
+ABOVE_THE_ORACLE = pytest.mark.xfail(strict=True, reason="the sweep misses the optimum")
+
+
 @pytest.mark.parametrize("x_card, y_card, t_card, seed", [
     (4, 2, 2, 0), (4, 2, 2, 3), (4, 2, 2, 5), (4, 2, 2, 16),
     (5, 3, 2, 6), (6, 2, 3, 8), (6, 2, 3, 9), (6, 2, 3, 16),
+    pytest.param(5, 3, 2, 13, marks=ABOVE_THE_ORACLE),
+    pytest.param(6, 2, 3, 0, marks=ABOVE_THE_ORACLE),
 ])
 def test_anneal_never_above_the_deterministic_oracle(x_card, y_card, t_card, seed):
     # on each joint a one-way warm walk up the grid stays on a worse branch
@@ -506,7 +514,13 @@ def test_anneal_never_above_the_deterministic_oracle(x_card, y_card, t_card, see
         assert p.L <= exhaustive_deterministic_oracle(j, t_card, p.beta)[1] + 1e-9
 
 
-@pytest.mark.parametrize("seed", [3, 13])
+@pytest.mark.parametrize("seed", [
+    3, 13,
+    # a known defect, strict so that the change that mends it must flip it:
+    # this sample leaves an x unobserved, and once the clusters harden its
+    # uniform p(y|x) is at infinite divergence from every cluster
+    pytest.param(0, marks=pytest.mark.xfail(raises=DegenerateEncoderError, strict=True)),
+])
 def test_anneal_empirical_joint_curve_is_monotone(seed):
     # a one-way warm walk left a point on a worse branch, and InfoCurve
     # rejected the sweep with "curve is not monotone"
@@ -561,8 +575,8 @@ def test_anneal_chord_concavity(sym_coarse_curve):
 
 def test_detect_constant_card_empty(sym_sweep):
     # detect_bifurcations only hands back the brackets the sweep predicted
-    pts = (CurvePoint(1.0, 0.0, 0.0, 0.1, 0.0, 1),
-           CurvePoint(2.0, 0.0, 0.0, 0.1, 0.0, 1))
+    pts = (CurvePoint(1.0, 0.0, 0.0, 0.1, 1),
+           CurvePoint(2.0, 0.0, 0.0, 0.1, 1))
     assert detect_bifurcations(InfoCurve(pts), SYM, 2) == ()
     assert detect_bifurcations(sym_sweep, SYM, 2, seed=0) == sym_sweep.bifurcations
 
@@ -608,6 +622,11 @@ def test_bifurcation_rejects_non_finite_prediction(predicted):
 
 
 def test_curve_validation_rejects_decreasing_beta():
-    p1 = CurvePoint(1.0, 0.0, 0.0, 0.1, 0.0, 1)
+    p1 = CurvePoint(1.0, 0.0, 0.0, 0.1, 1)
     with pytest.raises(ValueError):
         InfoCurve((p1, p1))
+
+
+def test_curve_rejects_a_negative_unconverged_count():
+    with pytest.raises(ValueError, match="curve has negative unconverged"):
+        InfoCurve((CurvePoint(1.0, 0.0, 0.0, 0.1, 1),), (), unconverged=-4)

@@ -126,6 +126,32 @@ def test_bifurcations_reader_names_the_bad_key(text, key):
         io.bifurcations_from_json(text)
 
 
+BIFURCATION = {"beta_low": 1.0, "beta_high": 2.0, "card_before": 1, "card_after": 2,
+               "beta_predicted": 1.5}
+
+
+@pytest.mark.parametrize("reader, changes, expected", [
+    (io.solution_from_json, {"iterations": -7}, "solution has negative iterations"),
+    (io.solution_from_json, {"L": 0.0}, "solution violates L = R - beta * I_Y"),
+    (io.bifurcations_from_json, {"beta_low": -5.0}, "bifurcation has negative beta_low"),
+    (io.bifurcations_from_json, {"card_before": -3, "card_after": 0},
+     "card_before must be >= 1, got -3"),
+    (io.bifurcations_from_json, {"beta_predicted": -1.0},
+     "bifurcation has negative beta_predicted"),
+], ids=["solution-negative-iterations", "solution-L-off-R-minus-beta-I_Y",
+        "bifurcation-negative-beta-low", "bifurcation-card-before-below-1",
+        "bifurcation-negative-beta-predicted"])
+def test_json_readers_reject_impossible_values(reader, changes, expected):
+    # each file is well-formed; one value breaks a rule of its record
+    solution = reader is io.solution_from_json
+    good = json.loads(io.solution_to_json(ib_solve(SYM, 2, beta=5.0, seed=0))) if solution \
+        else BIFURCATION
+    reader(json.dumps(good if solution else [good]))
+    bad = {**good, **changes}
+    with pytest.raises(ValueError, match=re.escape(expected)):
+        reader(json.dumps(bad if solution else [bad]))
+
+
 def test_loss_trace_round_trip():
     trace = [1.0, 0.5, 1 / 3]
     text = io.loss_trace_to_csv(trace)
@@ -350,6 +376,18 @@ def test_cli_joint_with_wrong_typed_x_card_is_one_line_error(tmp_path, capsys):
     assert not (tmp_path / "s.json").exists()
 
 
+def test_cli_joint_with_cards_off_its_shape_is_one_line_error(tmp_path, capsys):
+    # the file's x_card and y_card are checked against p by the reader, then dropped
+    j = tmp_path / "j.json"
+    j.write_text('{"x_card": 2, "y_card": 3, "p": [[0.5, 0], [0, 0.5]]}')
+    code = cli.run(["ib-solve", "--joint", str(j), "--t-card", "2", "--beta", "1",
+                    "--out", str(tmp_path / "s.json")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == "DimensionError: JointDistribution has shape (2, 2), not a nonempty (2, 3)\n"
+    assert not (tmp_path / "s.json").exists()
+
+
 @pytest.mark.parametrize("reader, text, key", [
     (io.joint_from_json, '{"x_card": true, "y_card": true, "p": [[1.0]]}', "'x_card'"),
     (io.joint_from_json, '{"x_card": 1, "y_card": true, "p": [[1.0]]}', "'y_card'"),
@@ -391,6 +429,8 @@ NO_UNIT_NET = '{"layer_sizes": [2, 0, 2], "weights": [[], [[], []]], "biases": [
      "curve CSV line 2: curve point has negative D_IB"),
     ({"curve.csv": "beta,R,I_Y,D_IB,L,eff_card\n1,-0.5,0,0.2,-0.5,1\n"}, BOUNDS_ARGV,
      "curve CSV line 2: curve point has negative R"),
+    ({"curve.csv": "beta,R,I_Y,D_IB,L,eff_card\n2,0.5,0.1,0.2,0.5,1\n"}, BOUNDS_ARGV,
+     "curve CSV line 2: curve point violates L = R - beta * I_Y"),
     ({"curve.csv": GOOD_CURVE + "2,0,0,0.2\n"}, BOUNDS_ARGV, "curve CSV line 3: "),
     ({"curve.csv": GOOD_CURVE}, BOUNDS_ARGV + " --c-bound -1", "c_bound must be finite and >= 0"),
     ({"curve.csv": GOOD_CURVE}, BOUNDS_ARGV + " --c-bound nan", "c_bound must be finite and >= 0"),
@@ -402,6 +442,8 @@ NO_UNIT_NET = '{"layer_sizes": [2, 0, 2], "weights": [[], [[], []]], "biases": [
      PLANE_ARGV, "bound CSV line 2: bound point has negative I_Y_worst"),
     ({"curve.csv": GOOD_CURVE, "bounds.csv": "R_hat,I_Y_hat,I_Y_worst,D_worst\n0,0.1,0\n"},
      PLANE_ARGV, "bound CSV line 2: "),
+    ({"curve.csv": GOOD_CURVE, "bounds.csv": "R_hat,I_Y_hat,I_Y_worst,D_worst\n0,0.1,0.9,0.3\n"},
+     PLANE_ARGV, "bound CSV line 2: bound point has I_Y_worst above I_Y_hat"),
     ({}, "ib-solve --joint j.json --t-card 2 --beta inf --out out", "beta must be finite"),
     ({}, "ib-solve --joint j.json --t-card 2 --beta 1 --tol nan --out out", "tol must be finite"),
     ({}, "ib-solve --joint j.json --t-card 2 --beta 1 --tol inf --out out", "tol must be finite"),
@@ -419,10 +461,12 @@ NO_UNIT_NET = '{"layer_sizes": [2, 0, 2], "weights": [[], [[], []]], "biases": [
     ({}, ANALYZE_ARGV + " --beta nan", "beta must be finite, got nan"),
     ({}, ANALYZE_ARGV + " --sweep 1,nan", "beta must be finite, got nan"),
 ], ids=["bounds-non-finite-curve-point", "bounds-negative-curve-I_Y",
-        "bounds-negative-curve-D_IB", "bounds-negative-curve-R", "bounds-short-curve-row",
+        "bounds-negative-curve-D_IB", "bounds-negative-curve-R",
+        "bounds-curve-L-off-R-minus-beta-I_Y", "bounds-short-curve-row",
         "bounds-negative-c-bound", "bounds-nan-c-bound", "bounds-infinite-c-bound",
         "bounds-negative-y-card", "plane-non-finite-bound-point",
         "plane-negative-bound-I_Y_worst", "plane-short-bound-row",
+        "plane-bound-I_Y_worst-above-I_Y_hat",
         "ib-solve-infinite-beta", "ib-solve-nan-tol", "ib-solve-infinite-tol",
         "ib-solve-negative-max-iter", "ib-solve-zero-max-iter", "ib-curve-nan-tol",
         "ib-curve-negative-max-iter",

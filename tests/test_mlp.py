@@ -26,7 +26,7 @@ from ibplane.presets import random_joint, symmetric_joint, xor_joint
 from ibplane.prob import JointDistribution, SampleSet, entropy_bits, sample_pairs
 
 # x = 2 has no mass, so no sample ever shows it
-NO_X2 = JointDistribution(4, 2, np.array([[0.2, 0.1], [0.1, 0.2], [0.0, 0.0], [0.3, 0.1]]))
+NO_X2 = JointDistribution(np.array([[0.2, 0.1], [0.1, 0.2], [0.0, 0.0], [0.3, 0.1]]))
 
 
 def balanced_samples(j, n):

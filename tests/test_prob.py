@@ -131,18 +131,18 @@ def test_kl_nonnegative():
 # --- mutual information -----------------------------------------------------
 
 def test_mi_product_is_zero():
-    j = JointDistribution.from_matrix([[0.25, 0.25], [0.25, 0.25]])
+    j = JointDistribution([[0.25, 0.25], [0.25, 0.25]])
     assert mutual_information(j) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_mi_identity_coupling():
-    j = JointDistribution.from_matrix([[0.5, 0.0], [0.0, 0.5]])
+    j = JointDistribution([[0.5, 0.0], [0.0, 0.5]])
     assert mutual_information(j) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_mi_symmetric_channel_matches_oracle():
     m = [[0.4, 0.1], [0.1, 0.4]]
-    j = JointDistribution.from_matrix(m)
+    j = JointDistribution(m)
     assert mutual_information(j) == pytest.approx(oracle_mi(m), abs=1e-12)
     # 1 - H2(0.2)
     assert mutual_information(j) == pytest.approx(0.278072, abs=1e-6)
@@ -152,15 +152,15 @@ def test_mi_transpose_symmetry():
     rng = np.random.default_rng(2)
     for _ in range(25):
         m = random_dist(rng, (3, 4))
-        a = mutual_information(JointDistribution.from_matrix(m))
-        b = mutual_information(JointDistribution.from_matrix(m.T))
+        a = mutual_information(JointDistribution(m))
+        b = mutual_information(JointDistribution(m.T))
         assert a == pytest.approx(b, abs=1e-12)
 
 
 def test_mi_chain_consistency():
     # I(X;Y) = H(Y) - sum_x p(x) H(p(y|x))
     rng = np.random.default_rng(3)
-    for j in [*(JointDistribution.from_matrix(random_dist(rng, (4, 3))) for _ in range(25)),
+    for j in [*(JointDistribution(random_dist(rng, (4, 3))) for _ in range(25)),
               GAPPY]:
         px, cond = conditional_rows(j.p)
         h_y_given_x = sum(
@@ -175,8 +175,8 @@ def test_mi_grouping_identical_rows():
     # merging two x symbols with the same conditional row keeps I(X;Y)
     m = np.array([[0.2, 0.05], [0.2, 0.05], [0.1, 0.4]])
     merged = np.array([[0.4, 0.1], [0.1, 0.4]])
-    a = mutual_information(JointDistribution.from_matrix(m))
-    b = mutual_information(JointDistribution.from_matrix(merged))
+    a = mutual_information(JointDistribution(m))
+    b = mutual_information(JointDistribution(merged))
     assert a == pytest.approx(b, abs=1e-10)
 
 
@@ -198,21 +198,21 @@ def test_js_divergence_broadcasts_over_leading_axes():
 # --- conditional rows ----------------------------------------------------------------
 
 def test_decompose_identity():
-    j = JointDistribution.from_matrix([[0.5, 0.0], [0.0, 0.5]])
+    j = JointDistribution([[0.5, 0.0], [0.0, 0.5]])
     px, cond = conditional_rows(j.p)
     assert np.allclose(px, [0.5, 0.5])
     assert np.allclose(cond, [[1, 0], [0, 1]])
 
 
 def test_decompose_symmetric_rows():
-    j = JointDistribution.from_matrix([[0.4, 0.1], [0.1, 0.4]])
+    j = JointDistribution([[0.4, 0.1], [0.1, 0.4]])
     px, cond = conditional_rows(j.p)
     assert np.allclose(px, [0.5, 0.5])
     assert np.allclose(cond, [[0.8, 0.2], [0.2, 0.8]])
 
 
 def test_decompose_zero_row_uniform():
-    for j in (JointDistribution.from_matrix([[0.5, 0.5], [0.0, 0.0]]), GAPPY):
+    for j in (JointDistribution([[0.5, 0.5], [0.0, 0.0]]), GAPPY):
         px, cond = conditional_rows(j.p)
         assert np.allclose(cond[1], np.full(j.y_card, 1 / j.y_card))
         # reconstruction matches on supported rows
@@ -225,7 +225,7 @@ def test_decompose_reconstructs():
     rng = np.random.default_rng(4)
     for _ in range(25):
         m = random_dist(rng, (5, 3))
-        j = JointDistribution.from_matrix(m)
+        j = JointDistribution(m)
         px, cond = conditional_rows(j.p)
         assert np.max(np.abs(px[:, None] * cond - j.p)) < 1e-12
         assert_constants_match(j)
@@ -234,20 +234,20 @@ def test_decompose_reconstructs():
 # --- sampling ----------------------------------------------------------------
 
 def test_sample_point_mass():
-    j = JointDistribution.from_matrix([[0.0, 1.0], [0.0, 0.0]])
+    j = JointDistribution([[0.0, 1.0], [0.0, 0.0]])
     s = sample_pairs(j, 20, seed=0)
     assert np.all(s.pairs == [0, 1])
 
 
 def test_sample_determinism():
-    j = JointDistribution.from_matrix([[0.4, 0.1], [0.1, 0.4]])
+    j = JointDistribution([[0.4, 0.1], [0.1, 0.4]])
     a = sample_pairs(j, 500, seed=42)
     b = sample_pairs(j, 500, seed=42)
     assert np.array_equal(a.pairs, b.pairs)
 
 
 def test_sample_frequencies_within_3_sigma():
-    j = JointDistribution.from_matrix([[0.4, 0.1], [0.1, 0.4]])
+    j = JointDistribution([[0.4, 0.1], [0.1, 0.4]])
     n = 100_000
     s = sample_pairs(j, n, seed=7)
     emp = empirical_joint(s, 2, 2)
@@ -259,7 +259,7 @@ def test_sample_frequencies_within_3_sigma():
 
 
 def test_sample_size_validation():
-    j = JointDistribution.from_matrix([[1.0]])
+    j = JointDistribution([[1.0]])
     with pytest.raises(ValueError):
         sample_pairs(j, 0, seed=0)
 
@@ -279,7 +279,7 @@ def test_empirical_two_cells():
 
 
 def test_empirical_empty_raises():
-    s = SampleSet(np.zeros((0, 2), dtype=int), 0)
+    s = SampleSet(np.zeros((0, 2), dtype=int))
     with pytest.raises(EmptySampleError):
         empirical_joint(s, 2, 2)
 
@@ -291,7 +291,7 @@ def test_empirical_out_of_range_raises():
 
 
 def test_plugin_mi_consistency():
-    j = JointDistribution.from_matrix([[0.4, 0.1], [0.1, 0.4]])
+    j = JointDistribution([[0.4, 0.1], [0.1, 0.4]])
     s = sample_pairs(j, 1_000_000, seed=11)
     emp = empirical_joint(s, 2, 2)
     assert abs(mutual_information(emp) - mutual_information(j)) < 0.01
@@ -300,18 +300,18 @@ def test_plugin_mi_consistency():
 # --- construction validation ---------------------------------------------------
 
 # every table and encoder stack goes through one check; each constructor is
-# given a valid table of its kind, then one fault
+# given a valid table of its kind, then one fault (a joint file whose x_card
+# and y_card disagree with p is checked by its reader, in test_io_cli)
 TABLES = {
     "DiscreteDistribution": (DiscreteDistribution, [0.5, 0.5]),
-    "JointDistribution": (lambda p: JointDistribution(2, 3, p), np.full((2, 3), 1 / 6)),
-    "JointDistribution.from_matrix": (JointDistribution.from_matrix, np.full((2, 2), 0.25)),
-    "ConditionalMatrix.from_matrix": (ConditionalMatrix.from_matrix, [[0.5, 0.5], [0.9, 0.1]]),
-    "Encoder.from_matrix": (Encoder.from_matrix, [[0.5, 0.5], [0.9, 0.1]]),
+    "JointDistribution": (JointDistribution, np.full((2, 3), 1 / 6)),
+    "ConditionalMatrix": (ConditionalMatrix, [[0.5, 0.5], [0.9, 0.1]]),
+    "Encoder": (Encoder, [[0.5, 0.5], [0.9, 0.1]]),
     "_encoder_stack": (_encoder_stack, [[[0.5, 0.5], [0.9, 0.1]], [[1.0, 0.0], [0.2, 0.8]]]),
 }
 TABLE_FAULTS = {"nan": ValueError, "inf": ValueError, "negative-entry": ValueError,
                 "bad-sum": ValueError, "extra-axis": DimensionError,
-                "empty-axis": DimensionError, "shape-mismatch": DimensionError}
+                "empty-axis": DimensionError}
 
 
 def _with_fault(p: np.ndarray, fault: str) -> np.ndarray:
@@ -327,14 +327,10 @@ def _with_fault(p: np.ndarray, fault: str) -> np.ndarray:
         p = p[None]
     elif fault == "empty-axis":
         p = np.zeros(p.shape[:-1] + (0,))
-    elif fault == "shape-mismatch":  # JointDistribution(2, 3, a 2x2 joint)
-        p = np.full((2, 2), 0.25)
     return p
 
 
-@pytest.mark.parametrize("kind, fault", [
-    *itertools.product(TABLES, list(TABLE_FAULTS)[:-1]), ("JointDistribution", "shape-mismatch"),
-])
+@pytest.mark.parametrize("kind, fault", itertools.product(TABLES, TABLE_FAULTS))
 def test_table_constructors_reject_bad_tables(kind, fault):
     make, good = TABLES[kind]
     make(np.asarray(good, dtype=float))
@@ -345,7 +341,7 @@ def test_table_constructors_reject_bad_tables(kind, fault):
 
 
 def test_values_immutable():
-    j = JointDistribution.from_matrix([[0.5, 0.0], [0.0, 0.5]])
+    j = JointDistribution([[0.5, 0.0], [0.0, 0.5]])
     for a in (j.p, j.px, j.pygx):
         with pytest.raises(ValueError):
             a[0] = 0.9

@@ -20,8 +20,6 @@ from ibplane.errors import (
 )
 from ibplane.presets import random_joint, symmetric_joint
 from ibplane.prob import (
-    ConditionalMatrix,
-    DiscreteDistribution,
     JointDistribution,
     conditional_rows,
     entropy_bits,
@@ -50,7 +48,7 @@ SYM = symmetric_joint(0.2)  # joint [[0.4, 0.1], [0.1, 0.4]]
 
 
 def scalars_of(j, enc_matrix, beta):
-    sol = solution_from_encoder(j, Encoder.from_matrix(enc_matrix), beta)
+    sol = solution_from_encoder(j, Encoder(enc_matrix), beta)
     return sol.R, sol.I_Y, sol.L
 
 
@@ -72,14 +70,14 @@ def test_iterate_fixed_point_is_stationary():
 
 def test_iterate_preserves_swap_symmetry():
     # symmetric joint + uniform start: swapping x and t labels together is a no-op
-    enc = Encoder.from_matrix(np.full((2, 2), 0.5))
+    enc = Encoder(np.full((2, 2), 0.5))
     new = ib_iterate_once(SYM, enc, beta=5.0)
     assert np.allclose(new.matrix[0], new.matrix[1][::-1], atol=1e-14)
 
 
 def test_iterate_dimension_mismatch():
     with pytest.raises(DimensionError):
-        ib_iterate_once(SYM, Encoder.from_matrix(np.full((3, 2), 0.5)), beta=1.0)
+        ib_iterate_once(SYM, Encoder(np.full((3, 2), 0.5)), beta=1.0)
 
 
 @pytest.mark.parametrize("call", [
@@ -182,8 +180,8 @@ def test_dead_cluster_element_leaves_its_batch_alone():
 def test_iterate_degenerate_zero_mass_symbol():
     # x=1 has no mass, gets a uniform conditional, and every cluster then
     # misses its support once the only live cluster decodes a point mass
-    j = JointDistribution.from_matrix([[1.0, 0.0], [0.0, 0.0]])
-    enc = Encoder.from_matrix([[1.0, 0.0], [1.0, 0.0]])
+    j = JointDistribution([[1.0, 0.0], [0.0, 0.0]])
+    enc = Encoder([[1.0, 0.0], [1.0, 0.0]])
     with pytest.raises(DegenerateEncoderError):
         ib_iterate_once(j, enc, beta=2.0)
 
@@ -234,7 +232,7 @@ def test_solve_permutation_equivariance():
     j = random_joint(4, 2, seed=3)
     init = Encoder.noisy_uniform(4, 3, seed=2)
     perm = [2, 0, 1]
-    permuted = Encoder.from_matrix(init.matrix[:, perm])
+    permuted = Encoder(init.matrix[:, perm])
     a = ib_solve(j, 3, beta=4.0, init=init)
     b = ib_solve(j, 3, beta=4.0, init=permuted)
     assert a.R == pytest.approx(b.R, abs=1e-12)
@@ -259,7 +257,7 @@ def queries(draw):
     if draw(st.booleans()):
         w[:, draw(st.integers(0, y_card - 1))] = 0.0  # a zero-mass y column
     beta = math.exp(draw(st.floats(math.log(0.5), math.log(50.0))))
-    return (JointDistribution.from_matrix(w / w.sum()), draw(st.integers(2, 4)),
+    return (JointDistribution(w / w.sum()), draw(st.integers(2, 4)),
             beta, draw(st.integers(0, 2**16)))
 
 
@@ -267,7 +265,7 @@ def queries(draw):
 @given(queries())
 def test_solve_properties_on_random_joints(query):
     j, t_card, beta, seed = query
-    inits = [Encoder.from_matrix(m)
+    inits = [Encoder(m)
              for m in _restart_inits(j.x_card, t_card, [(r, seed + r) for r in range(4)])]
     sols = [ib_solve(j, t_card, beta, init=e) for e in inits]
     for init, sol in zip(inits, sols):
@@ -310,8 +308,8 @@ def test_memoized_inits_and_joint_constants_change_no_solution(query):
                           ib_solve(joint, t_card, beta, max_iter=7, seed=seed))]
 
     solver._multistart_inits.cache_clear()
-    cold = solve(JointDistribution.from_matrix(j.p))  # cleared memo, fresh joint
-    reused = JointDistribution.from_matrix(j.p)
+    cold = solve(JointDistribution(j.p))  # cleared memo, fresh joint
+    reused = JointDistribution(j.p)
     assert solve(reused) == cold  # warm memo, fresh joint
     assert solve(reused) == cold  # warm memo, the joint's constants already read
     for a in (solver._multistart_inits(j.x_card, t_card, 4, seed), reused.px, reused.pygx):
@@ -345,20 +343,11 @@ def test_solve_validates_args():
         ib_solve(SYM, 2, beta=-1.0)
 
 
-def test_solution_validation():
-    enc = Encoder.from_matrix(np.full((2, 2), 0.5))
-    dec = ConditionalMatrix.from_matrix([[0.5, 0.5], [0.5, 0.5]])
-    marg = DiscreteDistribution([0.5, 0.5])
-    with pytest.raises(ValueError):
-        IBSolution(beta=1.0, encoder=enc, decoder=dec, marginal=marg,
-                   R=0.5, I_Y=0.1, D_IB=0.1, L=0.0,  # L should be 0.4
-                   iterations=1, converged=True)
-
-
+# L = R - beta * I_Y is computed, so a NaN R makes L NaN too
 @pytest.mark.parametrize("changes", [
-    {"R": math.nan, "L": math.nan}, {"I_Y": math.nan}, {"D_IB": math.inf},
-    {"beta": math.nan}, {"beta": math.inf},
-], ids=["R-and-L", "I_Y", "D_IB", "beta-nan", "beta-inf"])
+    {"R": math.nan}, {"I_Y": math.nan}, {"D_IB": math.inf},
+    {"beta": math.nan}, {"beta": math.inf}, {"beta": 1e308, "I_Y": 2.0},
+], ids=["R-and-L", "I_Y", "D_IB", "beta-nan", "beta-inf", "L-overflow"])
 def test_solution_rejects_non_finite_scalars(changes):
     sol = ib_solve(SYM, 2, beta=5.0, seed=0)
     with pytest.raises(ValueError, match="solution has non-finite"):
@@ -374,17 +363,17 @@ def test_residual_small_at_converged_solution():
 
 def test_residual_zero_for_hand_built_trivial():
     # all encoder rows equal the marginal, decoder rows equal p(y), beta=0
-    enc = Encoder.from_matrix([[0.5, 0.5], [0.5, 0.5]])
+    enc = Encoder([[0.5, 0.5], [0.5, 0.5]])
     sol = solution_from_encoder(SYM, enc, beta=0.0)
     assert self_consistency_residual(SYM, sol) < 1e-12
 
 
 def test_residual_detects_perturbation():
     sol = ib_solve(SYM, 2, beta=5.0, tol=1e-10, max_iter=100_000, seed=0)
-    noisy = Encoder.from_matrix(_perturb(sol.encoder.matrix, seed=1, noise=1e-3))
+    noisy = Encoder(_perturb(sol.encoder.matrix, seed=1, noise=1e-3))
     tampered = IBSolution(
         beta=sol.beta, encoder=noisy, decoder=sol.decoder, marginal=sol.marginal,
-        R=sol.R, I_Y=sol.I_Y, D_IB=sol.D_IB, L=sol.L,
+        R=sol.R, I_Y=sol.I_Y, D_IB=sol.D_IB,
         iterations=sol.iterations, converged=sol.converged)
     assert self_consistency_residual(SYM, tampered) > 1e-6
 
@@ -427,7 +416,7 @@ def joint_with_zeros(x_card, y_card, seed):
         p[seed % x_card] = 0.0
     if seed % 3 == 2:
         p[:, seed % y_card] = 0.0
-    return JointDistribution.from_matrix(p / p.sum())
+    return JointDistribution(p / p.sum())
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -459,6 +448,16 @@ def test_solver_dominates_oracle_single_case():
     _, oracle_l = exhaustive_deterministic_oracle(j, 2, beta=10.0)
     sol = ib_solve_multistart(j, 2, beta=10.0, restarts=20, seed=0)
     assert sol.L <= oracle_l + 1e-6
+
+
+# a known defect: every restart ends at L = -4.9e-15, the trivial branch,
+# while the best deterministic encoder reaches L = -0.03676; the change that
+# makes multistart find the optimum turns this into a pass
+@pytest.mark.xfail(strict=True, reason="multistart misses the optimum on this joint")
+def test_multistart_never_above_the_deterministic_oracle():
+    j = random_joint(4, 2, seed=0)
+    _, oracle_l = exhaustive_deterministic_oracle(j, 2, beta=20.0)
+    assert ib_solve_multistart(j, 2, beta=20.0, restarts=10).L <= oracle_l + 1e-9
 
 
 def test_multistart_tie_breaks_toward_smaller_rate():
