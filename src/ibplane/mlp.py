@@ -9,13 +9,13 @@ of the symbol alone, so one raw-array kernel runs a minibatch as its distinct
 symbols with their label counts, forward and backprop, for every caller. It
 holds each layer as an augmented block [W.T; b] fed rows ending in 1 (inputs
 [e_x, 1]; each hidden layer adds a unit fixed at 1), so a layer and its weight
-and bias gradient are one `dot` each and no step broadcasts or reduces but the
-softmax max. `NetworkParams` keeps (out, in) weights and (out,) biases, and
-`forward_all` returns fresh (X, width) arrays. Training updates one flat
-buffer in place, computes an epoch's minibatch losses once, after it, from the
-probabilities its steps wrote, and raises `DivergenceError` naming the epoch
-once the loss or a parameter turns non-finite. All is deterministic given the
-seeds."""
+and bias gradient are one `dot` each. A block that feeds a hidden layer, and
+the error backprop carries to it, are held negated; each negation is exact, so
+every bit is that of the plain form. `NetworkParams`, `batch_gradients` and
+`forward_all`'s fresh arrays are not negated. Training updates one flat buffer
+in place, computes an epoch's losses after its steps from the probabilities
+they wrote, and raises `DivergenceError` naming the epoch once the loss or a
+parameter turns non-finite. All is deterministic given the seeds."""
 
 from __future__ import annotations
 
@@ -30,19 +30,16 @@ from .prob import SampleSet, _frozen_array
 LN2 = math.log(2.0)
 
 _SATURATED = 40.0  # its logistic, like that of any u >= 53 ln 2, rounds to 1.0
+_ONE = _frozen_array(1.0)  # numpy takes a 0-d operand faster than a Python float
 
 # saturated sigmoids overflow exp, log2(0) makes an infinite loss and a
 # diverging run makes inf - inf; train_sgd checks for the non-finite results
 _QUIET = {"over": "ignore", "divide": "ignore", "invalid": "ignore"}
 
 
-def _logistic(u):
-    return 1.0 / (1.0 + np.exp(-u))
-
-
 def sigmoid(u):
     with np.errstate(over="ignore"):
-        return _logistic(u)
+        return 1.0 / (1.0 + np.exp(-u))
 
 
 def _layer_sizes(layer_sizes) -> tuple[int, ...]:
@@ -108,13 +105,19 @@ def init_network(layer_sizes, seed: int) -> NetworkParams:
 
 def _buffer(net: NetworkParams):
     """A flat copy of net's parameters and its per-layer views, (in + 1, out)
-    blocks [W.T; b]. A hidden layer's block gains a column [0; _SATURATED]: its
-    unit is exactly 1, the bias input of the next layer, and gets zero gradient."""
+    blocks [W.T; b], negated, with a column [0; -_SATURATED], where they feed a
+    hidden layer: that unit is exactly 1, the next one's bias input, with zero gradient."""
     blocks = [np.vstack([w.T, b]) for w, b in zip(net.weights, net.biases)]
-    blocks[:-1] = [np.hstack([a, np.eye(len(a), 1, 1 - len(a)) * _SATURATED]) for a in blocks[:-1]]
+    blocks[:-1] = [-np.hstack([a, np.eye(len(a), 1, 1 - len(a)) * _SATURATED]) for a in blocks[:-1]]
     flat = np.concatenate([a.ravel() for a in blocks])
     cuts = np.cumsum([a.size for a in blocks])[:-1]
     return flat, [v.reshape(a.shape) for v, a in zip(np.split(flat, cuts), blocks)]
+
+
+def _params(blocks, layer_sizes):
+    """The weights and biases of `_buffer` blocks, or of their gradients, sign restored."""
+    pairs = [(-b, m) for b, m in zip(blocks, layer_sizes[1:-1])] + [(blocks[-1], layer_sizes[-1])]
+    return tuple(b[:-1, :m].T for b, m in pairs), tuple(b[-1, :m] for b, m in pairs)
 
 
 def _n_labels(net: NetworkParams, xs, ys) -> int:
@@ -166,25 +169,27 @@ def _kernel(bound, a0, probs, errs=None):
     """Forward pass of distinct symbols' input rows a0 through `_bind` blocks:
     writes the output probabilities into probs and returns the hidden layers'
     activations. Given a minibatch's `_errors` rows, writes the gradients of its
-    bit-valued mean cross-entropy into the grad blocks. Callers hold `_QUIET`."""
+    bit-valued mean cross-entropy, signed as the blocks are. Callers hold `_QUIET`."""
     first, layers, ones, back = bound
-    acts, u = [a0], a0.dot(first)
-    for block in layers:
-        acts.append(_logistic(u))
-        u = acts[-1].dot(block)
+    acts, v = [a0], a0.dot(first)
+    for block in layers:  # v = -u, so the logistic is 1 / (1 + exp(v)), in v's buffer
+        acts.append(np.divide(_ONE, np.add(np.exp(v, out=v), _ONE, out=v), out=v))
+        v = v.dot(block)
     if ones is None:  # one unit: its sigmoid is the label-1 probability
         head = probs[:, 1:]
-        np.divide(1.0, 1.0 + np.exp(-u), out=head)
-        np.subtract(1.0, head, out=probs[:, :1])
+        np.divide(_ONE, _ONE + np.exp(-v), out=head)
+        np.subtract(_ONE, head, out=probs[:, :1])
     else:
-        head = np.exp(u - np.maximum.reduce(u, 1, keepdims=True))
-        head = np.divide(head, head.dot(ones), out=probs)
+        v -= np.maximum.reduce(v, 1, keepdims=True)
+        head = np.divide(np.exp(v, out=v), v.dot(ones), out=probs)
     if errs is None:
         return acts[1:]
-    delta = errs[0] * head - errs[1]
+    delta = errs[0] * head
+    delta -= errs[1]
     for (grad, w), a in zip(back[1], acts[:0:-1]):
         a.T.dot(delta, out=grad)
-        delta = delta.dot(w) * a * (1.0 - a)  # 0 at the constant unit
+        delta = delta.dot(w) * a
+        delta *= np.subtract(a, _ONE, out=a)  # a - 1 in a's buffer; 0 at the constant unit
     a0.T.dot(delta, out=back[0])  # exact zeros in the rows of symbols not in a0
 
 
@@ -224,8 +229,7 @@ def batch_gradients(net: NetworkParams, x_indices, y_indices):
         _kernel(bound, inputs.take(sym, axis=0), probs,
                 _errors(counts, rowcount, xs.size, net.layer_sizes[-1]))
         loss = _losses(counts, probs, [0, sym.size], [xs.size])[0]
-    pairs = list(zip(grads, net.layer_sizes[1:]))
-    return [g[:-1, :m].T for g, m in pairs], [g[-1, :m] for g, m in pairs], loss
+    return (*map(list, _params(grads, net.layer_sizes)), loss)
 
 
 def batch_loss(net: NetworkParams, x_indices, y_indices) -> float:
@@ -254,7 +258,7 @@ def train_sgd(net: NetworkParams, samples: SampleSet,
     sizes = [min(cfg.batch_size, samples.n - s) for s in range(0, samples.n, cfg.batch_size)]
     # sorted (minibatch, symbol) keys put each minibatch's rows in one run
     batch_key = np.arange(samples.n) // cfg.batch_size * x_card
-    trace = []
+    trace, lr = [], np.array(cfg.learning_rate)
     with np.errstate(**_QUIET):
         for epoch in range(cfg.epochs):
             order = rng.permutation(samples.n)
@@ -267,7 +271,7 @@ def train_sgd(net: NetworkParams, samples: SampleSet,
             probs = np.empty_like(counts)
             for r0, r1 in zip(edges, edges[1:]):
                 _kernel(bound, a0[r0:r1], probs[r0:r1], (totals[r0:r1], labels[r0:r1]))
-                grad *= cfg.learning_rate
+                grad *= lr
                 flat -= grad
             running = 0.0
             for loss, m in zip(_losses(counts, probs, edges, sizes), sizes):
@@ -276,9 +280,7 @@ def train_sgd(net: NetworkParams, samples: SampleSet,
             if not (math.isfinite(epoch_loss) and np.isfinite(flat).all()):
                 raise DivergenceError(f"non-finite loss or parameter at epoch {epoch}")
             trace.append(epoch_loss)
-    pairs = list(zip(blocks, net.layer_sizes[1:]))
-    return NetworkParams(net.layer_sizes, tuple(b[:-1, :m].T for b, m in pairs),
-                         tuple(b[-1, :m] for b, m in pairs)), trace
+    return NetworkParams(net.layer_sizes, *_params(blocks, net.layer_sizes)), trace
 
 
 def accuracy(net: NetworkParams, samples: SampleSet) -> float:

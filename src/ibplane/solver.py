@@ -183,6 +183,8 @@ class IBSolution:
 
     def __post_init__(self):
         _check_tradeoff_point(self, "solution", "iterations")
+        if self.marginal.p.shape != (self.t_card,) or self.decoder.rows != self.t_card:
+            raise DimensionError(f"solution marginal or decoder does not fit T = {self.t_card}")
 
     L = _lagrangian
     t_card = property(lambda self: self.encoder.t_card)
@@ -371,7 +373,8 @@ def _winners(j: JointDistribution, t_card: int, beta: float | np.ndarray, enc: n
     """Each group's best (smallest L, then smaller R, then earlier), as indices in ascending
     group order, and every R, I_Y, L; winners must keep I_Y <= I(X;Y), R <= min(H(X), log T)."""
     R, I_Y = _info_bits(j, enc)
-    L = R - beta * I_Y
+    with np.errstate(over="ignore"):  # the solution's check rejects a non-finite L
+        L = R - beta * I_Y
     order = np.lexsort((R, L, groups))
     g = groups[order]
     win = order[np.concatenate(([True], g[1:] != g[:-1]))]

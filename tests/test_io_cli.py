@@ -18,6 +18,7 @@ from ibplane import analyzer, cli, io
 from ibplane.analyzer import InfoPlanePoint, LayerPath, QuantizerConfig, info_plane_path
 from ibplane.bounds import bound_curve
 from ibplane.curve import anneal_curve, geometric_grid
+from ibplane.errors import DimensionError
 from ibplane.mlp import TrainConfig, forward_all, init_network, train_sgd
 from ibplane.presets import symmetric_joint
 from ibplane.prob import SampleSet, sample_pairs
@@ -130,25 +131,29 @@ BIFURCATION = {"beta_low": 1.0, "beta_high": 2.0, "card_before": 1, "card_after"
                "beta_predicted": 1.5}
 
 
-@pytest.mark.parametrize("reader, changes, expected", [
-    (io.solution_from_json, {"iterations": -7}, "solution has negative iterations"),
-    (io.solution_from_json, {"L": 0.0}, "solution violates L = R - beta * I_Y"),
-    (io.bifurcations_from_json, {"beta_low": -5.0}, "bifurcation has negative beta_low"),
-    (io.bifurcations_from_json, {"card_before": -3, "card_after": 0},
+@pytest.mark.parametrize("reader, changes, error, expected", [
+    (io.solution_from_json, {"iterations": -7}, ValueError, "solution has negative iterations"),
+    (io.solution_from_json, {"L": 0.0}, ValueError, "solution violates L = R - beta * I_Y"),
+    (io.solution_from_json, {"marginal": [0.2, 0.3, 0.5], "decoder": [[1.0]]}, DimensionError,
+     "solution marginal or decoder does not fit T = 2"),
+    (io.bifurcations_from_json, {"beta_low": -5.0}, ValueError,
+     "bifurcation has negative beta_low"),
+    (io.bifurcations_from_json, {"card_before": -3, "card_after": 0}, ValueError,
      "card_before must be >= 1, got -3"),
-    (io.bifurcations_from_json, {"beta_predicted": -1.0},
+    (io.bifurcations_from_json, {"beta_predicted": -1.0}, ValueError,
      "bifurcation has negative beta_predicted"),
 ], ids=["solution-negative-iterations", "solution-L-off-R-minus-beta-I_Y",
+        "solution-marginal-and-decoder-off-the-encoder",
         "bifurcation-negative-beta-low", "bifurcation-card-before-below-1",
         "bifurcation-negative-beta-predicted"])
-def test_json_readers_reject_impossible_values(reader, changes, expected):
+def test_json_readers_reject_impossible_values(reader, changes, error, expected):
     # each file is well-formed; one value breaks a rule of its record
     solution = reader is io.solution_from_json
     good = json.loads(io.solution_to_json(ib_solve(SYM, 2, beta=5.0, seed=0))) if solution \
         else BIFURCATION
     reader(json.dumps(good if solution else [good]))
     bad = {**good, **changes}
-    with pytest.raises(ValueError, match=re.escape(expected)):
+    with pytest.raises(error, match=re.escape(expected)):
         reader(json.dumps(bad if solution else [bad]))
 
 
@@ -303,6 +308,16 @@ def test_cli_missing_file_is_computation_error(tmp_path):
                 "--t-card", 2, "--beta", 1.0, "--out", tmp_path / "s.json")
     assert r.returncode == 1
     assert "Error" in r.stderr or "error" in r.stderr
+
+
+def test_cli_overflowing_L_is_one_line_error(tmp_path):
+    # beta * I(X;Y) = 1e308 * 2 bits overflows; no numpy warning reaches stderr
+    j, out = tmp_path / "j.json", tmp_path / "s.json"
+    assert run_cli("gen", "--preset", "deterministic", "--k", 4, "--out", j).returncode == 0
+    r = run_cli("ib-solve", "--joint", j, "--t-card", 4, "--beta", "1e308", "--out", out)
+    assert r.returncode == 1
+    assert r.stderr == "ValueError: solution has non-finite L\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("card", [["--x-card", 0], ["--y-card", 0], ["--x-card", -1]])

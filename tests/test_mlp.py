@@ -285,10 +285,11 @@ def reference_sgd(net, samples, cfg):
     (symmetric_joint(0.2), [2, 3, 2], 50, 64),    # batch larger than n: one step per epoch
     (symmetric_joint(0.2), [2, 1], 200, 16),      # binary head, no hidden layer
     (random_joint(64, 2, seed=2), [64, 3, 1], 100, 8),  # binary head, alphabet larger than a batch
+    (random_joint(8, 3, seed=1), [8, 6, 5, 4, 3], 400, 32),  # three hidden layers
 ], ids=["softmax-two-hidden", "binary-head", "ragged-last-batch",
         "alphabet-larger-than-batch", "unseen-symbol", "no-hidden-layer",
         "one-minibatch-per-epoch", "binary-head-no-hidden-layer",
-        "binary-head-alphabet-larger-than-batch"])
+        "binary-head-alphabet-larger-than-batch", "three-hidden-layers"])
 def test_train_matches_reference_loop_bit_for_bit(joint, sizes, n, batch_size):
     samples = sample_pairs(joint, n, seed=4)
     net = init_network(sizes, seed=5)
@@ -352,6 +353,30 @@ def test_backprop_matches_finite_differences():
             lm = batch_loss(NetworkParams(net.layer_sizes, tuple(w_minus), net.biases), xs, ys)
             fd = (lp - lm) / (2 * h)
             bp = gw[layer][r, c]
+            assert abs(bp - fd) <= 1e-4 * max(abs(bp), abs(fd), 1e-10)
+
+
+def test_backprop_matches_finite_differences_at_depth():
+    # three hidden layers: a sign slip anywhere down the backprop chain flips
+    # the gradients of the layers below it
+    rng = np.random.default_rng(3)
+    net = init_network([8, 6, 5, 4, 3], seed=6)
+    net = NetworkParams(net.layer_sizes, net.weights,
+                        tuple(rng.uniform(-0.5, 0.5, b.size) for b in net.biases))
+    xs, ys = rng.integers(0, 8, size=64), rng.integers(0, 3, size=64)
+    gw, gb, _ = batch_gradients(net, xs, ys)
+    h = 1e-5
+
+    def loss_at(kind, layer, entry, step):
+        params = [list(net.weights), list(net.biases)]
+        params[kind][layer] = params[kind][layer].copy()
+        params[kind][layer][entry] += step
+        return batch_loss(NetworkParams(net.layer_sizes, *map(tuple, params)), xs, ys)
+
+    for layer in range(4):
+        for kind, grads, entry in [(0, gw, (1, 2)), (1, gb, (1,))]:
+            fd = (loss_at(kind, layer, entry, h) - loss_at(kind, layer, entry, -h)) / (2 * h)
+            bp = grads[layer][entry]
             assert abs(bp - fd) <= 1e-4 * max(abs(bp), abs(fd), 1e-10)
 
 
