@@ -35,8 +35,7 @@ _EXPORTS = {
     "prob": """ConditionalMatrix DiscreteDistribution JointDistribution
         SampleSet empirical_joint entropy mutual_information sample_pairs""",
     "solver": """Encoder IBSolution exhaustive_deterministic_oracle
-        ib_iterate_once ib_solve ib_solve_multistart self_consistency_residual
-        solution_from_encoder""",
+        ib_iterate_once ib_solve ib_solve_multistart self_consistency_residual""",
     "svgplot": "",
 }
 _HOME = {name: mod for mod, names in _EXPORTS.items() for name in names.split()}

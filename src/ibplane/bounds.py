@@ -11,6 +11,7 @@ it on both axes. A BoundCurve computes that optimum from its points on read.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -38,17 +39,22 @@ class BoundCurve:
 
     rate_corrections carries the companion c*K/sqrt(n) slack on the rate
     axis per point; it is reported but plays no role in the optimum search,
-    which happens on the distortion axis. R_star, D_star and
+    which happens on the distortion axis. star_index, R_star, D_star and
     rate_corrections are computed from the points on read.
     """
 
     points: tuple[BoundPoint, ...]
     n: int
     c_bound: float
-    star_index: int
 
     def __post_init__(self):
         object.__setattr__(self, "points", tuple(self.points))
+
+    @functools.cached_property
+    def star_index(self) -> int:
+        """The first point of least D_worst; ties break toward the smaller rate."""
+        return min(range(len(self.points)),
+                   key=lambda i: (self.points[i].D_worst, self.points[i].R_hat))
 
     R_star = property(lambda self: self.points[self.star_index].R_hat)
     D_star = property(lambda self: self.points[self.star_index].D_worst)
@@ -81,13 +87,14 @@ def worst_case_correction(K: float, y_card: int, n: int, c_bound: float = 1.0) -
 
 def bound_curve(curve: InfoCurve, n: int, c_bound: float = 1.0, *,
                 y_card: int) -> BoundCurve:
-    """Correct every curve point and pick the minimum worst-case distortion.
+    """Correct every curve point; the BoundCurve finds the minimum worst-case
+    distortion (`BoundCurve.star_index`).
 
     K is the effective description length 2^R of each point (the nominal
     cluster count is not what the finite-sample penalty scales with). The
     empirical I(X;Y) is recovered from any point as D_IB + I_Y; the output
     alphabet size is not derivable from the curve, so it is an explicit
-    argument. Ties on the distortion axis break toward the smaller rate.
+    argument.
     """
     if not curve.points:
         raise ValueError("cannot bound an empty curve")
@@ -97,8 +104,7 @@ def bound_curve(curve: InfoCurve, n: int, c_bound: float = 1.0, *,
         # written as D_IB plus a nonnegative term so the pointwise ordering
         # D_worst >= D_IB holds exactly in floating point
         pts.append(BoundPoint(p.R, p.I_Y, i_worst, p.D_IB + (p.I_Y - i_worst)))
-    star = min(range(len(pts)), key=lambda i: (pts[i].D_worst, pts[i].R_hat))
-    return BoundCurve(tuple(pts), n, c_bound, star)
+    return BoundCurve(tuple(pts), n, c_bound)
 
 
 def network_gaps(b: BoundCurve, R_N: float, D_N: float) -> NetworkGaps:

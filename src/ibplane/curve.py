@@ -37,6 +37,7 @@ from .prob import JointDistribution, js_bits
 from .solver import (  # noqa: F401  ib_solve stays importable from here
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
+    Encoder,
     IBSolution,
     _check_query,
     _check_fields,
@@ -47,7 +48,6 @@ from .solver import (  # noqa: F401  ib_solve stays importable from here
     _lockstep,
     _perturb,
     _restart_inits,
-    _solution,
     _winners,
     ib_solve,
     ib_solve_multistart,
@@ -153,12 +153,12 @@ def _effective_cards(pt: np.ndarray, dec: np.ndarray) -> np.ndarray:
 # Spectral critical beta
 # ---------------------------------------------------------------------------
 
-def _spectral_lambdas(j: JointDistribution, sol: IBSolution) -> np.ndarray:
+def _spectral_lambdas(sol: IBSolution) -> np.ndarray:
     """lambda of every cluster of sol, 0 for a zero-mass one, read from one
     batched eigen-solve of S = D^{-1/2} M D^{-1/2} as its second eigenvalue,
     0 when |Y| = 1. A y with p(y|t) = 0 has a zero row and column in M;
     dividing them by 1 adds only an eigenvalue 0."""
-    pt = sol.marginal.p
+    j, pt = sol.joint, sol.marginal.p
     pxgt = (j.px[:, None] * sol.encoder.matrix / np.where(pt > 0, pt, 1.0)).T
     m = j.pygx.T @ (pxgt[:, :, None] * j.pygx)
     pygt = pxgt @ j.pygx
@@ -172,8 +172,7 @@ def _beta_of(lam: float) -> float:
     return 1.0 / lam if lam > 1e-12 else math.inf
 
 
-def critical_beta_spectral(j: JointDistribution, sol: IBSolution,
-                           t_index: int) -> float:
+def critical_beta_spectral(sol: IBSolution, t_index: int) -> float:
     """Spectral prediction 1/lambda of the beta at which a cluster splits.
 
     lambda is the second eigenvalue of the cluster's second-order
@@ -188,13 +187,13 @@ def critical_beta_spectral(j: JointDistribution, sol: IBSolution,
         raise DimensionError(f"cluster index {t_index} out of range")
     if sol.marginal.p[t_index] <= 0:
         raise DegenerateClusterError(f"cluster {t_index} has zero mass")
-    return _beta_of(float(_spectral_lambdas(j, sol)[t_index]))
+    return _beta_of(float(_spectral_lambdas(sol)[t_index]))
 
 
-def _predicted_split(j: JointDistribution, sol: IBSolution) -> float | None:
+def _predicted_split(sol: IBSolution) -> float | None:
     """The smallest finite critical beta over the clusters of sol that carry
     mass above MASS_EPS, or None when none is finite."""
-    lam = _spectral_lambdas(j, sol)[sol.marginal.p > MASS_EPS]
+    lam = _spectral_lambdas(sol)[sol.marginal.p > MASS_EPS]
     return min(filter(math.isfinite, map(_beta_of, lam.tolist())), default=None)
 
 
@@ -287,7 +286,7 @@ def anneal_curve(j: JointDistribution, t_card: int, beta_grid,
 
     def refine(lo: float, c_lo: int, s_lo: IBSolution, hi: float, c_hi: int):
         if hi - lo <= BRACKET_REL_WIDTH * hi:
-            bifurcations.append(Bifurcation(lo, hi, c_lo, c_hi, _predicted_split(j, s_lo)))
+            bifurcations.append(Bifurcation(lo, hi, c_lo, c_hi, _predicted_split(s_lo)))
             return
         mid = 0.5 * (lo + hi)
         c_mid, s_mid = probe(mid)
@@ -302,7 +301,7 @@ def anneal_curve(j: JointDistribution, t_card: int, beta_grid,
     running = points[0].eff_card
     for i, (lo, hi) in enumerate(zip(points, points[1:])):
         if hi.eff_card > running:
-            s_lo = _solution(j, enc[i], lo.beta, lo.R, lo.I_Y, int(iters[i]), bool(conv[i]))
+            s_lo = IBSolution(j, lo.beta, Encoder(enc[i]), int(iters[i]), bool(conv[i]))
             refine(lo.beta, running, s_lo, hi.beta, hi.eff_card)
             running = hi.eff_card
 

@@ -27,12 +27,7 @@ from .bounds import BoundCurve, BoundPoint, NetworkGaps
 from .curve import Bifurcation, CurvePoint, InfoCurve
 from .errors import DimensionError
 from .mlp import NetworkParams
-from .prob import (
-    ConditionalMatrix,
-    DiscreteDistribution,
-    JointDistribution,
-    SampleSet,
-)
+from .prob import JointDistribution, SampleSet
 from .solver import Encoder, IBSolution
 
 
@@ -176,13 +171,20 @@ def solution_to_json(sol: IBSolution) -> str:
     }) + "\n"
 
 
-def solution_from_json(text: str) -> IBSolution:
-    beta, enc, dec, pt, R, I_Y, D_IB, L, *rest = _json_fields(
-        json.loads(text), "solution", beta=_real, encoder=_reals, decoder=_reals,
-        marginal=_reals, R=_real, I_Y=_real, D_IB=_real, L=_real,
-        iterations=_int, converged=_flag)
-    return _with_L(IBSolution(beta, Encoder(enc), ConditionalMatrix(dec),
-                              DiscreteDistribution(pt), R, I_Y, D_IB, *rest), L, "solution")
+def solution_from_json(text: str, j: JointDistribution) -> IBSolution:
+    """The solution on j of the file's beta, encoder, iterations and converged
+    flag, once the file's R, I_Y, D_IB, marginal, decoder and L are within
+    1e-9 of the values it computes from them, in shape too."""
+    beta, enc, iters, conv, L, *copies = _json_fields(
+        json.loads(text), "solution", beta=_real, encoder=_reals, iterations=_int,
+        converged=_flag, L=_real, R=_real, I_Y=_real, D_IB=_real, marginal=_reals,
+        decoder=_reals)
+    sol = IBSolution(j, beta, Encoder(enc), iters, conv)
+    derived = sol.R, sol.I_Y, sol.D_IB, sol.marginal.p, sol.decoder.p
+    for name, copy, value in zip(("R", "I_Y", "D_IB", "marginal", "decoder"), copies, derived):
+        if np.shape(copy) != np.shape(value) or not np.all(np.abs(copy - value) <= 1e-9):
+            raise ValueError(f"solution {name} is not the one its encoder and joint give")
+    return _with_L(sol, L, "solution")
 
 
 # ---------------------------------------------------------------------------

@@ -72,10 +72,6 @@ class NetworkParams:
             if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
                 raise ValueError(f"non-finite parameter in layer {k}")
 
-    @property
-    def n_hidden(self) -> int:
-        return len(self.layer_sizes) - 2
-
 
 @dataclass(frozen=True)
 class TrainConfig:

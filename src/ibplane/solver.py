@@ -52,8 +52,10 @@ with that key. The joint's p(x), p(y|x), I(X;Y) and H(X) are computed once
 per JointDistribution object (see `prob`). `Encoder` is a
 `prob.ConditionalMatrix`, and `prob._check_table` checks every encoder and
 init stack; `_check_tradeoff_point` checks IBSolution and the curve's points.
-Both compute L = R - beta * I_Y on read and do not store it; a file's L is
-checked against it by the file's reader.
+An IBSolution is its joint, beta and encoder (with the solve's iteration
+count and converged flag): R, I_Y, D_IB, L, p(t) and p(y|t) are computed
+from them on read and not stored, and a file's copies are checked against
+them by the solution reader.
 """
 
 from __future__ import annotations
@@ -165,29 +167,42 @@ _lagrangian = property(lambda self: self.R - self.beta * self.I_Y)
 
 @dataclass(frozen=True)
 class IBSolution:
-    """Converged (or best-effort) solution at one beta.
+    """Converged (or best-effort) solution at one beta: the encoder p(t|x) on
+    the joint, with R, I_Y (read once, through `_info_bits`), D_IB, L, the
+    marginal p(t) and the decoder p(y|t) (read once, through `_decoder`)
+    computed from it.
 
     beta >= 0 is accepted: the zero-tradeoff limit is a legitimate query and
     collapses every row of the encoder onto the cluster marginal.
     """
 
+    joint: JointDistribution
     beta: float
     encoder: Encoder
-    decoder: ConditionalMatrix
-    marginal: DiscreteDistribution
-    R: float
-    I_Y: float
-    D_IB: float
-    iterations: int
-    converged: bool
+    iterations: int = 0
+    converged: bool = True
 
     def __post_init__(self):
+        _check_encoder(self.joint, self.encoder)
         _check_tradeoff_point(self, "solution", "iterations")
-        if self.marginal.p.shape != (self.t_card,) or self.decoder.rows != self.t_card:
-            raise DimensionError(f"solution marginal or decoder does not fit T = {self.t_card}")
 
+    @functools.cached_property
+    def _bits(self) -> tuple[float, float]:
+        R, I_Y = _info_bits(self.joint, self.encoder.matrix[None])
+        return float(R[0]), float(I_Y[0])
+
+    @functools.cached_property
+    def _decoded(self) -> tuple[DiscreteDistribution, ConditionalMatrix]:
+        pt, dec = _decoder(self.joint, self.encoder.matrix)
+        return DiscreteDistribution(pt), ConditionalMatrix(dec)
+
+    R = property(lambda self: self._bits[0])
+    I_Y = property(lambda self: self._bits[1])
+    D_IB = property(lambda self: max(0.0, self.joint.i_xy - self.I_Y))
     L = _lagrangian
     t_card = property(lambda self: self.encoder.t_card)
+    marginal = property(lambda self: self._decoded[0])
+    decoder = property(lambda self: self._decoded[1])
 
 
 # ---------------------------------------------------------------------------
@@ -284,28 +299,6 @@ def _decoder(j: JointDistribution, enc: np.ndarray) -> tuple[np.ndarray, np.ndar
     return pt, np.where(live[..., None], dec, j.pygx.mean(axis=0))
 
 
-def _solution(j: JointDistribution, enc: np.ndarray, beta: float, R: float, I_Y: float,
-              iterations: int, converged: bool) -> IBSolution:
-    """Package an encoder and its (R, I_Y) with its marginal and decoder."""
-    pt, dec = _decoder(j, enc)
-    return IBSolution(
-        beta=float(beta),
-        encoder=Encoder(enc),
-        decoder=ConditionalMatrix(dec),
-        marginal=DiscreteDistribution(pt),
-        R=R, I_Y=I_Y, D_IB=max(0.0, j.i_xy - I_Y),
-        iterations=iterations, converged=converged,
-    )
-
-
-def solution_from_encoder(j: JointDistribution, e: Encoder, beta: float,
-                          iterations: int = 0, converged: bool = True) -> IBSolution:
-    """Package an encoder with its induced marginal, decoder and scalars."""
-    _check_encoder(j, e)
-    R, I_Y = _info_bits(j, e.matrix[None])
-    return _solution(j, e.matrix, beta, float(R[0]), float(I_Y[0]), iterations, converged)
-
-
 def _check_query(t_card: int, beta: float, tol: float, max_iter: int) -> None:
     if t_card < 1:
         raise DimensionError(f"t_card must be >= 1, got {t_card}")
@@ -389,8 +382,8 @@ def _winners(j: JointDistribution, t_card: int, beta: float | np.ndarray, enc: n
 def _pick(j: JointDistribution, t_card: int, beta: float, enc: np.ndarray,
           iters: np.ndarray, conv: np.ndarray) -> IBSolution:
     """The best of a stack of solutions at one beta, as `_winners` ranks them."""
-    (b,), R, I_Y, _ = _winners(j, t_card, beta, enc, np.zeros(len(enc), dtype=int))
-    return _solution(j, enc[b], beta, float(R[b]), float(I_Y[b]), int(iters[b]), bool(conv[b]))
+    (b,), *_ = _winners(j, t_card, beta, enc, np.zeros(len(enc), dtype=int))
+    return IBSolution(j, float(beta), Encoder(enc[b]), int(iters[b]), bool(conv[b]))
 
 
 def ib_solve(j: JointDistribution, t_card: int, beta: float,
@@ -446,20 +439,11 @@ def ib_solve_multistart(j: JointDistribution, t_card: int, beta: float,
     return _pick(j, t_card, beta, *_lockstep(j, inits, np.full(restarts, beta), tol, max_iter))
 
 
-def self_consistency_residual(j: JointDistribution, sol: IBSolution) -> float:
-    """Max-abs gap between the stored marginal and decoder and their
-    recomputation from the stored encoder, and between the encoder and its
-    image under one plain map."""
-    _check_encoder(j, sol.encoder)
-    enc = sol.encoder.matrix
-    pt, dec = _decoder(j, enc)
+def self_consistency_residual(sol: IBSolution) -> float:
+    """Max-abs gap between the encoder and its image under one plain map."""
+    j, enc = sol.joint, sol.encoder.matrix
     with np.errstate(**_QUIET):
-        enc_re = _map(j.px, j.pygx, j.p, enc[None], sol.beta)[0]
-    return float(max(
-        np.max(np.abs(pt - sol.marginal.p)),
-        np.max(np.abs(dec - sol.decoder.p)),
-        np.max(np.abs(enc_re - enc)),
-    ))
+        return float(np.max(np.abs(_map(j.px, j.pygx, j.p, enc[None], sol.beta)[0] - enc)))
 
 
 def exhaustive_deterministic_oracle(j: JointDistribution, t_card: int,

@@ -309,7 +309,7 @@ def joints_and_nets(draw):
 def test_layer_placement_properties(case, beta):
     j, net = case
     hiddens, probs = forward_all(net, j.x_card)
-    assert len(hiddens) == net.n_hidden
+    assert len(hiddens) == len(net.layer_sizes) - 2
     for h in hiddens:
         assert h.shape[0] == j.x_card and np.all((h >= 0) & (h <= 1))
         for bins in (None, 2, 8):

@@ -48,16 +48,15 @@ from ibplane.solver import (
     _winners,
     exhaustive_deterministic_oracle,
     ib_solve,
+    IBSolution,
     ib_solve_multistart,
-    solution_from_encoder,
 )
 
 SYM = symmetric_joint(0.2)
 
 
 def trivial_solution(j, t_card=2, beta=1.0):
-    return solution_from_encoder(j, Encoder(np.full((j.x_card, t_card), 1 / t_card)),
-                                 beta)
+    return IBSolution(j, beta, Encoder(np.full((j.x_card, t_card), 1 / t_card)))
 
 
 def plain_moments(j, sol, t_index):
@@ -138,26 +137,26 @@ def test_c_matrix_ones_vector_is_eigenvector():
 
 
 def test_c_matrix_zero_mass_cluster_raises():
-    sol = solution_from_encoder(SYM, Encoder([[1, 0], [1, 0]]), 1.0)
+    sol = IBSolution(SYM, 1.0, Encoder([[1, 0], [1, 0]]))
     with pytest.raises(DegenerateClusterError):
-        critical_beta_spectral(SYM, sol, 1)
+        critical_beta_spectral(sol, 1)
 
 
 # --- spectral critical beta ----------------------------------------------------
 
 def test_critical_beta_symmetric():
-    bc = critical_beta_spectral(SYM, trivial_solution(SYM), 0)
+    bc = critical_beta_spectral(trivial_solution(SYM), 0)
     assert bc == pytest.approx(1.0 / 0.36, abs=1e-9)
 
 
 def test_critical_beta_product_no_transition():
     j = product_joint()
-    assert critical_beta_spectral(j, trivial_solution(j), 0) == math.inf
+    assert critical_beta_spectral(trivial_solution(j), 0) == math.inf
 
 
 def test_critical_beta_deterministic():
     j = deterministic_joint(2)
-    assert critical_beta_spectral(j, trivial_solution(j), 0) == pytest.approx(1.0, abs=1e-9)
+    assert critical_beta_spectral(trivial_solution(j), 0) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_batched_spectral_matches_projector_reference():
@@ -180,20 +179,19 @@ def test_batched_spectral_matches_projector_reference():
             enc[:, rng.integers(t_card)] *= 10.0 ** -rng.integers(4, 12)
         if t_card > 1 and rng.random() < 0.2:
             enc[:, rng.integers(t_card)] = 0.0
-        sol = solution_from_encoder(j, Encoder(enc / enc.sum(axis=1, keepdims=True)),
-                                    1.0)
+        sol = IBSolution(j, 1.0, Encoder(enc / enc.sum(axis=1, keepdims=True)))
         want = []
         for t in range(t_card):
             if sol.marginal.p[t] <= 0:
                 with pytest.raises(DegenerateClusterError):
-                    critical_beta_spectral(j, sol, t)
+                    critical_beta_spectral(sol, t)
                 continue
-            ref, got = projector_beta(j, sol, t), critical_beta_spectral(j, sol, t)
+            ref, got = projector_beta(j, sol, t), critical_beta_spectral(sol, t)
             assert got == ref if math.isinf(ref) else math.isclose(got, ref, rel_tol=1e-9)
             finite += math.isfinite(ref)
             if sol.marginal.p[t] > curve.MASS_EPS and math.isfinite(got):
                 want.append(got)
-        assert _predicted_split(j, sol) == min(want, default=None)
+        assert _predicted_split(sol) == min(want, default=None)
     assert finite > 300
 
 
@@ -204,12 +202,12 @@ def test_eff_card_trivial_is_one():
 
 
 def test_eff_card_identity_encoder():
-    sol = solution_from_encoder(SYM, Encoder.from_assignment([0, 1], 2), 5.0)
+    sol = IBSolution(SYM, 5.0, Encoder.from_assignment([0, 1], 2))
     assert effective_cardinality(sol) == 2
 
 
 def test_eff_card_ignores_massless_cluster():
-    sol = solution_from_encoder(SYM, Encoder.from_assignment([0, 0], 2), 1.0)
+    sol = IBSolution(SYM, 1.0, Encoder.from_assignment([0, 0], 2))
     assert effective_cardinality(sol) == 1
 
 
@@ -270,7 +268,7 @@ def test_eff_card_array_form_matches_each_solution(seed, t_card, x_card):
             e[:, copy] = e[:, rest[0]]
     enc[1] = enc[0]
     enc /= enc.sum(axis=2, keepdims=True)
-    sols = [solution_from_encoder(j, Encoder(e), 1.0) for e in enc]
+    sols = [IBSolution(j, 1.0, Encoder(e)) for e in enc]
     want = [union_find_card(s) for s in sols]
     assert [effective_cardinality(s) for s in sols] == want
     assert _effective_cards(*_decoder(j, enc)).tolist() == want
@@ -369,7 +367,7 @@ def reference_brackets(j, t_card, grid, sols, restarts, seed=0, tol=1e-8, max_it
         best = None
         for t in range(t_card):
             if sol.marginal.p[t] > 1e-6:
-                bc = critical_beta_spectral(j, sol, t)
+                bc = critical_beta_spectral(sol, t)
                 if math.isfinite(bc) and (best is None or bc < best):
                     best = bc
         return best
@@ -445,7 +443,8 @@ def test_anneal_builds_one_solution_per_bracket(monkeypatch):
     # every other grid point stays in the sweep's arrays; only the solution
     # a bracket predicts from is packaged
     built = []
-    monkeypatch.setattr(curve, "_solution", lambda *a: built.append(a[2]) or solver._solution(*a))
+    monkeypatch.setattr(curve, "IBSolution",
+                        lambda *a: built.append(a[1]) or solver.IBSolution(*a))
     c = anneal_curve(SYM, 2, geometric_grid(0.1, 50.0, 1.05), seed=0)
     assert len(c.bifurcations) == 1
     assert len(built) == 1

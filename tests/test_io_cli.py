@@ -1,6 +1,7 @@
 """Serialization round-trips and end-to-end command-line pipelines."""
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -25,6 +26,7 @@ from ibplane.prob import SampleSet, sample_pairs
 from ibplane.solver import ib_solve, ib_solve_multistart
 
 SYM = symmetric_joint(0.2)
+read_solution = functools.partial(io.solution_from_json, j=SYM)
 
 
 def run_cli(*args):
@@ -50,7 +52,7 @@ def test_joint_round_trip():
 def test_solution_round_trip():
     sol = ib_solve(SYM, 2, beta=5.0, seed=0)
     text = io.solution_to_json(sol)
-    back = io.solution_from_json(text)
+    back = io.solution_from_json(text, SYM)
     assert back.L == sol.L
     assert np.array_equal(back.encoder.matrix, sol.encoder.matrix)
     assert io.solution_to_json(back) == text
@@ -110,7 +112,7 @@ def test_solution_reader_names_the_bad_key(text, key):
         obj["iterations"] = text
         text = json.dumps(obj)
     with pytest.raises(ValueError, match=f"solution JSON .*{key}"):
-        io.solution_from_json(text)
+        io.solution_from_json(text, SYM)
 
 
 @pytest.mark.parametrize("text, key", [
@@ -131,11 +133,30 @@ BIFURCATION = {"beta_low": 1.0, "beta_high": 2.0, "card_before": 1, "card_after"
                "beta_predicted": 1.5}
 
 
+def shifted(d):
+    """A change that moves a real by d."""
+    return lambda v: v + d
+
+
+def off(name):
+    return f"solution {name} is not the one its encoder and joint give"
+
+
+# beta = 5, so an I_Y moved by 1e-6 moves L by -5e-6; a file whose L moves
+# with its R or I_Y is accepted by a reader that checks L alone
 @pytest.mark.parametrize("reader, changes, error, expected", [
-    (io.solution_from_json, {"iterations": -7}, ValueError, "solution has negative iterations"),
-    (io.solution_from_json, {"L": 0.0}, ValueError, "solution violates L = R - beta * I_Y"),
-    (io.solution_from_json, {"marginal": [0.2, 0.3, 0.5], "decoder": [[1.0]]}, DimensionError,
-     "solution marginal or decoder does not fit T = 2"),
+    (read_solution, {"iterations": -7}, ValueError, "solution has negative iterations"),
+    (read_solution, {"L": 0.0}, ValueError, "solution violates L = R - beta * I_Y"),
+    (read_solution, {"marginal": [0.2, 0.3, 0.5], "decoder": [[1.0]]}, ValueError,
+     off("marginal")),
+    (read_solution, {"decoder": [[1.0], [1.0]]}, ValueError, off("decoder")),
+    (read_solution, {"marginal": lambda p: [(p[0] + 1e-6) / (1 + 1e-6), p[1] / (1 + 1e-6)]},
+     ValueError, off("marginal")),
+    (read_solution, {"R": shifted(1e-6), "L": shifted(1e-6)}, ValueError, off("R")),
+    (read_solution, {"I_Y": shifted(1e-6), "L": shifted(-5e-6)}, ValueError, off("I_Y")),
+    (read_solution, {"D_IB": shifted(1e-6)}, ValueError, off("D_IB")),
+    (read_solution, {"encoder": [[0.5, 0.5]] * 3}, DimensionError,
+     "encoder has shape (3, 2), not (2, 2)"),
     (io.bifurcations_from_json, {"beta_low": -5.0}, ValueError,
      "bifurcation has negative beta_low"),
     (io.bifurcations_from_json, {"card_before": -3, "card_after": 0}, ValueError,
@@ -143,16 +164,20 @@ BIFURCATION = {"beta_low": 1.0, "beta_high": 2.0, "card_before": 1, "card_after"
     (io.bifurcations_from_json, {"beta_predicted": -1.0}, ValueError,
      "bifurcation has negative beta_predicted"),
 ], ids=["solution-negative-iterations", "solution-L-off-R-minus-beta-I_Y",
-        "solution-marginal-and-decoder-off-the-encoder",
+        "solution-marginal-and-decoder-off-the-encoder", "solution-decoder-off-the-joint",
+        "solution-marginal-off-the-encoder", "solution-R-off-the-encoder",
+        "solution-I_Y-off-the-encoder", "solution-D_IB-off-the-encoder",
+        "solution-encoder-off-the-joint",
         "bifurcation-negative-beta-low", "bifurcation-card-before-below-1",
         "bifurcation-negative-beta-predicted"])
 def test_json_readers_reject_impossible_values(reader, changes, error, expected):
-    # each file is well-formed; one value breaks a rule of its record
-    solution = reader is io.solution_from_json
+    # each file is well-formed; one value breaks a rule of its record or
+    # disagrees with the value the others determine
+    solution = reader is read_solution
     good = json.loads(io.solution_to_json(ib_solve(SYM, 2, beta=5.0, seed=0))) if solution \
         else BIFURCATION
     reader(json.dumps(good if solution else [good]))
-    bad = {**good, **changes}
+    bad = {**good, **{k: v(good[k]) if callable(v) else v for k, v in changes.items()}}
     with pytest.raises(error, match=re.escape(expected)):
         reader(json.dumps(bad if solution else [bad]))
 
@@ -669,7 +694,8 @@ def test_readme_pipeline_runs_verbatim(tmp_path, monkeypatch, capsys):
     # every output file that has a reader is written back byte for byte
     rewrite = {
         "j.json": lambda t: io.joint_to_json(io.joint_from_json(t)),
-        "sol.json": lambda t: io.solution_to_json(io.solution_from_json(t)),
+        "sol.json": lambda t: io.solution_to_json(
+            io.solution_from_json(t, io.joint_from_json((tmp_path / "j.json").read_text()))),
         "curve.csv": lambda t: io.curve_to_csv(io.curve_from_csv(t)),
         "bifs.json": lambda t: io.bifurcations_to_json(io.bifurcations_from_json(t)),
         "net.json": lambda t: io.network_to_json(io.network_from_json(t)),

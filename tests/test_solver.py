@@ -12,13 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ibplane import solver
+from ibplane import io, solver
 from ibplane.errors import (
     DegenerateEncoderError,
     DimensionError,
     InstanceTooLargeError,
 )
-from ibplane.presets import random_joint, symmetric_joint
+from ibplane.presets import deterministic_joint, random_joint, symmetric_joint
 from ibplane.prob import (
     JointDistribution,
     conditional_rows,
@@ -41,14 +41,13 @@ from ibplane.solver import (
     ib_solve,
     ib_solve_multistart,
     self_consistency_residual,
-    solution_from_encoder,
 )
 
 SYM = symmetric_joint(0.2)  # joint [[0.4, 0.1], [0.1, 0.4]]
 
 
 def scalars_of(j, enc_matrix, beta):
-    sol = solution_from_encoder(j, Encoder(enc_matrix), beta)
+    sol = IBSolution(j, beta, Encoder(enc_matrix))
     return sol.R, sol.I_Y, sol.L
 
 
@@ -83,9 +82,10 @@ def test_iterate_dimension_mismatch():
 @pytest.mark.parametrize("call", [
     lambda e: ib_solve(SYM, 2, 1.0, init=e),
     lambda e: ib_iterate_once(SYM, e, 1.0),
-    lambda e: self_consistency_residual(SYM, solution_from_encoder(random_joint(3, 2, 0), e, 1.0)),
-    lambda e: solution_from_encoder(SYM, e, 2.0),
-], ids=["ib_solve-init", "ib_iterate_once", "self_consistency_residual", "solution_from_encoder"])
+    lambda e: IBSolution(SYM, 2.0, e),
+    lambda e: io.solution_from_json(io.solution_to_json(IBSolution(random_joint(3, 2, 0), 1.0, e)),
+                                    SYM),
+], ids=["ib_solve-init", "ib_iterate_once", "IBSolution", "solution_from_json"])
 def test_encoder_must_match_the_joint(call):
     # one rule, one message, at every entry point that takes an encoder
     with pytest.raises(DimensionError, match=r"encoder has shape \(3, 2\), not \(2, 2\)"):
@@ -272,10 +272,10 @@ def test_solve_properties_on_random_joints(query):
         if sol.converged:
             step = ib_iterate_once(j, sol.encoder, beta).matrix - sol.encoder.matrix
             assert np.max(np.abs(step)) <= 1e-6
-        assert sol.L <= solution_from_encoder(j, init, beta).L + 1e-12 * max(1.0, beta)
+        assert sol.L <= IBSolution(j, beta, init).L + 1e-12 * max(1.0, beta)
     # a solve stopped at the cap returns its latest iterate, so capping at
     # k = 1, 2, ... walks one trajectory: L must never rise along it
-    path = [solution_from_encoder(j, inits[0], beta).L]
+    path = [IBSolution(j, beta, inits[0]).L]
     path += [ib_solve(j, t_card, beta, init=inits[0], max_iter=k).L for k in range(1, 25)]
     assert all(b <= a + 1e-12 * max(1.0, beta) for a, b in zip(path, path[1:]))
     best = min(sols, key=lambda s: (s.L, s.R))
@@ -343,39 +343,35 @@ def test_solve_validates_args():
         ib_solve(SYM, 2, beta=-1.0)
 
 
-# L = R - beta * I_Y is computed, so a NaN R makes L NaN too
-@pytest.mark.parametrize("changes", [
-    {"R": math.nan}, {"I_Y": math.nan}, {"D_IB": math.inf},
-    {"beta": math.nan}, {"beta": math.inf}, {"beta": 1e308, "I_Y": 2.0},
-], ids=["R-and-L", "I_Y", "D_IB", "beta-nan", "beta-inf", "L-overflow"])
-def test_solution_rejects_non_finite_scalars(changes):
-    sol = ib_solve(SYM, 2, beta=5.0, seed=0)
+# L = R - beta * I_Y is computed, so it overflows where beta * I_Y does: on
+# the identity encoder of deterministic_joint(4), I_Y = 2 bits
+@pytest.mark.parametrize("j, beta", [
+    (SYM, math.nan), (SYM, math.inf), (deterministic_joint(4), 1e308),
+], ids=["beta-nan", "beta-inf", "L-overflow"])
+def test_solution_rejects_non_finite_scalars(j, beta):
+    sol = IBSolution(j, 5.0, Encoder.from_assignment(range(j.x_card), j.x_card))
     with pytest.raises(ValueError, match="solution has non-finite"):
-        dataclasses.replace(sol, **changes)
+        dataclasses.replace(sol, beta=beta)
 
 
 # --- self-consistency residual -------------------------------------------------
 
 def test_residual_small_at_converged_solution():
     sol = ib_solve(SYM, 2, beta=5.0, tol=1e-10, max_iter=100_000, seed=0)
-    assert self_consistency_residual(SYM, sol) < 1e-8
+    assert self_consistency_residual(sol) < 1e-8
 
 
 def test_residual_zero_for_hand_built_trivial():
     # all encoder rows equal the marginal, decoder rows equal p(y), beta=0
     enc = Encoder([[0.5, 0.5], [0.5, 0.5]])
-    sol = solution_from_encoder(SYM, enc, beta=0.0)
-    assert self_consistency_residual(SYM, sol) < 1e-12
+    sol = IBSolution(SYM, 0.0, enc)
+    assert self_consistency_residual(sol) < 1e-12
 
 
 def test_residual_detects_perturbation():
     sol = ib_solve(SYM, 2, beta=5.0, tol=1e-10, max_iter=100_000, seed=0)
     noisy = Encoder(_perturb(sol.encoder.matrix, seed=1, noise=1e-3))
-    tampered = IBSolution(
-        beta=sol.beta, encoder=noisy, decoder=sol.decoder, marginal=sol.marginal,
-        R=sol.R, I_Y=sol.I_Y, D_IB=sol.D_IB,
-        iterations=sol.iterations, converged=sol.converged)
-    assert self_consistency_residual(SYM, tampered) > 1e-6
+    assert self_consistency_residual(IBSolution(SYM, sol.beta, noisy)) > 1e-6
 
 
 # --- deterministic oracle -------------------------------------------------------
@@ -387,7 +383,7 @@ def test_oracle_single_cluster():
 
 def test_oracle_full_resolution():
     enc, _ = exhaustive_deterministic_oracle(SYM, 2, beta=50.0)
-    sol = solution_from_encoder(SYM, enc, 50.0)
+    sol = IBSolution(SYM, 50.0, enc)
     assert sol.I_Y == pytest.approx(mutual_information(SYM), abs=1e-12)
 
 
