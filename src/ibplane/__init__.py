@@ -18,22 +18,20 @@ __version__ = "0.1.0"
 # submodule -> the public names it defines; cli, io and svgplot export none
 _EXPORTS = {
     "analyzer": """InfoPlanePoint LayerPath QuantizerConfig info_plane_path
-        layer_codes layer_mutual_information network_distortion_rate""",
+        layer_codes network_distortion_rate""",
     "bounds": """BoundCurve BoundPoint NetworkGaps bound_curve network_gaps
         worst_case_correction""",
     "cli": "",
-    "curve": """Bifurcation CurvePoint InfoCurve anneal_curve
-        critical_beta_spectral detect_bifurcations effective_cardinality
-        geometric_grid""",
-    "errors": """CoverageError DegenerateClusterError DegenerateEncoderError
-        DimensionError DivergenceError EmptySampleError IBError
-        InstanceTooLargeError UnsupportedDegenerateError""",
+    "curve": """Bifurcation CurvePoint InfoCurve anneal_curve detect_bifurcations
+        effective_cardinality geometric_grid""",
+    "errors": """DegenerateEncoderError DimensionError DivergenceError
+        EmptySampleError IBError InstanceTooLargeError UnsupportedDegenerateError""",
     "io": "",
-    "mlp": """NetworkParams TrainConfig accuracy batch_gradients batch_loss
-        forward_all init_network naive_bayes_neuron train_sgd""",
+    "mlp": """NetworkParams TrainConfig accuracy batch_gradients forward_all
+        init_network naive_bayes_neuron train_sgd""",
     "presets": "gen_preset",
-    "prob": """ConditionalMatrix DiscreteDistribution JointDistribution
-        SampleSet empirical_joint entropy mutual_information sample_pairs""",
+    "prob": """ConditionalMatrix JointDistribution SampleSet empirical_joint
+        sample_pairs""",
     "solver": """Encoder IBSolution exhaustive_deterministic_oracle
         ib_iterate_once ib_solve ib_solve_multistart self_consistency_residual""",
     "svgplot": "",

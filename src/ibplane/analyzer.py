@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CoverageError, DimensionError
+from .errors import DimensionError
 from .mlp import NetworkParams, forward_all
 from .prob import JointDistribution, pushforward_bits
 
@@ -100,28 +100,6 @@ def layer_codes(acts, q: QuantizerConfig | None) -> np.ndarray:
     return np.argsort(np.argsort(first))[inverse.reshape(-1)]
 
 
-def _check_coverage(j: JointDistribution, codes) -> np.ndarray:
-    codes = np.asarray(codes)
-    if codes.shape != (j.x_card,):
-        raise CoverageError(
-            f"need one code per input symbol ({j.x_card}), got shape {codes.shape}"
-        )
-    bad = (codes < 0) & (j.px > 0)
-    if np.any(bad):
-        raise CoverageError(
-            f"missing code for supported symbol x={int(np.argmax(bad))}"
-        )
-    return codes.astype(int)
-
-
-def layer_mutual_information(j: JointDistribution, codes) -> tuple[float, float]:
-    """(I(X;T), I(T;Y)) for a deterministic layer code T of X, exactly."""
-    codes = _check_coverage(j, codes)
-    # stacked under X's own code as in info_plane_path, so its sums match the path's
-    i_x, i_y = pushforward_bits(j, [np.arange(j.x_card), np.where(codes >= 0, codes, 0)])
-    return float(i_x[1]), float(i_y[1])
-
-
 def info_plane_path(j: JointDistribution, net: NetworkParams,
                     q: QuantizerConfig | None, beta: float = 1.0) -> LayerPath:
     """Information-plane points for X, every hidden layer, and the prediction.
@@ -158,5 +136,6 @@ def network_distortion_rate(j: JointDistribution, net: NetworkParams,
     for signature symmetry with the path computation."""
     del q
     _, probs = forward_all(net, j.x_card)
-    r_n, i_y = layer_mutual_information(j, probs.argmax(axis=1))
-    return r_n, relevance_lost(j.i_xy, i_y)
+    # stacked under X's own code as in info_plane_path, so its sums match the path's
+    i_x, i_y = pushforward_bits(j, [np.arange(j.x_card), probs.argmax(axis=1)])
+    return float(i_x[1]), relevance_lost(j.i_xy, float(i_y[1]))

@@ -51,7 +51,7 @@ def _cmd_gen(args) -> int:
     j = presets.gen_preset(args.preset, seed=args.seed, **params)
     summary = {
         "cmd": "gen", "preset": args.preset, "x_card": j.x_card,
-        "y_card": j.y_card, "I_XY": prob.mutual_information(j), "out": args.out,
+        "y_card": j.y_card, "I_XY": j.i_xy, "out": args.out,
     }
     return _emit({args.out: io.joint_to_json(j)}, summary)
 

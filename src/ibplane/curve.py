@@ -32,7 +32,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateClusterError, DimensionError
 from .prob import JointDistribution, js_bits
 from .solver import (  # noqa: F401  ib_solve stays importable from here
     DEFAULT_MAX_ITER,
@@ -82,8 +81,8 @@ class CurvePoint:
 class Bifurcation:
     """A bracketed jump of the effective cluster count.
 
-    beta_predicted carries the spectral prediction when one is available
-    (it may be None for later splits).
+    beta_predicted is the spectral prediction, None only when no cluster of
+    the bracket's low-end solution has a finite spectral beta.
     """
 
     beta_low: float
@@ -133,7 +132,7 @@ class InfoCurve:
 def effective_cardinality(sol: IBSolution) -> int:
     """Number of clusters carrying mass above MASS_EPS, after merging pairs
     whose decoder rows differ by less than MERGE_TAU in JS divergence."""
-    return int(_effective_cards(sol.marginal.p[None], sol.decoder.p[None])[0])
+    return int(_effective_cards(sol.marginal[None], sol.decoder[None])[0])
 
 
 def _effective_cards(pt: np.ndarray, dec: np.ndarray) -> np.ndarray:
@@ -155,10 +154,11 @@ def _effective_cards(pt: np.ndarray, dec: np.ndarray) -> np.ndarray:
 
 def _spectral_lambdas(sol: IBSolution) -> np.ndarray:
     """lambda of every cluster of sol, 0 for a zero-mass one, read from one
-    batched eigen-solve of S = D^{-1/2} M D^{-1/2} as its second eigenvalue,
-    0 when |Y| = 1. A y with p(y|t) = 0 has a zero row and column in M;
-    dividing them by 1 adds only an eigenvalue 0."""
-    j, pt = sol.joint, sol.marginal.p
+    batched eigen-solve of S = D^{-1/2} M D^{-1/2}, M[y, y'] = sum_x p(x|t)
+    p(y|x) p(y'|x) and D = diag p(y|t), as its second eigenvalue, 0 when
+    |Y| = 1. A y with p(y|t) = 0 has a zero row and column in M; dividing
+    them by 1 adds only an eigenvalue 0."""
+    j, pt = sol.joint, sol.marginal
     pxgt = (j.px[:, None] * sol.encoder.matrix / np.where(pt > 0, pt, 1.0)).T
     m = j.pygx.T @ (pxgt[:, :, None] * j.pygx)
     pygt = pxgt @ j.pygx
@@ -172,28 +172,10 @@ def _beta_of(lam: float) -> float:
     return 1.0 / lam if lam > 1e-12 else math.inf
 
 
-def critical_beta_spectral(sol: IBSolution, t_index: int) -> float:
-    """Spectral prediction 1/lambda of the beta at which a cluster splits.
-
-    lambda is the second eigenvalue of the cluster's second-order
-    correlation matrix M[y, y'] = sum_x p(x|t) p(y|x) p(y'|x), symmetrized as
-    S = D^{-1/2} M D^{-1/2} with D = diag p(y|t). S is positive semidefinite
-    with spectrum in [0, 1], and S sqrt(p(y|t)) = sqrt(p(y|t)), so its largest
-    is the trivial (all-ones, eigenvalue-1) mode's. lambda is read from one
-    batched eigen-solve over every cluster of sol. Returns math.inf when
-    lambda is not positive (no transition).
-    """
-    if not 0 <= t_index < sol.t_card:
-        raise DimensionError(f"cluster index {t_index} out of range")
-    if sol.marginal.p[t_index] <= 0:
-        raise DegenerateClusterError(f"cluster {t_index} has zero mass")
-    return _beta_of(float(_spectral_lambdas(sol)[t_index]))
-
-
 def _predicted_split(sol: IBSolution) -> float | None:
     """The smallest finite critical beta over the clusters of sol that carry
     mass above MASS_EPS, or None when none is finite."""
-    lam = _spectral_lambdas(sol)[sol.marginal.p > MASS_EPS]
+    lam = _spectral_lambdas(sol)[sol.marginal > MASS_EPS]
     return min(filter(math.isfinite, map(_beta_of, lam.tolist())), default=None)
 
 

@@ -17,16 +17,8 @@ class DegenerateEncoderError(IBError):
     """Every cluster sits at infinite divergence for some input symbol."""
 
 
-class DegenerateClusterError(IBError):
-    """A zero-mass cluster was used where conditioning on it is required."""
-
-
 class InstanceTooLargeError(IBError):
     """Exhaustive enumeration was requested beyond the instance guard."""
-
-
-class CoverageError(IBError):
-    """A layer code is missing for an input symbol with positive mass."""
 
 
 class DivergenceError(IBError):

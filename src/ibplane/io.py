@@ -166,8 +166,8 @@ def solution_to_json(sol: IBSolution) -> str:
         "converged": sol.converged,
         "iterations": sol.iterations,
         "encoder": sol.encoder.matrix,
-        "decoder": sol.decoder.p,
-        "marginal": sol.marginal.p,
+        "decoder": sol.decoder,
+        "marginal": sol.marginal,
     }) + "\n"
 
 
@@ -180,7 +180,7 @@ def solution_from_json(text: str, j: JointDistribution) -> IBSolution:
         converged=_flag, L=_real, R=_real, I_Y=_real, D_IB=_real, marginal=_reals,
         decoder=_reals)
     sol = IBSolution(j, beta, Encoder(enc), iters, conv)
-    derived = sol.R, sol.I_Y, sol.D_IB, sol.marginal.p, sol.decoder.p
+    derived = sol.R, sol.I_Y, sol.D_IB, sol.marginal, sol.decoder
     for name, copy, value in zip(("R", "I_Y", "D_IB", "marginal", "decoder"), copies, derived):
         if np.shape(copy) != np.shape(value) or not np.all(np.abs(copy - value) <= 1e-9):
             raise ValueError(f"solution {name} is not the one its encoder and joint give")
@@ -290,9 +290,19 @@ def curve_to_csv(curve: InfoCurve) -> str:
 
 
 def curve_from_csv(text: str) -> InfoCurve:
-    return InfoCurve(_csv_rows(
-        text, "curve", _CURVE_HEADER, float, float, float, float, float, int,
-        record=lambda b, R, I_Y, D, L, k: _with_L(CurvePoint(b, R, I_Y, D, k), L, "curve point")))
+    """The curve, once each row's L is R - beta * I_Y and its D_IB + I_Y, the
+    I(X;Y) that `bounds` reads from any row, is within 2e-9 of the first
+    row's: I_Y may pass I(X;Y) by the solver's 1e-9, where D_IB clamps at 0."""
+    i_xy = []
+
+    def point(b, R, I_Y, D, L, k):
+        p = _with_L(CurvePoint(b, R, I_Y, D, k), L, "curve point")
+        i_xy.append(D + I_Y)
+        if abs(i_xy[-1] - i_xy[0]) > 2e-9:  # the point's check rejected NaN
+            raise ValueError(f"curve point has D_IB + I_Y = {i_xy[-1]!r}, not {i_xy[0]!r}")
+        return p
+
+    return InfoCurve(_csv_rows(text, "curve", _CURVE_HEADER, *[float] * 5, int, record=point))
 
 
 _BOUND_HEADER = "R_hat,I_Y_hat,I_Y_worst,D_worst"

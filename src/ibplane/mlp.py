@@ -51,7 +51,7 @@ def _layer_sizes(layer_sizes) -> tuple[int, ...]:
     return sizes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NetworkParams:
     """Layer sizes plus per-layer weight matrices (out, in) and bias vectors."""
 
@@ -213,7 +213,7 @@ def forward_all(net: NetworkParams, x_card: int) -> tuple[list[np.ndarray], np.n
 
 
 def batch_gradients(net: NetworkParams, x_indices, y_indices):
-    """Backprop gradients of the bit-valued batch loss: (weight grads, bias grads, loss)."""
+    """(weight grads, bias grads, loss): backprop on the batch's mean cross-entropy in bits."""
     xs, ys = (np.asarray(a, dtype=np.int64) for a in (x_indices, y_indices))
     if xs.ndim != 1 or xs.shape != ys.shape or xs.size == 0:
         raise DimensionError("a batch needs equally long, non-empty x and y index vectors")
@@ -226,11 +226,6 @@ def batch_gradients(net: NetworkParams, x_indices, y_indices):
                 _errors(counts, rowcount, xs.size, net.layer_sizes[-1]))
         loss = _losses(counts, probs, [0, sym.size], [xs.size])[0]
     return (*map(list, _params(grads, net.layer_sizes)), loss)
-
-
-def batch_loss(net: NetworkParams, x_indices, y_indices) -> float:
-    """Average cross-entropy -log2 p(y|x) over a batch, in bits."""
-    return batch_gradients(net, x_indices, y_indices)[2]
 
 
 def train_sgd(net: NetworkParams, samples: SampleSet,

@@ -3,16 +3,17 @@
 Joints, marginals, conditionals, entropies, divergences, i.i.d. sampling and
 empirical estimation over finite alphabets. All information quantities are in
 bits (log base 2), 0*log(0) counts as 0, and conditioning on a zero-mass row
-yields a uniform row. Values are immutable after construction and every
-operation is pure. A table takes its dimensions from its array: a joint's
-x_card and y_card, a conditional matrix's rows and cols and a sample set's n
-are read from the shape, never passed beside it. One function,
-`_check_table`, checks every table: each distribution, joint and conditional
-matrix (the solver's `Encoder` is one) and the solver's encoder stacks. One
-function, `pushforward_bits`, pushes a joint through deterministic codes of
-X: the analyzer's layer codes and the oracle's maps. A joint computes its
-constants p(x), p(y|x), I(X;Y) and H(X) on first use, once per object, and
-hands out the same read-only values to every later caller.
+yields a uniform row. Values are immutable after construction, every
+operation is pure, and records that hold arrays compare by identity. A table
+takes its dimensions from its array: a joint's x_card and y_card, a
+conditional matrix's rows and cols and a sample set's n come from its shape.
+One function, `_check_table`, checks every table: each joint and conditional
+matrix (the solver's `Encoder` is one), the solver's encoder stacks and a
+solution's marginal and decoder. One function, `pushforward_bits`, pushes a
+joint through deterministic codes of X: the analyzer's layer codes and the
+oracle's maps. A joint computes its constants p(x), p(y|x), I(X;Y) and H(X)
+on first use, once per object, and hands out the same read-only values to
+every later caller.
 """
 
 from __future__ import annotations
@@ -53,8 +54,8 @@ def _check_table(p, what: str, axes: int, rows: bool = False) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Array-level kernels. These carry the actual math; the typed wrappers below
-# delegate to them, and the solver modules call them directly on raw arrays.
+# Array-level kernels. These carry the actual math; the types below delegate
+# to them, and the solver modules call them directly on raw arrays.
 # ---------------------------------------------------------------------------
 
 def entropy_bits(p) -> float:
@@ -135,17 +136,7 @@ def conditional_rows(joint) -> tuple[np.ndarray, np.ndarray]:
 # Domain types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DiscreteDistribution:
-    """Probability vector over a finite alphabet."""
-
-    p: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "p", _check_table(self.p, "DiscreteDistribution", 1))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JointDistribution:
     """Joint p(X, Y) over finite alphabets as an x_card by y_card matrix."""
 
@@ -178,7 +169,7 @@ class JointDistribution:
         return entropy_bits(self.px)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConditionalMatrix:
     """Row-stochastic matrix: one distribution per conditioning symbol."""
 
@@ -191,7 +182,7 @@ class ConditionalMatrix:
     cols = property(lambda self: self.p.shape[1])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleSet:
     """Sequence of n (x_index, y_index) pairs drawn from a joint."""
 
@@ -214,16 +205,6 @@ class SampleSet:
 # ---------------------------------------------------------------------------
 # Operations
 # ---------------------------------------------------------------------------
-
-def entropy(d: DiscreteDistribution) -> float:
-    """Entropy of a distribution in bits; lies in [0, log2 |support|]."""
-    return entropy_bits(d.p)
-
-
-def mutual_information(j: JointDistribution) -> float:
-    """Mutual information I(X;Y) of a joint, in bits."""
-    return j.i_xy
-
 
 def sample_pairs(j: JointDistribution, n: int, seed: int) -> SampleSet:
     """Draw n i.i.d. pairs from the joint; fully determined by the seed."""

@@ -50,12 +50,12 @@ only on (x_card, t_card, restarts, seed); it is built once per key, kept
 read-only in an LRU memo of INIT_MEMO_SIZE stacks and shared by every query
 with that key. The joint's p(x), p(y|x), I(X;Y) and H(X) are computed once
 per JointDistribution object (see `prob`). `Encoder` is a
-`prob.ConditionalMatrix`, and `prob._check_table` checks every encoder and
-init stack; `_check_tradeoff_point` checks IBSolution and the curve's points.
-An IBSolution is its joint, beta and encoder (with the solve's iteration
-count and converged flag): R, I_Y, D_IB, L, p(t) and p(y|t) are computed
-from them on read and not stored, and a file's copies are checked against
-them by the solution reader.
+`prob.ConditionalMatrix`; `prob._check_table` checks every encoder, init
+stack, cluster marginal and decoder, and `_check_tradeoff_point` IBSolution
+and the curve's points. An IBSolution is its joint, beta and encoder (with
+the solve's iteration count and converged flag): R, I_Y, D_IB, L and the
+read-only arrays p(t) and p(y|t) are computed from them on read and not
+stored, and a file's copies are checked against them by the solution reader.
 """
 
 from __future__ import annotations
@@ -73,7 +73,6 @@ from .errors import (
 )
 from .prob import (
     ConditionalMatrix,
-    DiscreteDistribution,
     JointDistribution,
     _check_table,
     mi_bits_stack,
@@ -92,7 +91,7 @@ ORACLE_BLOCK = 4_096  # maps the oracle pushes the joint through at once
 INIT_MEMO_SIZE = 64  # restart-init stacks kept, one per (x_card, t_card, restarts, seed)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Encoder(ConditionalMatrix):
     """Soft assignment p(t|x) of input symbols to clusters, a conditional
     matrix whose p, rows and cols are also its matrix, x_card and t_card."""
@@ -165,12 +164,12 @@ def _check_tradeoff_point(point, what: str, *more) -> None:
 _lagrangian = property(lambda self: self.R - self.beta * self.I_Y)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IBSolution:
     """Converged (or best-effort) solution at one beta: the encoder p(t|x) on
     the joint, with R, I_Y (read once, through `_info_bits`), D_IB, L, the
-    marginal p(t) and the decoder p(y|t) (read once, through `_decoder`)
-    computed from it.
+    marginal p(t) and the decoder p(y|t) (read once, through `_decoder`, as
+    checked read-only arrays) computed from it.
 
     beta >= 0 is accepted: the zero-tradeoff limit is a legitimate query and
     collapses every row of the encoder onto the cluster marginal.
@@ -192,9 +191,9 @@ class IBSolution:
         return float(R[0]), float(I_Y[0])
 
     @functools.cached_property
-    def _decoded(self) -> tuple[DiscreteDistribution, ConditionalMatrix]:
+    def _decoded(self) -> tuple[np.ndarray, np.ndarray]:
         pt, dec = _decoder(self.joint, self.encoder.matrix)
-        return DiscreteDistribution(pt), ConditionalMatrix(dec)
+        return _check_table(pt, "cluster marginal", 1), _check_table(dec, "decoder", 2, rows=True)
 
     R = property(lambda self: self._bits[0])
     I_Y = property(lambda self: self._bits[1])

@@ -20,7 +20,6 @@ from ibplane.mlp import (
     NetworkParams,
     TrainConfig,
     batch_gradients,
-    batch_loss,
     init_network,
     naive_bayes_neuron,
     sigmoid,
@@ -34,7 +33,7 @@ from ibplane.presets import (
     symmetric_joint,
     xor_joint,
 )
-from ibplane.prob import mutual_information, sample_pairs
+from ibplane.prob import sample_pairs
 from ibplane.solver import exhaustive_deterministic_oracle, ib_solve, ib_solve_multistart
 
 SYM = symmetric_joint(0.2)
@@ -71,7 +70,7 @@ def test_criterion_02_sufficiency_limit():
     t0 = time.perf_counter()
     sol = ib_solve(SYM, SYM.x_card, beta=1000.0, seed=0)
     elapsed = time.perf_counter() - t0
-    ok = sol.I_Y >= mutual_information(SYM) - 1e-3 and elapsed < 5.0
+    ok = sol.I_Y >= SYM.i_xy - 1e-3 and elapsed < 5.0
     report(2, "beta=1000 recovers I(X;Y) within 1e-3 bits, under 5s", ok, elapsed)
 
 
@@ -116,7 +115,7 @@ def test_criterion_05_curve_geometry():
     for name, j in ALL_PRESETS:
         t_card = min(j.x_card, 4)
         c = anneal_curve(j, t_card, geometric_grid(0.5, 50.0, 1.1), seed=0)
-        i_xy = mutual_information(j)
+        i_xy = j.i_xy
         for prev, cur in zip(c.points, c.points[1:]):
             ok &= cur.R >= prev.R - 1e-6
             ok &= cur.I_Y >= prev.I_Y - 1e-6
@@ -150,7 +149,7 @@ def test_criterion_06_dpi_chain():
 
 def test_criterion_07_network_curve_dominance():
     c = anneal_curve(SYM, 2, geometric_grid(0.5, 200.0, 1.15), restarts=2, seed=0)
-    i_xy = mutual_information(SYM)
+    i_xy = SYM.i_xy
     rs = [p.R for p in c.points]
     iys = [p.I_Y for p in c.points]
     ok = True
@@ -213,6 +212,10 @@ def test_criterion_10_gradient_correctness():
     gw, gb, _ = batch_gradients(net, xs, ys)
     h = 1e-5
     worst = 0.0
+
+    def loss(weights, biases):
+        return batch_gradients(NetworkParams(net.layer_sizes, weights, biases), xs, ys)[2]
+
     for _ in range(100):
         layer = int(rng.integers(0, 3))
         use_bias = bool(rng.integers(0, 2))
@@ -222,8 +225,7 @@ def test_criterion_10_gradient_correctness():
             minus = [b.copy() for b in net.biases]
             plus[layer][r] += h
             minus[layer][r] -= h
-            lp = batch_loss(NetworkParams(net.layer_sizes, net.weights, tuple(plus)), xs, ys)
-            lm = batch_loss(NetworkParams(net.layer_sizes, net.weights, tuple(minus)), xs, ys)
+            lp, lm = loss(net.weights, tuple(plus)), loss(net.weights, tuple(minus))
             bp = gb[layer][r]
         else:
             r = int(rng.integers(0, net.weights[layer].shape[0]))
@@ -232,8 +234,7 @@ def test_criterion_10_gradient_correctness():
             minus = [w.copy() for w in net.weights]
             plus[layer][r, cidx] += h
             minus[layer][r, cidx] -= h
-            lp = batch_loss(NetworkParams(net.layer_sizes, tuple(plus), net.biases), xs, ys)
-            lm = batch_loss(NetworkParams(net.layer_sizes, tuple(minus), net.biases), xs, ys)
+            lp, lm = loss(tuple(plus), net.biases), loss(tuple(minus), net.biases)
             bp = gw[layer][r, cidx]
         fd = (lp - lm) / (2 * h)
         rel = abs(bp - fd) / max(abs(bp), abs(fd), 1e-10)

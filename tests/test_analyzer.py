@@ -14,11 +14,10 @@ from ibplane.analyzer import (
     QuantizerConfig,
     info_plane_path,
     layer_codes,
-    layer_mutual_information,
     network_distortion_rate,
+    relevance_lost,
 )
 from ibplane.curve import anneal_curve, geometric_grid
-from ibplane.errors import CoverageError
 from ibplane.mlp import (
     NetworkParams,
     TrainConfig,
@@ -31,7 +30,7 @@ from ibplane.prob import (
     JointDistribution,
     entropy_bits,
     mi_bits,
-    mutual_information,
+    pushforward_bits,
     sample_pairs,
 )
 
@@ -85,38 +84,31 @@ def test_quantizer_config_validates():
 
 # --- layer mutual information ---------------------------------------------------
 
+def layer_bits(j, code):
+    """(I(X;T), I(T;Y)) of one deterministic layer code T of X."""
+    (i_x,), (i_y,) = pushforward_bits(j, [code])
+    return float(i_x), float(i_y)
+
+
 def test_constant_layer_zero_information():
     # +0.0, which == cannot tell from the -0.0 a CSV would print
-    i_x, i_y = layer_mutual_information(SYM, [0, 0])
+    i_x, i_y = layer_bits(SYM, [0, 0])
     assert (i_x, i_y) == (0.0, 0.0)
     assert math.copysign(1.0, i_x) == math.copysign(1.0, i_y) == 1.0
 
 
 def test_injective_layer_lossless():
-    i_x, i_y = layer_mutual_information(SYM, [1, 0])
+    i_x, i_y = layer_bits(SYM, [1, 0])
     assert i_x == pytest.approx(entropy_bits(SYM.p.sum(axis=1)), abs=1e-12)
-    assert i_y == pytest.approx(mutual_information(SYM), abs=1e-12)
+    assert i_y == pytest.approx(SYM.i_xy, abs=1e-12)
 
 
 def test_merging_equivalent_rows_keeps_relevance():
     j = JointDistribution(
         [[0.2, 0.05], [0.2, 0.05], [0.05, 0.2], [0.05, 0.2]])
-    i_x, i_y = layer_mutual_information(j, [0, 0, 1, 1])
-    assert i_y == pytest.approx(mutual_information(j), abs=1e-10)
+    i_x, i_y = layer_bits(j, [0, 0, 1, 1])
+    assert i_y == pytest.approx(j.i_xy, abs=1e-10)
     assert i_x < entropy_bits(j.p.sum(axis=1)) - 0.5
-
-
-def test_missing_code_raises():
-    with pytest.raises(CoverageError):
-        layer_mutual_information(SYM, [0, -1])
-    with pytest.raises(CoverageError):
-        layer_mutual_information(SYM, [0])
-
-
-def test_unsupported_symbol_may_lack_code():
-    j = JointDistribution([[0.5, 0.5], [0.0, 0.0]])
-    i_x, i_y = layer_mutual_information(j, [0, -1])
-    assert i_x == 0.0 and i_y == 0.0
 
 
 # --- info plane path -------------------------------------------------------------
@@ -133,13 +125,13 @@ def test_path_identity_like_network():
     path = info_plane_path(SYM, diag_net(), QuantizerConfig(bins=2))
     hidden = path.points[1]
     assert hidden.I_X == pytest.approx(entropy_bits(SYM.p.sum(axis=1)), abs=1e-12)
-    assert hidden.I_Y == pytest.approx(mutual_information(SYM), abs=1e-12)
+    assert hidden.I_Y == pytest.approx(SYM.i_xy, abs=1e-12)
 
 
 def test_path_layer_zero_is_input():
     path = info_plane_path(SYM, diag_net(), QuantizerConfig(bins=4))
     assert path.points[0].I_X == pytest.approx(1.0, abs=1e-12)
-    assert path.points[0].I_Y == pytest.approx(mutual_information(SYM), abs=1e-12)
+    assert path.points[0].I_Y == pytest.approx(SYM.i_xy, abs=1e-12)
     assert path.points[0].layer_criterion == 0.0
 
 
@@ -166,7 +158,8 @@ def test_path_pair_terms_match_the_pair_tables(seed):
     hiddens, probs = forward_all(net, x_card)
     for q in (None, QuantizerConfig(2), QuantizerConfig(8)):
         codes = [np.arange(x_card), *(layer_codes(h, q) for h in hiddens), probs.argmax(axis=1)]
-        for prev, cur, p in zip(codes, codes[1:], info_plane_path(j, net, q).points[1:]):
+        path = info_plane_path(j, net, q)
+        for prev, cur, p in zip(codes, codes[1:], path.points[1:]):
             n_cur = int(cur.max()) + 1
             px_pair = np.zeros((int(prev.max()) + 1, n_cur))
             np.add.at(px_pair, (prev, cur), j.px)
@@ -174,8 +167,9 @@ def test_path_pair_terms_match_the_pair_tables(seed):
             np.add.at(pxy_pair, prev * n_cur + cur, j.p)
             assert p.I_prev == pytest.approx(mi_bits(px_pair), abs=1e-12)
             assert p.I_Y_lost == pytest.approx(max(0.0, mi_bits(pxy_pair) - p.I_Y), abs=1e-12)
-            # to the last bit, so analyze's (R_N, D_N) and gaps.json's agree
-            assert (p.I_X, p.I_Y) == layer_mutual_information(j, cur)
+        # to the last bit, so analyze's (R_N, D_N) and gaps.json's agree
+        pred = path.points[-1]
+        assert network_distortion_rate(j, net, q) == (pred.I_X, relevance_lost(j.i_xy, pred.I_Y))
 
 
 def test_path_criterion_nonnegative_terms():
@@ -257,12 +251,12 @@ def test_constant_predictor():
     net = NetworkParams((2, 2), (np.zeros((2, 2)),), (np.zeros(2),))
     r_n, d_n = network_distortion_rate(SYM, net, QuantizerConfig(bins=8))
     assert r_n == 0.0
-    assert d_n == pytest.approx(mutual_information(SYM), abs=1e-12)
+    assert d_n == pytest.approx(SYM.i_xy, abs=1e-12)
 
 
 def test_network_never_beats_the_curve():
     curve = anneal_curve(SYM, 2, geometric_grid(0.5, 200.0, 1.2), restarts=2, seed=0)
-    i_xy = mutual_information(SYM)
+    i_xy = SYM.i_xy
     net = trained_net([4, 3], seed=4)
     r_n, d_n = network_distortion_rate(SYM, net, QuantizerConfig(bins=8))
     # interpolate the curve's distortion at the network's rate
@@ -317,7 +311,7 @@ def test_layer_placement_properties(case, beta):
             assert np.array_equal(layer_codes(h, q), dict_codes(h, bins))
     assert np.all(np.abs(probs.sum(axis=1) - 1.0) <= 1e-9)
 
-    i_xy, h_x = mutual_information(j), entropy_bits(j.p.sum(axis=1))
+    i_xy, h_x = j.i_xy, entropy_bits(j.p.sum(axis=1))
     for q in (None, QuantizerConfig(8)):
         path = info_plane_path(j, net, q)
         if q is None:

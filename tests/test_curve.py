@@ -14,16 +14,17 @@ from ibplane.curve import (
     Bifurcation,
     CurvePoint,
     InfoCurve,
+    _beta_of,
     _predicted_split,
+    _spectral_lambdas,
     anneal_curve,
-    critical_beta_spectral,
     detect_bifurcations,
     effective_cardinality,
     _derived_seed,
     _effective_cards,
     geometric_grid,
 )
-from ibplane.errors import DegenerateClusterError, DegenerateEncoderError
+from ibplane.errors import DegenerateEncoderError
 from ibplane.presets import (
     deterministic_joint,
     hierarchical_joint,
@@ -35,7 +36,6 @@ from ibplane.prob import (
     JointDistribution,
     empirical_joint,
     kl_bits,
-    mutual_information,
     sample_pairs,
 )
 from ibplane.solver import (
@@ -72,7 +72,7 @@ def plain_moments(j, sol, t_index):
 def c_matrix(j, sol, t_index):
     """Second-order correlation matrix over Y conditioned on one cluster,
     C[y, y'] = sum_x p(x|t) p(y|x) p(y'|x) / p(y|t), with rows for p(y|t) = 0
-    left at zero: the matrix whose spectrum critical_beta_spectral reads."""
+    left at zero: the matrix whose spectrum _spectral_lambdas reads."""
     m, pygt = plain_moments(j, sol, t_index)
     c = np.zeros_like(m)
     pos = pygt > 0
@@ -131,32 +131,31 @@ def test_c_matrix_ones_vector_is_eigenvector():
         j = JointDistribution(g / g.sum())
         sol = ib_solve(j, 2, beta=3.0, seed=s)
         for t in range(2):
-            if sol.marginal.p[t] > 1e-9:
+            if sol.marginal[t] > 1e-9:
                 c = c_matrix(j, sol, t)
                 assert np.allclose(c @ np.ones(3), np.ones(3), atol=1e-9)
 
 
-def test_c_matrix_zero_mass_cluster_raises():
-    sol = IBSolution(SYM, 1.0, Encoder([[1, 0], [1, 0]]))
-    with pytest.raises(DegenerateClusterError):
-        critical_beta_spectral(sol, 1)
-
-
 # --- spectral critical beta ----------------------------------------------------
 
+def spectral_beta(sol, t):
+    """1 / lambda of cluster t of sol, inf when lambda is not positive."""
+    return _beta_of(float(_spectral_lambdas(sol)[t]))
+
+
 def test_critical_beta_symmetric():
-    bc = critical_beta_spectral(trivial_solution(SYM), 0)
+    bc = spectral_beta(trivial_solution(SYM), 0)
     assert bc == pytest.approx(1.0 / 0.36, abs=1e-9)
 
 
 def test_critical_beta_product_no_transition():
     j = product_joint()
-    assert critical_beta_spectral(trivial_solution(j), 0) == math.inf
+    assert spectral_beta(trivial_solution(j), 0) == math.inf
 
 
 def test_critical_beta_deterministic():
     j = deterministic_joint(2)
-    assert critical_beta_spectral(trivial_solution(j), 0) == pytest.approx(1.0, abs=1e-9)
+    assert spectral_beta(trivial_solution(j), 0) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_batched_spectral_matches_projector_reference():
@@ -182,14 +181,13 @@ def test_batched_spectral_matches_projector_reference():
         sol = IBSolution(j, 1.0, Encoder(enc / enc.sum(axis=1, keepdims=True)))
         want = []
         for t in range(t_card):
-            if sol.marginal.p[t] <= 0:
-                with pytest.raises(DegenerateClusterError):
-                    critical_beta_spectral(sol, t)
+            if sol.marginal[t] <= 0:  # a zero-mass cluster has lambda 0
+                assert _spectral_lambdas(sol)[t] == 0.0
                 continue
-            ref, got = projector_beta(j, sol, t), critical_beta_spectral(sol, t)
+            ref, got = projector_beta(j, sol, t), spectral_beta(sol, t)
             assert got == ref if math.isinf(ref) else math.isclose(got, ref, rel_tol=1e-9)
             finite += math.isfinite(ref)
-            if sol.marginal.p[t] > curve.MASS_EPS and math.isfinite(got):
+            if sol.marginal[t] > curve.MASS_EPS and math.isfinite(got):
                 want.append(got)
         assert _predicted_split(sol) == min(want, default=None)
     assert finite > 300
@@ -225,7 +223,7 @@ def union_find_card(sol):
     """effective_cardinality as a loop: union every pair of live clusters
     whose decoder rows are within MERGE_TAU in JS divergence, then count the
     groups."""
-    alive = [t for t in range(sol.t_card) if sol.marginal.p[t] > 1e-6]
+    alive = [t for t in range(sol.t_card) if sol.marginal[t] > 1e-6]
     parent = {t: t for t in alive}
 
     def find(t):
@@ -235,7 +233,7 @@ def union_find_card(sol):
 
     for i, a in enumerate(alive):
         for b in alive[i + 1:]:
-            if js_ref(sol.decoder.p[a], sol.decoder.p[b]) < 1e-4:
+            if js_ref(sol.decoder[a], sol.decoder[b]) < 1e-4:
                 parent[find(b)] = find(a)
     return max(1, len({find(t) for t in alive}))
 
@@ -247,8 +245,7 @@ def test_eff_card_merges_a_chain_of_close_clusters():
     pt = np.full((1, 4), 0.25)
     rows = dec[0]
     assert max(js_ref(rows[0], rows[1]), js_ref(rows[1], rows[2])) < 1e-4 < js_ref(rows[0], rows[2])
-    sol = SimpleNamespace(t_card=4, marginal=SimpleNamespace(p=pt[0]),
-                          decoder=SimpleNamespace(p=dec[0]))
+    sol = SimpleNamespace(t_card=4, marginal=pt[0], decoder=dec[0])
     assert _effective_cards(pt, dec).tolist() == [union_find_card(sol)] == [2]
 
 
@@ -366,8 +363,8 @@ def reference_brackets(j, t_card, grid, sols, restarts, seed=0, tol=1e-8, max_it
     def predict(sol):
         best = None
         for t in range(t_card):
-            if sol.marginal.p[t] > 1e-6:
-                bc = critical_beta_spectral(sol, t)
+            if sol.marginal[t] > 1e-6:
+                bc = spectral_beta(sol, t)
                 if math.isfinite(bc) and (best is None or bc < best):
                     best = bc
         return best
@@ -541,7 +538,7 @@ def test_anneal_rejects_non_finite_grid(grid):
 
 def test_anneal_monotone_and_bounded(sym_coarse_curve):
     c = sym_coarse_curve
-    i_xy = mutual_information(SYM)
+    i_xy = SYM.i_xy
     for prev, cur in zip(c.points, c.points[1:]):
         assert cur.R >= prev.R - 1e-6
         assert cur.I_Y >= prev.I_Y - 1e-6

@@ -472,6 +472,8 @@ NO_UNIT_NET = '{"layer_sizes": [2, 0, 2], "weights": [[], [[], []]], "biases": [
     ({"curve.csv": "beta,R,I_Y,D_IB,L,eff_card\n2,0.5,0.1,0.2,0.5,1\n"}, BOUNDS_ARGV,
      "curve CSV line 2: curve point violates L = R - beta * I_Y"),
     ({"curve.csv": GOOD_CURVE + "2,0,0,0.2\n"}, BOUNDS_ARGV, "curve CSV line 3: "),
+    ({"curve.csv": GOOD_CURVE + "2,0,0,0.3,0,1\n"}, BOUNDS_ARGV,
+     "curve CSV line 3: curve point has D_IB + I_Y = 0.3, not 0.2"),
     ({"curve.csv": GOOD_CURVE}, BOUNDS_ARGV + " --c-bound -1", "c_bound must be finite and >= 0"),
     ({"curve.csv": GOOD_CURVE}, BOUNDS_ARGV + " --c-bound nan", "c_bound must be finite and >= 0"),
     ({"curve.csv": GOOD_CURVE}, BOUNDS_ARGV + " --c-bound inf", "c_bound must be finite and >= 0"),
@@ -503,6 +505,7 @@ NO_UNIT_NET = '{"layer_sizes": [2, 0, 2], "weights": [[], [[], []]], "biases": [
 ], ids=["bounds-non-finite-curve-point", "bounds-negative-curve-I_Y",
         "bounds-negative-curve-D_IB", "bounds-negative-curve-R",
         "bounds-curve-L-off-R-minus-beta-I_Y", "bounds-short-curve-row",
+        "bounds-curve-rows-disagree-on-I_XY",
         "bounds-negative-c-bound", "bounds-nan-c-bound", "bounds-infinite-c-bound",
         "bounds-negative-y-card", "plane-non-finite-bound-point",
         "plane-negative-bound-I_Y_worst", "plane-short-bound-row",

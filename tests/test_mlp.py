@@ -15,7 +15,6 @@ from ibplane.mlp import (
     TrainConfig,
     accuracy,
     batch_gradients,
-    batch_loss,
     forward_all,
     init_network,
     naive_bayes_neuron,
@@ -343,15 +342,17 @@ def test_backprop_matches_finite_differences():
     ys = rng.integers(0, 2, size=32)
     gw, gb, _ = batch_gradients(net, xs, ys)
     h = 1e-5
+
+    def loss(weights):
+        return batch_gradients(NetworkParams(net.layer_sizes, weights, net.biases), xs, ys)[2]
+
     for layer in range(2):
         for (r, c) in [(0, 0), (1, 2) if layer == 0 else (1, 1)]:
             w_plus = [w.copy() for w in net.weights]
             w_minus = [w.copy() for w in net.weights]
             w_plus[layer][r, c] += h
             w_minus[layer][r, c] -= h
-            lp = batch_loss(NetworkParams(net.layer_sizes, tuple(w_plus), net.biases), xs, ys)
-            lm = batch_loss(NetworkParams(net.layer_sizes, tuple(w_minus), net.biases), xs, ys)
-            fd = (lp - lm) / (2 * h)
+            fd = (loss(tuple(w_plus)) - loss(tuple(w_minus))) / (2 * h)
             bp = gw[layer][r, c]
             assert abs(bp - fd) <= 1e-4 * max(abs(bp), abs(fd), 1e-10)
 
@@ -371,7 +372,7 @@ def test_backprop_matches_finite_differences_at_depth():
         params = [list(net.weights), list(net.biases)]
         params[kind][layer] = params[kind][layer].copy()
         params[kind][layer][entry] += step
-        return batch_loss(NetworkParams(net.layer_sizes, *map(tuple, params)), xs, ys)
+        return batch_gradients(NetworkParams(net.layer_sizes, *map(tuple, params)), xs, ys)[2]
 
     for layer in range(4):
         for kind, grads, entry in [(0, gw, (1, 2)), (1, gb, (1,))]:
@@ -391,8 +392,8 @@ def test_backprop_binary_head_matches_finite_differences():
     b_minus = [b.copy() for b in net.biases]
     b_plus[1][0] += h
     b_minus[1][0] -= h
-    lp = batch_loss(NetworkParams(net.layer_sizes, net.weights, tuple(b_plus)), xs, ys)
-    lm = batch_loss(NetworkParams(net.layer_sizes, net.weights, tuple(b_minus)), xs, ys)
+    lp = batch_gradients(NetworkParams(net.layer_sizes, net.weights, tuple(b_plus)), xs, ys)[2]
+    lm = batch_gradients(NetworkParams(net.layer_sizes, net.weights, tuple(b_minus)), xs, ys)[2]
     fd = (lp - lm) / (2 * h)
     assert abs(gb[1][0] - fd) <= 1e-4 * max(abs(gb[1][0]), abs(fd), 1e-10)
 
@@ -454,7 +455,7 @@ def test_count_table_kernel_matches_per_sample_backprop(case):
     gw, gb, loss = batch_gradients(net, xs, ys)
     want_w, want_b, want_loss, scale_w, scale_b = per_sample_backprop(net, xs, ys)
     assert abs(loss - want_loss) <= 1e-12 * want_loss
-    assert batch_loss(net, xs, ys) == loss
+    assert batch_gradients(net, xs, ys)[2] == loss
     for got, want, scale in zip(gw + gb, want_w + want_b, scale_w + scale_b):
         assert np.all(np.abs(got - want) <= 1e-12 * scale)
 
@@ -476,7 +477,7 @@ def test_saturated_unobserved_label_keeps_the_loss_finite(sizes, w0):
     for got, want in zip(gw + gb, want_w + want_b):
         assert np.all(np.isfinite(got)) and np.allclose(got, want, rtol=1e-12, atol=0)
     # an observed label at p = 0 still costs an infinite loss
-    assert batch_loss(net, [0], [1]) == math.inf
+    assert batch_gradients(net, [0], [1])[2] == math.inf
 
 
 @SATURATED_LABEL_1

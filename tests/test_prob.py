@@ -9,20 +9,19 @@ import pytest
 from ibplane.errors import DimensionError, EmptySampleError
 from ibplane.prob import (
     ConditionalMatrix,
-    DiscreteDistribution,
     JointDistribution,
     SampleSet,
     conditional_rows,
     empirical_joint,
-    entropy,
+    _check_table,
     entropy_bits,
     js_bits,
     kl_bits,
     mi_bits,
-    mutual_information,
     sample_pairs,
 )
-from ibplane.solver import Encoder, _encoder_stack
+from ibplane.mlp import init_network
+from ibplane.solver import Encoder, IBSolution, _encoder_stack
 
 
 # --- independent oracles (plain summation, no shared code paths) -----------
@@ -72,24 +71,24 @@ def assert_constants_match(j):
 # --- entropy ----------------------------------------------------------------
 
 def test_entropy_point_mass():
-    assert entropy(DiscreteDistribution([1.0])) == 0.0
+    assert entropy_bits([1.0]) == 0.0
 
 
 def test_entropy_uniform_binary():
-    assert entropy(DiscreteDistribution([0.5, 0.5])) == pytest.approx(1.0, abs=1e-12)
+    assert entropy_bits([0.5, 0.5]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_entropy_skewed_matches_oracle():
     d = [0.2, 0.8]
-    assert entropy(DiscreteDistribution(d)) == pytest.approx(oracle_entropy(d), abs=1e-12)
-    assert entropy(DiscreteDistribution(d)) == pytest.approx(0.721928, abs=1e-6)
+    assert entropy_bits(d) == pytest.approx(oracle_entropy(d), abs=1e-12)
+    assert entropy_bits(d) == pytest.approx(0.721928, abs=1e-6)
 
 
 def test_entropy_range():
     rng = np.random.default_rng(0)
     for _ in range(50):
         p = random_dist(rng, 6)
-        h = entropy(DiscreteDistribution(p))
+        h = entropy_bits(p)
         assert -1e-12 <= h <= math.log2(6) + 1e-12
 
 
@@ -132,28 +131,28 @@ def test_kl_nonnegative():
 
 def test_mi_product_is_zero():
     j = JointDistribution([[0.25, 0.25], [0.25, 0.25]])
-    assert mutual_information(j) == pytest.approx(0.0, abs=1e-12)
+    assert j.i_xy == pytest.approx(0.0, abs=1e-12)
 
 
 def test_mi_identity_coupling():
     j = JointDistribution([[0.5, 0.0], [0.0, 0.5]])
-    assert mutual_information(j) == pytest.approx(1.0, abs=1e-12)
+    assert j.i_xy == pytest.approx(1.0, abs=1e-12)
 
 
 def test_mi_symmetric_channel_matches_oracle():
     m = [[0.4, 0.1], [0.1, 0.4]]
     j = JointDistribution(m)
-    assert mutual_information(j) == pytest.approx(oracle_mi(m), abs=1e-12)
+    assert j.i_xy == pytest.approx(oracle_mi(m), abs=1e-12)
     # 1 - H2(0.2)
-    assert mutual_information(j) == pytest.approx(0.278072, abs=1e-6)
+    assert j.i_xy == pytest.approx(0.278072, abs=1e-6)
 
 
 def test_mi_transpose_symmetry():
     rng = np.random.default_rng(2)
     for _ in range(25):
         m = random_dist(rng, (3, 4))
-        a = mutual_information(JointDistribution(m))
-        b = mutual_information(JointDistribution(m.T))
+        a = JointDistribution(m).i_xy
+        b = JointDistribution(m.T).i_xy
         assert a == pytest.approx(b, abs=1e-12)
 
 
@@ -167,7 +166,7 @@ def test_mi_chain_consistency():
             px[i] * entropy_bits(cond[i]) for i in range(j.x_card)
         )
         hy = entropy_bits(j.p.sum(axis=0))
-        assert mutual_information(j) == pytest.approx(hy - h_y_given_x, abs=1e-10)
+        assert j.i_xy == pytest.approx(hy - h_y_given_x, abs=1e-10)
         assert_constants_match(j)
 
 
@@ -175,8 +174,8 @@ def test_mi_grouping_identical_rows():
     # merging two x symbols with the same conditional row keeps I(X;Y)
     m = np.array([[0.2, 0.05], [0.2, 0.05], [0.1, 0.4]])
     merged = np.array([[0.4, 0.1], [0.1, 0.4]])
-    a = mutual_information(JointDistribution(m))
-    b = mutual_information(JointDistribution(merged))
+    a = JointDistribution(m).i_xy
+    b = JointDistribution(merged).i_xy
     assert a == pytest.approx(b, abs=1e-10)
 
 
@@ -294,16 +293,18 @@ def test_plugin_mi_consistency():
     j = JointDistribution([[0.4, 0.1], [0.1, 0.4]])
     s = sample_pairs(j, 1_000_000, seed=11)
     emp = empirical_joint(s, 2, 2)
-    assert abs(mutual_information(emp) - mutual_information(j)) < 0.01
+    assert abs(emp.i_xy - j.i_xy) < 0.01
 
 
 # --- construction validation ---------------------------------------------------
 
 # every table and encoder stack goes through one check; each constructor is
 # given a valid table of its kind, then one fault (a joint file whose x_card
-# and y_card disagree with p is checked by its reader, in test_io_cli)
+# and y_card disagree with p is checked by its reader, in test_io_cli). The
+# one-axis case is a discrete distribution, checked as `IBSolution` checks its
+# cluster marginal
 TABLES = {
-    "DiscreteDistribution": (DiscreteDistribution, [0.5, 0.5]),
+    "DiscreteDistribution": (lambda p: _check_table(p, "probability vector", 1), [0.5, 0.5]),
     "JointDistribution": (JointDistribution, np.full((2, 3), 1 / 6)),
     "ConditionalMatrix": (ConditionalMatrix, [[0.5, 0.5], [0.9, 0.1]]),
     "Encoder": (Encoder, [[0.5, 0.5], [0.9, 0.1]]),
@@ -342,6 +343,26 @@ def test_table_constructors_reject_bad_tables(kind, fault):
 
 def test_values_immutable():
     j = JointDistribution([[0.5, 0.0], [0.0, 0.5]])
-    for a in (j.p, j.px, j.pygx):
+    sol = IBSolution(j, 1.0, Encoder([[0.9, 0.1], [0.2, 0.8]]))
+    for a in (j.p, j.px, j.pygx, sol.marginal, sol.decoder):
         with pytest.raises(ValueError):
             a[0] = 0.9
+
+
+# records that hold arrays compare by identity: == on two equal-valued
+# records is False instead of an error, and every record hashes
+RECORDS = {
+    "JointDistribution": lambda: JointDistribution([[0.4, 0.1], [0.1, 0.4]]),
+    "ConditionalMatrix": lambda: ConditionalMatrix([[0.5, 0.5], [0.9, 0.1]]),
+    "Encoder": lambda: Encoder([[0.5, 0.5], [0.9, 0.1]]),
+    "SampleSet": lambda: SampleSet.from_pairs([(0, 1), (1, 0), (1, 1)]),
+    "IBSolution": lambda: IBSolution(GAPPY, 2.0, Encoder.from_assignment([0, 1, 1], 2)),
+    "NetworkParams": lambda: init_network([2, 3, 2], seed=0),
+}
+
+
+@pytest.mark.parametrize("kind", RECORDS)
+def test_array_records_compare_by_identity(kind):
+    a, b = RECORDS[kind](), RECORDS[kind]()
+    assert a != b and not a == b and a not in [b]
+    assert a == a and a in {a} and hash(a) == hash(a)

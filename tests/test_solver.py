@@ -24,7 +24,6 @@ from ibplane.prob import (
     conditional_rows,
     entropy_bits,
     mi_bits,
-    mutual_information,
 )
 from ibplane.solver import (
     _QUIET,
@@ -192,12 +191,12 @@ def test_solve_beta_zero_trivial():
     sol = ib_solve(SYM, 2, beta=0.0, seed=0)
     assert sol.R <= 1e-9
     assert sol.I_Y <= 1e-9
-    assert sol.D_IB == pytest.approx(mutual_information(SYM), abs=1e-9)
+    assert sol.D_IB == pytest.approx(SYM.i_xy, abs=1e-9)
 
 
 def test_solve_large_beta_recovers_sufficiency():
     sol = ib_solve(SYM, 2, beta=1000.0, seed=0)
-    assert sol.I_Y >= mutual_information(SYM) - 1e-3
+    assert sol.I_Y >= SYM.i_xy - 1e-3
 
 
 def test_solve_below_critical_stays_trivial():
@@ -222,7 +221,7 @@ def test_solve_markov_identity_and_dpi_bounds():
     for s in range(10):
         j = random_joint(5, 2, seed=s)
         sol = ib_solve(j, 3, beta=7.0, seed=s)
-        i_xy = mutual_information(j)
+        i_xy = j.i_xy
         assert sol.D_IB == pytest.approx(i_xy - sol.I_Y, abs=1e-9)
         assert sol.I_Y <= i_xy + 1e-9
         assert sol.R <= entropy_bits(j.p.sum(axis=1)) + 1e-9
@@ -384,7 +383,7 @@ def test_oracle_single_cluster():
 def test_oracle_full_resolution():
     enc, _ = exhaustive_deterministic_oracle(SYM, 2, beta=50.0)
     sol = IBSolution(SYM, 50.0, enc)
-    assert sol.I_Y == pytest.approx(mutual_information(SYM), abs=1e-12)
+    assert sol.I_Y == pytest.approx(SYM.i_xy, abs=1e-12)
 
 
 def test_oracle_guard():
