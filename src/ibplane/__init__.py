@@ -24,8 +24,8 @@ _EXPORTS = {
     "cli": "",
     "curve": """Bifurcation CurvePoint InfoCurve anneal_curve detect_bifurcations
         effective_cardinality geometric_grid""",
-    "errors": """DegenerateEncoderError DimensionError DivergenceError
-        EmptySampleError IBError InstanceTooLargeError UnsupportedDegenerateError""",
+    "errors": """DimensionError DivergenceError EmptySampleError IBError
+        InstanceTooLargeError UnsupportedDegenerateError""",
     "io": "",
     "mlp": """NetworkParams TrainConfig accuracy batch_gradients forward_all
         init_network naive_bayes_neuron train_sgd""",

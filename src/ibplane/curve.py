@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +60,10 @@ MONOTONE_SLACK = 1e-6
 # an offer must lower a point's L by more than this * max(1, beta); taking any
 # lower L lets rounding noise bounce solutions between neighbours for passes
 OFFER_MARGIN = 1e-12
+# the most points a beta grid may have: the README grid has 129, every point
+# costs a lockstep solve per pass, and a factor just above 1 would otherwise
+# build trillions of floats before the sweep could refuse them
+GRID_MAX_POINTS = 100_000
 
 
 @dataclass(frozen=True)
@@ -185,14 +190,20 @@ def _predicted_split(sol: IBSolution) -> float | None:
 
 def geometric_grid(beta_min: float, beta_max: float,
                    factor: float = 1.05) -> np.ndarray:
-    """Geometric beta grid from beta_min to beta_max inclusive."""
+    """Geometric beta grid from beta_min to beta_max inclusive, of at most
+    GRID_MAX_POINTS points."""
     if not all(map(math.isfinite, (beta_min, beta_max, factor))):
         raise ValueError(f"grid bounds and factor must be finite, got "
                          f"{beta_min}, {beta_max}, {factor}")
-    if beta_min <= 0 or beta_max <= beta_min:
-        raise ValueError("need 0 < beta_min < beta_max")
+    # a subnormal beta can round back to itself when multiplied by factor
+    if not sys.float_info.min <= beta_min < beta_max:
+        raise ValueError(f"need {sys.float_info.min} <= beta_min < beta_max")
     if factor <= 1:
         raise ValueError(f"grid factor must be > 1, got {factor}")
+    points = math.ceil((math.log(beta_max) - math.log(beta_min)) / math.log(factor)) + 1
+    if points > GRID_MAX_POINTS:
+        raise ValueError(f"grid factor {factor!r} gives {points} points from {beta_min} "
+                         f"to {beta_max}, more than {GRID_MAX_POINTS}")
     grid = [beta_min]
     while grid[-1] * factor < beta_max:
         grid.append(grid[-1] * factor)

@@ -13,10 +13,6 @@ class EmptySampleError(IBError):
     """An operation that needs at least one sample got none."""
 
 
-class DegenerateEncoderError(IBError):
-    """Every cluster sits at infinite divergence for some input symbol."""
-
-
 class InstanceTooLargeError(IBError):
     """Exhaustive enumeration was requested beyond the instance guard."""
 

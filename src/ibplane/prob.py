@@ -3,7 +3,8 @@
 Joints, marginals, conditionals, entropies, divergences, i.i.d. sampling and
 empirical estimation over finite alphabets. All information quantities are in
 bits (log base 2), 0*log(0) counts as 0, and conditioning on a zero-mass row
-yields a uniform row. Values are immutable after construction, every
+yields a zero row: p(y|x) = 0 where p(x) = 0, so an unobserved symbol carries
+no made-up conditional. Values are immutable after construction, every
 operation is pure, and records that hold arrays compare by identity. A table
 takes its dimensions from its array: a joint's x_card and y_card, a
 conditional matrix's rows and cols and a sample set's n come from its shape.
@@ -13,7 +14,8 @@ solution's marginal and decoder. One function, `pushforward_bits`, pushes a
 joint through deterministic codes of X: the analyzer's layer codes and the
 oracle's maps. A joint computes its constants p(x), p(y|x), I(X;Y) and H(X)
 on first use, once per object, and hands out the same read-only values to
-every later caller.
+every later caller; I(X;Y) is computed at construction, and a joint whose
+I(X;Y) is not finite is rejected.
 """
 
 from __future__ import annotations
@@ -117,21 +119,6 @@ def mi_bits(joint) -> float:
     return float(mi_bits_stack(np.asarray(joint, dtype=float)[None])[0])
 
 
-def conditional_rows(joint) -> tuple[np.ndarray, np.ndarray]:
-    """Split a joint matrix into the row marginal and row-conditional matrix.
-
-    Rows with zero marginal mass get a uniform conditional row; they carry no
-    probability, so downstream expectations are unaffected.
-    """
-    joint = np.asarray(joint, dtype=float)
-    px = joint.sum(axis=1)
-    cond = np.empty_like(joint)
-    pos = px > 0
-    cond[pos] = joint[pos] / px[pos, None]
-    cond[~pos] = 1.0 / joint.shape[1]
-    return px, cond
-
-
 # ---------------------------------------------------------------------------
 # Domain types
 # ---------------------------------------------------------------------------
@@ -144,24 +131,28 @@ class JointDistribution:
 
     def __post_init__(self):
         object.__setattr__(self, "p", _check_table(self.p, "JointDistribution", 2))
+        if not math.isfinite(self.i_xy):
+            raise ValueError(f"JointDistribution has non-finite I(X;Y) = {self.i_xy}")
 
     x_card = property(lambda self: self.p.shape[0])
     y_card = property(lambda self: self.p.shape[1])
 
     @cached_property
     def px(self) -> np.ndarray:
-        """Row marginal p(x), read-only, as `conditional_rows` gives it."""
-        return _frozen_array(conditional_rows(self.p)[0])
+        """Row marginal p(x), read-only."""
+        return _frozen_array(self.p.sum(axis=1))
 
     @cached_property
     def pygx(self) -> np.ndarray:
-        """Row conditionals p(y|x), read-only, as `conditional_rows` gives them."""
-        return _frozen_array(conditional_rows(self.p)[1])
+        """Row conditionals p(y|x), read-only; a zero row where p(x) = 0."""
+        px = self.px[:, None]
+        return _frozen_array(np.divide(self.p, px, out=np.zeros_like(self.p), where=px > 0))
 
     @cached_property
     def i_xy(self) -> float:
-        """I(X;Y) in bits."""
-        return mi_bits(self.p)
+        """I(X;Y) in bits; a tiny cell whose p(x) p(y) underflows to 0 makes it inf."""
+        with np.errstate(divide="ignore"):
+            return mi_bits(self.p)
 
     @cached_property
     def h_x(self) -> float:

@@ -20,15 +20,17 @@ the new encoder as the row-normalized exp of log p(t) + beta * p(y|x) @
 log p(y|t)^T. That drops the row term sum_y p(y|x) log p(y|x) of the
 divergence: it does not depend on t, so it cancels in the normalization. A
 decoder zero under p(y|x)'s support gives log 0 = -inf there, which is the
-zero weight an infinite divergence gives. The formula breaks down (a NaN row)
-only for an element with a zero-mass cluster (0/0 in its decoder), a decoder
-zero facing a zero of some p(y|x) (0 * log 0; a y that no p(y|x) supports
-does this in every element), or such a -inf at beta = 0.
-Those elements alone go down a guarded path, which sums the divergence over
-p(y|x)'s support only, makes it infinite where a decoder misses that
-support, and gives zero-mass clusters no weight. The choice is made from
-each element alone, so no element's result depends on the rest of its
-batch.
+zero weight an infinite divergence gives. A symbol with p(x) = 0 has a zero
+p(y|x) row (see `prob`) and so no relevance term: its new row is p(t), on
+either path. The formula breaks down (a NaN row) only for an element with a
+zero-mass cluster (0/0 in its decoder), a decoder zero facing a zero of some
+p(y|x) (0 * log 0; a y that no p(y|x) supports does this in every element,
+and a zero row in every element with a decoder zero), or such a -inf at
+beta = 0. Those elements alone go down a guarded path, which sums the
+divergence over p(y|x)'s support only, makes it infinite where a decoder
+misses that support, and gives zero-mass clusters no weight. The choice is
+made from each element alone, so no element's result depends on the rest of
+its batch.
 
 Near a critical beta the plain map contracts slowly, so every solve adds
 squared extrapolation in log-encoder space (SQUAREM; Varadhan and Roland 2008,
@@ -66,11 +68,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateEncoderError,
-    DimensionError,
-    InstanceTooLargeError,
-)
+from .errors import DimensionError, InstanceTooLargeError
 from .prob import (
     ConditionalMatrix,
     JointDistribution,
@@ -226,8 +224,9 @@ def _guarded(pygx: np.ndarray, dec: np.ndarray, pt: np.ndarray,
              beta: float | np.ndarray) -> np.ndarray:
     """log p(t) + beta sum_y p(y|x) log p(y|t) for (B, T) marginals and
     (B, T, Y) decoders (NaN rows for zero-mass clusters), the sum taken over
-    p(y|x)'s support, -inf where a decoder misses that support, and no beta
-    term at beta = 0: -beta KL(p(y|x) || p(y|t)) up to its row term."""
+    p(y|x)'s support (empty, so log p(t) alone, for a zero row), -inf where
+    a decoder misses that support, and no beta term at beta = 0:
+    -beta KL(p(y|x) || p(y|t)) up to its row term."""
     dec_pos = dec > 0
     s = pygx @ np.log(np.where(dec_pos, dec, 1.0)).transpose(0, 2, 1)
     s[(pygx > 0).astype(float) @ (~dec_pos).transpose(0, 2, 1) > 0] = -math.inf
@@ -235,12 +234,11 @@ def _guarded(pygx: np.ndarray, dec: np.ndarray, pt: np.ndarray,
 
 
 def _map(px: np.ndarray, pygx: np.ndarray, jp: np.ndarray, enc: np.ndarray,
-         beta: float | np.ndarray, strict: bool = True) -> np.ndarray:
+         beta: float | np.ndarray) -> np.ndarray:
     """One plain map on every encoder of a (B, X, T) stack, at one beta >= 0
     or a (B, 1, 1) stack of betas, all positive or all zero, as the module
-    docstring describes.
-    A symbol at infinite divergence from every cluster gets a NaN row, or
-    raises DegenerateEncoderError if strict."""
+    docstring describes. A row is NaN only where p(x, y) p(t|x) underflows
+    to 0 in every cluster, and the Encoder check rejects it."""
     pt = px @ enc
     dec = (enc.transpose(0, 2, 1) @ jp) / pt[:, :, None]
     new = _softmax(np.log(pt)[:, None, :] + beta * (pygx @ np.log(dec).transpose(0, 2, 1)))
@@ -248,10 +246,6 @@ def _map(px: np.ndarray, pygx: np.ndarray, jp: np.ndarray, enc: np.ndarray,
     if nan.any():
         g = nan.any(axis=1)
         new[g] = _softmax(_guarded(pygx, dec[g], pt[g], beta[g] if np.ndim(beta) else beta))
-        bad = np.nonzero(np.isnan(new[:, :, 0]))[1]
-        if strict and bad.size:
-            raise DegenerateEncoderError(
-                f"every cluster is at infinite divergence for symbol x={bad[0]}")
     return new
 
 
@@ -291,11 +285,12 @@ def _info_bits(j: JointDistribution, enc: np.ndarray) -> tuple[np.ndarray, np.nd
 
 def _decoder(j: JointDistribution, enc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """p(t) and the decoder p(y|t) of one encoder, or of each of a stack; a
-    zero-mass cluster decodes the uniform mixture of the p(y|x)."""
+    zero-mass cluster decodes the mean p(y|x) over the observed x (p(x) > 0),
+    so every decoder row sums to 1."""
     pt = j.px @ enc
     live = pt > 0
     dec = np.swapaxes(enc, -1, -2) @ j.p / np.where(live, pt, 1.0)[..., None]
-    return pt, np.where(live[..., None], dec, j.pygx.mean(axis=0))
+    return pt, np.where(live[..., None], dec, j.pygx[j.px > 0].mean(axis=0))
 
 
 def _check_query(t_card: int, beta: float, tol: float, max_iter: int) -> None:
@@ -351,7 +346,7 @@ def _lockstep(j: JointDistribution, enc: np.ndarray, beta: np.ndarray,
                 # is no higher than after the second plain step; a degenerate
                 # point (NaN rows, NaN L) fails
                 ex, alpha = _extrapolate(e0, e1, e2, bound)
-                e3 = _map(px, pygx, jp, ex, kb, strict=False)
+                e3 = _map(px, pygx, jp, ex, kb)
                 L = _objective(jp, px, np.concatenate([e3, e2]), ob)
                 ok = L[:live.size] <= L[live.size:]
                 grown = np.where(alpha == -bound, bound * STEP_BOUND, bound)

@@ -1,6 +1,7 @@
 """Curve tracing, cluster counting, spectral transition prediction."""
 
 import math
+import sys
 from types import SimpleNamespace
 from unittest import mock
 
@@ -24,7 +25,6 @@ from ibplane.curve import (
     _effective_cards,
     geometric_grid,
 )
-from ibplane.errors import DegenerateEncoderError
 from ibplane.presets import (
     deterministic_joint,
     hierarchical_joint,
@@ -279,6 +279,26 @@ def test_geometric_grid_shape():
     assert np.all(np.diff(g) > 0)
 
 
+def test_geometric_grid_refuses_too_many_points(monkeypatch):
+    # the README grid has 129 points: a cap of 129 builds it, 128 refuses it
+    monkeypatch.setattr(curve, "GRID_MAX_POINTS", 129)
+    assert geometric_grid(0.1, 50.0, 1.05).size == 129
+    monkeypatch.setattr(curve, "GRID_MAX_POINTS", 128)
+    with pytest.raises(ValueError, match="gives 129 points from 0.1 to 50.0, more than 128"):
+        geometric_grid(0.1, 50.0, 1.05)
+    monkeypatch.undo()
+    # about 6.2e12 points: refused from the count, before the loop builds any
+    with pytest.raises(ValueError, match="gives 6214055665259 points"):
+        geometric_grid(0.1, 50.0, 1.000000000001)
+    # a subnormal beta_min * 1.1 rounds back to beta_min, so no grid count
+    # bounds that loop: such a beta_min is refused
+    with pytest.raises(ValueError, match="<= beta_min < beta_max"):
+        geometric_grid(5e-324, 1.0, 1.1)
+    # the widest normal range: its point count needs no float that overflows
+    g = geometric_grid(sys.float_info.min, 1.7e308, 1.1)
+    assert g.size == math.ceil((math.log(1.7e308) - math.log(g[0])) / math.log(1.1)) + 1
+
+
 def test_anneal_below_critical_all_trivial():
     c = anneal_curve(SYM, 2, [0.1, 0.5, 1.0], restarts=2, seed=0)
     assert all(p.eff_card == 1 for p in c.points)
@@ -510,16 +530,11 @@ def test_anneal_never_above_the_deterministic_oracle(x_card, y_card, t_card, see
         assert p.L <= exhaustive_deterministic_oracle(j, t_card, p.beta)[1] + 1e-9
 
 
-@pytest.mark.parametrize("seed", [
-    3, 13,
-    # a known defect, strict so that the change that mends it must flip it:
-    # this sample leaves an x unobserved, and once the clusters harden its
-    # uniform p(y|x) is at infinite divergence from every cluster
-    pytest.param(0, marks=pytest.mark.xfail(raises=DegenerateEncoderError, strict=True)),
-])
+@pytest.mark.parametrize("seed", [3, 13, 0])
 def test_anneal_empirical_joint_curve_is_monotone(seed):
     # a one-way warm walk left a point on a worse branch, and InfoCurve
-    # rejected the sweep with "curve is not monotone"
+    # rejected the sweep with "curve is not monotone"; seed 0's sample leaves
+    # an x unobserved, whose zero p(y|x) row gives it the encoder row p(t)
     j = empirical_joint(sample_pairs(random_joint(8, 4, seed), 20, seed=3), 8, 4)
     grid = geometric_grid(0.5, 50.0, 1.15)
     assert len(anneal_curve(j, 3, grid).points) == grid.size

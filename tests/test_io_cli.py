@@ -345,6 +345,17 @@ def test_cli_overflowing_L_is_one_line_error(tmp_path):
     assert not out.exists()
 
 
+def test_cli_joint_with_infinite_I_XY_is_one_line_error(tmp_path):
+    # p(x) p(y) of the 5e-324 cell underflows to 0; the joint is refused as
+    # it is read, with no RuntimeWarning and no second error on stderr
+    j, out = tmp_path / "j.json", tmp_path / "s.json"
+    j.write_text('{"x_card": 2, "y_card": 2, "p": [[0.5, 5e-324], [0.5, 0.0]]}\n')
+    r = run_cli("ib-solve", "--joint", j, "--t-card", 2, "--beta", 1, "--out", out)
+    assert r.returncode == 1
+    assert r.stderr == "ValueError: JointDistribution has non-finite I(X;Y) = inf\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("card", [["--x-card", 0], ["--y-card", 0], ["--x-card", -1]])
 @pytest.mark.parametrize("preset", ["product", "random"])
 def test_cli_gen_empty_alphabet_is_one_line_error(tmp_path, preset, card):
@@ -496,6 +507,7 @@ NO_UNIT_NET = '{"layer_sizes": [2, 0, 2], "weights": [[], [[], []]], "biases": [
     ({}, CURVE_ARGV + " --tol nan", "tol must be finite"),
     ({}, CURVE_ARGV + " --max-iter -1", "max_iter must be >= 1"),
     ({}, CURVE_ARGV + " --grid-factor nan", "must be finite"),
+    ({}, CURVE_ARGV + " --grid-factor 1.000000000001", "points from 1.0 to 2.0, more than 100000"),
     ({}, CURVE_ARGV.replace("--beta-max 2", "--beta-max inf"), "must be finite"),
     ({}, "train --joint j.json --hidden 0 --epochs 1 --out out", "at least one unit"),
     ({"net.json": NO_UNIT_NET}, ANALYZE_ARGV, "at least one unit"),
@@ -512,8 +524,8 @@ NO_UNIT_NET = '{"layer_sizes": [2, 0, 2], "weights": [[], [[], []]], "biases": [
         "plane-bound-I_Y_worst-above-I_Y_hat",
         "ib-solve-infinite-beta", "ib-solve-nan-tol", "ib-solve-infinite-tol",
         "ib-solve-negative-max-iter", "ib-solve-zero-max-iter", "ib-curve-nan-tol",
-        "ib-curve-negative-max-iter",
-        "ib-curve-nan-grid-factor", "ib-curve-infinite-beta-max", "train-empty-hidden-layer",
+        "ib-curve-negative-max-iter", "ib-curve-nan-grid-factor", "ib-curve-grid-too-fine",
+        "ib-curve-infinite-beta-max", "train-empty-hidden-layer",
         "analyze-empty-hidden-layer", "analyze-infinite-beta", "analyze-nan-beta",
         "analyze-nan-sweep-beta"])
 def test_cli_bad_input_is_one_line_error(tmp_path, monkeypatch, capsys, files, argv, expected):

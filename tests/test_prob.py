@@ -11,7 +11,6 @@ from ibplane.prob import (
     ConditionalMatrix,
     JointDistribution,
     SampleSet,
-    conditional_rows,
     empirical_joint,
     _check_table,
     entropy_bits,
@@ -62,8 +61,10 @@ GAPPY = empirical_joint(SampleSet.from_pairs([(0, 0), (0, 1), (2, 0), (2, 1), (0
 
 
 def assert_constants_match(j):
-    """The joint's cached constants equal the free functions bit for bit."""
-    px, cond = conditional_rows(j.p)
+    """The joint's cached constants equal a row-by-row division and the free
+    functions bit for bit; a massless row conditions to a zero row."""
+    px = np.array([row.sum() for row in j.p])
+    cond = np.array([row / m if m > 0 else np.zeros(j.y_card) for row, m in zip(j.p, px)])
     assert (j.px.tobytes(), j.pygx.tobytes()) == (px.tobytes(), cond.tobytes())
     assert (j.i_xy, j.h_x) == (mi_bits(j.p), entropy_bits(px))
 
@@ -161,7 +162,7 @@ def test_mi_chain_consistency():
     rng = np.random.default_rng(3)
     for j in [*(JointDistribution(random_dist(rng, (4, 3))) for _ in range(25)),
               GAPPY]:
-        px, cond = conditional_rows(j.p)
+        px, cond = j.px, j.pygx
         h_y_given_x = sum(
             px[i] * entropy_bits(cond[i]) for i in range(j.x_card)
         )
@@ -198,22 +199,23 @@ def test_js_divergence_broadcasts_over_leading_axes():
 
 def test_decompose_identity():
     j = JointDistribution([[0.5, 0.0], [0.0, 0.5]])
-    px, cond = conditional_rows(j.p)
+    px, cond = j.px, j.pygx
     assert np.allclose(px, [0.5, 0.5])
     assert np.allclose(cond, [[1, 0], [0, 1]])
 
 
 def test_decompose_symmetric_rows():
     j = JointDistribution([[0.4, 0.1], [0.1, 0.4]])
-    px, cond = conditional_rows(j.p)
+    px, cond = j.px, j.pygx
     assert np.allclose(px, [0.5, 0.5])
     assert np.allclose(cond, [[0.8, 0.2], [0.2, 0.8]])
 
 
-def test_decompose_zero_row_uniform():
+def test_decompose_zero_row_is_zero():
+    # an unobserved symbol gets no made-up conditional: p(y|x) = 0 where p(x) = 0
     for j in (JointDistribution([[0.5, 0.5], [0.0, 0.0]]), GAPPY):
-        px, cond = conditional_rows(j.p)
-        assert np.allclose(cond[1], np.full(j.y_card, 1 / j.y_card))
+        px, cond = j.px, j.pygx
+        assert px[1] == 0 and not cond[1].any()
         # reconstruction matches on supported rows
         recon = px[:, None] * cond
         assert np.max(np.abs(recon - j.p)) < 1e-12
@@ -225,7 +227,7 @@ def test_decompose_reconstructs():
     for _ in range(25):
         m = random_dist(rng, (5, 3))
         j = JointDistribution(m)
-        px, cond = conditional_rows(j.p)
+        px, cond = j.px, j.pygx
         assert np.max(np.abs(px[:, None] * cond - j.p)) < 1e-12
         assert_constants_match(j)
 
@@ -329,6 +331,14 @@ def _with_fault(p: np.ndarray, fault: str) -> np.ndarray:
     elif fault == "empty-axis":
         p = np.zeros(p.shape[:-1] + (0,))
     return p
+
+
+def test_joint_rejects_non_finite_mutual_information():
+    # p(x) p(y) of the subnormal cell underflows to 0, so its log-ratio and
+    # I(X;Y) are inf; the check raises without a RuntimeWarning (an error here)
+    with pytest.raises(ValueError, match=r"non-finite I\(X;Y\) = inf"):
+        JointDistribution([[0.5, 5e-324], [0.5, 0.0]])
+    assert JointDistribution([[0.5, 1e-300], [0.5, 0.0]]).i_xy < 1e-290
 
 
 @pytest.mark.parametrize("kind, fault", itertools.product(TABLES, TABLE_FAULTS))

@@ -13,17 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ibplane import io, solver
-from ibplane.errors import (
-    DegenerateEncoderError,
-    DimensionError,
-    InstanceTooLargeError,
-)
+from ibplane.errors import DimensionError, InstanceTooLargeError
 from ibplane.presets import deterministic_joint, random_joint, symmetric_joint
 from ibplane.prob import (
     JointDistribution,
-    conditional_rows,
+    empirical_joint,
     entropy_bits,
     mi_bits,
+    sample_pairs,
 )
 from ibplane.solver import (
     _QUIET,
@@ -95,11 +92,11 @@ def reference_map(jp, enc, beta):
     """The three updates for one encoder, term by term: p(t), then p(y|t) for
     every cluster with mass, then p(t|x) ~ p(t) exp(-beta KL(p(y|x) || p(y|t)))
     with KL in nats over p(y|x)'s support, infinite where p(y|t) misses it
-    (no weight, unless beta = 0) and no weight for a zero-mass cluster."""
+    (no weight, unless beta = 0) and no weight for a zero-mass cluster. A
+    massless x has a zero p(y|x), an empty support and so the row p(t)."""
     px = jp.sum(axis=1)
     x_card, t_card = enc.shape
-    pygx = [jp[x] / px[x] if px[x] > 0 else np.full(jp.shape[1], 1 / jp.shape[1])
-            for x in range(x_card)]
+    pygx = [jp[x] / px[x] if px[x] > 0 else np.zeros(jp.shape[1]) for x in range(x_card)]
     pt = [sum(px[x] * enc[x, t] for x in range(x_card)) for t in range(t_card)]
     new = np.empty_like(enc)
     for x in range(x_card):
@@ -153,9 +150,9 @@ def map_inputs(draw):
 @given(map_inputs())
 def test_map_matches_the_three_updates(inputs):
     jp, enc, beta = inputs
-    px, pygx = conditional_rows(jp)
+    j = JointDistribution(jp)
     with np.errstate(**_QUIET):
-        got = _map(px, pygx, jp, enc, beta, strict=False)
+        got = _map(j.px, j.pygx, j.p, enc, beta)
     for b in range(len(enc)):
         ref = reference_map(jp, enc[b], float(beta[b, 0, 0]) if np.ndim(beta) else beta)
         np.testing.assert_allclose(got[b], ref, rtol=0, atol=1e-12, equal_nan=True)
@@ -177,12 +174,23 @@ def test_dead_cluster_element_leaves_its_batch_alone():
 
 
 def test_iterate_degenerate_zero_mass_symbol():
-    # x=1 has no mass, gets a uniform conditional, and every cluster then
-    # misses its support once the only live cluster decodes a point mass
+    # x=1 has no mass, so no relevance term: its new row is p(t), also once
+    # the only live cluster decodes a point mass (a uniform p(y|x) there was
+    # at infinite divergence from every cluster)
     j = JointDistribution([[1.0, 0.0], [0.0, 0.0]])
-    enc = Encoder([[1.0, 0.0], [1.0, 0.0]])
-    with pytest.raises(DegenerateEncoderError):
-        ib_iterate_once(j, enc, beta=2.0)
+    for m in ([[1.0, 0.0], [1.0, 0.0]], [[0.7, 0.3], [0.0, 1.0]]):
+        pt = j.px @ np.array(m)
+        for beta in (0.0, 2.0, 1000.0):
+            np.testing.assert_allclose(ib_iterate_once(j, Encoder(m), beta).matrix[1], pt,
+                                       rtol=0, atol=1e-15)
+    # the one NaN row left: p(x, y) p(t|x) of a 5e-324 cell underflows to 0,
+    # and the encoder check rejects the result
+    j = JointDistribution([[0.25, 5e-324], [0, 0.25], [0.25, 0], [0, 0.25]])
+    e = Encoder([[0.5, 0.5, 0], [0, 0, 1], [0.5, 0.5, 0], [0, 0, 1]])
+    with pytest.raises(ValueError, match="negative or non-finite Encoder entry"):
+        ib_iterate_once(j, e, 2.0)
+    with pytest.raises(ValueError, match="negative or non-finite Encoder entry"):
+        ib_solve(j, 3, 2.0, init=e, max_iter=20)
 
 
 # --- full solve ----------------------------------------------------------------
@@ -453,6 +461,30 @@ def test_multistart_never_above_the_deterministic_oracle():
     j = random_joint(4, 2, seed=0)
     _, oracle_l = exhaustive_deterministic_oracle(j, 2, beta=20.0)
     assert ib_solve_multistart(j, 2, beta=20.0, restarts=10).L <= oracle_l + 1e-9
+
+
+def test_multistart_on_empirical_joints_with_unobserved_symbols():
+    # 20 samples of an 8x4 joint leave x symbols unobserved in 20 of these 30
+    # joints; each solves, its massless rows follow p(t), and its file reads back
+    seen_gaps = 0
+    for s in range(30):
+        j = empirical_joint(sample_pairs(random_joint(8, 4, s), 20, seed=3), 8, 4)
+        unseen = j.px == 0
+        seen_gaps += unseen.any()
+        for beta in (2.0, 10.0, 50.0):
+            sol = ib_solve_multistart(j, 3, beta)
+            # the encoder is one plain step's output: its massless rows are the
+            # p(t) of that step's input, less than tol from the solution's own
+            enc = sol.encoder.matrix
+            assert np.abs(enc[unseen] - sol.marginal).max(initial=0) < DEFAULT_TOL
+            np.testing.assert_allclose(ib_iterate_once(j, sol.encoder, beta).matrix[unseen],
+                                       np.broadcast_to(sol.marginal, enc[unseen].shape),
+                                       rtol=0, atol=1e-12)
+            assert 0 <= sol.I_Y <= j.i_xy + 1e-9
+            assert sol.R <= min(j.h_x, math.log2(3)) + 1e-9
+            back = io.solution_from_json(io.solution_to_json(sol), j)
+            assert np.array_equal(back.encoder.matrix, enc)
+    assert seen_gaps == 20
 
 
 def test_multistart_tie_breaks_toward_smaller_rate():
