@@ -30,6 +30,8 @@ class BoundPoint:
         _check_fields(self, "bound point", vars(self))  # every field, in order
         if self.I_Y_worst > self.I_Y_hat:
             raise ValueError("bound point has I_Y_worst above I_Y_hat")
+        if self.R_hat >= 1024:  # so that `rate_corrections` never overflows
+            raise ValueError(f"bound point R_hat = {self.R_hat!r} bits: 2^R_hat overflows")
 
 
 @dataclass(frozen=True)
@@ -100,6 +102,8 @@ def bound_curve(curve: InfoCurve, n: int, c_bound: float = 1.0, *,
         raise ValueError("cannot bound an empty curve")
     pts = []
     for p in curve.points:
+        if p.R >= 1024:  # the least R whose 2.0 ** R overflows
+            raise ValueError(f"R = {p.R!r} bits gives 2^R beyond the float range")
         i_worst = max(0.0, p.I_Y - worst_case_correction(2.0 ** p.R, y_card, n, c_bound))
         # written as D_IB plus a nonnegative term so the pointwise ordering
         # D_worst >= D_IB holds exactly in floating point

@@ -204,7 +204,7 @@ def geometric_grid(beta_min: float, beta_max: float,
     if points > GRID_MAX_POINTS:
         raise ValueError(f"grid factor {factor!r} gives {points} points from {beta_min} "
                          f"to {beta_max}, more than {GRID_MAX_POINTS}")
-    grid = [beta_min]
+    grid, beta_max, factor = [float(beta_min)], float(beta_max), float(factor)  # overflows quietly
     while grid[-1] * factor < beta_max:
         grid.append(grid[-1] * factor)
     grid.append(beta_max)

@@ -98,6 +98,13 @@ def joint_to_json(j: JointDistribution) -> str:
     return json_dumps({"x_card": j.x_card, "y_card": j.y_card, "p": j.p}) + "\n"
 
 
+def _load(text: str, what: str):
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{what} JSON is nested too deeply to parse") from None
+
+
 def _json_fields(obj, what: str, **convert) -> list:
     """The values of keys in a parsed JSON object, each passed through its
     converter; a missing key or a value of the wrong type is a ValueError
@@ -138,7 +145,8 @@ def _flag(v) -> bool:
 
 def joint_from_json(text: str) -> JointDistribution:
     """The joint, once the file's x_card and y_card agree with p's shape."""
-    x_card, y_card, p = _json_fields(json.loads(text), "joint", x_card=_int, y_card=_int, p=_reals)
+    x_card, y_card, p = _json_fields(_load(text, "joint"), "joint",
+                                     x_card=_int, y_card=_int, p=_reals)
     if p.shape != (x_card, y_card):
         raise DimensionError(f"JointDistribution has shape {p.shape}, "
                              f"not a nonempty ({x_card}, {y_card})")
@@ -176,7 +184,7 @@ def solution_from_json(text: str, j: JointDistribution) -> IBSolution:
     flag, once the file's R, I_Y, D_IB, marginal, decoder and L are within
     1e-9 of the values it computes from them, in shape too."""
     beta, enc, iters, conv, L, *copies = _json_fields(
-        json.loads(text), "solution", beta=_real, encoder=_reals, iterations=_int,
+        _load(text, "solution"), "solution", beta=_real, encoder=_reals, iterations=_int,
         converged=_flag, L=_real, R=_real, I_Y=_real, D_IB=_real, marginal=_reals,
         decoder=_reals)
     sol = IBSolution(j, beta, Encoder(enc), iters, conv)
@@ -201,7 +209,7 @@ def network_to_json(net: NetworkParams) -> str:
 
 def network_from_json(text: str) -> NetworkParams:
     sizes, weights, biases = _json_fields(
-        json.loads(text), "network", layer_sizes=lambda v: tuple(map(_int, v)),
+        _load(text, "network"), "network", layer_sizes=lambda v: tuple(map(_int, v)),
         weights=lambda v: tuple(map(_reals, v)), biases=lambda v: tuple(map(_reals, v)))
     return NetworkParams(sizes, weights, biases)
 
@@ -224,7 +232,7 @@ def bifurcations_to_json(bifs) -> str:
 
 
 def bifurcations_from_json(text: str) -> tuple[Bifurcation, ...]:
-    records = json.loads(text)
+    records = _load(text, "bifurcations")
     if not isinstance(records, list):
         raise ValueError("bifurcations JSON must be a list of records")
     keys = dict(beta_low=_real, beta_high=_real, card_before=_int, card_after=_int,

@@ -40,7 +40,8 @@ so it never increases along a solve. A solve converges when one plain step
 moves the encoder by less than tol in max-abs, and returns that step's output;
 `iterations` counts plain-map evaluations, stabilizing steps included. Solves
 run in lockstep over a (B, X, T) encoder stack with one beta per element,
-each one unaffected by the rest of its batch.
+each one unaffected by the rest of its batch. A round computes each encoder's
+p(t) and p(t, y) once, and the pick keeps the R and I_Y its batch was ranked by.
 
 This is a local method (the problem is not convex); global behavior comes
 from seeded restarts and from the warm-started neighbour passes of the curve
@@ -234,39 +235,38 @@ def _guarded(pygx: np.ndarray, dec: np.ndarray, pt: np.ndarray,
 
 
 def _map(px: np.ndarray, pygx: np.ndarray, jp: np.ndarray, enc: np.ndarray,
-         beta: float | np.ndarray) -> np.ndarray:
+         beta: float | np.ndarray, pt=None, pty=None) -> np.ndarray:
     """One plain map on every encoder of a (B, X, T) stack, at one beta >= 0
     or a (B, 1, 1) stack of betas, all positive or all zero, as the module
-    docstring describes. A row is NaN only where p(x, y) p(t|x) underflows
-    to 0 in every cluster, and the Encoder check rejects it."""
-    pt = px @ enc
-    dec = (enc.transpose(0, 2, 1) @ jp) / pt[:, :, None]
+    docstring describes, from enc's p(t) and p(t, y) if given. A NaN row is one
+    where p(x, y) p(t|x) underflows to 0 everywhere; the Encoder check rejects it."""
+    pt, pty = (px @ enc, enc.transpose(0, 2, 1) @ jp) if pt is None else (pt, pty)
+    dec = pty / pt[:, :, None]
     new = _softmax(np.log(pt)[:, None, :] + beta * (pygx @ np.log(dec).transpose(0, 2, 1)))
-    nan = np.isnan(new[:, :, 0])
-    if nan.any():
-        g = nan.any(axis=1)
+    if math.isnan(np.add.reduce(new[:, :, 0], axis=None)):  # NaN rows are NaN throughout
+        g = np.isnan(new[:, :, 0]).any(axis=1)
         new[g] = _softmax(_guarded(pygx, dec[g], pt[g], beta[g] if np.ndim(beta) else beta))
     return new
 
 
 def _objective(jp: np.ndarray, px: np.ndarray, enc: np.ndarray,
-               beta: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """L = I(X;T) - beta * I(T;Y) in nats, up to a constant, per encoder, from
-    the pair (beta, 1 - beta) of per-encoder arrays."""
+               beta: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, ...]:
+    """L = I(X;T) - beta * I(T;Y) in nats, up to a constant, per encoder, from the
+    pair (beta, 1 - beta) of per-encoder arrays, and the p(t) and p(t, y) it used."""
     def neg_h(p):  # sum p log p over the last two axes
-        return (p * np.log(np.where(p > 0, p, 1.0))).sum(axis=(1, 2))
+        return np.add.reduce(p * np.log(np.where(p > 0, p, 1.0)), axis=(1, 2))
 
-    return (neg_h(enc * px[:, None]) - beta[1] * neg_h((px @ enc)[:, None])
-            - beta[0] * neg_h(enc.transpose(0, 2, 1) @ jp))
+    pt, pty = px @ enc, enc.transpose(0, 2, 1) @ jp
+    return neg_h(enc * px[:, None]) - beta[1] * neg_h(pt[:, None]) - beta[0] * neg_h(pty), pt, pty
 
 
 def _extrapolate(e0, e1, e2, bound) -> tuple[np.ndarray, np.ndarray]:
     """SQUAREM point of two plain steps e0 -> e1 -> e2 in log-encoder space,
     and its step length alpha in [-bound, -1] (alpha = -1 gives e2)."""
-    l0, l1, l2 = np.log(np.maximum(np.stack((e0, e1, e2)), LOG_FLOOR))
+    l0, l1, l2 = np.log(np.maximum(np.concatenate((e0, e1, e2)), LOG_FLOOR)).reshape(3, *e0.shape)
     r, v = l1 - l0, l2 - 2.0 * l1 + l0
-    vv = (v * v).sum(axis=(1, 2))
-    ratio = np.divide((r * r).sum(axis=(1, 2)), vv, out=np.zeros_like(vv), where=vv > 0)
+    vv = np.add.reduce(v * v, axis=(1, 2))
+    ratio = np.divide(np.add.reduce(r * r, axis=(1, 2)), vv, out=np.zeros(len(vv)), where=vv > 0)
     alpha = np.minimum(np.maximum(-np.sqrt(ratio), -bound), -1.0)
     return _softmax(l0 - 2.0 * alpha[:, None, None] * r + (alpha**2)[:, None, None] * v), alpha
 
@@ -316,18 +316,19 @@ def _lockstep(j: JointDistribution, enc: np.ndarray, beta: np.ndarray,
     iters, conv = np.zeros(len(out), dtype=int), np.zeros(len(out), dtype=bool)
     live = np.arange(len(out))
     e0, bound = out[live], np.full(live.size, STEP_BOUND)
-    evals = 0
+    evals, pt, pty = 0, None, None  # pt, pty: e0's p(t) and p(t, y), once `_objective` has them
     # the live elements' betas for the update, and betas and 1 - betas for L of [e3; e2]
     kb, ob = beta[:, None, None], np.concatenate((beta, beta))
     ob = ob, 1.0 - ob
 
     def settle(src, new, ok, *carried):
         """Count one map evaluation src -> new, retire the elements it moved
-        less than tol (if ok) or all at the cap; return the rest of new, *carried."""
+        less than tol (and ok, if given) or all at the cap; return the rest of new, *carried."""
         nonlocal evals, live, kb, ob
         evals += 1
-        done = ok & (np.maximum.reduce(np.abs(new - src).reshape(len(new), -1), axis=1) < tol)
-        stop = done | (evals >= max_iter)
+        done = np.maximum.reduce(np.abs(new - src), axis=(1, 2)) < tol
+        done = done if ok is None else done & ok
+        stop = done if evals < max_iter else np.ones(len(done), dtype=bool)
         if not stop.any():
             return new, *carried
         out[live[stop]], iters[live[stop]], conv[live[stop]] = new[stop], evals, done[stop]
@@ -338,20 +339,22 @@ def _lockstep(j: JointDistribution, enc: np.ndarray, beta: np.ndarray,
 
     with np.errstate(**_QUIET):
         while live.size:
-            e1, e0, bound = settle(e0, _map(px, pygx, jp, e0, kb), True, e0, bound)
+            e1, e0, bound = settle(e0, _map(px, pygx, jp, e0, kb, pt, pty), None, e0, bound)
             if live.size:
-                e2, e1, e0, bound = settle(e1, _map(px, pygx, jp, e1, kb), True, e1, e0, bound)
+                e2, e1, e0, bound = settle(e1, _map(px, pygx, jp, e1, kb), None, e1, e0, bound)
             if live.size:
                 # the jump stands only if, after one stabilizing plain step, L
                 # is no higher than after the second plain step; a degenerate
                 # point (NaN rows, NaN L) fails
                 ex, alpha = _extrapolate(e0, e1, e2, bound)
                 e3 = _map(px, pygx, jp, ex, kb)
-                L = _objective(jp, px, np.concatenate([e3, e2]), ob)
+                L, pt, pty = _objective(jp, px, np.concatenate([e3, e2]), ob)
                 ok = L[:live.size] <= L[live.size:]
                 grown = np.where(alpha == -bound, bound * STEP_BOUND, bound)
                 bound = np.where(ok, grown, np.maximum(bound / STEP_BOUND, STEP_BOUND))
-                e0, bound = settle(ex, np.where(ok[:, None, None], e3, e2), ok, bound)
+                k, n = ok[:, None, None], live.size  # e3 or e2, with its p(t) and p(t, y)
+                e0, pt, pty, bound = settle(ex, np.where(k, e3, e2), ok, np.where(
+                    k[:, 0], pt[:n], pt[n:]), np.where(k, pty[:n], pty[n:]), bound)
     return out, iters, conv
 
 
@@ -375,9 +378,12 @@ def _winners(j: JointDistribution, t_card: int, beta: float | np.ndarray, enc: n
 
 def _pick(j: JointDistribution, t_card: int, beta: float, enc: np.ndarray,
           iters: np.ndarray, conv: np.ndarray) -> IBSolution:
-    """The best of a stack of solutions at one beta, as `_winners` ranks them."""
-    (b,), *_ = _winners(j, t_card, beta, enc, np.zeros(len(enc), dtype=int))
-    return IBSolution(j, float(beta), Encoder(enc[b]), int(iters[b]), bool(conv[b]))
+    """The best of a stack of solutions at one beta as `_winners` ranks them, with its R and I_Y."""
+    (b,), R, I_Y, _ = _winners(j, t_card, beta, enc, np.zeros(len(enc), dtype=int))
+    sol = IBSolution.__new__(IBSolution)
+    sol.__dict__["_bits"] = float(R[b]), float(I_Y[b])  # cached before the checks read it
+    sol.__init__(j, float(beta), Encoder(enc[b]), int(iters[b]), bool(conv[b]))
+    return sol
 
 
 def ib_solve(j: JointDistribution, t_card: int, beta: float,

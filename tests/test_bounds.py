@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from ibplane.bounds import bound_curve, network_gaps, worst_case_correction
+from ibplane.bounds import BoundCurve, BoundPoint, bound_curve, network_gaps, worst_case_correction
 from ibplane.curve import CurvePoint, InfoCurve
 
 
@@ -113,6 +113,18 @@ def test_rate_corrections_reported():
     b = bound_curve(STAIRCASE, 100, 1.0, y_card=2)
     for raw, corr in zip(STAIRCASE.points, b.rate_corrections):
         assert corr == pytest.approx(2.0 ** raw.R / math.sqrt(100), rel=1e-12)
+
+
+def test_rate_past_the_float_range_is_refused():
+    # 2^R overflows from R = 1024: a ValueError naming R, not an OverflowError
+    huge = InfoCurve((CurvePoint(1.0, 1023.0, 0.0, 0.0, 1), CurvePoint(2.0, 2000.0, 0.0, 0.0, 1)))
+    with pytest.raises(ValueError, match=r"^R = 2000\.0 bits gives 2\^R beyond the float range$"):
+        bound_curve(huge, 100, 1.0, y_card=2)
+    # a bound point's R_hat keeps its rate correction finite, up to the last float below 1024
+    with pytest.raises(ValueError, match=r"^bound point R_hat = 1024\.0 bits: 2\^R_hat overflows$"):
+        BoundPoint(1024.0, 0.0, 0.0, 0.0)
+    top = BoundCurve((BoundPoint(math.nextafter(1024.0, 0.0), 0.0, 0.0, 0.0),), 100, 1.0)
+    assert math.isfinite(top.rate_corrections[0])
 
 
 # --- network gaps ------------------------------------------------------------

@@ -297,6 +297,10 @@ def test_geometric_grid_refuses_too_many_points(monkeypatch):
     # the widest normal range: its point count needs no float that overflows
     g = geometric_grid(sys.float_info.min, 1.7e308, 1.1)
     assert g.size == math.ceil((math.log(1.7e308) - math.log(g[0])) / math.log(1.1)) + 1
+    # numpy scalar bounds build the same grid, and their last step past
+    # beta_max overflows without a RuntimeWarning (an error in this suite)
+    tiny, top, factor = np.finfo(float).tiny, np.float64(1.7e308), np.float64(1.1)
+    assert geometric_grid(tiny, top, factor).tolist() == g.tolist()
 
 
 def test_anneal_below_critical_all_trivial():

@@ -129,6 +129,18 @@ def test_bifurcations_reader_names_the_bad_key(text, key):
         io.bifurcations_from_json(text)
 
 
+DEEP_JSON = "[" * 100_000 + "]" * 100_000  # past the JSON parser's recursion limit
+
+
+@pytest.mark.parametrize("reader, what", [
+    (io.joint_from_json, "joint"), (read_solution, "solution"),
+    (io.network_from_json, "network"), (io.bifurcations_from_json, "bifurcations"),
+], ids=["joint", "solution", "network", "bifurcations"])
+def test_json_readers_refuse_too_deep_nesting(reader, what):
+    with pytest.raises(ValueError, match=f"^{what} JSON is nested too deeply to parse$"):
+        reader(DEEP_JSON)
+
+
 BIFURCATION = {"beta_low": 1.0, "beta_high": 2.0, "card_before": 1, "card_after": 2,
                "beta_predicted": 1.5}
 
@@ -485,6 +497,8 @@ NO_UNIT_NET = '{"layer_sizes": [2, 0, 2], "weights": [[], [[], []]], "biases": [
     ({"curve.csv": GOOD_CURVE + "2,0,0,0.2\n"}, BOUNDS_ARGV, "curve CSV line 3: "),
     ({"curve.csv": GOOD_CURVE + "2,0,0,0.3,0,1\n"}, BOUNDS_ARGV,
      "curve CSV line 3: curve point has D_IB + I_Y = 0.3, not 0.2"),
+    ({"curve.csv": "beta,R,I_Y,D_IB,L,eff_card\n1,2000,0,0,2000,1\n"}, BOUNDS_ARGV,
+     "R = 2000.0 bits gives 2^R beyond the float range"),
     ({"curve.csv": GOOD_CURVE}, BOUNDS_ARGV + " --c-bound -1", "c_bound must be finite and >= 0"),
     ({"curve.csv": GOOD_CURVE}, BOUNDS_ARGV + " --c-bound nan", "c_bound must be finite and >= 0"),
     ({"curve.csv": GOOD_CURVE}, BOUNDS_ARGV + " --c-bound inf", "c_bound must be finite and >= 0"),
@@ -497,6 +511,9 @@ NO_UNIT_NET = '{"layer_sizes": [2, 0, 2], "weights": [[], [[], []]], "biases": [
      PLANE_ARGV, "bound CSV line 2: "),
     ({"curve.csv": GOOD_CURVE, "bounds.csv": "R_hat,I_Y_hat,I_Y_worst,D_worst\n0,0.1,0.9,0.3\n"},
      PLANE_ARGV, "bound CSV line 2: bound point has I_Y_worst above I_Y_hat"),
+    ({"j.json": DEEP_JSON}, "ib-solve --joint j.json --t-card 2 --beta 1 --out out",
+     "joint JSON is nested too deeply to parse"),
+    ({"net.json": DEEP_JSON}, ANALYZE_ARGV, "network JSON is nested too deeply to parse"),
     ({}, "ib-solve --joint j.json --t-card 2 --beta inf --out out", "beta must be finite"),
     ({}, "ib-solve --joint j.json --t-card 2 --beta 1 --tol nan --out out", "tol must be finite"),
     ({}, "ib-solve --joint j.json --t-card 2 --beta 1 --tol inf --out out", "tol must be finite"),
@@ -517,11 +534,12 @@ NO_UNIT_NET = '{"layer_sizes": [2, 0, 2], "weights": [[], [[], []]], "biases": [
 ], ids=["bounds-non-finite-curve-point", "bounds-negative-curve-I_Y",
         "bounds-negative-curve-D_IB", "bounds-negative-curve-R",
         "bounds-curve-L-off-R-minus-beta-I_Y", "bounds-short-curve-row",
-        "bounds-curve-rows-disagree-on-I_XY",
+        "bounds-curve-rows-disagree-on-I_XY", "bounds-curve-R-past-the-float-range",
         "bounds-negative-c-bound", "bounds-nan-c-bound", "bounds-infinite-c-bound",
         "bounds-negative-y-card", "plane-non-finite-bound-point",
         "plane-negative-bound-I_Y_worst", "plane-short-bound-row",
         "plane-bound-I_Y_worst-above-I_Y_hat",
+        "ib-solve-deeply-nested-joint", "analyze-deeply-nested-network",
         "ib-solve-infinite-beta", "ib-solve-nan-tol", "ib-solve-infinite-tol",
         "ib-solve-negative-max-iter", "ib-solve-zero-max-iter", "ib-curve-nan-tol",
         "ib-curve-negative-max-iter", "ib-curve-nan-grid-factor", "ib-curve-grid-too-fine",

@@ -26,11 +26,16 @@ from ibplane.solver import (
     _QUIET,
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
+    LOG_FLOOR,
+    STEP_BOUND,
     Encoder,
     IBSolution,
+    _guarded,
+    _info_bits,
     _lockstep,
     _map,
     _perturb,
+    _pick,
     _restart_inits,
     exhaustive_deterministic_oracle,
     ib_iterate_once,
@@ -302,6 +307,116 @@ def test_mixed_beta_batch_matches_solving_each_alone(query, log_betas, max_iter)
         e1, i1, c1 = _lockstep(j, inits[b:b + 1], betas[b:b + 1], DEFAULT_TOL, max_iter)
         assert np.array_equal(enc[b], e1[0])
         assert (iters[b], conv[b]) == (i1[0], c1[0])
+
+
+def reference_solve(j, enc, beta, tol, max_iter):
+    """One element's solve, as `_lockstep` runs it, written with the plain
+    formulas: every map computes its own p(t) and p(t, y), L is computed
+    apart from the maps, and the extrapolation takes the log of the three
+    encoders stacked. Returns the final encoder, evaluation count and
+    converged flag."""
+    px, pygx, jp = j.px, j.pygx, j.p
+    kb = np.full((1, 1, 1), beta)
+    ob = np.full(2, beta), np.full(2, 1.0 - beta)
+
+    def softmax(z):
+        z = np.exp(z - np.max(z, axis=2, keepdims=True))
+        return z / z.sum(axis=2, keepdims=True)
+
+    def step(e):
+        pt = px @ e
+        dec = (e.transpose(0, 2, 1) @ jp) / pt[:, :, None]
+        new = softmax(np.log(pt)[:, None, :] + kb * (pygx @ np.log(dec).transpose(0, 2, 1)))
+        if np.isnan(new).any():
+            new[:] = softmax(_guarded(pygx, dec, pt, kb))  # (1, 1, T) rows at beta = 0
+        return new
+
+    def objective(e):
+        def neg_h(p):
+            return (p * np.log(np.where(p > 0, p, 1.0))).sum(axis=(1, 2))
+        return (neg_h(e * px[:, None]) - ob[1] * neg_h((px @ e)[:, None])
+                - ob[0] * neg_h(e.transpose(0, 2, 1) @ jp))
+
+    def extrapolate(e0, e1, e2, bound):
+        l0, l1, l2 = np.log(np.maximum(np.stack((e0, e1, e2)), LOG_FLOOR))
+        r, v = l1 - l0, l2 - 2.0 * l1 + l0
+        vv = (v * v).sum(axis=(1, 2))
+        ratio = np.divide((r * r).sum(axis=(1, 2)), vv, out=np.zeros_like(vv), where=vv > 0)
+        alpha = np.minimum(np.maximum(-np.sqrt(ratio), -bound), -1.0)
+        return softmax(l0 - 2.0 * alpha[:, None, None] * r + (alpha**2)[:, None, None] * v), alpha
+
+    evals = 0
+
+    def stops(src, new, ok=True):  # (stop, converged) after one more map evaluation
+        nonlocal evals
+        evals += 1
+        done = bool(ok and np.max(np.abs(new - src)) < tol)
+        return done or evals >= max_iter, done
+
+    e0, bound = enc[None], np.full(1, STEP_BOUND)
+    with np.errstate(**_QUIET):
+        while True:
+            e1 = step(e0)
+            if (s := stops(e0, e1))[0]:
+                return e1[0], evals, s[1]
+            e2 = step(e1)
+            if (s := stops(e1, e2))[0]:
+                return e2[0], evals, s[1]
+            ex, alpha = extrapolate(e0, e1, e2, bound)
+            e3 = step(ex)
+            L = objective(np.concatenate([e3, e2]))
+            ok = L[:1] <= L[1:]
+            grown = np.where(alpha == -bound, bound * STEP_BOUND, bound)
+            bound = np.where(ok, grown, np.maximum(bound / STEP_BOUND, STEP_BOUND))
+            e0 = np.where(ok[:, None, None], e3, e2)
+            if (s := stops(ex, e0, ok[0]))[0]:
+                return e0[0], evals, s[1]
+
+
+@st.composite
+def lockstep_inputs(draw):
+    """A joint with optionally a zero-mass y column and a massless x row, 1-12
+    seeded inits (some with a dead cluster) at mixed betas (or all at 0), and
+    an evaluation cap that falls on every step of a round."""
+    x_card, y_card = draw(st.integers(2, 6)), draw(st.integers(2, 4))
+    t_card = draw(st.integers(2, 4))
+    w = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=x_card * y_card,
+                               max_size=x_card * y_card))).reshape(x_card, y_card)
+    if draw(st.booleans()):
+        w[:, draw(st.integers(0, y_card - 1))] = 0.0
+    if draw(st.booleans()):
+        w[draw(st.integers(0, x_card - 1))] = 0.0
+    n, seed = draw(st.integers(1, 12)), draw(st.integers(0, 2**16))
+    inits = _restart_inits(x_card, t_card, [(r, seed + r) for r in range(n)])
+    for b in draw(st.lists(st.integers(0, n - 1), max_size=n, unique=True)):
+        inits[b, :, draw(st.integers(0, t_card - 1))] = 0.0
+        inits[b] /= inits[b].sum(axis=1, keepdims=True)
+    if draw(st.integers(0, 9)):
+        betas = np.exp(draw(st.lists(st.floats(math.log(0.5), math.log(50.0)),
+                                     min_size=n, max_size=n)))
+    else:
+        betas = np.zeros(n)
+    max_iter = draw(st.sampled_from([1, 2, 3, 7, 40, DEFAULT_MAX_ITER]))
+    return JointDistribution(w / w.sum()), inits, betas, max_iter
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(lockstep_inputs())
+def test_lockstep_matches_the_reference_solve_bit_for_bit(inputs):
+    # a round hands the p(t) and p(t, y) `_objective` computed for the kept
+    # candidate to the next map, and slices them as elements retire: every
+    # element must still end exactly where its reference solve ends
+    j, inits, betas, max_iter = inputs
+    enc, iters, conv = _lockstep(j, inits, betas, DEFAULT_TOL, max_iter)
+    for b in range(len(inits)):
+        e, i, c = reference_solve(j, inits[b], betas[b], DEFAULT_TOL, max_iter)
+        assert np.array_equal(enc[b], e)
+        assert (iters[b], conv[b]) == (i, c)
+    # the pick keeps the R and I_Y `_winners` read off the whole stack: they
+    # are the winner's own, bit for bit
+    sol = _pick(j, inits.shape[2], betas[0], enc, iters, conv)
+    R, I_Y = _info_bits(j, sol.encoder.matrix[None])
+    assert (sol.R, sol.I_Y) == (R[0], I_Y[0])
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
