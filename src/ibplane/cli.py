@@ -77,7 +77,7 @@ def _cmd_ib_curve(args) -> int:
     files = {args.out: io.curve_to_csv(traced)}
     if args.bifurcations_out:
         files[args.bifurcations_out] = io.bifurcations_to_json(traced.bifurcations)
-    summary = {"cmd": "ib-curve", "points": len(traced.points),
+    summary = {"cmd": "ib-curve", "points": traced.beta.size,
                "bifurcations": len(traced.bifurcations),
                "unconverged": traced.unconverged, "out": args.out}
     return _emit(files, summary)
@@ -91,7 +91,7 @@ def _cmd_bounds(args) -> int:
     summary = {
         "cmd": "bounds", "n": b.n, "c_bound": b.c_bound,
         "R_star": b.R_star, "D_star": b.D_star,
-        "rate_corr_star": b.rate_corrections[b.star_index], "out": args.out,
+        "rate_corr_star": b.rate_correction(b.star_index), "out": args.out,
     }
     if args.net:
         net = io.network_from_json(_read(args.net))
@@ -152,11 +152,11 @@ def _cmd_plane(args) -> int:
     j = io.joint_from_json(_read(args.joint))
     net = io.network_from_json(_read(args.net))
     traced = io.curve_from_csv(_read(args.curve))
-    bound_pts = io.bound_points_from_csv(_read(args.bounds))
+    R_hat, _, I_Y_worst, _ = io.bound_points_from_csv(_read(args.bounds))
     q = analyzer.QuantizerConfig(bins=args.bins)
     path = analyzer.info_plane_path(j, net, q)
-    svg = svgplot.render_plane([(p.R, p.I_Y) for p in traced.points],
-                               [(p.R_hat, p.I_Y_worst) for p in bound_pts],
+    svg = svgplot.render_plane(zip(traced.R.tolist(), traced.I_Y.tolist()),
+                               zip(R_hat.tolist(), I_Y_worst.tolist()),
                                [(p.I_X, p.I_Y) for p in path.points])
     summary = {"cmd": "plane", "series": 3, "layers": len(path.points), "out": args.out}
     return _emit({args.out: svg}, summary)

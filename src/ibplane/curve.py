@@ -10,7 +10,8 @@ no point changes. Offers travel down the grid as well as up, so no point is
 left on the branch that a one-way warm chain (deterministic annealing)
 follows past a first-order transition. The kept solutions stay in arrays,
 each pass picks every point's best offer in one grouped sort, and a full
-IBSolution is built only at a bracket's low end.
+IBSolution is built only at a bracket's low end. The InfoCurve returned keeps
+those arrays, checked a column at a time, with each point's kept encoder.
 Jumps in the effective cluster count are bracketed by bisection with fresh
 restarts (warm starts would drag hysteresis across the transition).
 
@@ -26,6 +27,7 @@ cluster of the solution reads them all.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import sys
@@ -33,7 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .prob import JointDistribution, js_bits
+from .errors import DimensionError
+from .prob import JointDistribution, _frozen_array, js_bits
 from .solver import (  # noqa: F401  ib_solve stays importable from here
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
@@ -43,6 +46,8 @@ from .solver import (  # noqa: F401  ib_solve stays importable from here
     _check_fields,
     _check_tradeoff_point,
     _decoder,
+    _field_faults,
+    _raise_first,
     _encoder_stack,
     _lagrangian,
     _lockstep,
@@ -107,27 +112,58 @@ class Bifurcation:
             raise ValueError("bifurcation must increase the effective cardinality")
 
 
-@dataclass(frozen=True)
-class InfoCurve:
-    """unconverged: kept grid solutions and bisection probes not converged."""
+def _curve_faults(beta, R, I_Y, D_IB, eff_card) -> list:
+    """CurvePoint's checks on columns, as `_raise_first` takes them."""
+    with np.errstate(over="ignore", invalid="ignore"):  # beta * I_Y can overflow
+        L = R - beta * I_Y
+    return [*_field_faults("curve point", beta=beta, R=R, I_Y=I_Y, D_IB=D_IB),
+            (~np.isfinite(L), lambda i: "curve point has non-finite L"),
+            (eff_card < 1, lambda i: f"eff_card must be >= 1, got {eff_card[i]}")]
 
-    points: tuple[CurvePoint, ...]
+
+_CURVE_ARRAYS = dict(beta=float, R=float, I_Y=float, D_IB=float, eff_card=np.int64,
+                     encoders=float, iterations=np.int64, converged=bool)
+
+
+@dataclass(frozen=True, eq=False)
+class InfoCurve:
+    """The curve as read-only arrays, one entry per point; L and `points`, its
+    CurvePoint records, are computed on read. encoders (N, X, T), iterations
+    and converged are each point's kept solve, None unless from `anneal_curve`.
+    unconverged: kept grid solutions and bisection probes not converged."""
+
+    beta: np.ndarray
+    R: np.ndarray
+    I_Y: np.ndarray
+    D_IB: np.ndarray
+    eff_card: np.ndarray
     bifurcations: tuple[Bifurcation, ...] = ()
     unconverged: int = 0
+    encoders: np.ndarray | None = None
+    iterations: np.ndarray | None = None
+    converged: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "points", tuple(self.points))
-        object.__setattr__(self, "bifurcations", tuple(self.bifurcations))
+        arrays = {k: _frozen_array(v, dtype) for k, dtype in _CURVE_ARRAYS.items()
+                  if (v := getattr(self, k)) is not None}
+        for k, v in {**arrays, "bifurcations": tuple(self.bifurcations)}.items():
+            object.__setattr__(self, k, v)
+        if self.beta.ndim != 1 or any(v.shape[:1] != self.beta.shape for v in arrays.values()):
+            raise DimensionError("curve arrays must have one entry per point")
+        b, R, I_Y = self.beta, self.R, self.I_Y
+        _raise_first(_curve_faults(b, R, I_Y, self.D_IB, self.eff_card))
         _check_fields(self, "curve", ("unconverged",))
-        betas = [p.beta for p in self.points]
-        if any(b2 <= b1 for b1, b2 in zip(betas, betas[1:])):
-            raise ValueError("curve betas must be strictly increasing")
-        for prev, cur in zip(self.points, self.points[1:]):
-            if cur.R < prev.R - MONOTONE_SLACK or cur.I_Y < prev.I_Y - MONOTONE_SLACK:
-                raise ValueError(
-                    f"curve is not monotone near beta={cur.beta}: "
-                    f"R {prev.R}->{cur.R}, I_Y {prev.I_Y}->{cur.I_Y}"
-                )
+        _raise_first([(b[1:] <= b[:-1], lambda i: "curve betas must be strictly increasing")])
+        _raise_first([((R[1:] < R[:-1] - MONOTONE_SLACK) | (I_Y[1:] < I_Y[:-1] - MONOTONE_SLACK),
+                       lambda i: "curve is not monotone near beta={}: R {}->{}, I_Y {}->{}".format(
+                           b[i + 1].item(), *R[i:i + 2].tolist(), *I_Y[i:i + 2].tolist()))])
+
+    @functools.cached_property
+    def points(self) -> tuple[CurvePoint, ...]:
+        columns = self.beta, self.R, self.I_Y, self.D_IB, self.eff_card
+        return tuple(map(CurvePoint, *(c.tolist() for c in columns)))
+
+    L = _lagrangian
 
 
 # ---------------------------------------------------------------------------
@@ -257,9 +293,7 @@ def anneal_curve(j: JointDistribution, t_card: int, beta_grid,
         targets, sources = np.array(offers).T
         inits = _perturb(enc[sources], [_derived_seed(seed, t, s, n_pass) for t, s in offers],
                          perturb_mag)
-    points = tuple(map(CurvePoint, betas, R.tolist(), I_Y.tolist(),
-                       np.maximum(0.0, j.i_xy - I_Y).tolist(),
-                       _effective_cards(*_decoder(j, enc)).tolist()))
+    cards = _effective_cards(*_decoder(j, enc)).tolist()
 
     n_probes, unconverged = 0, int(np.count_nonzero(~conv))
 
@@ -291,14 +325,15 @@ def anneal_curve(j: JointDistribution, t_card: int, beta_grid,
     # along an annealing sweep the effective cardinality of the optimal branch
     # does not decrease; an isolated dip in the raw sequence is convergence
     # noise near a transition, so jumps are taken on the running maximum
-    running = points[0].eff_card
-    for i, (lo, hi) in enumerate(zip(points, points[1:])):
-        if hi.eff_card > running:
-            s_lo = IBSolution(j, lo.beta, Encoder(enc[i]), int(iters[i]), bool(conv[i]))
-            refine(lo.beta, running, s_lo, hi.beta, hi.eff_card)
-            running = hi.eff_card
+    running = cards[0]
+    for i, (lo, hi) in enumerate(zip(betas, betas[1:])):
+        if cards[i + 1] > running:
+            s_lo = IBSolution(j, lo, Encoder(enc[i]), int(iters[i]), bool(conv[i]))
+            refine(lo, running, s_lo, hi, cards[i + 1])
+            running = cards[i + 1]
 
-    return InfoCurve(points, tuple(bifurcations), unconverged)
+    return InfoCurve(beta_grid, R, I_Y, np.maximum(0.0, j.i_xy - I_Y), cards,
+                     tuple(bifurcations), unconverged, enc, iters, conv)
 
 
 def detect_bifurcations(curve: InfoCurve, j: JointDistribution, t_card: int,

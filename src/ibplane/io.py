@@ -5,10 +5,12 @@ to the same binary64, and JSON is written and parsed by the standard library
 with keys in a fixed insertion order, so identical inputs produce
 byte-identical files. Every integer field is read by `_int`, which rejects
 `true` and `false`. Every CSV format is written by `_csv_text` and read by
-`_csv_rows`, which builds each row's record, so a rejected record names its
-line. Writes go through a temp-file-then-rename so readers never observe a
-partial file; `write_all` writes every temp file before it renames any, and
-a failure leaves no temp file behind.
+`_csv_columns` a column at a time, with no record per row: a cell goes
+through the builtin `float` or `int`, whole columns are checked at once, and
+an error names the first bad line, with the message a record of that row
+would give. Writes go through a temp-file-then-rename so readers never
+observe a partial file; `write_all` writes every temp file before it renames
+any, and a failure leaves no temp file behind.
 """
 
 from __future__ import annotations
@@ -23,12 +25,12 @@ import os
 import numpy as np
 
 from .analyzer import LayerPath
-from .bounds import BoundCurve, BoundPoint, NetworkGaps
-from .curve import Bifurcation, CurvePoint, InfoCurve
+from .bounds import BoundCurve, NetworkGaps, _bound_faults
+from .curve import Bifurcation, InfoCurve, _curve_faults
 from .errors import DimensionError
 from .mlp import NetworkParams
 from .prob import JointDistribution, SampleSet
-from .solver import Encoder, IBSolution
+from .solver import Encoder, IBSolution, _raise_first
 
 
 def fmt_real(x: float) -> str:
@@ -153,13 +155,6 @@ def joint_from_json(text: str) -> JointDistribution:
     return JointDistribution(p)
 
 
-def _with_L(point, L: float, what: str):
-    """point, once a file's L is within 1e-9 of the L = R - beta * I_Y it computes."""
-    if not abs(L - point.L) <= 1e-9:  # NaN fails too
-        raise ValueError(f"{what} violates L = R - beta * I_Y")
-    return point
-
-
 # ---------------------------------------------------------------------------
 # Solution JSON
 # ---------------------------------------------------------------------------
@@ -192,7 +187,9 @@ def solution_from_json(text: str, j: JointDistribution) -> IBSolution:
     for name, copy, value in zip(("R", "I_Y", "D_IB", "marginal", "decoder"), copies, derived):
         if np.shape(copy) != np.shape(value) or not np.all(np.abs(copy - value) <= 1e-9):
             raise ValueError(f"solution {name} is not the one its encoder and joint give")
-    return _with_L(sol, L, "solution")
+    if not abs(L - sol.L) <= 1e-9:  # NaN fails too
+        raise ValueError("solution violates L = R - beta * I_Y")
+    return sol
 
 
 # ---------------------------------------------------------------------------
@@ -253,94 +250,126 @@ def gaps_to_json(g: NetworkGaps, b: BoundCurve) -> str:
 # CSV: a header line, then one line of comma-separated cells per row
 # ---------------------------------------------------------------------------
 
-def _csv_text(header: str, rows) -> str:
-    """CSV text of rows of integer and real cells, reals as `fmt_real` writes them."""
-    lines = [header]
-    lines += [",".join(str(c) if isinstance(c, (int, np.integer)) else fmt_real(c) for c in row)
-              for row in rows]
-    return "\n".join(lines) + "\n"
+def _csv_text(header: str, *columns) -> str:
+    """CSV text of integer and real columns, reals as `fmt_real` writes them."""
+    cells = []
+    for c in map(np.asarray, columns):
+        if c.dtype.kind not in "iu":
+            c = c.astype(float)
+            for x in c[~np.isfinite(c)][:1]:
+                fmt_real(x)  # refuses it
+        cells.append(map(str if c.dtype.kind in "iu" else repr, c.tolist()))
+    return "\n".join([header, *map(",".join, zip(*cells))]) + "\n"
 
 
-def _csv_rows(text: str, what: str, header: str, *convert, record=lambda *cells: cells) -> list:
-    """The records of CSV text under the given header, blank lines skipped,
-    each cell passed through its column's converter and each row's cells
-    through record; a wrong header, a row of the wrong width, or a row its
-    converters or record reject is a ValueError naming the line."""
-    lines = [(k, ln) for k, ln in enumerate(text.splitlines(), 1) if ln.strip()]
-    if not lines or lines[0][1] != header:
+def _csv_columns(text: str, what: str, header: str, *convert, faults=lambda *c: []) -> list:
+    """The columns of CSV text under the given header, blank lines skipped,
+    each cell through its column's converter (`int` into int64), as read-only
+    arrays. A wrong header is a ValueError, and so is the first row of the
+    wrong width, with a cell its converter rejects, or that a check of
+    `faults(*columns)` flags (see `solver._raise_first`), naming its line."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines or lines[0] != header:
         raise ValueError(f"{what} CSV must start with the header {header!r}")
-    rows = []
-    for k, ln in lines[1:]:
-        cells = ln.split(",")
-        if len(cells) != len(convert):
-            raise ValueError(f"{what} CSV line {k}: {len(cells)} cells, not {len(convert)}")
+    rows = [ln.split(",") for ln in lines[1:]]
+    wrong = np.array(list(map(len, rows))) != len(convert)
+    checks, columns = [(wrong, lambda i: f"{len(rows[i])} cells, not {len(convert)}")], []
+    end = int(wrong.argmax()) if wrong.any() else len(rows)  # columns read up to a wrong row
+    for conv, cells in zip(convert, list(zip(*rows[:end])) or [()] * len(convert)):
+        dtype = np.int64 if conv is int else float
         try:
-            rows.append(record(*(conv(c) for conv, c in zip(convert, cells))))
-        except ValueError as e:
-            raise ValueError(f"{what} CSV line {k}: {e}") from None
-    return rows
+            columns.append(np.fromiter(map(conv, cells), dtype, len(cells)))
+        except (ValueError, OverflowError):  # this one up to the first cell it rejects
+            i, why = next((i, w) for i, w in enumerate(map(_rejects, [dtype] * end, cells))
+                          if w is not None)
+            columns.append(np.fromiter(map(conv, cells[:i]), dtype, i))
+            checks.append((np.arange(i + 1) == i, lambda _, why=why: why))
+    columns = [c[:min(map(len, columns))] for c in columns]
+    for c in columns:
+        c.setflags(write=False)
+    _raise_first([*checks, *faults(*columns)], lambda i: f"{what} CSV line "
+                 f"{[k for k, ln in enumerate(text.splitlines(), 1) if ln.strip()][i + 1]}: ")
+    return columns
+
+
+def _rejects(dtype, cell: str) -> str | None:
+    """Why `int` into an int64, or `float`, rejects a CSV cell, or None."""
+    try:
+        np.array((int if dtype is np.int64 else float)(cell), dtype)
+    except ValueError as e:
+        return str(e)
+    except OverflowError:
+        return f"integer {cell!r} is out of range"
+    return None
 
 
 def samples_to_csv(s: SampleSet) -> str:
-    return _csv_text("x,y", s.pairs)
+    return _csv_text("x,y", *s.pairs.T)
 
 
 def samples_from_csv(text: str) -> SampleSet:
-    return SampleSet.from_pairs(_csv_rows(text, "sample", "x,y", int, int))
+    return SampleSet(np.stack(_csv_columns(text, "sample", "x,y", int, int), axis=1))
 
 
 _CURVE_HEADER = "beta,R,I_Y,D_IB,L,eff_card"
 
 
 def curve_to_csv(curve: InfoCurve) -> str:
-    return _csv_text(_CURVE_HEADER, ((p.beta, p.R, p.I_Y, p.D_IB, p.L, p.eff_card)
-                                     for p in curve.points))
+    return _csv_text(_CURVE_HEADER, curve.beta, curve.R, curve.I_Y, curve.D_IB, curve.L,
+                     curve.eff_card)
+
+
+def _curve_row_faults(beta, R, I_Y, D_IB, L, eff_card) -> list:
+    """A curve row's checks: CurvePoint's, then its L is R - beta * I_Y and its
+    D_IB + I_Y, the I(X;Y) that `bounds` reads from any row, is within 2e-9
+    of the first row's: I_Y may pass I(X;Y) by the solver's 1e-9, where D_IB
+    clamps at 0."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        i_xy = D_IB + I_Y
+        off_L = ~(np.abs(L - (R - beta * I_Y)) <= 1e-9)  # NaN is off too
+        drift = np.abs(i_xy - i_xy[:1]) > 2e-9
+    return [*_curve_faults(beta, R, I_Y, D_IB, eff_card),
+            (off_L, lambda i: "curve point violates L = R - beta * I_Y"),
+            (drift, lambda i: f"curve point has D_IB + I_Y = {float(i_xy[i])!r}, "
+                              f"not {float(i_xy[0])!r}")]
 
 
 def curve_from_csv(text: str) -> InfoCurve:
-    """The curve, once each row's L is R - beta * I_Y and its D_IB + I_Y, the
-    I(X;Y) that `bounds` reads from any row, is within 2e-9 of the first
-    row's: I_Y may pass I(X;Y) by the solver's 1e-9, where D_IB clamps at 0."""
-    i_xy = []
-
-    def point(b, R, I_Y, D, L, k):
-        p = _with_L(CurvePoint(b, R, I_Y, D, k), L, "curve point")
-        i_xy.append(D + I_Y)
-        if abs(i_xy[-1] - i_xy[0]) > 2e-9:  # the point's check rejected NaN
-            raise ValueError(f"curve point has D_IB + I_Y = {i_xy[-1]!r}, not {i_xy[0]!r}")
-        return p
-
-    return InfoCurve(_csv_rows(text, "curve", _CURVE_HEADER, *[float] * 5, int, record=point))
+    """The curve, once each row passes `_curve_row_faults`; it keeps no L."""
+    beta, R, I_Y, D_IB, _, eff_card = _csv_columns(
+        text, "curve", _CURVE_HEADER, *[float] * 5, int, faults=_curve_row_faults)
+    return InfoCurve(beta, R, I_Y, D_IB, eff_card)
 
 
 _BOUND_HEADER = "R_hat,I_Y_hat,I_Y_worst,D_worst"
 
 
 def bound_curve_to_csv(b: BoundCurve) -> str:
-    return _csv_text(_BOUND_HEADER, ((p.R_hat, p.I_Y_hat, p.I_Y_worst, p.D_worst)
-                                     for p in b.points))
+    return _csv_text(_BOUND_HEADER, b.R_hat, b.I_Y_hat, b.I_Y_worst, b.D_worst)
 
 
-def bound_points_from_csv(text: str) -> tuple[BoundPoint, ...]:
-    return tuple(_csv_rows(text, "bound", _BOUND_HEADER, float, float, float, float,
-                           record=BoundPoint))
+def bound_points_from_csv(text: str) -> tuple[np.ndarray, ...]:
+    """The R_hat, I_Y_hat, I_Y_worst and D_worst columns, once each row
+    passes BoundPoint's checks; `BoundCurve(*columns, n, c_bound)` takes them."""
+    return tuple(_csv_columns(text, "bound", _BOUND_HEADER, *[float] * 4, faults=_bound_faults))
 
 
 _LAYER_HEADER = "layer,I_X,I_Y,criterion"
 
 
 def layer_path_to_csv(path: LayerPath) -> str:
-    return _csv_text(_LAYER_HEADER, ((p.layer_index, p.I_X, p.I_Y, p.layer_criterion)
-                                     for p in path.points))
+    return _csv_text(_LAYER_HEADER, *zip(*((p.layer_index, p.I_X, p.I_Y, p.layer_criterion)
+                                          for p in path.points)))
 
 
 def layer_points_from_csv(text: str) -> tuple[tuple[int, float, float, float], ...]:
-    return tuple(_csv_rows(text, "info-plane", _LAYER_HEADER, int, float, float, float))
+    columns = _csv_columns(text, "info-plane", _LAYER_HEADER, int, float, float, float)
+    return tuple(zip(*(c.tolist() for c in columns)))
 
 
 def loss_trace_to_csv(trace) -> str:
-    return _csv_text("epoch,loss", enumerate(trace))
+    return _csv_text("epoch,loss", range(len(trace)), trace)
 
 
 def loss_trace_from_csv(text: str) -> list[float]:
-    return [loss for _, loss in _csv_rows(text, "loss", "epoch,loss", int, float)]
+    return _csv_columns(text, "loss", "epoch,loss", int, float)[1].tolist()

@@ -55,10 +55,12 @@ with that key. The joint's p(x), p(y|x), I(X;Y) and H(X) are computed once
 per JointDistribution object (see `prob`). `Encoder` is a
 `prob.ConditionalMatrix`; `prob._check_table` checks every encoder, init
 stack, cluster marginal and decoder, and `_check_tradeoff_point` IBSolution
-and the curve's points. An IBSolution is its joint, beta and encoder (with
-the solve's iteration count and converged flag): R, I_Y, D_IB, L and the
-read-only arrays p(t) and p(y|t) are computed from them on read and not
-stored, and a file's copies are checked against them by the solution reader.
+and a CurvePoint; `_field_faults` with `_raise_first` check whole columns of
+the curve and bound tables by the same rules, naming the first bad row. An
+IBSolution is its joint, beta and encoder (with the solve's iteration count
+and converged flag): R, I_Y, D_IB, L and the read-only arrays p(t) and p(y|t)
+are computed from them on read and not stored, and a file's copies are
+checked against them by the solution reader.
 """
 
 from __future__ import annotations
@@ -149,6 +151,22 @@ def _check_fields(record, what: str, names) -> None:
         v = getattr(record, k)
         if not 0 <= v < math.inf:  # NaN fails too
             raise ValueError(f"{what} has {'negative' if math.isfinite(v) else 'non-finite'} {k}")
+
+
+def _field_faults(what: str, **columns) -> list:
+    """`_check_fields` on columns: one check per column, as `_raise_first` takes them."""
+    return [(~((0 <= v) & (v < math.inf)), lambda i, k=k, v=v:
+             f"{what} has {'negative' if math.isfinite(v[i]) else 'non-finite'} {k}")
+            for k, v in columns.items()]
+
+
+def _raise_first(faults, where=lambda i: "") -> None:
+    """A ValueError for the first row that a check flags, with where(row) and
+    the message of the first check that flags it: faults are (mask, message)
+    pairs in the order one row's checks run, message a function of the row."""
+    hit = min(((int(m.argmax()), k) for k, (m, _) in enumerate(faults) if m.any()), default=None)
+    if hit:
+        raise ValueError(where(hit[0]) + faults[hit[1]][1](hit[0]))
 
 
 def _check_tradeoff_point(point, what: str, *more) -> None:

@@ -2,20 +2,20 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ibplane.bounds import BoundCurve, BoundPoint, bound_curve, network_gaps, worst_case_correction
-from ibplane.curve import CurvePoint, InfoCurve
+from ibplane.curve import InfoCurve
 
 
 def make_curve(points):
     """points: iterable of (beta, R, I_Y) with I_XY inferred as 1.0."""
     i_xy = 1.0
-    pts = tuple(
-        CurvePoint(beta=b, R=r, I_Y=i, D_IB=i_xy - i, eff_card=1)
-        for b, r, i in points
-    )
-    return InfoCurve(pts)
+    beta, R, I_Y = zip(*points)
+    return InfoCurve(beta, R, I_Y, [i_xy - i for i in I_Y], [1] * len(beta))
 
 
 STAIRCASE = make_curve([
@@ -106,7 +106,7 @@ def test_bound_clamps_at_zero():
 
 def test_bound_rejects_empty():
     with pytest.raises(ValueError):
-        bound_curve(InfoCurve(()), 10, 1.0, y_card=2)
+        bound_curve(InfoCurve([], [], [], [], []), 10, 1.0, y_card=2)
 
 
 def test_rate_corrections_reported():
@@ -117,14 +117,53 @@ def test_rate_corrections_reported():
 
 def test_rate_past_the_float_range_is_refused():
     # 2^R overflows from R = 1024: a ValueError naming R, not an OverflowError
-    huge = InfoCurve((CurvePoint(1.0, 1023.0, 0.0, 0.0, 1), CurvePoint(2.0, 2000.0, 0.0, 0.0, 1)))
+    huge = InfoCurve([1.0, 2.0], [1023.0, 2000.0], [0.0, 0.0], [0.0, 0.0], [1, 1])
     with pytest.raises(ValueError, match=r"^R = 2000\.0 bits gives 2\^R beyond the float range$"):
         bound_curve(huge, 100, 1.0, y_card=2)
     # a bound point's R_hat keeps its rate correction finite, up to the last float below 1024
     with pytest.raises(ValueError, match=r"^bound point R_hat = 1024\.0 bits: 2\^R_hat overflows$"):
         BoundPoint(1024.0, 0.0, 0.0, 0.0)
-    top = BoundCurve((BoundPoint(math.nextafter(1024.0, 0.0), 0.0, 0.0, 0.0),), 100, 1.0)
+    top = BoundCurve([math.nextafter(1024.0, 0.0)], [0.0], [0.0], [0.0], 100, 1.0)
     assert math.isfinite(top.rate_corrections[0])
+
+
+@st.composite
+def curves(draw):
+    """Monotone curves with R up to about 20 bits and I(X;Y) up to 4 bits."""
+    n_pts = draw(st.integers(1, 12))
+    steps = st.lists(st.floats(0.0, 2.0), min_size=n_pts, max_size=n_pts)
+    beta = np.cumsum(np.array(draw(steps)) + 0.01)
+    R = np.minimum(np.cumsum(draw(steps)), 20.0)
+    i_xy = draw(st.floats(0.0, 4.0))
+    I_Y = np.minimum(np.cumsum(draw(steps)) / 10.0, i_xy)
+    return InfoCurve(beta, R, I_Y, np.maximum(0.0, i_xy - I_Y), [1] * n_pts)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(curves(), st.integers(1, 10 ** 9), st.one_of(st.floats(0.0, 10.0), st.floats(0.0, 1e308)),
+       st.integers(1, 50))
+def test_bound_columns_match_the_per_point_formula(c, n, c_bound, y_card):
+    # bit for bit, Python's 2.0 ** R and max(0, .) per point included, and a
+    # slack past the float range is inf, as it is in Python, with no warning
+    b = bound_curve(c, n, c_bound, y_card=y_card)
+    want = []
+    for p in c.points:
+        i_worst = max(0.0, p.I_Y - c_bound * 2.0 ** p.R * y_card / math.sqrt(n))
+        want.append((p.R, p.I_Y, i_worst, p.D_IB + (p.I_Y - i_worst)))
+    got = list(zip(b.R_hat.tolist(), b.I_Y_hat.tolist(), b.I_Y_worst.tolist(),
+                   b.D_worst.tolist()))
+    assert [tuple(map(float.hex, w)) for w in want] == [tuple(map(float.hex, g)) for g in got]
+    star = min(range(len(want)), key=lambda i: (want[i][3], want[i][0]))
+    assert b.star_index == star
+    assert (b.R_star, b.D_star) == (want[star][0], want[star][3])
+    assert b.rate_correction(star) == c_bound * 2.0 ** want[star][0] / math.sqrt(n)
+    assert b.rate_corrections[star] == b.rate_correction(star)
+
+
+def test_bound_star_ties_go_to_the_first_of_the_smaller_rate():
+    b = BoundCurve([0.5, 0.2, 0.2, 0.1], [0.3] * 4, [0.1] * 4, [0.4, 0.3, 0.3, 0.35], 100, 1.0)
+    assert b.star_index == 1
+    assert b.points[1] == BoundPoint(0.2, 0.3, 0.1, 0.3)
 
 
 # --- network gaps ------------------------------------------------------------

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ibplane import curve, solver
+from ibplane.errors import DimensionError
 from ibplane.curve import (
     Bifurcation,
     CurvePoint,
@@ -513,6 +514,54 @@ def test_readme_sweep_has_no_unconverged_solve(sym_sweep):
     assert sym_sweep.unconverged == 0
 
 
+@pytest.mark.parametrize("joint, t_card, grid", [
+    (SYM, 2, geometric_grid(0.5, 40.0, 1.1)),
+    (random_joint(6, 3, seed=3), 3, geometric_grid(0.5, 50.0, 1.3)),
+    (empirical_joint(sample_pairs(random_joint(8, 4, 0), 20, seed=3), 8, 4), 3,
+     geometric_grid(0.5, 50.0, 1.3)),
+], ids=["symmetric", "random-6x3", "empirical-unobserved-x"])
+def test_kept_encoders_rebuild_each_point_bit_for_bit(joint, t_card, grid):
+    # the sweep keeps the solve behind every point: its encoder rebuilds the
+    # point's R, I_Y and L exactly, and `unconverged` counts every kept solve
+    # that did not converge
+    c = anneal_curve(joint, t_card, grid, restarts=2)
+    assert c.encoders.shape == (grid.size, joint.x_card, t_card)
+    assert c.iterations.shape == c.converged.shape == (grid.size,)
+    assert c.iterations.dtype.kind == "i" and c.converged.dtype == bool
+    for a in (c.encoders, c.iterations, c.converged, c.beta, c.R, c.eff_card):
+        assert not a.flags.writeable
+    assert c.unconverged >= np.count_nonzero(~c.converged)
+    for i, p in enumerate(c.points):
+        sol = IBSolution(joint, p.beta, Encoder(c.encoders[i]), int(c.iterations[i]),
+                         bool(c.converged[i]))
+        assert (sol.R, sol.I_Y, sol.L) == (p.R, p.I_Y, p.L) == (c.R[i], c.I_Y[i], c.L[i])
+        assert p.eff_card == effective_cardinality(sol)
+
+
+def test_curve_columns_are_checked_as_points_are():
+    good = dict(beta=[1.0, 2.0], R=[0.0, 0.5], I_Y=[0.0, 0.1], D_IB=[0.2, 0.1], eff_card=[1, 2])
+    c = InfoCurve(**good)
+    assert c.points == (CurvePoint(1.0, 0.0, 0.0, 0.2, 1), CurvePoint(2.0, 0.5, 0.1, 0.1, 2))
+    assert c.encoders is c.iterations is c.converged is None
+    assert c.L.tolist() == [p.L for p in c.points]
+    for field, value in [("R", math.nan), ("I_Y", -0.25), ("D_IB", math.inf), ("eff_card", 0),
+                         ("beta", -1.0), ("I_Y", 1e308)]:
+        cols = {k: list(v) for k, v in good.items()}
+        cols[field][1] = value
+        with pytest.raises(ValueError) as col_err:
+            InfoCurve(**cols)
+        with pytest.raises(ValueError) as point_err:
+            CurvePoint(*(v[1] for v in cols.values()))
+        assert str(col_err.value) == str(point_err.value)
+    with pytest.raises(ValueError, match=r"^curve is not monotone near beta=2\.0: "
+                                         r"R 0\.0->0\.5, I_Y 0\.5->0\.1$"):
+        InfoCurve(**{**good, "I_Y": [0.5, 0.1], "D_IB": [0.0, 0.4]})
+    with pytest.raises(DimensionError):
+        InfoCurve(**{**good, "R": [0.0]})
+    with pytest.raises(DimensionError):
+        InfoCurve(**good, encoders=np.full((3, 2, 2), 0.5))
+
+
 # known defects, strict so that the change that mends one must flip it: on
 # these two joints no pass of the sweep finds the better branch, and the
 # curves lie 0.1916 and 0.0269 bits above the best deterministic encoder
@@ -590,9 +639,8 @@ def test_anneal_chord_concavity(sym_coarse_curve):
 
 def test_detect_constant_card_empty(sym_sweep):
     # detect_bifurcations only hands back the brackets the sweep predicted
-    pts = (CurvePoint(1.0, 0.0, 0.0, 0.1, 1),
-           CurvePoint(2.0, 0.0, 0.0, 0.1, 1))
-    assert detect_bifurcations(InfoCurve(pts), SYM, 2) == ()
+    flat = InfoCurve([1.0, 2.0], [0.0, 0.0], [0.0, 0.0], [0.1, 0.1], [1, 1])
+    assert detect_bifurcations(flat, SYM, 2) == ()
     assert detect_bifurcations(sym_sweep, SYM, 2, seed=0) == sym_sweep.bifurcations
 
 
@@ -637,11 +685,10 @@ def test_bifurcation_rejects_non_finite_prediction(predicted):
 
 
 def test_curve_validation_rejects_decreasing_beta():
-    p1 = CurvePoint(1.0, 0.0, 0.0, 0.1, 1)
     with pytest.raises(ValueError):
-        InfoCurve((p1, p1))
+        InfoCurve([1.0, 1.0], [0.0, 0.0], [0.0, 0.0], [0.1, 0.1], [1, 1])
 
 
 def test_curve_rejects_a_negative_unconverged_count():
     with pytest.raises(ValueError, match="curve has negative unconverged"):
-        InfoCurve((CurvePoint(1.0, 0.0, 0.0, 0.1, 1),), (), unconverged=-4)
+        InfoCurve([1.0], [0.0], [0.0], [0.1], [1], (), unconverged=-4)

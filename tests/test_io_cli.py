@@ -1,24 +1,28 @@
 """Serialization round-trips and end-to-end command-line pipelines."""
 
 import argparse
+import contextlib
 import functools
+import io as text_io
 import json
 import math
 import re
 import shlex
 import subprocess
 import sys
+import tempfile
 import xml.etree.ElementTree as ET
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ibplane import analyzer, cli, io
 from ibplane.analyzer import InfoPlanePoint, LayerPath, QuantizerConfig, info_plane_path
-from ibplane.bounds import bound_curve
-from ibplane.curve import anneal_curve, geometric_grid
+from ibplane.bounds import BoundCurve, BoundPoint, bound_curve
+from ibplane.curve import CurvePoint, anneal_curve, geometric_grid
 from ibplane.errors import DimensionError
 from ibplane.mlp import TrainConfig, forward_all, init_network, train_sgd
 from ibplane.presets import symmetric_joint
@@ -90,8 +94,9 @@ def test_bound_curve_round_trip():
     curve = anneal_curve(SYM, 2, geometric_grid(0.5, 10.0, 1.3), restarts=2, seed=0)
     b = bound_curve(curve, 1000, 1.0, y_card=2)
     text = io.bound_curve_to_csv(b)
-    pts = io.bound_points_from_csv(text)
-    assert pts == b.points
+    back = BoundCurve(*io.bound_points_from_csv(text), b.n, b.c_bound)
+    assert back.points == b.points
+    assert io.bound_curve_to_csv(back) == text
 
 
 def test_bifurcations_round_trip():
@@ -234,6 +239,151 @@ def test_csv_readers_reject_malformed_rows(kind, fault):
     match = "must start with the header" if fault == "wrong-header" else f"^{kind} CSV line 4: "
     with pytest.raises(ValueError, match=match):
         reader(text)
+
+
+# small valid files of both tables, every value exact in binary
+TABLES = {
+    "curve": ("beta,R,I_Y,D_IB,L,eff_card\n1.0,0.0,0.0,0.25,0.0,1\n"
+              "2.0,0.5,0.125,0.125,0.25,2\n4.0,1.0,0.25,0.0,0.0,2\n"),
+    "bound": ("R_hat,I_Y_hat,I_Y_worst,D_worst\n0.0,0.0,0.0,0.25\n"
+              "0.5,0.125,0.0,0.25\n1.0,0.25,0.125,0.125\n"),
+}
+READERS = {"curve": io.curve_from_csv, "bound": io.bound_points_from_csv}
+
+
+def record_per_row_error(kind, text):
+    """The error a record-per-row reading gives first, or None: each row's
+    width, then its cells through float and int, then its record (a
+    CurvePoint with the L and D_IB + I_Y checks, or a BoundPoint)."""
+    lines = [(k, ln) for k, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    convert = [float] * 5 + [int] if kind == "curve" else [float] * 4
+    first = None
+    for k, ln in lines[1:]:
+        cells = ln.split(",")
+        try:
+            if len(cells) != len(convert):
+                raise ValueError(f"{len(cells)} cells, not {len(convert)}")
+            values = [conv(c) for conv, c in zip(convert, cells)]
+            if kind == "bound":
+                BoundPoint(*values)
+                continue
+            beta, R, I_Y, D_IB, L, card = values
+            if not abs(L - CurvePoint(beta, R, I_Y, D_IB, card).L) <= 1e-9:
+                raise ValueError("curve point violates L = R - beta * I_Y")
+            first = D_IB + I_Y if first is None else first
+            if abs(D_IB + I_Y - first) > 2e-9:
+                raise ValueError(f"curve point has D_IB + I_Y = {D_IB + I_Y!r}, not {first!r}")
+        except ValueError as e:
+            return f"{kind} CSV line {k}: {e}"
+    return None
+
+
+CELLS = st.one_of(st.sampled_from(["", "x", "nan", "-inf", "1e400", "-0.0", "1.5", "+2", "1_0",
+                                   "0x1", " 3", "1e308", "1024", "2000", "-1e-300", "0.125"]),
+                  st.integers(-3, 3).map(str),
+                  st.floats(allow_nan=True, allow_infinity=True).map(repr))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(TABLES)), st.integers(0, 2), st.integers(0, 5), CELLS)
+def test_one_corrupted_cell_is_rejected_as_its_row_record_rejects_it(kind, row, column, cell):
+    # the column reader checks whole columns, but it must refuse exactly what
+    # reading one record per row refuses, naming the same first line
+    lines = TABLES[kind].splitlines()
+    cells = lines[1 + row].split(",")
+    cells[column % len(cells)] = cell
+    lines[1 + row] = ",".join(cells)
+    text = "\n".join(lines) + "\n"
+    want = record_per_row_error(kind, text)
+    if want is None:
+        try:  # no row is bad: only the table's own rules (increasing beta, monotone) remain
+            READERS[kind](text)
+        except ValueError as e:
+            assert kind == "curve" and "CSV line" not in str(e)
+    else:
+        with pytest.raises(ValueError) as e:
+            READERS[kind](text)
+        assert str(e.value) == want
+
+
+@pytest.mark.parametrize("kind, record_error, short_row, message", [
+    ("curve", "1.5,-0.5,0.0,0.25,-0.5,1", "2.0,0.5,0.125", "curve point has negative R"),
+    ("bound", "0.25,0.0,0.125,0.25", "0.5,0.125", "bound point has I_Y_worst above I_Y_hat"),
+], ids=["curve", "bound"])
+@pytest.mark.parametrize("swapped", [False, True])
+def test_the_first_bad_line_is_named(kind, record_error, short_row, message, swapped):
+    # a record error on line 3 and a short row on line 4 name line 3, and so
+    # do the two swapped
+    header, first, *_ = TABLES[kind].splitlines()
+    rows = [short_row, record_error] if swapped else [record_error, short_row]
+    width = len(header.split(","))
+    expected = f"{len(short_row.split(','))} cells, not {width}" if swapped else message
+    with pytest.raises(ValueError, match=f"^{kind} CSV line 3: {re.escape(expected)}$"):
+        READERS[kind]("\n".join([header, first, *rows]) + "\n")
+
+
+@st.composite
+def malformed_tables(draw):
+    """A command, the table it reads that is broken and that table's text:
+    a valid table with cells changed at random, and then one change that no
+    reader accepts (a bad cell, a row of the wrong width, a bad header, bytes
+    that are not UTF-8 or a directory in the file's place)."""
+    command = draw(st.sampled_from(["bounds", "plane"]))
+    kind = "curve" if command == "bounds" else draw(st.sampled_from(sorted(TABLES)))
+    lines = TABLES[kind].splitlines()
+    for _ in range(draw(st.integers(0, 2))):
+        k = draw(st.integers(1, 3))
+        cells = lines[k].split(",")
+        cells[draw(st.integers(0, len(cells) - 1))] = draw(CELLS)
+        lines[k] = ",".join(cells)
+    k, bad = draw(st.integers(1, 3)), draw(st.sampled_from(
+        ["cell", "cell", "cell", "short", "long", "header", "bytes", "directory"]))
+    cells = lines[k].split(",")
+    if bad == "cell":
+        at = draw(st.integers(0, len(cells) - 1))
+        eff_card, L = kind == "curve" and at == 5, kind == "curve" and at == 4
+        cells[at] = draw(st.sampled_from(["", "x", "nan", "inf", "-inf", "1e400", "0,5"]
+                                         + ([] if L else ["-1"])  # an L of -1 can hold
+                                         + (["1.5", "0", "99999999999999999999"] if eff_card
+                                            else [])))
+    elif bad in ("short", "long"):
+        cells = cells[:-1] if bad == "short" else cells + ["0"]
+    lines[k] = ",".join(cells)
+    if bad == "header":
+        lines[0] = draw(st.sampled_from(["", "beta", "R_hat,I_Y_hat", lines[0] + ",x"]))
+    text = ("\n".join(lines) + "\n").encode()
+    return command, kind, b"\xff\xfe" + text if bad == "bytes" else text, bad == "directory"
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(malformed_tables())
+def test_bounds_and_plane_refuse_malformed_tables_on_one_line(case):
+    # exit 1, one `<ErrorClass>: message` line on stderr, no temp file left
+    # and the existing output untouched
+    command, kind, data, directory = case
+    with tempfile.TemporaryDirectory() as d:
+        d = Path(d)
+        files = {"j.json": io.joint_to_json(SYM).encode(),
+                 "net.json": io.network_to_json(init_network([2, 3, 2], seed=0)).encode(),
+                 "curve.csv": TABLES["curve"].encode(), "bounds.csv": TABLES["bound"].encode(),
+                 "out": b"old"}
+        files["curve.csv" if kind == "curve" else "bounds.csv"] = data
+        for name, content in files.items():
+            (d / name).write_bytes(content)
+        if directory:
+            (d / "bad").mkdir()
+        table = str(d / ("bad" if directory else "curve.csv" if kind == "curve" else "bounds.csv"))
+        argv = (["bounds", "--curve", table, "--n", "1000", "--y-card", "2"] if command == "bounds"
+                else ["plane", "--joint", str(d / "j.json"), "--net", str(d / "net.json"),
+                      "--curve", table if kind == "curve" else str(d / "curve.csv"),
+                      "--bounds", table if kind == "bound" else str(d / "bounds.csv")])
+        err = text_io.StringIO()
+        with contextlib.redirect_stdout(text_io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.run(argv + ["--out", str(d / "out")])
+        assert code == 1
+        assert re.fullmatch(r"[A-Z]\w*Error: [^\n]+\n", err.getvalue()), err.getvalue()
+        assert not list(d.glob("*.tmp~"))
+        assert (d / "out").read_bytes() == b"old"
 
 
 def test_json_rejects_non_finite():
@@ -503,6 +653,10 @@ NO_UNIT_NET = '{"layer_sizes": [2, 0, 2], "weights": [[], [[], []]], "biases": [
     ({"curve.csv": GOOD_CURVE}, BOUNDS_ARGV + " --c-bound nan", "c_bound must be finite and >= 0"),
     ({"curve.csv": GOOD_CURVE}, BOUNDS_ARGV + " --c-bound inf", "c_bound must be finite and >= 0"),
     ({"curve.csv": GOOD_CURVE}, BOUNDS_ARGV + " --y-card -2", "y_card must be >= 1"),
+    ({"curve.csv": GOOD_CURVE}, BOUNDS_ARGV.replace("--n 1000", "--n 1" + "0" * 400),
+     "sample size must be >= 1 and at most the largest float"),
+    ({"curve.csv": GOOD_CURVE}, BOUNDS_ARGV.replace("--y-card 2", "--y-card 2" + "0" * 400),
+     "y_card must be >= 1 and at most the largest float"),
     ({"curve.csv": GOOD_CURVE, "bounds.csv": "R_hat,I_Y_hat,I_Y_worst,D_worst\nnan,0.1,0,0.3\n"},
      PLANE_ARGV, "bound CSV line 2: bound point has non-finite R_hat"),
     ({"curve.csv": GOOD_CURVE, "bounds.csv": "R_hat,I_Y_hat,I_Y_worst,D_worst\n0,0.1,-0.4,0.3\n"},
@@ -536,7 +690,8 @@ NO_UNIT_NET = '{"layer_sizes": [2, 0, 2], "weights": [[], [[], []]], "biases": [
         "bounds-curve-L-off-R-minus-beta-I_Y", "bounds-short-curve-row",
         "bounds-curve-rows-disagree-on-I_XY", "bounds-curve-R-past-the-float-range",
         "bounds-negative-c-bound", "bounds-nan-c-bound", "bounds-infinite-c-bound",
-        "bounds-negative-y-card", "plane-non-finite-bound-point",
+        "bounds-negative-y-card", "bounds-n-past-the-float-range",
+        "bounds-y-card-past-the-float-range", "plane-non-finite-bound-point",
         "plane-negative-bound-I_Y_worst", "plane-short-bound-row",
         "plane-bound-I_Y_worst-above-I_Y_hat",
         "ib-solve-deeply-nested-joint", "analyze-deeply-nested-network",
@@ -734,7 +889,7 @@ def test_readme_pipeline_runs_verbatim(tmp_path, monkeypatch, capsys):
         "net.json": lambda t: io.network_to_json(io.network_from_json(t)),
         "loss.csv": lambda t: io.loss_trace_to_csv(io.loss_trace_from_csv(t)),
         "bounds.csv": lambda t: io.bound_curve_to_csv(
-            SimpleNamespace(points=io.bound_points_from_csv(t))),
+            BoundCurve(*io.bound_points_from_csv(t), 1000, 1.0)),
         "plane.csv": lambda t: io.layer_path_to_csv(LayerPath(
             [InfoPlanePoint(*row, 0.0, 0.0) for row in io.layer_points_from_csv(t)], ())),
     }
