@@ -9,8 +9,8 @@ byte-identical files. Every integer field is read by `_int`, which rejects
 through the builtin `float` or `int`, whole columns are checked at once, and
 an error names the first bad line, with the message a record of that row
 would give. Writes go through a temp-file-then-rename so readers never
-observe a partial file; `write_all` writes every temp file before it renames
-any, and a failure leaves no temp file behind.
+observe a partial file; `write_all` refuses two outputs that name one file,
+writes every temp file before it renames any, and leaves none on failure.
 """
 
 from __future__ import annotations
@@ -75,13 +75,17 @@ def atomic_write(path: str, text: str, staged: list | None = None) -> None:
         raise
 
 
-def write_all(text_by_path: dict[str, str]) -> None:
-    """atomic_write for several files: every temp file is written before
-    any is renamed, and a failure removes them all, so a failed write
-    replaces no output."""
+def write_all(outputs: list[tuple[str, str]]) -> None:
+    """atomic_write for several (path, text) pairs, refusing two paths to
+    one file: every temp file is written before any is renamed, and a
+    failure removes them all, so a failed write replaces no output."""
+    real = [os.path.realpath(path) for path, _ in outputs]
+    for k, (path, _) in enumerate(outputs):
+        if real[k] in real[:k]:
+            raise ValueError(f"two outputs name one file: {path!r}")
     staged: list[tuple[str, str]] = []
     try:
-        for path, text in text_by_path.items():
+        for path, text in outputs:
             atomic_write(path, text, staged)
         for tmp, path in staged:
             os.replace(tmp, path)

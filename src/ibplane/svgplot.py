@@ -3,7 +3,9 @@
 Draws the annealed tradeoff curve, the finite-sample worst-case curve, and a
 network's layer path on shared axes: x is the rate/complexity axis I(X;T), y
 the relevance axis I(T;Y), both in bits. Output is a plain SVG string built
-deterministically, so identical inputs give identical bytes.
+deterministically, so identical inputs give identical bytes. Every pixel
+coordinate is written with two decimals; a series is mapped to pixels a
+list per axis, and one "%.2f,%.2f" call formats each of its points.
 """
 
 from __future__ import annotations
@@ -21,10 +23,6 @@ SERIES_COLORS = {
     "worst-case-bound": "#c62828",
     "layer-path": "#2e7d32",
 }
-
-
-def _fmt(v: float) -> str:
-    return f"{v:.2f}"
 
 
 def _tick_label(v: float) -> str:
@@ -65,28 +63,28 @@ def render_plane(curve_xy, bound_xy, layer_xy) -> str:
     ]
 
     # axes
-    x0, y0 = _fmt(sx(0)), _fmt(sy(0))
-    out.append(f'<line x1="{x0}" y1="{y0}" x2="{_fmt(sx(x_max))}" y2="{y0}" '
+    x0, y0 = f"{sx(0):.2f}", f"{sy(0):.2f}"
+    out.append(f'<line x1="{x0}" y1="{y0}" x2="{sx(x_max):.2f}" y2="{y0}" '
                'stroke="#444444" stroke-width="1"/>')
-    out.append(f'<line x1="{x0}" y1="{y0}" x2="{x0}" y2="{_fmt(sy(y_max))}" '
+    out.append(f'<line x1="{x0}" y1="{y0}" x2="{x0}" y2="{sy(y_max):.2f}" '
                'stroke="#444444" stroke-width="1"/>')
     for k in range(N_TICKS + 1):
         tx = x_max * k / N_TICKS
         ty = y_max * k / N_TICKS
-        out.append(f'<line x1="{_fmt(sx(tx))}" y1="{y0}" x2="{_fmt(sx(tx))}" '
-                   f'y2="{_fmt(sy(0) + 5)}" stroke="#444444" stroke-width="1"/>')
-        out.append(f'<text x="{_fmt(sx(tx))}" y="{_fmt(sy(0) + 18)}" font-size="11" '
+        out.append(f'<line x1="{sx(tx):.2f}" y1="{y0}" x2="{sx(tx):.2f}" '
+                   f'y2="{sy(0) + 5:.2f}" stroke="#444444" stroke-width="1"/>')
+        out.append(f'<text x="{sx(tx):.2f}" y="{sy(0) + 18:.2f}" font-size="11" '
                    f'text-anchor="middle" fill="#222222">{_tick_label(tx)}</text>')
-        out.append(f'<line x1="{x0}" y1="{_fmt(sy(ty))}" x2="{_fmt(sx(0) - 5)}" '
-                   f'y2="{_fmt(sy(ty))}" stroke="#444444" stroke-width="1"/>')
-        out.append(f'<text x="{_fmt(sx(0) - 8)}" y="{_fmt(sy(ty) + 4)}" font-size="11" '
+        out.append(f'<line x1="{x0}" y1="{sy(ty):.2f}" x2="{sx(0) - 5:.2f}" '
+                   f'y2="{sy(ty):.2f}" stroke="#444444" stroke-width="1"/>')
+        out.append(f'<text x="{sx(0) - 8:.2f}" y="{sy(ty) + 4:.2f}" font-size="11" '
                    f'text-anchor="end" fill="#222222">{_tick_label(ty)}</text>')
-    out.append(f'<text x="{_fmt(MARGIN_L + plot_w / 2)}" y="{HEIGHT - 14}" '
+    out.append(f'<text x="{MARGIN_L + plot_w / 2:.2f}" y="{HEIGHT - 14}" '
                'font-size="13" text-anchor="middle" fill="#222222">'
                'complexity I(X;T) [bits]</text>')
-    out.append(f'<text x="16" y="{_fmt(MARGIN_T + plot_h / 2)}" font-size="13" '
+    out.append(f'<text x="16" y="{MARGIN_T + plot_h / 2:.2f}" font-size="13" '
                f'text-anchor="middle" fill="#222222" '
-               f'transform="rotate(-90 16 {_fmt(MARGIN_T + plot_h / 2)})">'
+               f'transform="rotate(-90 16 {MARGIN_T + plot_h / 2:.2f})">'
                'relevance I(T;Y) [bits]</text>')
 
     # series
@@ -94,13 +92,14 @@ def render_plane(curve_xy, bound_xy, layer_xy) -> str:
         if not pts:
             continue
         color = SERIES_COLORS[name]
-        coords = " ".join(f"{_fmt(sx(x))},{_fmt(sy(y))}" for x, y in pts)
+        px = [MARGIN_L + plot_w * (x / x_max) for x, _ in pts]
+        py = [MARGIN_T + plot_h * (1.0 - y / y_max) for _, y in pts]
+        coords = " ".join(map("%.2f,%.2f".__mod__, zip(px, py)))
         out.append(f'<polyline id="{name}" points="{coords}" fill="none" '
                    f'stroke="{color}" stroke-width="1.6"/>')
         if markers:
-            for x, y in pts:
-                out.append(f'<circle cx="{_fmt(sx(x))}" cy="{_fmt(sy(y))}" r="3.2" '
-                           f'fill="{color}"/>')
+            out.extend('<circle cx="%.2f" cy="%.2f" r="3.2" fill="%s"/>' % (x, y, color)
+                       for x, y in zip(px, py))
 
     # legend
     lx = MARGIN_L + 12

@@ -449,7 +449,7 @@ def test_atomic_write(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("FileNotFoundError: ")
     assert (tmp_path / "c.csv").read_text() == "old"
     with pytest.raises(IsADirectoryError):
-        io.write_all({"c.csv": "new", "adir": "payload"})
+        io.write_all([("c.csv", "new"), ("adir", "payload")])
     assert (tmp_path / "c.csv").read_text() == "old"
     assert sorted(f.name for f in tmp_path.iterdir()) == ["adir", "c.csv", "j.json", "out.txt"]
 
@@ -713,6 +713,30 @@ def test_cli_bad_input_is_one_line_error(tmp_path, monkeypatch, capsys, files, a
     assert err.startswith("ValueError: ") and expected in err
     assert err.count("\n") == 1
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    "train --joint j.json --n 20 --epochs 1 --out o --loss-out o",
+    "train --joint j.json --n 20 --epochs 1 --out n.json --loss-out o --samples-out ./o",
+    "train --joint j.json --n 20 --epochs 1 --out o --samples-out link",
+    CURVE_ARGV.replace("--out out", "--out o --bifurcations-out ./o"),
+    "bounds --curve curve.csv --n 1000 --joint j.json --net net.json --gaps-out o --out o",
+], ids=["train-out-loss-out", "train-loss-out-samples-out", "train-out-symlinked-samples-out",
+        "ib-curve-out-bifurcations-out", "bounds-gaps-out-out"])
+def test_cli_outputs_that_name_one_file_are_one_line_error(tmp_path, monkeypatch, capsys, argv):
+    # refused before any temp file is written: no output is lost or replaced
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "j.json").write_text(io.joint_to_json(SYM))
+    (tmp_path / "net.json").write_text(io.network_to_json(init_network([2, 3, 2], seed=0)))
+    (tmp_path / "curve.csv").write_text(GOOD_CURVE)
+    (tmp_path / "o").write_text("old")
+    (tmp_path / "link").symlink_to("o")
+    before = sorted(f.name for f in tmp_path.iterdir())
+    assert cli.run(argv.split()) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ValueError: two outputs name one file: ") and err.count("\n") == 1
+    assert (tmp_path / "o").read_text() == "old"
+    assert sorted(f.name for f in tmp_path.iterdir()) == before
 
 
 def test_cli_analyze_sweep_runs_one_forward_pass(tmp_path, monkeypatch):
@@ -986,12 +1010,61 @@ def test_run_builds_only_the_requested_subparser(monkeypatch, capsys):
         return built[-1]
     build = cli.build_parser
     monkeypatch.setattr(cli, "build_parser", spy)
+    monkeypatch.setattr(cli, "_PARSERS", {})  # as in a fresh process
     assert subcommands(build()) == COMMANDS
     for cmd in COMMANDS:
         assert parse_outcome(cli.run, [cmd, "--help"], capsys)[0] == 0
         assert subcommands(built[-1]) == [cmd]
     parse_outcome(cli.run, ["nope"], capsys)
     assert subcommands(built[-1]) == COMMANDS
+    # each of the eight is built once per process; later runs reuse it
+    for argv in [*([cmd, "--help"] for cmd in COMMANDS), ["nope"], [], ["--help"]]:
+        parse_outcome(cli.run, argv, capsys)
+    assert len(built) == 8
+
+
+def test_no_parser_is_built_at_import():
+    # a fresh process that parses nothing pays for no parser
+    code = "import sys; from ibplane import cli; sys.exit(len(cli._PARSERS))"
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+
+
+def exit_code(argv) -> int:
+    try:
+        return cli.run(argv)
+    except SystemExit as e:
+        return e.code
+
+
+def test_shared_parsers_carry_nothing_between_runs(tmp_path, monkeypatch, capsys):
+    # every kind of outcome in between, on the parsers the pipeline reuses;
+    # the one success in between uses values other than the README's
+    between = [
+        (2, "train --joint j.json --hidden 4,,3 --out x.json"),
+        (2, "bounds --curve curve.csv --n 1 --y-card 2 --net net.json --out x.csv"),
+        (0, "ib-curve --help"),
+        (0, "--help"),
+        (2, "nope"),
+        (1, "ib-solve --joint absent.json --t-card 2 --beta 5 --out x.json"),
+        (0, "train --joint j.json --n 20 --hidden= --epochs 1 --seed 7 --out x.json"),
+    ]
+    runs = []
+    for tag in ("a", "b"):
+        (tmp_path / tag).mkdir()
+        monkeypatch.chdir(tmp_path / tag)
+        assert [exit_code(argv) for argv in readme_pipeline()] == [0] * 7
+        out = capsys.readouterr()
+        assert out.err == ""
+        runs.append((out.out, {f.name: f.read_bytes() for f in (tmp_path / tag).iterdir()}))
+        if tag == "a":
+            assert [exit_code(argv.split()) for _, argv in between] == [c for c, _ in between]
+            capsys.readouterr()
+    assert len(runs[0][0].splitlines()) == 7 and len(runs[0][1]) == 10
+    assert runs[0] == runs[1]
+    for k in range(50):
+        exit_code([f"nope-{k}"])
+    capsys.readouterr()
+    assert len(cli._PARSERS) <= 8
 
 
 def test_console_script_reads_sys_argv(tmp_path, monkeypatch, capsys):
