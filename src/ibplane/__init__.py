@@ -11,8 +11,6 @@ module on first access (PEP 562), so a caller pays only for the modules it
 uses.
 """
 
-from importlib import import_module as _import
-
 __version__ = "0.1.0"
 
 # submodule -> the public names it defines; cli, io and svgplot export none
@@ -42,10 +40,11 @@ __all__ = sorted(_HOME)
 
 
 def __getattr__(name):
+    # unlike importlib.import_module, __import__ shows in `python -X importtime`
     if name in _HOME:
-        value = getattr(_import(f".{_HOME[name]}", __name__), name)
+        value = getattr(__import__(f"{__name__}.{_HOME[name]}", fromlist=["_"]), name)
     elif name in _EXPORTS:
-        value = _import(f".{name}", __name__)
+        value = __import__(f"{__name__}.{name}", fromlist=["_"])
     else:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     globals()[name] = value

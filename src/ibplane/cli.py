@@ -2,18 +2,19 @@
 
 A run parses with the parser of its one subcommand only, built on its first
 use in the process and reused after; help, a missing or an unknown command
-get the full parser, so their output lists all seven. Each subcommand runs
-one pipeline, writes its declared output files atomically (a failed write
-leaves no temp file and replaces no output), and prints a one-line JSON
-summary to stdout. Exit codes: 0 on success, 2 on argument errors, 1 on
-computation errors (the error class name goes to stderr). Reruns with
-identical flags and seed produce byte-identical outputs.
+get the full parser, so their output lists all seven. A command imports the
+modules it uses when it first runs, and the full parser imports presets and
+solver for their constants. Each subcommand runs one pipeline, writes its
+declared output files atomically (a failed write leaves no temp file and
+replaces no output), and prints a one-line JSON summary to stdout. Exit
+codes: 0 on success, 2 on argument errors, 1 on computation errors (the
+error class name goes to stderr). Reruns with identical flags and seed
+produce byte-identical outputs.
 """
 
 import argparse
 import sys
 
-from . import analyzer, bounds, curve, io, mlp, presets, prob, solver, svgplot
 from .errors import IBError
 
 
@@ -34,13 +35,25 @@ def _list_of(kind):
     return parse
 
 
+def _seed(text: str) -> int:
+    """argparse type for --seed: an int >= 0, as numpy's generators need."""
+    if (seed := int(text)) < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {seed}")
+    return seed
+
+
+_seed.__name__ = "int"  # a non-integer reads "invalid int value: ...", as with type=int
+
+
 def _emit(outputs: list[tuple[str, str]], summary: dict) -> int:
+    from . import io
     io.write_all(outputs)
     print(io.json_dumps(summary))
     return 0
 
 
 def _cmd_gen(args) -> int:
+    from . import io, presets
     params = {
         "symmetric": {"eps": args.eps},
         "product": {"x_card": args.x_card, "y_card": args.y_card},
@@ -58,6 +71,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_ib_solve(args) -> int:
+    from . import io, solver
     j = io.joint_from_json(_read(args.joint))
     sol = solver.ib_solve_multistart(
         j, args.t_card, args.beta, restarts=args.restarts, tol=args.tol,
@@ -71,6 +85,7 @@ def _cmd_ib_solve(args) -> int:
 
 
 def _cmd_ib_curve(args) -> int:
+    from . import curve, io
     j = io.joint_from_json(_read(args.joint))
     grid = curve.geometric_grid(args.beta_min, args.beta_max, args.grid_factor)
     traced = curve.anneal_curve(j, args.t_card, grid, restarts=args.restarts,
@@ -85,6 +100,7 @@ def _cmd_ib_curve(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    from . import bounds, io
     traced = io.curve_from_csv(_read(args.curve))
     j = io.joint_from_json(_read(args.joint)) if args.joint else None
     b = bounds.bound_curve(traced, args.n, args.c_bound, y_card=j.y_card if j else args.y_card)
@@ -95,6 +111,7 @@ def _cmd_bounds(args) -> int:
         "rate_corr_star": b.rate_correction(b.star_index), "out": args.out,
     }
     if args.net:
+        from . import analyzer
         net = io.network_from_json(_read(args.net))
         r_n, d_n = analyzer.network_distortion_rate(j, net, None)
         gaps = bounds.network_gaps(b, r_n, d_n)
@@ -105,6 +122,7 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    from . import io, mlp, prob
     j = io.joint_from_json(_read(args.joint))
     samples = prob.sample_pairs(j, args.n, args.seed)
     sizes = [j.x_card, *args.hidden, j.y_card]
@@ -127,6 +145,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    from . import analyzer, io
     j = io.joint_from_json(_read(args.joint))
     net = io.network_from_json(_read(args.net))
     q = None if args.exact else analyzer.QuantizerConfig(bins=args.bins)
@@ -150,6 +169,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_plane(args) -> int:
+    from . import analyzer, io, svgplot
     j = io.joint_from_json(_read(args.joint))
     net = io.network_from_json(_read(args.net))
     traced = io.curve_from_csv(_read(args.curve))
@@ -164,13 +184,15 @@ def _cmd_plane(args) -> int:
 
 
 def _add_solver_opts(p):
+    from . import solver
     p.add_argument("--t-card", type=int, required=True)
     p.add_argument("--tol", type=float, default=solver.DEFAULT_TOL)
     p.add_argument("--max-iter", type=int, default=solver.DEFAULT_MAX_ITER)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
 
 
 def _gen_args(p):
+    from . import presets
     p.add_argument("--preset", choices=presets.PRESET_NAMES, required=True)
     p.add_argument("--eps", type=float, default=0.2)
     p.add_argument("--eps1", type=float, default=0.2)
@@ -180,7 +202,7 @@ def _gen_args(p):
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--x-card", type=int, default=3)
     p.add_argument("--y-card", type=int, default=2)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
 
 
@@ -231,7 +253,7 @@ def _train_args(p):
     p.add_argument("--epochs", type=int, default=500)
     p.add_argument("--lr", type=float, default=0.5)
     p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--seed", type=_seed, default=0,
                    help="base seed; sampling, init and shuffling derive from it")
     p.add_argument("--out", required=True)
     p.add_argument("--loss-out")

@@ -8,14 +8,16 @@ byte-identical files. Every integer field is read by `_int`, which rejects
 `_csv_columns` a column at a time, with no record per row: a cell goes
 through the builtin `float` or `int`, whole columns are checked at once, and
 an error names the first bad line, with the message a record of that row
-would give. Writes go through a temp-file-then-rename so readers never
-observe a partial file; `write_all` refuses two outputs that name one file,
-writes every temp file before it renames any, and leaves none on failure.
+would give. A reader imports its record type's module on first call. Writes
+go through a temp-file-then-rename so readers never observe a partial file;
+`write_all` refuses two outputs that name one file, writes every temp file
+before it renames any, and leaves none on failure.
 """
 
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import errno
 import json
 import math
@@ -24,13 +26,8 @@ import os
 
 import numpy as np
 
-from .analyzer import LayerPath
-from .bounds import BoundCurve, NetworkGaps, _bound_faults
-from .curve import Bifurcation, InfoCurve, _curve_faults
 from .errors import DimensionError
-from .mlp import NetworkParams
 from .prob import JointDistribution, SampleSet
-from .solver import Encoder, IBSolution, _raise_first
 
 
 def fmt_real(x: float) -> str:
@@ -109,6 +106,8 @@ def _load(text: str, what: str):
         return json.loads(text)
     except RecursionError:
         raise ValueError(f"{what} JSON is nested too deeply to parse") from None
+    except json.JSONDecodeError as e:
+        raise ValueError(f"{what} JSON is not valid JSON: {e}") from None
 
 
 def _json_fields(obj, what: str, **convert) -> list:
@@ -182,6 +181,7 @@ def solution_from_json(text: str, j: JointDistribution) -> IBSolution:
     """The solution on j of the file's beta, encoder, iterations and converged
     flag, once the file's R, I_Y, D_IB, marginal, decoder and L are within
     1e-9 of the values it computes from them, in shape too."""
+    from .solver import Encoder, IBSolution
     beta, enc, iters, conv, L, *copies = _json_fields(
         _load(text, "solution"), "solution", beta=_real, encoder=_reals, iterations=_int,
         converged=_flag, L=_real, R=_real, I_Y=_real, D_IB=_real, marginal=_reals,
@@ -209,6 +209,7 @@ def network_to_json(net: NetworkParams) -> str:
 
 
 def network_from_json(text: str) -> NetworkParams:
+    from .mlp import NetworkParams
     sizes, weights, biases = _json_fields(
         _load(text, "network"), "network", layer_sizes=lambda v: tuple(map(_int, v)),
         weights=lambda v: tuple(map(_reals, v)), biases=lambda v: tuple(map(_reals, v)))
@@ -220,19 +221,12 @@ def network_from_json(text: str) -> NetworkParams:
 # ---------------------------------------------------------------------------
 
 def bifurcations_to_json(bifs) -> str:
-    return json_dumps([
-        {
-            "beta_low": b.beta_low,
-            "beta_high": b.beta_high,
-            "card_before": b.card_before,
-            "card_after": b.card_after,
-            "beta_predicted": b.beta_predicted,
-        }
-        for b in bifs
-    ]) + "\n"
+    """One record per bracket, its fields in the order Bifurcation declares."""
+    return json_dumps([dataclasses.asdict(b) for b in bifs]) + "\n"
 
 
 def bifurcations_from_json(text: str) -> tuple[Bifurcation, ...]:
+    from .curve import Bifurcation
     records = _load(text, "bifurcations")
     if not isinstance(records, list):
         raise ValueError("bifurcations JSON must be a list of records")
@@ -272,6 +266,7 @@ def _csv_columns(text: str, what: str, header: str, *convert, faults=lambda *c: 
     arrays. A wrong header is a ValueError, and so is the first row of the
     wrong width, with a cell its converter rejects, or that a check of
     `faults(*columns)` flags (see `solver._raise_first`), naming its line."""
+    from .solver import _raise_first
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != header:
         raise ValueError(f"{what} CSV must start with the header {header!r}")
@@ -328,6 +323,7 @@ def _curve_row_faults(beta, R, I_Y, D_IB, L, eff_card) -> list:
     D_IB + I_Y, the I(X;Y) that `bounds` reads from any row, is within 2e-9
     of the first row's: I_Y may pass I(X;Y) by the solver's 1e-9, where D_IB
     clamps at 0."""
+    from .curve import _curve_faults
     with np.errstate(over="ignore", invalid="ignore"):
         i_xy = D_IB + I_Y
         off_L = ~(np.abs(L - (R - beta * I_Y)) <= 1e-9)  # NaN is off too
@@ -340,6 +336,7 @@ def _curve_row_faults(beta, R, I_Y, D_IB, L, eff_card) -> list:
 
 def curve_from_csv(text: str) -> InfoCurve:
     """The curve, once each row passes `_curve_row_faults`; it keeps no L."""
+    from .curve import InfoCurve
     beta, R, I_Y, D_IB, _, eff_card = _csv_columns(
         text, "curve", _CURVE_HEADER, *[float] * 5, int, faults=_curve_row_faults)
     return InfoCurve(beta, R, I_Y, D_IB, eff_card)
@@ -355,6 +352,7 @@ def bound_curve_to_csv(b: BoundCurve) -> str:
 def bound_points_from_csv(text: str) -> tuple[np.ndarray, ...]:
     """The R_hat, I_Y_hat, I_Y_worst and D_worst columns, once each row
     passes BoundPoint's checks; `BoundCurve(*columns, n, c_bound)` takes them."""
+    from .bounds import _bound_faults
     return tuple(_csv_columns(text, "bound", _BOUND_HEADER, *[float] * 4, faults=_bound_faults))
 
 

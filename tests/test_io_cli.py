@@ -668,6 +668,8 @@ NO_UNIT_NET = '{"layer_sizes": [2, 0, 2], "weights": [[], [[], []]], "biases": [
     ({"j.json": DEEP_JSON}, "ib-solve --joint j.json --t-card 2 --beta 1 --out out",
      "joint JSON is nested too deeply to parse"),
     ({"net.json": DEEP_JSON}, ANALYZE_ARGV, "network JSON is nested too deeply to parse"),
+    ({"net.json": ""}, ANALYZE_ARGV, "network JSON is not valid JSON: Expecting value"),
+    ({"j.json": ""}, ANALYZE_ARGV, "joint JSON is not valid JSON: Expecting value"),
     ({}, "ib-solve --joint j.json --t-card 2 --beta inf --out out", "beta must be finite"),
     ({}, "ib-solve --joint j.json --t-card 2 --beta 1 --tol nan --out out", "tol must be finite"),
     ({}, "ib-solve --joint j.json --t-card 2 --beta 1 --tol inf --out out", "tol must be finite"),
@@ -695,6 +697,7 @@ NO_UNIT_NET = '{"layer_sizes": [2, 0, 2], "weights": [[], [[], []]], "biases": [
         "plane-negative-bound-I_Y_worst", "plane-short-bound-row",
         "plane-bound-I_Y_worst-above-I_Y_hat",
         "ib-solve-deeply-nested-joint", "analyze-deeply-nested-network",
+        "analyze-empty-network", "analyze-empty-joint",
         "ib-solve-infinite-beta", "ib-solve-nan-tol", "ib-solve-infinite-tol",
         "ib-solve-negative-max-iter", "ib-solve-zero-max-iter", "ib-curve-nan-tol",
         "ib-curve-negative-max-iter", "ib-curve-nan-grid-factor", "ib-curve-grid-too-fine",
@@ -713,6 +716,25 @@ def test_cli_bad_input_is_one_line_error(tmp_path, monkeypatch, capsys, files, a
     assert err.startswith("ValueError: ") and expected in err
     assert err.count("\n") == 1
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    "gen --preset random --seed -1 --out out",
+    "ib-solve --joint j.json --t-card 2 --beta 2 --seed -1 --out out",
+    CURVE_ARGV + " --seed=-1",
+    "train --joint j.json --n 20 --epochs 1 --seed -1 --out out",
+], ids=["gen", "ib-solve", "ib-curve", "train"])
+def test_negative_seed_is_an_argument_error(tmp_path, monkeypatch, capsys, argv):
+    # numpy's generators refuse it; the parser names the flag and the value first
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "j.json").write_text(io.joint_to_json(SYM))
+    assert exit_code(argv.split()) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ibplane ")
+    assert err.endswith(": error: argument --seed: expected a non-negative integer, got -1\n")
+    assert not (tmp_path / "out").exists()
+    assert exit_code(argv.replace("-1", "x").split()) == 2
+    assert capsys.readouterr().err.endswith("argument --seed: invalid int value: 'x'\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -1027,6 +1049,31 @@ def test_no_parser_is_built_at_import():
     # a fresh process that parses nothing pays for no parser
     code = "import sys; from ibplane import cli; sys.exit(len(cli._PARSERS))"
     assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+
+
+README_LOADS = {  # command: the ibplane modules a fresh interpreter loads to run it
+    "gen": "cli errors io presets prob",
+    "ib-solve": "cli errors io prob solver",
+    "ib-curve": "cli curve errors io prob solver",
+    "train": "cli errors io mlp prob",
+    "bounds": "analyzer bounds cli curve errors io mlp prob solver",
+    "analyze": "analyzer cli errors io mlp prob",
+    "plane": "analyzer bounds cli curve errors io mlp prob solver svgplot",
+}
+
+
+def test_each_readme_command_loads_only_the_modules_it_uses(tmp_path):
+    # one fresh interpreter per command, on the files the commands before it wrote
+    code = ("import json, os, sys\nos.chdir(sys.argv[1])\nfrom ibplane import cli\n"
+            "assert cli.run(sys.argv[2:]) == 0\n"
+            "print(json.dumps(sorted(m[8:] for m in sys.modules if m.startswith('ibplane.'))))")
+    loaded = {}
+    for argv in readme_pipeline():
+        r = subprocess.run([sys.executable, "-c", code, str(tmp_path), *argv],
+                           capture_output=True, text=True)
+        assert r.returncode == 0, r.stderr
+        loaded[argv[0]] = " ".join(json.loads(r.stdout.splitlines()[-1]))
+    assert loaded == README_LOADS
 
 
 def exit_code(argv) -> int:

@@ -31,6 +31,7 @@ LOADED = 'print(__import__("json").dumps(sorted(m[8:] for m in sys.modules if m.
     ("import ibplane", []),
     ("from ibplane import presets, solver", ["errors", "presets", "prob", "solver"]),
     ("from ibplane import mlp, presets, prob", ["errors", "mlp", "presets", "prob"]),
+    ("from ibplane import cli", ["cli", "errors"]),
 ])
 def test_import_loads_only_what_it_names(stmt, loaded):
     assert fresh(f"{stmt}\n{LOADED}") == loaded
