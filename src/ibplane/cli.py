@@ -3,13 +3,13 @@
 A run parses with the parser of its one subcommand only, built on its first
 use in the process and reused after; help, a missing or an unknown command
 get the full parser, so their output lists all seven. A command imports the
-modules it uses when it first runs, and the full parser imports presets and
-solver for their constants. Each subcommand runs one pipeline, writes its
-declared output files atomically (a failed write leaves no temp file and
-replaces no output), and prints a one-line JSON summary to stdout. Exit
-codes: 0 on success, 2 on argument errors, 1 on computation errors (the
-error class name goes to stderr). Reruns with identical flags and seed
-produce byte-identical outputs.
+modules it uses when it first runs, and no parser imports a library module,
+so help and argument errors load no numpy. Each subcommand runs one
+pipeline, writes its declared output files atomically (a failed write leaves
+no temp file and replaces no output), and prints a one-line JSON summary to
+stdout. Exit codes: 0 on success, 2 on argument errors, 1 on computation
+errors (the error class name goes to stderr). Reruns with identical flags
+and seed produce byte-identical outputs.
 """
 
 import argparse
@@ -52,16 +52,19 @@ def _emit(outputs: list[tuple[str, str]], summary: dict) -> int:
     return 0
 
 
+_PRESET_ARGS = {  # preset: the flags its function reads, in presets.PRESET_NAMES order
+    "symmetric": ("eps",),
+    "product": ("x_card", "y_card"),
+    "deterministic": ("k",),
+    "hierarchical": ("eps1", "eps2", "levels"),
+    "random": ("x_card", "y_card"),
+    "xor": ("d",),
+}
+
+
 def _cmd_gen(args) -> int:
     from . import io, presets
-    params = {
-        "symmetric": {"eps": args.eps},
-        "product": {"x_card": args.x_card, "y_card": args.y_card},
-        "deterministic": {"k": args.k},
-        "hierarchical": {"eps1": args.eps1, "eps2": args.eps2, "levels": args.levels},
-        "xor": {"d": args.d},
-        "random": {"x_card": args.x_card, "y_card": args.y_card},
-    }[args.preset]
+    params = {k: getattr(args, k) for k in _PRESET_ARGS[args.preset]}
     j = presets.gen_preset(args.preset, seed=args.seed, **params)
     summary = {
         "cmd": "gen", "preset": args.preset, "x_card": j.x_card,
@@ -70,12 +73,16 @@ def _cmd_gen(args) -> int:
     return _emit([(args.out, io.joint_to_json(j))], summary)
 
 
+def _solver_opts(args) -> dict:
+    """The --tol and --max-iter given; the solver's signatures hold their defaults."""
+    return {k: v for k, v in vars(args).items() if k in ("tol", "max_iter")}
+
+
 def _cmd_ib_solve(args) -> int:
     from . import io, solver
     j = io.joint_from_json(_read(args.joint))
-    sol = solver.ib_solve_multistart(
-        j, args.t_card, args.beta, restarts=args.restarts, tol=args.tol,
-        max_iter=args.max_iter, seed=args.seed)
+    sol = solver.ib_solve_multistart(j, args.t_card, args.beta, restarts=args.restarts,
+                                     seed=args.seed, **_solver_opts(args))
     summary = {
         "cmd": "ib-solve", "beta": sol.beta, "R": sol.R, "I_Y": sol.I_Y,
         "D_IB": sol.D_IB, "L": sol.L, "converged": sol.converged,
@@ -89,7 +96,7 @@ def _cmd_ib_curve(args) -> int:
     j = io.joint_from_json(_read(args.joint))
     grid = curve.geometric_grid(args.beta_min, args.beta_max, args.grid_factor)
     traced = curve.anneal_curve(j, args.t_card, grid, restarts=args.restarts,
-                                tol=args.tol, max_iter=args.max_iter, seed=args.seed)
+                                seed=args.seed, **_solver_opts(args))
     files = [(args.out, io.curve_to_csv(traced))]
     if args.bifurcations_out:
         files.append((args.bifurcations_out, io.bifurcations_to_json(traced.bifurcations)))
@@ -184,16 +191,14 @@ def _cmd_plane(args) -> int:
 
 
 def _add_solver_opts(p):
-    from . import solver
     p.add_argument("--t-card", type=int, required=True)
-    p.add_argument("--tol", type=float, default=solver.DEFAULT_TOL)
-    p.add_argument("--max-iter", type=int, default=solver.DEFAULT_MAX_ITER)
+    p.add_argument("--tol", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--max-iter", type=int, default=argparse.SUPPRESS)
     p.add_argument("--seed", type=_seed, default=0)
 
 
 def _gen_args(p):
-    from . import presets
-    p.add_argument("--preset", choices=presets.PRESET_NAMES, required=True)
+    p.add_argument("--preset", choices=_PRESET_ARGS, required=True)
     p.add_argument("--eps", type=float, default=0.2)
     p.add_argument("--eps1", type=float, default=0.2)
     p.add_argument("--eps2", type=float, default=0.05)
@@ -296,7 +301,8 @@ _PARSERS: dict = {}  # command (None: all seven): its parser, built on first use
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """A fresh parser with only `command`'s subparser when it names one,
-    else with all seven; either way the top-level usage lists every command."""
+    else with all seven; either way the top-level usage lists every command.
+    No parser imports a library module."""
     only = command in _COMMANDS
     parser = argparse.ArgumentParser(
         prog="ibplane",

@@ -8,6 +8,24 @@ from .prob import JointDistribution
 
 PRESET_NAMES = ("symmetric", "product", "deterministic", "hierarchical",
                 "random", "xor")
+MAX_CELLS = 10**6  # largest joint a preset builds, in cells
+
+
+def _check_cells(x_card: int, y_card: int) -> None:
+    """Refuse an x_card by y_card joint of more than MAX_CELLS cells before it is built."""
+    if x_card * y_card > MAX_CELLS:
+        raise ValueError(f"{x_card} x {y_card} = {x_card * y_card} cells exceeds "
+                         f"MAX_CELLS = {MAX_CELLS}")
+
+
+def _bit_strings(bits: int) -> int:
+    """2**bits, the x_card of a preset over bit strings with binary Y, once
+    its 2**bits by 2 joint is known to fit in MAX_CELLS."""
+    # the exponent is capped where 2**bits alone exceeds MAX_CELLS, so that a
+    # huge bits never forms its power
+    if 2 ** min(bits, MAX_CELLS.bit_length()) * 2 > MAX_CELLS:
+        raise ValueError(f"2^{bits} x 2 cells exceeds MAX_CELLS = {MAX_CELLS}")
+    return 2 ** bits
 
 
 def symmetric_joint(eps: float = 0.2) -> JointDistribution:
@@ -22,6 +40,7 @@ def product_joint(x_card: int = 2, y_card: int = 2) -> JointDistribution:
     """Independent uniform X and Y; zero mutual information."""
     if x_card < 1 or y_card < 1:
         raise ValueError("cardinalities must be >= 1")
+    _check_cells(x_card, y_card)
     return JointDistribution(np.full((x_card, y_card), 1.0 / (x_card * y_card)))
 
 
@@ -29,6 +48,7 @@ def deterministic_joint(k: int = 2) -> JointDistribution:
     """Uniform X with Y = X over k symbols; I(X;Y) = log2 k."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    _check_cells(k, k)
     return JointDistribution(np.eye(k) / k)
 
 
@@ -48,9 +68,9 @@ def hierarchical_joint(eps1: float = 0.2, eps2: float = 0.05,
     o1 = 0.5 - eps1
     if not 0 < eps2 < o1:
         raise ValueError(f"eps2 must be in (0, 0.5 - eps1), got {eps2}")
+    x_card = _bit_strings(levels)
     ratio = eps2 / o1
     offsets = [o1 * ratio ** level for level in range(levels)]
-    x_card = 2 ** levels
     rows = np.empty((x_card, 2))
     for x in range(x_card):
         p0 = 0.5
@@ -67,7 +87,7 @@ def xor_joint(d: int = 2) -> JointDistribution:
     """Uniform d-bit strings labeled by their parity."""
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
-    x_card = 2 ** d
+    x_card = _bit_strings(d)
     p = np.zeros((x_card, 2))
     for x in range(x_card):
         p[x, bin(x).count("1") % 2] = 1.0 / x_card
@@ -78,6 +98,7 @@ def random_joint(x_card: int = 3, y_card: int = 2, seed: int = 0) -> JointDistri
     """Flat-Dirichlet draw over all cells (seeded unit-rate gammas, normalized)."""
     if x_card < 1 or y_card < 1:
         raise ValueError("cardinalities must be >= 1")
+    _check_cells(x_card, y_card)
     rng = np.random.default_rng(seed)
     g = rng.gamma(1.0, size=(x_card, y_card))
     return JointDistribution(g / g.sum())

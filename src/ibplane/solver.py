@@ -24,8 +24,9 @@ zero weight an infinite divergence gives. A symbol with p(x) = 0 has a zero
 p(y|x) row (see `prob`) and so no relevance term: its new row is p(t), on
 either path. The formula breaks down (a NaN row) only for an element with a
 zero-mass cluster (0/0 in its decoder), a decoder zero facing a zero of some
-p(y|x) (0 * log 0; a y that no p(y|x) supports does this in every element,
-and a zero row in every element with a decoder zero), or such a -inf at
+p(y|x) (0 * log 0; a y that no p(y|x) supports would do this in every
+element, so a solve drops its column, which adds nothing to any term; a
+zero row does it in every element with a decoder zero), or such a -inf at
 beta = 0. Those elements alone go down a guarded path, which sums the
 divergence over p(y|x)'s support only, makes it infinite where a decoder
 misses that support, and gives zero-mass clusters no weight. The choice is
@@ -330,6 +331,8 @@ def _lockstep(j: JointDistribution, enc: np.ndarray, beta: np.ndarray,
     and converged flag. An element's trajectory is the one it follows when
     solved alone."""
     px, pygx, jp = j.px, j.pygx, j.p
+    if not (seen := jp.any(axis=0)).all():  # an unseen y only sends every map down `_guarded`
+        pygx, jp = pygx[:, seen], jp[:, seen]
     out = np.array(enc)
     iters, conv = np.zeros(len(out), dtype=int), np.zeros(len(out), dtype=bool)
     live = np.arange(len(out))

@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import functools
+import inspect
 import io as text_io
 import json
 import math
@@ -11,6 +12,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -19,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ibplane import analyzer, cli, io
+from ibplane import analyzer, cli, io, presets
 from ibplane.analyzer import InfoPlanePoint, LayerPath, QuantizerConfig, info_plane_path
 from ibplane.bounds import BoundCurve, BoundPoint, bound_curve
 from ibplane.curve import CurvePoint, anneal_curve, geometric_grid
@@ -527,13 +529,40 @@ def test_cli_gen_empty_alphabet_is_one_line_error(tmp_path, preset, card):
     assert not (tmp_path / "j.json").exists()
 
 
-# 2^40 symbols: the 16 TiB allocation fails at once, it is never attempted in part
+# 2^40 symbols: refused by the preset's cell count, before anything is allocated
 @pytest.mark.parametrize("args", [["--preset", "xor", "--d", 40],
                                   ["--preset", "hierarchical", "--levels", 40]])
 def test_cli_gen_too_large_is_one_line_error(tmp_path, args):
     r = run_cli("gen", *args, "--out", tmp_path / "j.json")
     assert r.returncode == 1
-    assert r.stderr.startswith("MemoryError: ") and r.stderr.count("\n") == 1
+    assert r.stderr.startswith("ValueError: ") and r.stderr.count("\n") == 1
+    assert "MAX_CELLS = 1000000" in r.stderr
+    assert not (tmp_path / "j.json").exists()
+
+
+@pytest.mark.parametrize("args, cells", [
+    ("product --x-card 100000 --y-card 100000", "100000 x 100000 = 10000000000"),
+    ("random --x-card 1000 --y-card 1001", "1000 x 1001 = 1001000"),
+    ("deterministic --k 100000", "100000 x 100000 = 10000000000"),
+    ("hierarchical --levels 30", "2^30 x 2"),
+    ("hierarchical --levels 19", "2^19 x 2"),
+    ("xor --d 40", "2^40 x 2"),
+])
+def test_cli_gen_refuses_an_oversize_preset_before_allocating(tmp_path, capsys, args, cells):
+    # every case here would allocate at least 8 MB, or loop over 2^n rows,
+    # were it not refused; run one refusal first, so that the imports and
+    # the parser are not counted
+    argv = ["gen", "--preset", *args.split(), "--out", str(tmp_path / "j.json")]
+    assert cli.run(argv) == 1
+    tracemalloc.start()
+    try:
+        code = cli.run(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and peak < 2**20
+    err = capsys.readouterr().err
+    assert err == 2 * f"ValueError: {cells} cells exceeds MAX_CELLS = 1000000\n"
     assert not (tmp_path / "j.json").exists()
 
 
@@ -995,14 +1024,16 @@ def test_readme_argv_parses_the_same_from_the_one_command_parser():
         assert cli.build_parser(argv[0]).parse_args(argv) == cli.build_parser().parse_args(argv)
 
 
-@pytest.mark.parametrize("argv", [
-    "gen --out j.json",
-    "gen --preset nope --out j.json",
-    "gen --preset symmetric --out j.json --bogus 1",
-    "ib-solve --joint j.json --t-card 2 --beta 1 --out s.json extra",
-    "train --joint j.json --hidden 4,,3 --out net.json",
-], ids=["missing-required", "bad-choice", "unknown-option", "extra-argument",
-        "malformed-hidden"])
+ARGUMENT_ERRORS = {  # id: an argv that is an argument error
+    "missing-required": "gen --out j.json",
+    "bad-choice": "gen --preset nope --out j.json",
+    "unknown-option": "gen --preset symmetric --out j.json --bogus 1",
+    "extra-argument": "ib-solve --joint j.json --t-card 2 --beta 1 --out s.json extra",
+    "malformed-hidden": "train --joint j.json --hidden 4,,3 --out net.json",
+}
+
+
+@pytest.mark.parametrize("argv", ARGUMENT_ERRORS.values(), ids=ARGUMENT_ERRORS)
 def test_argument_errors_are_the_same_from_the_one_command_parser(argv, capsys):
     # an unknown option is reported by the top-level parser, whose usage
     # line must still list every command
@@ -1043,6 +1074,30 @@ def test_run_builds_only_the_requested_subparser(monkeypatch, capsys):
     for argv in [*([cmd, "--help"] for cmd in COMMANDS), ["nope"], [], ["--help"]]:
         parse_outcome(cli.run, argv, capsys)
     assert len(built) == 8
+
+
+@pytest.mark.parametrize("argv", ["--help", *(f"{cmd} --help" for cmd in COMMANDS),
+                                  *ARGUMENT_ERRORS.values()])
+def test_help_and_argument_errors_load_no_library_module(argv):
+    # a fresh interpreter: only the parser runs, and no parser imports
+    # presets, solver or anything else that loads numpy
+    code = ("import json, sys\nfrom ibplane import cli\ntry:\n    code = cli.run(sys.argv[1:])\n"
+            "except SystemExit as e:\n    code = e.code\n"
+            "print(json.dumps([code, sorted(m for m in sys.modules"
+            " if m.partition('.')[0] in ('ibplane', 'numpy'))]))")
+    r = subprocess.run([sys.executable, "-c", code, *argv.split()],
+                       capture_output=True, text=True)
+    code, loaded = json.loads(r.stdout.splitlines()[-1])
+    assert code == (0 if argv.endswith("--help") else 2), r.stderr
+    assert loaded == ["ibplane", "ibplane.cli", "ibplane.errors"]
+
+
+def test_preset_table_names_each_preset_functions_parameters():
+    # gen's flags per preset, kept in cli so the parser need not import presets
+    assert tuple(cli._PRESET_ARGS) == presets.PRESET_NAMES
+    for name, flags in cli._PRESET_ARGS.items():
+        params = inspect.signature(getattr(presets, f"{name}_joint")).parameters
+        assert sorted(flags) == sorted(set(params) - {"seed"}), name
 
 
 def test_no_parser_is_built_at_import():

@@ -313,9 +313,10 @@ def reference_solve(j, enc, beta, tol, max_iter):
     """One element's solve, as `_lockstep` runs it, written with the plain
     formulas: every map computes its own p(t) and p(t, y), L is computed
     apart from the maps, and the extrapolation takes the log of the three
-    encoders stacked. Returns the final encoder, evaluation count and
-    converged flag."""
-    px, pygx, jp = j.px, j.pygx, j.p
+    encoders stacked. A y of zero mass is dropped first, as `_lockstep`
+    drops it. Returns the final encoder, evaluation count and converged flag."""
+    seen = j.p.sum(axis=0) > 0
+    px, pygx, jp = j.px, j.pygx[:, seen], j.p[:, seen]
     kb = np.full((1, 1, 1), beta)
     ob = np.full(2, beta), np.full(2, 1.0 - beta)
 
@@ -417,6 +418,26 @@ def test_lockstep_matches_the_reference_solve_bit_for_bit(inputs):
     sol = _pick(j, inits.shape[2], betas[0], enc, iters, conv)
     R, I_Y = _info_bits(j, sol.encoder.matrix[None])
     assert (sol.R, sol.I_Y) == (R[0], I_Y[0])
+
+
+@pytest.mark.parametrize("x_card, y_card, col", [(8, 4, 3), (3, 8, 0), (5, 3, 1), (4, 2, 0)])
+def test_an_unseen_y_leaves_the_solve_on_the_fast_kernel(monkeypatch, x_card, y_card, col):
+    # a zero-mass y column makes every map's relevance term 0 * log 0; the
+    # solve drops the column instead of sending each map down `_guarded`, and
+    # runs exactly as on the joint without it (p(x) sums at most 8 cells in
+    # order, so adding the zeros changes no bit of it)
+    p = random_joint(x_card, y_card, seed=1).p.copy()
+    p[:, col] = 0.0
+    p /= p.sum()
+    gappy, trimmed = JointDistribution(p), JointDistribution(np.delete(p, col, axis=1))
+    inits = _restart_inits(x_card, 3, [(r, 7 + r) for r in range(6)])
+    betas = np.array([0.0, 0.5, 2.0, 5.0, 20.0, 200.0])
+    calls = []
+    monkeypatch.setattr(solver, "_guarded", lambda *a: calls.append(a) or _guarded(*a))
+    got = _lockstep(gappy, inits, betas, DEFAULT_TOL, DEFAULT_MAX_ITER)
+    assert calls == []
+    for a, b in zip(got, _lockstep(trimmed, inits, betas, DEFAULT_TOL, DEFAULT_MAX_ITER)):
+        assert np.array_equal(a, b)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
