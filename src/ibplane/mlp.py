@@ -5,17 +5,19 @@ a normalized exponential over the label alphabet (a single output unit is
 treated as the binary case, where the sigmoid itself is the class-1
 probability). Training is plain seeded SGD on the average cross-entropy,
 measured in bits to match the rest of the package. Every layer is a function
-of the symbol alone, so one raw-array kernel runs a minibatch as its distinct
-symbols with their label counts, forward and backprop, for every caller. It
-holds each layer as an augmented block [W.T; b] fed rows ending in 1 (inputs
-[e_x, 1]; each hidden layer adds a unit fixed at 1), so a layer and its weight
-and bias gradient are one `dot` each. A block that feeds a hidden layer, and
-the error backprop carries to it, are held negated; each negation is exact, so
-every bit is that of the plain form. `NetworkParams`, `batch_gradients` and
-`forward_all`'s fresh arrays are not negated. Training updates one flat buffer
-in place, computes an epoch's losses after its steps from the probabilities
-they wrote, and raises `DivergenceError` naming the epoch once the loss or a
-parameter turns non-finite. All is deterministic given the seeds."""
+of the symbol alone, so one raw-array kernel, a closure `_bind` builds once
+per call, runs a minibatch as its distinct symbols with their label counts,
+forward and backprop, for every caller. It holds each layer as an augmented
+block [W.T; b] fed rows ending in 1 (inputs [e_x, 1]; each hidden layer adds a
+unit fixed at 1), so a layer and its weight and bias gradient are one `dot`
+each. A block that feeds a hidden layer, and the error backprop carries to
+it, are held negated; each negation is exact, so every bit is that of the
+plain form. `NetworkParams`, `batch_gradients` and `forward_all`'s fresh
+arrays are not negated. Training updates one flat buffer in place, sums an
+epoch's minibatch losses after its steps in one reduceat over the
+probabilities they wrote, and raises `DivergenceError` naming the epoch once
+the loss or a parameter turns non-finite. All is deterministic given the
+seeds."""
 
 from __future__ import annotations
 
@@ -151,52 +153,50 @@ def _errors(counts, rowcount, m, k: int):
 
 
 def _bind(layer_sizes, blocks, grads=None):
-    """The (X, X + 1) input rows [e_x, 1] and what _kernel reads, bound once per
-    call: the first block, the later ones, a softmax head's (k, k) ones and, given
-    grad blocks, the first's and, backward, each later one with its block.T."""
+    """The (X, X + 1) input rows [e_x, 1] and a kernel bound to the blocks, the
+    grad blocks and the ufuncs. kernel(a0, probs) runs distinct symbols' input
+    rows a0 forward, writes the output probabilities into probs and returns the
+    hidden activations; given a minibatch's `_errors` rows (totals, labels), it
+    writes into grads the gradients of its bit-valued mean cross-entropy,
+    signed as the blocks are. Callers hold `_QUIET`."""
     x_card, k = layer_sizes[0], layer_sizes[-1]
     inputs = np.hstack([np.eye(x_card), np.ones((x_card, 1))])
-    back = None if grads is None else (
+    first, layers, ones = blocks[0], blocks[1:], None if k == 1 else np.ones((k, k))
+    grad0, back = (None, []) if grads is None else (
         grads[0], list(zip(grads[:0:-1], [b.T for b in blocks[:0:-1]])))
-    return inputs, (blocks[0], blocks[1:], None if k == 1 else np.ones((k, k)), back)
+    exp, add, subtract, divide, top = np.exp, np.add, np.subtract, np.divide, np.maximum.reduce
 
+    def kernel(a0, probs, totals=None, labels=None):
+        acts, v = [a0], a0.dot(first)
+        for block in layers:  # v = -u, so the logistic is 1 / (1 + exp(v)), in v's buffer
+            acts.append(divide(_ONE, add(exp(v, v), _ONE, v), v))
+            v = v.dot(block)
+        if ones is None:  # one unit: its sigmoid is the label-1 probability
+            head = divide(_ONE, _ONE + exp(-v), probs[:, 1:])
+            subtract(_ONE, head, probs[:, :1])
+        else:
+            v -= top(v, 1, keepdims=True)
+            head = divide(exp(v, v), v.dot(ones), probs)
+        if totals is None:
+            return acts[1:]
+        delta = totals * head
+        delta -= labels
+        for (grad, w), a in zip(back, acts[:0:-1]):
+            a.T.dot(delta, grad)
+            delta = delta.dot(w) * a
+            delta *= subtract(a, _ONE, a)  # a - 1 in a's buffer; 0 at the constant unit
+        a0.T.dot(delta, grad0)  # exact zeros in the rows of symbols not in a0
 
-def _kernel(bound, a0, probs, errs=None):
-    """Forward pass of distinct symbols' input rows a0 through `_bind` blocks:
-    writes the output probabilities into probs and returns the hidden layers'
-    activations. Given a minibatch's `_errors` rows, writes the gradients of its
-    bit-valued mean cross-entropy, signed as the blocks are. Callers hold `_QUIET`."""
-    first, layers, ones, back = bound
-    acts, v = [a0], a0.dot(first)
-    for block in layers:  # v = -u, so the logistic is 1 / (1 + exp(v)), in v's buffer
-        acts.append(np.divide(_ONE, np.add(np.exp(v, out=v), _ONE, out=v), out=v))
-        v = v.dot(block)
-    if ones is None:  # one unit: its sigmoid is the label-1 probability
-        head = probs[:, 1:]
-        np.divide(_ONE, _ONE + np.exp(-v), out=head)
-        np.subtract(_ONE, head, out=probs[:, :1])
-    else:
-        v -= np.maximum.reduce(v, 1, keepdims=True)
-        head = np.divide(np.exp(v, out=v), v.dot(ones), out=probs)
-    if errs is None:
-        return acts[1:]
-    delta = errs[0] * head
-    delta -= errs[1]
-    for (grad, w), a in zip(back[1], acts[:0:-1]):
-        a.T.dot(delta, out=grad)
-        delta = delta.dot(w) * a
-        delta *= np.subtract(a, _ONE, out=a)  # a - 1 in a's buffer; 0 at the constant unit
-    a0.T.dot(delta, out=back[0])  # exact zeros in the rows of symbols not in a0
+    return inputs, kernel
 
 
 def _losses(counts, probs, edges, sizes) -> list[float]:
     """Bit-valued mean cross-entropy of each minibatch i, rows edges[i]:edges[i+1]
     of a (rows, labels) count table and its probabilities, with sizes[i] samples:
-    one log2 over the observed cells, one dot per minibatch over its cells."""
+    one log2 over the observed cells, one reduceat over each minibatch's, none empty."""
     seen = counts > 0  # an unobserved label adds nothing, even at p = 0
-    c, logp = counts[seen], np.log2(probs[seen])
-    cuts = np.searchsorted(np.flatnonzero(seen), np.multiply(edges, counts.shape[1])).tolist()
-    return [-float(c[a:b].dot(logp[a:b])) / m for a, b, m in zip(cuts, cuts[1:], sizes)]
+    cuts = np.searchsorted(np.flatnonzero(seen), np.multiply(edges[:-1], counts.shape[1]))
+    return (-np.add.reduceat(counts[seen] * np.log2(probs[seen]), cuts) / sizes).tolist()
 
 
 def forward_all(net: NetworkParams, x_card: int) -> tuple[list[np.ndarray], np.ndarray]:
@@ -206,10 +206,10 @@ def forward_all(net: NetworkParams, x_card: int) -> tuple[list[np.ndarray], np.n
     if net.layer_sizes[0] != x_card:
         raise DimensionError(f"network input width {net.layer_sizes[0]} "
                              f"does not match x_card {x_card}")
-    inputs, bound = _bind(net.layer_sizes, _buffer(net)[1])
+    inputs, kernel = _bind(net.layer_sizes, _buffer(net)[1])
     probs = np.empty((x_card, max(net.layer_sizes[-1], 2)))
     with np.errstate(**_QUIET):
-        return [a[:, :-1].copy() for a in _kernel(bound, inputs, probs)], probs
+        return [a[:, :-1].copy() for a in kernel(inputs, probs)], probs
 
 
 def batch_gradients(net: NetworkParams, x_indices, y_indices):
@@ -219,11 +219,11 @@ def batch_gradients(net: NetworkParams, x_indices, y_indices):
         raise DimensionError("a batch needs equally long, non-empty x and y index vectors")
     sym, counts, rowcount = _count_table(xs, ys, _n_labels(net, xs, ys), net.layer_sizes[0])
     grads = _buffer(net)[1]  # the kernel overwrites every entry
-    inputs, bound = _bind(net.layer_sizes, _buffer(net)[1], grads)
+    inputs, kernel = _bind(net.layer_sizes, _buffer(net)[1], grads)
     probs = np.empty_like(counts)
     with np.errstate(**_QUIET):
-        _kernel(bound, inputs.take(sym, axis=0), probs,
-                _errors(counts, rowcount, xs.size, net.layer_sizes[-1]))
+        kernel(inputs.take(sym, axis=0), probs,
+               *_errors(counts, rowcount, xs.size, net.layer_sizes[-1]))
         loss = _losses(counts, probs, [0, sym.size], [xs.size])[0]
     return (*map(list, _params(grads, net.layer_sizes)), loss)
 
@@ -245,7 +245,7 @@ def train_sgd(net: NetworkParams, samples: SampleSet,
     x_card = net.layer_sizes[0]
     flat, blocks = _buffer(net)
     grad, grads = _buffer(net)  # each step overwrites every entry
-    inputs, bound = _bind(net.layer_sizes, blocks, grads)
+    inputs, kernel = _bind(net.layer_sizes, blocks, grads)
     sizes = [min(cfg.batch_size, samples.n - s) for s in range(0, samples.n, cfg.batch_size)]
     # sorted (minibatch, symbol) keys put each minibatch's rows in one run
     batch_key = np.arange(samples.n) // cfg.batch_size * x_card
@@ -261,7 +261,7 @@ def train_sgd(net: NetworkParams, samples: SampleSet,
                                      net.layer_sizes[-1])
             probs = np.empty_like(counts)
             for r0, r1 in zip(edges, edges[1:]):
-                _kernel(bound, a0[r0:r1], probs[r0:r1], (totals[r0:r1], labels[r0:r1]))
+                kernel(a0[r0:r1], probs[r0:r1], totals[r0:r1], labels[r0:r1])
                 grad *= lr
                 flat -= grad
             running = 0.0

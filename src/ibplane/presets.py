@@ -70,17 +70,13 @@ def hierarchical_joint(eps1: float = 0.2, eps2: float = 0.05,
         raise ValueError(f"eps2 must be in (0, 0.5 - eps1), got {eps2}")
     x_card = _bit_strings(levels)
     ratio = eps2 / o1
-    offsets = [o1 * ratio ** level for level in range(levels)]
-    rows = np.empty((x_card, 2))
-    for x in range(x_card):
-        p0 = 0.5
-        for level in range(levels):
-            bit = (x >> (levels - 1 - level)) & 1
-            p0 += offsets[level] * (1.0 if bit == 0 else -1.0)
-        if not 0 < p0 < 1:
-            raise ValueError("offsets leave the probability simplex; shrink eps2")
-        rows[x] = (p0, 1.0 - p0)
-    return JointDistribution(rows / x_card)
+    x, p0 = np.arange(x_card), np.full(x_card, 0.5)
+    for level in range(levels):  # level 1 is the leading binary digit
+        offset = o1 * ratio ** level
+        p0 += np.where((x >> (levels - 1 - level)) & 1, -offset, offset)
+    if not np.all((0 < p0) & (p0 < 1)):
+        raise ValueError("offsets leave the probability simplex; shrink eps2")
+    return JointDistribution(np.stack([p0, 1.0 - p0], axis=1) / x_card)
 
 
 def xor_joint(d: int = 2) -> JointDistribution:
@@ -88,9 +84,8 @@ def xor_joint(d: int = 2) -> JointDistribution:
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
     x_card = _bit_strings(d)
-    p = np.zeros((x_card, 2))
-    for x in range(x_card):
-        p[x, bin(x).count("1") % 2] = 1.0 / x_card
+    x, p = np.arange(x_card), np.zeros((x_card, 2))
+    p[x, np.bitwise_count(x) % 2] = 1.0 / x_card
     return JointDistribution(p)
 
 

@@ -12,6 +12,7 @@ from ibplane.errors import DimensionError, DivergenceError, UnsupportedDegenerat
 from ibplane.mlp import (
     NetworkParams,
     _count_table,
+    _losses,
     TrainConfig,
     accuracy,
     batch_gradients,
@@ -285,10 +286,12 @@ def reference_sgd(net, samples, cfg):
     (symmetric_joint(0.2), [2, 1], 200, 16),      # binary head, no hidden layer
     (random_joint(64, 2, seed=2), [64, 3, 1], 100, 8),  # binary head, alphabet larger than a batch
     (random_joint(8, 3, seed=1), [8, 6, 5, 4, 3], 400, 32),  # three hidden layers
+    (xor_joint(2), [4, 3, 2], 60, 1),             # one sample per minibatch
 ], ids=["softmax-two-hidden", "binary-head", "ragged-last-batch",
         "alphabet-larger-than-batch", "unseen-symbol", "no-hidden-layer",
         "one-minibatch-per-epoch", "binary-head-no-hidden-layer",
-        "binary-head-alphabet-larger-than-batch", "three-hidden-layers"])
+        "binary-head-alphabet-larger-than-batch", "three-hidden-layers",
+        "one-sample-minibatches"])
 def test_train_matches_reference_loop_bit_for_bit(joint, sizes, n, batch_size):
     samples = sample_pairs(joint, n, seed=4)
     net = init_network(sizes, seed=5)
@@ -301,6 +304,35 @@ def test_train_matches_reference_loop_bit_for_bit(joint, sizes, n, batch_size):
     # no gradient ever reaches the first-layer column of an unseen symbol
     for x in set(range(sizes[0])) - set(samples.pairs[:, 0].tolist()):
         assert np.array_equal(got.weights[0][:, x], net.weights[0][:, x])
+
+
+@st.composite
+def epoch_tables(draw):
+    """An epoch's (rows, labels) count table and probabilities cut into
+    minibatches: one-sample minibatches, and unobserved labels at p = 0."""
+    n_labels = draw(st.integers(1, 4))
+    counts, probs, edges, sizes = [], [], [0], []
+    for _ in range(draw(st.integers(1, 6))):
+        for _ in range(draw(st.integers(1, 3))):
+            row = draw(st.lists(st.integers(0, 3), min_size=n_labels, max_size=n_labels))
+            row[draw(st.integers(0, n_labels - 1))] += 1  # every row has a sample
+            p = [draw(st.floats(1e-3, 1.0)) if c or not draw(st.booleans()) else 0.0
+                 for c in row]
+            counts.append(row)
+            probs.append([v / sum(p) for v in p])
+        edges.append(len(counts))
+        sizes.append(sum(map(sum, counts[edges[-2]:])))
+    return np.array(counts, dtype=float), np.array(probs), edges, sizes
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(epoch_tables())
+def test_epoch_losses_match_each_minibatch_alone_bit_for_bit(case):
+    counts, probs, edges, sizes = case
+    got = _losses(counts, probs, edges, sizes)
+    want = [_losses(counts[a:b], probs[a:b], [0, b - a], [m])[0]
+            for a, b, m in zip(edges, edges[1:], sizes)]
+    assert got == want and all(map(math.isfinite, got))
 
 
 @pytest.mark.parametrize("batch_size", [1, 7, 512], ids=["sorted", "sorted-ragged", "dense"])
