@@ -17,8 +17,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "analyzer": """InfoPlanePoint LayerPath QuantizerConfig info_plane_path
         layer_codes network_distortion_rate""",
-    "bounds": """BoundCurve BoundPoint NetworkGaps bound_curve network_gaps
-        worst_case_correction""",
+    "bounds": "BoundCurve NetworkGaps bound_curve network_gaps worst_case_correction",
     "cli": "",
     "curve": """Bifurcation CurvePoint InfoCurve anneal_curve detect_bifurcations
         effective_cardinality geometric_grid""",
@@ -28,8 +27,7 @@ _EXPORTS = {
     "mlp": """NetworkParams TrainConfig accuracy batch_gradients forward_all
         init_network naive_bayes_neuron train_sgd""",
     "presets": "gen_preset",
-    "prob": """ConditionalMatrix JointDistribution SampleSet empirical_joint
-        sample_pairs""",
+    "prob": "JointDistribution SampleSet empirical_joint sample_pairs",
     "solver": """Encoder IBSolution exhaustive_deterministic_oracle
         ib_iterate_once ib_solve ib_solve_multistart self_consistency_residual""",
     "svgplot": "",

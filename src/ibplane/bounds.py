@@ -22,26 +22,13 @@ import numpy as np
 from .curve import InfoCurve
 from .errors import DimensionError
 from .prob import _frozen_array
-from .solver import _check_fields, _field_faults, _raise_first
-
-
-@dataclass(frozen=True)
-class BoundPoint:
-    R_hat: float
-    I_Y_hat: float
-    I_Y_worst: float
-    D_worst: float
-
-    def __post_init__(self):
-        _check_fields(self, "bound point", vars(self))  # every field, in order
-        if self.I_Y_worst > self.I_Y_hat:
-            raise ValueError("bound point has I_Y_worst above I_Y_hat")
-        if self.R_hat >= 1024:  # so that `rate_corrections` never overflows
-            raise ValueError(f"bound point R_hat = {self.R_hat!r} bits: 2^R_hat overflows")
+from .solver import _field_faults, _raise_first
 
 
 def _bound_faults(R_hat, I_Y_hat, I_Y_worst, D_worst) -> list:
-    """BoundPoint's checks on columns, as `_raise_first` takes them."""
+    """The rules of a bound row, on columns, as `_raise_first` takes them:
+    every field finite and >= 0, I_Y_worst at most I_Y_hat, and R_hat below
+    1024, so that the row's rate correction never overflows."""
     return [*_field_faults("bound point", R_hat=R_hat, I_Y_hat=I_Y_hat, I_Y_worst=I_Y_worst,
                            D_worst=D_worst),
             (I_Y_worst > I_Y_hat, lambda i: "bound point has I_Y_worst above I_Y_hat"),
@@ -59,8 +46,8 @@ class BoundCurve:
 
     rate_correction(i) is the companion c*K/sqrt(n) slack on the rate axis at
     point i, reported but playing no role in the optimum search, which happens
-    on the distortion axis. star_index, R_star, D_star, the rate corrections
-    and `points`, the BoundPoint records, are computed on read.
+    on the distortion axis. star_index, R_star, D_star and the rate
+    corrections are computed on read.
     """
 
     R_hat: np.ndarray
@@ -88,13 +75,6 @@ class BoundCurve:
 
     def rate_correction(self, i: int) -> float:
         return self.c_bound * 2.0 ** self.R_hat[i].item() / math.sqrt(self.n)
-
-    rate_corrections = property(lambda self: tuple(map(self.rate_correction,
-                                                       range(self.R_hat.size))))
-
-    @functools.cached_property
-    def points(self) -> tuple[BoundPoint, ...]:
-        return tuple(map(BoundPoint, *(getattr(self, k).tolist() for k in _BOUND_COLUMNS)))
 
 
 @dataclass(frozen=True)

@@ -47,8 +47,9 @@ _seed.__name__ = "int"  # a non-integer reads "invalid int value: ...", as with 
 
 def _emit(outputs: list[tuple[str, str]], summary: dict) -> int:
     from . import io
+    line = io.json_dumps(summary)  # a summary that cannot be written replaces no output
     io.write_all(outputs)
-    print(io.json_dumps(summary))
+    print(line)
     return 0
 
 

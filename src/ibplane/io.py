@@ -351,7 +351,8 @@ def bound_curve_to_csv(b: BoundCurve) -> str:
 
 def bound_points_from_csv(text: str) -> tuple[np.ndarray, ...]:
     """The R_hat, I_Y_hat, I_Y_worst and D_worst columns, once each row
-    passes BoundPoint's checks; `BoundCurve(*columns, n, c_bound)` takes them."""
+    keeps a bound row's rules (`bounds._bound_faults`);
+    `BoundCurve(*columns, n, c_bound)` takes them."""
     from .bounds import _bound_faults
     return tuple(_csv_columns(text, "bound", _BOUND_HEADER, *[float] * 4, faults=_bound_faults))
 

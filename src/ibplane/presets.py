@@ -6,8 +6,6 @@ import numpy as np
 
 from .prob import JointDistribution
 
-PRESET_NAMES = ("symmetric", "product", "deterministic", "hierarchical",
-                "random", "xor")
 MAX_CELLS = 10**6  # largest joint a preset builds, in cells
 
 
@@ -99,18 +97,17 @@ def random_joint(x_card: int = 3, y_card: int = 2, seed: int = 0) -> JointDistri
     return JointDistribution(g / g.sum())
 
 
+_PRESETS = {"symmetric": symmetric_joint, "product": product_joint,
+            "deterministic": deterministic_joint, "hierarchical": hierarchical_joint,
+            "random": random_joint, "xor": xor_joint}
+PRESET_NAMES = tuple(_PRESETS)
+
+
 def gen_preset(name: str, seed: int = 0, **params) -> JointDistribution:
-    """Build a preset joint by name; unknown names raise ValueError."""
-    if name == "symmetric":
-        return symmetric_joint(**params)
-    if name == "product":
-        return product_joint(**params)
-    if name == "deterministic":
-        return deterministic_joint(**params)
-    if name == "hierarchical":
-        return hierarchical_joint(**params)
-    if name == "xor":
-        return xor_joint(**params)
+    """Build a preset joint by name; unknown names raise ValueError. Only
+    the random preset reads the seed."""
+    if name not in _PRESETS:
+        raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
     if name == "random":
-        return random_joint(seed=seed, **params)
-    raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
+        params["seed"] = seed
+    return _PRESETS[name](**params)

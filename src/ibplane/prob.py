@@ -6,13 +6,12 @@ bits (log base 2), 0*log(0) counts as 0, and conditioning on a zero-mass row
 yields a zero row: p(y|x) = 0 where p(x) = 0, so an unobserved symbol carries
 no made-up conditional. Values are immutable after construction, every
 operation is pure, and records that hold arrays compare by identity. A table
-takes its dimensions from its array: a joint's x_card and y_card, a
-conditional matrix's rows and cols and a sample set's n come from its shape.
-One function, `_check_table`, checks every table: each joint and conditional
-matrix (the solver's `Encoder` is one), the solver's encoder stacks and a
-solution's marginal and decoder. One function, `pushforward_bits`, pushes a
-joint through deterministic codes of X: the analyzer's layer codes and the
-oracle's maps. A joint computes its constants p(x), p(y|x), I(X;Y) and H(X)
+takes its dimensions from its array: a joint's x_card and y_card, a sample
+set's n and the solver's encoder's x_card and t_card come from its shape.
+One function, `_check_table`, checks every table: each joint, the solver's
+encoders and encoder stacks, and a solution's marginal and decoder. One
+function, `pushforward_bits`, pushes a joint through deterministic codes of
+X: the analyzer's layer codes and the oracle's maps. A joint computes its constants p(x), p(y|x), I(X;Y) and H(X)
 on first use, once per object, and hands out the same read-only values to
 every later caller; I(X;Y) is computed at construction, and a joint whose
 I(X;Y) is not finite is rejected.
@@ -158,19 +157,6 @@ class JointDistribution:
     def h_x(self) -> float:
         """H(X) in bits."""
         return entropy_bits(self.px)
-
-
-@dataclass(frozen=True, eq=False)
-class ConditionalMatrix:
-    """Row-stochastic matrix: one distribution per conditioning symbol."""
-
-    p: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "p", _check_table(self.p, type(self).__name__, 2, rows=True))
-
-    rows = property(lambda self: self.p.shape[0])
-    cols = property(lambda self: self.p.shape[1])
 
 
 @dataclass(frozen=True, eq=False)

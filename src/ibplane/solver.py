@@ -53,15 +53,15 @@ A query pays its fixed costs once. The seeded init stack of
 only on (x_card, t_card, restarts, seed); it is built once per key, kept
 read-only in an LRU memo of INIT_MEMO_SIZE stacks and shared by every query
 with that key. The joint's p(x), p(y|x), I(X;Y) and H(X) are computed once
-per JointDistribution object (see `prob`). `Encoder` is a
-`prob.ConditionalMatrix`; `prob._check_table` checks every encoder, init
-stack, cluster marginal and decoder, and `_check_tradeoff_point` IBSolution
-and a CurvePoint; `_field_faults` with `_raise_first` check whole columns of
-the curve and bound tables by the same rules, naming the first bad row. An
-IBSolution is its joint, beta and encoder (with the solve's iteration count
-and converged flag): R, I_Y, D_IB, L and the read-only arrays p(t) and p(y|t)
-are computed from them on read and not stored, and a file's copies are
-checked against them by the solution reader.
+per JointDistribution object (see `prob`). `prob._check_table` checks
+every encoder, init stack, cluster marginal and decoder, and
+`_check_tradeoff_point` IBSolution and a CurvePoint; `_field_faults` with
+`_raise_first` check whole columns of the curve and bound tables by the
+same rules, naming the first bad row. An IBSolution is its joint, beta and
+encoder (with the solve's iteration count and converged flag): R, I_Y,
+D_IB, L and the read-only arrays p(t) and p(y|t) are computed from them on
+read and not stored, and a file's copies are checked against them by the
+solution reader.
 """
 
 from __future__ import annotations
@@ -73,13 +73,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, InstanceTooLargeError
-from .prob import (
-    ConditionalMatrix,
-    JointDistribution,
-    _check_table,
-    mi_bits_stack,
-    pushforward_bits,
-)
+from .prob import JointDistribution, _check_table, mi_bits_stack, pushforward_bits
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 10_000
@@ -94,13 +88,17 @@ INIT_MEMO_SIZE = 64  # restart-init stacks kept, one per (x_card, t_card, restar
 
 
 @dataclass(frozen=True, eq=False)
-class Encoder(ConditionalMatrix):
-    """Soft assignment p(t|x) of input symbols to clusters, a conditional
-    matrix whose p, rows and cols are also its matrix, x_card and t_card."""
+class Encoder:
+    """Soft assignment p(t|x) of input symbols to clusters: a row-stochastic
+    matrix, one row per input symbol and one column per cluster."""
 
-    matrix = property(lambda self: self.p)
-    x_card = property(lambda self: self.rows)
-    t_card = property(lambda self: self.cols)
+    matrix: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "matrix", _check_table(self.matrix, "Encoder", 2, rows=True))
+
+    x_card = property(lambda self: self.matrix.shape[0])
+    t_card = property(lambda self: self.matrix.shape[1])
 
     @classmethod
     def noisy_uniform(cls, x_card: int, t_card: int, seed: int,
@@ -217,7 +215,6 @@ class IBSolution:
     I_Y = property(lambda self: self._bits[1])
     D_IB = property(lambda self: max(0.0, self.joint.i_xy - self.I_Y))
     L = _lagrangian
-    t_card = property(lambda self: self.encoder.t_card)
     marginal = property(lambda self: self._decoded[0])
     decoder = property(lambda self: self._decoded[1])
 

@@ -191,12 +191,11 @@ def test_criterion_09_finite_sample_bound_behavior():
     # so R* = 2 at every n would be right there and the fall untestable
     j = SYM
     c = anneal_curve(j, 2, geometric_grid(0.5, 50.0, 1.1), seed=0)
-    ok = max(p.R for p in c.points) >= math.log2(2) - 1e-9
+    ok = bool(c.R.max() >= math.log2(2) - 1e-9)
     stars = []
     for n in (10 ** 6, 10 ** 4, 10 ** 3, 10 ** 2):
         b = bound_curve(c, n, 1.0, y_card=j.y_card)
-        for raw, pt in zip(c.points, b.points):
-            ok &= pt.D_worst >= raw.D_IB  # exact pointwise ordering
+        ok &= bool(np.all(b.D_worst >= c.D_IB))  # exact pointwise ordering
         stars.append(b.R_star)
     ok &= all(b <= a for a, b in zip(stars, stars[1:]))
     ok &= stars[-1] < stars[0]  # small samples force real compression

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ibplane.bounds import BoundCurve, BoundPoint, bound_curve, network_gaps, worst_case_correction
+from ibplane.bounds import BoundCurve, bound_curve, network_gaps, worst_case_correction
 from ibplane.curve import InfoCurve
 
 
@@ -62,35 +62,33 @@ def test_correction_validates():
 
 def test_bound_large_n_equals_empirical():
     b = bound_curve(STAIRCASE, 10 ** 14, 1.0, y_card=2)
-    for raw, pt in zip(STAIRCASE.points, b.points):
-        assert pt.I_Y_worst == pytest.approx(raw.I_Y, abs=1e-5)
-        assert pt.D_worst == pytest.approx(raw.D_IB, abs=1e-5)
+    np.testing.assert_allclose(b.I_Y_worst, STAIRCASE.I_Y, rtol=0, atol=1e-5)
+    np.testing.assert_allclose(b.D_worst, STAIRCASE.D_IB, rtol=0, atol=1e-5)
     # optimum sits at the maximal-relevance point
-    assert b.R_star == STAIRCASE.points[-1].R
+    assert b.R_star == STAIRCASE.R[-1]
 
 
 def test_bound_small_n_forces_compression():
     b = bound_curve(STAIRCASE, 50, 1.0, y_card=2)
-    assert b.R_star < STAIRCASE.points[-1].R
+    assert b.R_star < STAIRCASE.R[-1]
 
 
 def test_bound_single_point_curve():
     single = make_curve([(1.0, 0.5, 0.3)])
     b = bound_curve(single, 100, 1.0, y_card=2)
-    assert (b.R_star, b.D_star) == (0.5, b.points[0].D_worst)
+    assert (b.R_star, b.D_star) == (0.5, b.D_worst[0])
 
 
 def test_bound_pointwise_ordering_exact():
     for n in (10, 100, 10_000):
         b = bound_curve(STAIRCASE, n, 1.0, y_card=2)
-        for raw, pt in zip(STAIRCASE.points, b.points):
-            assert pt.D_worst >= raw.D_IB  # exact float comparison
-            assert pt.I_Y_worst <= raw.I_Y
+        assert np.all(b.D_worst >= STAIRCASE.D_IB)  # exact float comparison
+        assert np.all(b.I_Y_worst <= STAIRCASE.I_Y)
 
 
 def test_bound_optimum_dominates_grid():
     b = bound_curve(STAIRCASE, 200, 1.0, y_card=2)
-    assert all(p.D_worst >= b.D_star for p in b.points)
+    assert np.all(b.D_worst >= b.D_star)
 
 
 def test_bound_rstar_monotone_in_n():
@@ -101,7 +99,7 @@ def test_bound_rstar_monotone_in_n():
 
 def test_bound_clamps_at_zero():
     b = bound_curve(STAIRCASE, 2, 1.0, y_card=2)
-    assert all(p.I_Y_worst >= 0.0 for p in b.points)
+    assert np.all(b.I_Y_worst >= 0.0)
 
 
 def test_bound_rejects_empty():
@@ -111,8 +109,8 @@ def test_bound_rejects_empty():
 
 def test_rate_corrections_reported():
     b = bound_curve(STAIRCASE, 100, 1.0, y_card=2)
-    for raw, corr in zip(STAIRCASE.points, b.rate_corrections):
-        assert corr == pytest.approx(2.0 ** raw.R / math.sqrt(100), rel=1e-12)
+    for i, R in enumerate(STAIRCASE.R.tolist()):
+        assert b.rate_correction(i) == pytest.approx(2.0 ** R / math.sqrt(100), rel=1e-12)
 
 
 def test_rate_past_the_float_range_is_refused():
@@ -120,11 +118,37 @@ def test_rate_past_the_float_range_is_refused():
     huge = InfoCurve([1.0, 2.0], [1023.0, 2000.0], [0.0, 0.0], [0.0, 0.0], [1, 1])
     with pytest.raises(ValueError, match=r"^R = 2000\.0 bits gives 2\^R beyond the float range$"):
         bound_curve(huge, 100, 1.0, y_card=2)
-    # a bound point's R_hat keeps its rate correction finite, up to the last float below 1024
+    # a bound row's R_hat keeps its rate correction finite, up to the last float below 1024
     with pytest.raises(ValueError, match=r"^bound point R_hat = 1024\.0 bits: 2\^R_hat overflows$"):
-        BoundPoint(1024.0, 0.0, 0.0, 0.0)
+        BoundCurve([1024.0], [0.0], [0.0], [0.0], 100, 1.0)
     top = BoundCurve([math.nextafter(1024.0, 0.0)], [0.0], [0.0], [0.0], 100, 1.0)
-    assert math.isfinite(top.rate_corrections[0])
+    assert math.isfinite(top.rate_correction(0))
+
+
+# one-row tables, each with one fault, and the message that refuses it: a
+# field that is not finite and >= 0 (fields checked in column order), then
+# I_Y_worst above I_Y_hat, then an R_hat whose 2^R_hat overflows
+GOOD_ROW = {"R_hat": 0.5, "I_Y_hat": 0.3, "I_Y_worst": 0.1, "D_worst": 0.4}
+BAD_ROWS = {
+    **{f"{k}={v}": ({**GOOD_ROW, k: v}, f"bound point has {what} {k}")
+       for k in GOOD_ROW for v, what in ((math.nan, "non-finite"), (math.inf, "non-finite"),
+                                         (-math.inf, "non-finite"), (-0.5, "negative"))},
+    "I_Y_worst-above-I_Y_hat": ({**GOOD_ROW, "I_Y_worst": 0.4},
+                                "bound point has I_Y_worst above I_Y_hat"),
+    "R_hat=1024": ({**GOOD_ROW, "R_hat": 1024.0},
+                   "bound point R_hat = 1024.0 bits: 2^R_hat overflows"),
+    "R_hat=2000": ({**GOOD_ROW, "R_hat": 2000.0},
+                   "bound point R_hat = 2000.0 bits: 2^R_hat overflows"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_ROWS)
+def test_bound_curve_refuses_a_bad_row(case):
+    row, message = BAD_ROWS[case]
+    BoundCurve(*([v] for v in GOOD_ROW.values()), 100, 1.0)
+    with pytest.raises(ValueError) as caught:
+        BoundCurve(*([v] for v in row.values()), 100, 1.0)
+    assert str(caught.value) == message
 
 
 @st.composite
@@ -147,9 +171,9 @@ def test_bound_columns_match_the_per_point_formula(c, n, c_bound, y_card):
     # slack past the float range is inf, as it is in Python, with no warning
     b = bound_curve(c, n, c_bound, y_card=y_card)
     want = []
-    for p in c.points:
-        i_worst = max(0.0, p.I_Y - c_bound * 2.0 ** p.R * y_card / math.sqrt(n))
-        want.append((p.R, p.I_Y, i_worst, p.D_IB + (p.I_Y - i_worst)))
+    for R, I_Y, D_IB in zip(c.R.tolist(), c.I_Y.tolist(), c.D_IB.tolist()):
+        i_worst = max(0.0, I_Y - c_bound * 2.0 ** R * y_card / math.sqrt(n))
+        want.append((R, I_Y, i_worst, D_IB + (I_Y - i_worst)))
     got = list(zip(b.R_hat.tolist(), b.I_Y_hat.tolist(), b.I_Y_worst.tolist(),
                    b.D_worst.tolist()))
     assert [tuple(map(float.hex, w)) for w in want] == [tuple(map(float.hex, g)) for g in got]
@@ -157,13 +181,12 @@ def test_bound_columns_match_the_per_point_formula(c, n, c_bound, y_card):
     assert b.star_index == star
     assert (b.R_star, b.D_star) == (want[star][0], want[star][3])
     assert b.rate_correction(star) == c_bound * 2.0 ** want[star][0] / math.sqrt(n)
-    assert b.rate_corrections[star] == b.rate_correction(star)
 
 
 def test_bound_star_ties_go_to_the_first_of_the_smaller_rate():
     b = BoundCurve([0.5, 0.2, 0.2, 0.1], [0.3] * 4, [0.1] * 4, [0.4, 0.3, 0.3, 0.35], 100, 1.0)
     assert b.star_index == 1
-    assert b.points[1] == BoundPoint(0.2, 0.3, 0.1, 0.3)
+    assert [b.R_hat[1], b.I_Y_hat[1], b.I_Y_worst[1], b.D_worst[1]] == [0.2, 0.3, 0.1, 0.3]
 
 
 # --- network gaps ------------------------------------------------------------

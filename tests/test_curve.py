@@ -224,7 +224,7 @@ def union_find_card(sol):
     """effective_cardinality as a loop: union every pair of live clusters
     whose decoder rows are within MERGE_TAU in JS divergence, then count the
     groups."""
-    alive = [t for t in range(sol.t_card) if sol.marginal[t] > 1e-6]
+    alive = [t for t, mass in enumerate(sol.marginal) if mass > 1e-6]
     parent = {t: t for t in alive}
 
     def find(t):
@@ -246,7 +246,7 @@ def test_eff_card_merges_a_chain_of_close_clusters():
     pt = np.full((1, 4), 0.25)
     rows = dec[0]
     assert max(js_ref(rows[0], rows[1]), js_ref(rows[1], rows[2])) < 1e-4 < js_ref(rows[0], rows[2])
-    sol = SimpleNamespace(t_card=4, marginal=pt[0], decoder=dec[0])
+    sol = SimpleNamespace(marginal=pt[0], decoder=dec[0])
     assert _effective_cards(pt, dec).tolist() == [union_find_card(sol)] == [2]
 
 

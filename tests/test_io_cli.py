@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from ibplane import analyzer, cli, io, presets
 from ibplane.analyzer import InfoPlanePoint, LayerPath, QuantizerConfig, info_plane_path
-from ibplane.bounds import BoundCurve, BoundPoint, bound_curve
+from ibplane.bounds import BoundCurve, bound_curve
 from ibplane.curve import CurvePoint, anneal_curve, geometric_grid
 from ibplane.errors import DimensionError
 from ibplane.mlp import TrainConfig, forward_all, init_network, train_sgd
@@ -97,7 +97,8 @@ def test_bound_curve_round_trip():
     b = bound_curve(curve, 1000, 1.0, y_card=2)
     text = io.bound_curve_to_csv(b)
     back = BoundCurve(*io.bound_points_from_csv(text), b.n, b.c_bound)
-    assert back.points == b.points
+    for k in ("R_hat", "I_Y_hat", "I_Y_worst", "D_worst"):
+        assert getattr(back, k).tolist() == getattr(b, k).tolist()
     assert io.bound_curve_to_csv(back) == text
 
 
@@ -256,7 +257,8 @@ READERS = {"curve": io.curve_from_csv, "bound": io.bound_points_from_csv}
 def record_per_row_error(kind, text):
     """The error a record-per-row reading gives first, or None: each row's
     width, then its cells through float and int, then its record (a
-    CurvePoint with the L and D_IB + I_Y checks, or a BoundPoint)."""
+    CurvePoint with the L and D_IB + I_Y checks, or a bound row's rules:
+    each field finite and >= 0, I_Y_worst <= I_Y_hat, R_hat < 1024)."""
     lines = [(k, ln) for k, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     convert = [float] * 5 + [int] if kind == "curve" else [float] * 4
     first = None
@@ -267,7 +269,15 @@ def record_per_row_error(kind, text):
                 raise ValueError(f"{len(cells)} cells, not {len(convert)}")
             values = [conv(c) for conv, c in zip(convert, cells)]
             if kind == "bound":
-                BoundPoint(*values)
+                for name, v in zip(("R_hat", "I_Y_hat", "I_Y_worst", "D_worst"), values):
+                    if not 0 <= v < math.inf:
+                        what = "negative" if math.isfinite(v) else "non-finite"
+                        raise ValueError(f"bound point has {what} {name}")
+                R_hat, I_Y_hat, I_Y_worst, _ = values
+                if I_Y_worst > I_Y_hat:
+                    raise ValueError("bound point has I_Y_worst above I_Y_hat")
+                if R_hat >= 1024:
+                    raise ValueError(f"bound point R_hat = {R_hat!r} bits: 2^R_hat overflows")
                 continue
             beta, R, I_Y, D_IB, L, card = values
             if not abs(L - CurvePoint(beta, R, I_Y, D_IB, card).L) <= 1e-9:
@@ -787,6 +797,22 @@ def test_cli_outputs_that_name_one_file_are_one_line_error(tmp_path, monkeypatch
     err = capsys.readouterr().err
     assert err.startswith("ValueError: two outputs name one file: ") and err.count("\n") == 1
     assert (tmp_path / "o").read_text() == "old"
+    assert sorted(f.name for f in tmp_path.iterdir()) == before
+
+
+def test_cli_summary_that_cannot_be_written_replaces_no_output(tmp_path, monkeypatch, capsys):
+    # rate_corr_star is c * 2^R / sqrt(n) = inf here, which JSON cannot hold:
+    # the summary is refused before any output is written
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "curve.csv").write_text("beta,R,I_Y,D_IB,L,eff_card\n1.0,1.0,0.5,0.5,0.5,2\n")
+    (tmp_path / "b.csv").write_text("old")
+    before = sorted(f.name for f in tmp_path.iterdir())
+    argv = "bounds --curve curve.csv --n 1 --c-bound 1e308 --y-card 2 --out b.csv"
+    assert cli.run(argv.split()) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "ValueError: Out of range float values are not JSON compliant\n"
+    assert (tmp_path / "b.csv").read_text() == "old"
     assert sorted(f.name for f in tmp_path.iterdir()) == before
 
 

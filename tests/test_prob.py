@@ -8,7 +8,6 @@ import pytest
 
 from ibplane.errors import DimensionError, EmptySampleError
 from ibplane.prob import (
-    ConditionalMatrix,
     JointDistribution,
     SampleSet,
     empirical_joint,
@@ -308,7 +307,6 @@ def test_plugin_mi_consistency():
 TABLES = {
     "DiscreteDistribution": (lambda p: _check_table(p, "probability vector", 1), [0.5, 0.5]),
     "JointDistribution": (JointDistribution, np.full((2, 3), 1 / 6)),
-    "ConditionalMatrix": (ConditionalMatrix, [[0.5, 0.5], [0.9, 0.1]]),
     "Encoder": (Encoder, [[0.5, 0.5], [0.9, 0.1]]),
     "_encoder_stack": (_encoder_stack, [[[0.5, 0.5], [0.9, 0.1]], [[1.0, 0.0], [0.2, 0.8]]]),
 }
@@ -363,7 +361,6 @@ def test_values_immutable():
 # records is False instead of an error, and every record hashes
 RECORDS = {
     "JointDistribution": lambda: JointDistribution([[0.4, 0.1], [0.1, 0.4]]),
-    "ConditionalMatrix": lambda: ConditionalMatrix([[0.5, 0.5], [0.9, 0.1]]),
     "Encoder": lambda: Encoder([[0.5, 0.5], [0.9, 0.1]]),
     "SampleSet": lambda: SampleSet.from_pairs([(0, 1), (1, 0), (1, 1)]),
     "IBSolution": lambda: IBSolution(GAPPY, 2.0, Encoder.from_assignment([0, 1, 1], 2)),
