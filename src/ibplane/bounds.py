@@ -89,7 +89,8 @@ class NetworkGaps:
 
 def worst_case_correction(K, y_card: int, n: int, c_bound: float = 1.0):
     """Additive worst-case slack c * K * |Y| / sqrt(n) on empirical relevance,
-    for one K or an array of them; n and y_card are ints that must fit a float."""
+    for one K or an array of them; n and y_card are ints that must fit a float,
+    and every slack must be finite."""
     if not 1 <= n <= sys.float_info.max:
         raise ValueError(f"sample size must be >= 1 and at most the largest float, got {n}")
     if np.min(K) < 1:
@@ -98,7 +99,12 @@ def worst_case_correction(K, y_card: int, n: int, c_bound: float = 1.0):
         raise ValueError(f"c_bound must be finite and >= 0, got {c_bound}")
     if not 1 <= y_card <= sys.float_info.max:
         raise ValueError(f"y_card must be >= 1 and at most the largest float, got {y_card}")
-    return c_bound * K * y_card / math.sqrt(n)
+    with np.errstate(over="ignore"):
+        slack = c_bound * K * y_card / math.sqrt(n)
+    if not np.all(np.isfinite(slack)):
+        raise ValueError(f"c_bound = {c_bound!r} gives a slack c * K * |Y| / sqrt(n) "
+                         "beyond the float range")
+    return slack
 
 
 def bound_curve(curve: InfoCurve, n: int, c_bound: float = 1.0, *,
@@ -116,11 +122,9 @@ def bound_curve(curve: InfoCurve, n: int, c_bound: float = 1.0, *,
         raise ValueError("cannot bound an empty curve")
     _raise_first([(curve.R >= 1024,  # the least R whose 2.0 ** R overflows
                    lambda i: f"R = {curve.R[i].item()!r} bits gives 2^R beyond the float range")])
-    # Python's 2.0 ** R per point: numpy's power can differ in the last bit; a
-    # slack past the float range is inf, as in Python's own float arithmetic
-    with np.errstate(over="ignore"):
-        slack = worst_case_correction(np.array([2.0 ** r for r in curve.R.tolist()]), y_card, n,
-                                      c_bound)
+    # Python's 2.0 ** R per point: numpy's power can differ in the last bit
+    slack = worst_case_correction(np.array([2.0 ** r for r in curve.R.tolist()]), y_card, n,
+                                  c_bound)
     i_worst = curve.I_Y - slack
     i_worst = np.where(i_worst > 0.0, i_worst, 0.0)  # max(0.0, .) per point
     # written as D_IB plus a nonnegative term so the pointwise ordering

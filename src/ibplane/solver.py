@@ -36,13 +36,29 @@ its batch.
 Near a critical beta the plain map contracts slowly, so every solve adds
 squared extrapolation in log-encoder space (SQUAREM; Varadhan and Roland 2008,
 Scand. J. Stat. 35:335), kept only when L after one stabilizing plain step is
-no higher than after two plain steps. L never increases under the plain map,
-so it never increases along a solve. A solve converges when one plain step
-moves the encoder by less than tol in max-abs, and returns that step's output;
-`iterations` counts plain-map evaluations, stabilizing steps included. Solves
-run in lockstep over a (B, X, T) encoder stack with one beta per element,
-each one unaffected by the rest of its batch. A round computes each encoder's
-p(t) and p(t, y) once, and the pick keeps the R and I_Y its batch was ranked by.
+no higher than after two plain steps. Where even that crawls, in an element
+still running after NEWTON_AFTER evaluations whose SQUAREM ratio |r|^2/|v|^2
+is above NEWTON_RATIO (contraction rho > 0.99), the round takes the Newton
+point of G(u) = map(u) - u from its second plain step in place of the
+extrapolated point: the corrector of predictor-corrector continuation
+(Allgower and Georg 1990, Numerical Continuation Methods), without the
+predictor. u is the centered log-encoder (l minus its row mean), along whose
+row constants J - I has eigenvalue -1, so no simplex projection is needed.
+The Jacobian J comes from central differences in one batched map, so Newton
+runs only up to NEWTON_MAX_COORDS coordinates X T. The step solves on the
+live clusters' coordinates by least squares, since a duplicated cluster pair
+adds an eigenvalue of exactly 1. The point is used only if it is finite and
+J has no eigenvalue at or above 1 + NEWTON_NEUTRAL (the differences' error on
+that exact 1), which would mark a saddle; the same L test then keeps it or
+not. An element whose try fails waits as many evaluations as it has run
+before it tries again. L never increases under the plain map, so it never
+increases along a solve. A solve converges when one
+plain step moves the encoder by less than tol in max-abs, and returns that
+step's output; `iterations` counts the plain-map evaluations of its
+trajectory, stabilizing steps included, and not the Jacobian's. Solves run in
+lockstep over a (B, X, T) encoder stack with one beta per element, each one
+unaffected by the rest of its batch. A round computes each encoder's p(t) and
+p(t, y) once, and the pick keeps the R and I_Y its batch was ranked by.
 
 This is a local method (the problem is not convex); global behavior comes
 from seeded restarts and from the warm-started neighbour passes of the curve
@@ -81,6 +97,13 @@ INIT_NOISE = 1e-2  # multiplicative noise that breaks the symmetric fixed point
 BLEND_FLOOR = 1e-2  # uniform mass blended into a hard-partition init
 LOG_FLOOR = 1e-300  # encoder entries are floored here before taking logs
 STEP_BOUND = 4.0  # first and smallest SQUAREM step bound, and its growth factor
+NEWTON_AFTER = 30  # evaluations before an element's first Newton try
+NEWTON_RATIO = 1e4  # SQUAREM ratio |r|^2 / |v|^2 above which (rho > 0.99) Newton tries
+NEWTON_H = 1e-5  # central-difference step of the Newton Jacobian
+NEWTON_LIVE = 1e-12  # cluster mass at or below which Newton holds a cluster's coordinates
+NEWTON_RCOND = 1e-9  # least-squares cutoff: a duplicated cluster pair makes J - I singular
+NEWTON_NEUTRAL = 1e-9  # how far above 1 central differences put that pair's eigenvalue 1
+NEWTON_MAX_COORDS = 64  # X * T above which SQUAREM runs alone: J has (X T)^2 entries
 
 ORACLE_GUARD = 1_000_000  # max number of deterministic maps to enumerate
 ORACLE_BLOCK = 4_096  # maps the oracle pushes the joint through at once
@@ -276,15 +299,50 @@ def _objective(jp: np.ndarray, px: np.ndarray, enc: np.ndarray,
     return neg_h(enc * px[:, None]) - beta[1] * neg_h(pt[:, None]) - beta[0] * neg_h(pty), pt, pty
 
 
-def _extrapolate(e0, e1, e2, bound) -> tuple[np.ndarray, np.ndarray]:
+def _extrapolate(e0, e1, e2, bound) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """SQUAREM point of two plain steps e0 -> e1 -> e2 in log-encoder space,
-    and its step length alpha in [-bound, -1] (alpha = -1 gives e2)."""
+    its step length alpha in [-bound, -1] (alpha = -1 gives e2), and the
+    ratio |r|^2 / |v|^2 (0 where v = 0), about 1 / (1 - rho)^2 at contraction rho."""
     l0, l1, l2 = np.log(np.maximum(np.concatenate((e0, e1, e2)), LOG_FLOOR)).reshape(3, *e0.shape)
     r, v = l1 - l0, l2 - 2.0 * l1 + l0
     vv = np.add.reduce(v * v, axis=(1, 2))
     ratio = np.divide(np.add.reduce(r * r, axis=(1, 2)), vv, out=np.zeros(len(vv)), where=vv > 0)
     alpha = np.minimum(np.maximum(-np.sqrt(ratio), -bound), -1.0)
-    return _softmax(l0 - 2.0 * alpha[:, None, None] * r + (alpha**2)[:, None, None] * v), alpha
+    return (_softmax(l0 - 2.0 * alpha[:, None, None] * r + (alpha**2)[:, None, None] * v),
+            alpha, ratio)
+
+
+def _centered_log(e: np.ndarray) -> np.ndarray:
+    """Log-encoder coordinates l - (row mean of l), floored at LOG_FLOOR."""
+    l = np.log(np.maximum(e, LOG_FLOOR))
+    return l - l.mean(axis=-1, keepdims=True)
+
+
+def _newton(px, pygx, jp, e: np.ndarray, kb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Which encoders of a (B, X, T) stack, at the (B, 1, 1) betas kb, have a
+    Newton point of G(u) = F(u) - u that stands, F the plain map in centered
+    log coordinates u, and those points: the Jacobian comes from central
+    differences (one `_map` call of 2 X T + 1 encoders per element), the step
+    solves on the live clusters' coordinates by least squares, and a point
+    that is not finite, or whose Jacobian has an eigenvalue >= 1 +
+    NEWTON_NEUTRAL there (a saddle), does not stand."""
+    b, x_card, t_card = e.shape
+    k = x_card * t_card
+    u = _centered_log(e)
+    d = np.eye(k).reshape(k, x_card, t_card) * NEWTON_H
+    pts = u[:, None] + np.concatenate((np.zeros((1, x_card, t_card)), d, -d))
+    f = _centered_log(_map(px, pygx, jp, _softmax(pts.reshape(-1, x_card, t_card)),
+                           np.repeat(kb, 2 * k + 1, axis=0))).reshape(b, 2 * k + 1, k)
+    live = np.tile(px @ e > NEWTON_LIVE, x_card)  # u's entry (x, t) is live with cluster t
+    jac = (f[:, 1:k + 1] - f[:, k + 1:]).transpose(0, 2, 1) / (2.0 * NEWTON_H)
+    jac[~(live[:, :, None] & live[:, None, :])] = 0.0
+    g = np.where(live, f[:, 0] - u.reshape(b, k), 0.0)
+    ok = np.isfinite(jac).all(axis=(1, 2)) & np.isfinite(g).all(axis=1)
+    ok[ok] = np.linalg.eigvals(jac[ok]).real.max(axis=1) < 1.0 + NEWTON_NEUTRAL
+    step = np.linalg.pinv(jac[ok] - np.eye(k), rcond=NEWTON_RCOND) @ g[ok, :, None]
+    new = _softmax(u[ok] - step.reshape(-1, x_card, t_card))
+    ok[ok] = finite = np.isfinite(new).all(axis=(1, 2))
+    return ok, new[finite]
 
 
 def ib_iterate_once(j: JointDistribution, e: Encoder, beta: float) -> Encoder:
@@ -334,6 +392,9 @@ def _lockstep(j: JointDistribution, enc: np.ndarray, beta: np.ndarray,
     iters, conv = np.zeros(len(out), dtype=int), np.zeros(len(out), dtype=bool)
     live = np.arange(len(out))
     e0, bound = out[live], np.full(live.size, STEP_BOUND)
+    # the evaluation from which each element may try Newton (never, past NEWTON_MAX_COORDS)
+    small = out.shape[1] * out.shape[2] <= NEWTON_MAX_COORDS
+    retry = np.full(len(out), NEWTON_AFTER if small else max_iter)
     evals, pt, pty = 0, None, None  # pt, pty: e0's p(t) and p(t, y), once `_objective` has them
     # the live elements' betas for the update, and betas and 1 - betas for L of [e3; e2]
     kb, ob = beta[:, None, None], np.concatenate((beta, beta))
@@ -364,12 +425,23 @@ def _lockstep(j: JointDistribution, enc: np.ndarray, beta: np.ndarray,
                 # the jump stands only if, after one stabilizing plain step, L
                 # is no higher than after the second plain step; a degenerate
                 # point (NaN rows, NaN L) fails
-                ex, alpha = _extrapolate(e0, e1, e2, bound)
+                ex, alpha, ratio = _extrapolate(e0, e1, e2, bound)
+                # an element still crawling after NEWTON_AFTER evaluations
+                # jumps to e2's Newton point instead, where that point stands
+                newton = None
+                if evals >= NEWTON_AFTER and (
+                        tried := (ratio > NEWTON_RATIO) & (retry[live] <= evals)).any():
+                    stands, ex_n = _newton(px, pygx, jp, e2[tried], kb[tried])
+                    newton = tried.copy()
+                    newton[tried] = stands
+                    ex[newton] = ex_n
                 e3 = _map(px, pygx, jp, ex, kb)
                 L, pt, pty = _objective(jp, px, np.concatenate([e3, e2]), ob)
                 ok = L[:live.size] <= L[live.size:]
                 grown = np.where(alpha == -bound, bound * STEP_BOUND, bound)
                 bound = np.where(ok, grown, np.maximum(bound / STEP_BOUND, STEP_BOUND))
+                if newton is not None:  # a failed try waits as many evaluations as have run
+                    retry[live[tried & ~(newton & ok)]] = 2 * evals
                 k, n = ok[:, None, None], live.size  # e3 or e2, with its p(t) and p(t, y)
                 e0, pt, pty, bound = settle(ex, np.where(k, e3, e2), ok, np.where(
                     k[:, 0], pt[:n], pt[n:]), np.where(k, pty[:n], pty[n:]), bound)

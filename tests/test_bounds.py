@@ -1,6 +1,7 @@
 """Worst-case finite-sample corrections and network gaps."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -125,6 +126,19 @@ def test_rate_past_the_float_range_is_refused():
     assert math.isfinite(top.rate_correction(0))
 
 
+def test_slack_past_the_float_range_is_refused():
+    # c * K * |Y| / sqrt(n) = 1e308 * 2 * 2 / 1 overflows; so would the rate
+    # correction the bounds summary reports, which JSON cannot hold
+    one = InfoCurve([1.0], [1.0], [0.5], [0.5], [2])
+    message = "^{}$".format(re.escape(
+        "c_bound = 1e+308 gives a slack c * K * |Y| / sqrt(n) beyond the float range"))
+    with pytest.raises(ValueError, match=message):
+        bound_curve(one, 1, 1e308, y_card=2)
+    with pytest.raises(ValueError, match=message):
+        worst_case_correction(2.0, 2, 1, 1e308)
+    assert worst_case_correction(2.0, 1, 1, 1e308 / 2) == 1e308
+
+
 # one-row tables, each with one fault, and the message that refuses it: a
 # field that is not finite and >= 0 (fields checked in column order), then
 # I_Y_worst above I_Y_hat, then an R_hat whose 2^R_hat overflows
@@ -167,8 +181,13 @@ def curves(draw):
 @given(curves(), st.integers(1, 10 ** 9), st.one_of(st.floats(0.0, 10.0), st.floats(0.0, 1e308)),
        st.integers(1, 50))
 def test_bound_columns_match_the_per_point_formula(c, n, c_bound, y_card):
-    # bit for bit, Python's 2.0 ** R and max(0, .) per point included, and a
-    # slack past the float range is inf, as it is in Python, with no warning
+    # bit for bit, Python's 2.0 ** R and max(0, .) per point included; a
+    # slack past the float range is refused, naming c_bound, with no warning
+    slacks = [c_bound * 2.0 ** R * y_card / math.sqrt(n) for R in c.R.tolist()]
+    if not all(map(math.isfinite, slacks)):
+        with pytest.raises(ValueError, match=r"^c_bound = .* beyond the float range$"):
+            bound_curve(c, n, c_bound, y_card=y_card)
+        return
     b = bound_curve(c, n, c_bound, y_card=y_card)
     want = []
     for R, I_Y, D_IB in zip(c.R.tolist(), c.I_Y.tolist(), c.D_IB.tolist()):

@@ -691,6 +691,8 @@ NO_UNIT_NET = '{"layer_sizes": [2, 0, 2], "weights": [[], [[], []]], "biases": [
     ({"curve.csv": GOOD_CURVE}, BOUNDS_ARGV + " --c-bound -1", "c_bound must be finite and >= 0"),
     ({"curve.csv": GOOD_CURVE}, BOUNDS_ARGV + " --c-bound nan", "c_bound must be finite and >= 0"),
     ({"curve.csv": GOOD_CURVE}, BOUNDS_ARGV + " --c-bound inf", "c_bound must be finite and >= 0"),
+    ({"curve.csv": GOOD_CURVE}, BOUNDS_ARGV.replace("--n 1000", "--n 1") + " --c-bound 1e308",
+     "c_bound = 1e+308 gives a slack c * K * |Y| / sqrt(n) beyond the float range"),
     ({"curve.csv": GOOD_CURVE}, BOUNDS_ARGV + " --y-card -2", "y_card must be >= 1"),
     ({"curve.csv": GOOD_CURVE}, BOUNDS_ARGV.replace("--n 1000", "--n 1" + "0" * 400),
      "sample size must be >= 1 and at most the largest float"),
@@ -731,6 +733,7 @@ NO_UNIT_NET = '{"layer_sizes": [2, 0, 2], "weights": [[], [[], []]], "biases": [
         "bounds-curve-L-off-R-minus-beta-I_Y", "bounds-short-curve-row",
         "bounds-curve-rows-disagree-on-I_XY", "bounds-curve-R-past-the-float-range",
         "bounds-negative-c-bound", "bounds-nan-c-bound", "bounds-infinite-c-bound",
+        "bounds-slack-past-the-float-range",
         "bounds-negative-y-card", "bounds-n-past-the-float-range",
         "bounds-y-card-past-the-float-range", "plane-non-finite-bound-point",
         "plane-negative-bound-I_Y_worst", "plane-short-bound-row",
@@ -801,8 +804,9 @@ def test_cli_outputs_that_name_one_file_are_one_line_error(tmp_path, monkeypatch
 
 
 def test_cli_summary_that_cannot_be_written_replaces_no_output(tmp_path, monkeypatch, capsys):
-    # rate_corr_star is c * 2^R / sqrt(n) = inf here, which JSON cannot hold:
-    # the summary is refused before any output is written
+    # rate_corr_star would be c * 2^R / sqrt(n) = inf here, which JSON cannot
+    # hold: the slack c * K * |Y| / sqrt(n) that bounds it is refused first,
+    # naming c_bound, before any output is written
     monkeypatch.chdir(tmp_path)
     (tmp_path / "curve.csv").write_text("beta,R,I_Y,D_IB,L,eff_card\n1.0,1.0,0.5,0.5,0.5,2\n")
     (tmp_path / "b.csv").write_text("old")
@@ -811,7 +815,8 @@ def test_cli_summary_that_cannot_be_written_replaces_no_output(tmp_path, monkeyp
     assert cli.run(argv.split()) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == "ValueError: Out of range float values are not JSON compliant\n"
+    assert err == ("ValueError: c_bound = 1e+308 gives a slack c * K * |Y| / sqrt(n) "
+                   "beyond the float range\n")
     assert (tmp_path / "b.csv").read_text() == "old"
     assert sorted(f.name for f in tmp_path.iterdir()) == before
 

@@ -9,12 +9,17 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ibplane import io, solver
 from ibplane.errors import DimensionError, InstanceTooLargeError
-from ibplane.presets import deterministic_joint, random_joint, symmetric_joint
+from ibplane.presets import (
+    deterministic_joint,
+    hierarchical_joint,
+    random_joint,
+    symmetric_joint,
+)
 from ibplane.prob import (
     JointDistribution,
     empirical_joint,
@@ -27,6 +32,13 @@ from ibplane.solver import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     LOG_FLOOR,
+    NEWTON_AFTER,
+    NEWTON_H,
+    NEWTON_LIVE,
+    NEWTON_MAX_COORDS,
+    NEWTON_NEUTRAL,
+    NEWTON_RATIO,
+    NEWTON_RCOND,
     STEP_BOUND,
     Encoder,
     IBSolution,
@@ -34,6 +46,7 @@ from ibplane.solver import (
     _info_bits,
     _lockstep,
     _map,
+    _newton,
     _perturb,
     _pick,
     _restart_inits,
@@ -255,10 +268,38 @@ def test_solve_permutation_equivariance():
 @pytest.mark.parametrize("beta", [2.777015, 2.7785, 2.79])
 def test_solve_converges_fast_near_critical_beta(beta):
     # the plain map contracts at a rate near 1 here and stops unconverged at
-    # the 30k cap; the extrapolated solve needs a few hundred evaluations
+    # the 30k cap; extrapolation alone needed up to 609 evaluations, and the
+    # Newton steps that replace it past NEWTON_AFTER need a few rounds more
     for s in range(6):
         sol = ib_solve(SYM, 2, beta, tol=1e-10, max_iter=30_000, seed=s)
-        assert sol.converged and sol.iterations <= 1_000, (s, sol.iterations)
+        assert sol.converged and sol.iterations <= 150, (s, sol.iterations)
+
+
+@pytest.mark.parametrize("copies", [16, 17])
+def test_newton_runs_up_to_its_coordinate_cap(monkeypatch, copies):
+    # the symmetric joint with each x split into equal copies crawls the same
+    # way; its Jacobian has (X T)^2 entries, so past NEWTON_MAX_COORDS = 64
+    # coordinates (17 copies, 68) the solve extrapolates alone
+    calls = []
+    monkeypatch.setattr(solver, "_newton", lambda *a: calls.append(a) or _newton(*a))
+    j = JointDistribution(np.repeat(SYM.p, copies, axis=0) / copies)
+    sol = ib_solve(j, 2, 2.7785, tol=1e-10, max_iter=30_000)
+    assert sol.converged and bool(calls) == (2 * j.x_card <= NEWTON_MAX_COORDS)
+
+
+def test_newton_does_not_stop_at_a_saddle():
+    # hierarchical T=4 just past its second split: from these seeds the solve
+    # crawls for the whole 30k cap near a card-3 point whose Jacobian has an
+    # eigenvalue just above 1. Newton steps that do not refuse that saddle
+    # converge onto it, above the L the extrapolated plain map reaches (the
+    # figures below, from before Newton); the card-4 optimum is -16.824472643845.
+    # The seeds run as one batch, each element as `ib_solve` runs it alone
+    j, seeds = hierarchical_joint(0.2, 0.05, 2), [2, 4, 9, 10]
+    no_newton = [-16.824440889382, -16.824440880898, -16.824440881241, -16.824440881257]
+    inits = np.concatenate([solver._multistart_inits(4, 4, 1, s) for s in seeds])
+    enc, _, _ = _lockstep(j, inits, np.full(4, 64.1), 1e-10, 30_000)
+    for s, e, L in zip(seeds, enc, no_newton):
+        assert IBSolution(j, 64.1, Encoder(e)).L <= L + 1e-9, s
 
 
 @st.composite
@@ -312,8 +353,9 @@ def test_mixed_beta_batch_matches_solving_each_alone(query, log_betas, max_iter)
 def reference_solve(j, enc, beta, tol, max_iter):
     """One element's solve, as `_lockstep` runs it, written with the plain
     formulas: every map computes its own p(t) and p(t, y), L is computed
-    apart from the maps, and the extrapolation takes the log of the three
-    encoders stacked. A y of zero mass is dropped first, as `_lockstep`
+    apart from the maps, the extrapolation takes the log of the three
+    encoders stacked, and the Newton point's Jacobian is built one
+    coordinate at a time. A y of zero mass is dropped first, as `_lockstep`
     drops it. Returns the final encoder, evaluation count and converged flag."""
     seen = j.p.sum(axis=0) > 0
     px, pygx, jp = j.px, j.pygx[:, seen], j.p[:, seen]
@@ -344,9 +386,36 @@ def reference_solve(j, enc, beta, tol, max_iter):
         vv = (v * v).sum(axis=(1, 2))
         ratio = np.divide((r * r).sum(axis=(1, 2)), vv, out=np.zeros_like(vv), where=vv > 0)
         alpha = np.minimum(np.maximum(-np.sqrt(ratio), -bound), -1.0)
-        return softmax(l0 - 2.0 * alpha[:, None, None] * r + (alpha**2)[:, None, None] * v), alpha
+        return (softmax(l0 - 2.0 * alpha[:, None, None] * r + (alpha**2)[:, None, None] * v),
+                alpha, ratio[0])
 
-    evals = 0
+    def coords(e):  # centered log coordinates of a (1, X, T) encoder, flattened
+        l = np.log(np.maximum(e[0], LOG_FLOOR))
+        return (l - np.mean(l, axis=1, keepdims=True)).ravel()
+
+    def newton(e):  # e's Newton point, and whether it stands
+        x_card, t_card = e.shape[1:]
+        u = coords(e)
+        image = [coords(step(softmax(u.reshape(1, x_card, t_card))))]
+        for sign in (1.0, -1.0):
+            for i in range(u.size):
+                moved = u.copy()
+                moved[i] += sign * NEWTON_H
+                image.append(coords(step(softmax(moved.reshape(1, x_card, t_card)))))
+        f = np.array(image)
+        live = np.tile((px @ e[0]) > NEWTON_LIVE, x_card)
+        jac = np.where(np.outer(live, live), (f[1:u.size + 1] - f[u.size + 1:]).T
+                       / (2.0 * NEWTON_H), 0.0)
+        g = np.where(live, f[0] - u, 0.0)
+        if not (np.isfinite(jac).all() and np.isfinite(g).all()):
+            return e, False
+        if np.linalg.eigvals(jac[None])[0].real.max() >= 1.0 + NEWTON_NEUTRAL:
+            return e, False  # a saddle
+        delta = np.linalg.pinv(jac[None] - np.eye(u.size), rcond=NEWTON_RCOND) @ g[None, :, None]
+        new = softmax((u - delta.ravel()).reshape(1, x_card, t_card))
+        return new, bool(np.isfinite(new).all())
+
+    evals, retry = 0, 0
 
     def stops(src, new, ok=True):  # (stop, converged) after one more map evaluation
         nonlocal evals
@@ -363,46 +432,74 @@ def reference_solve(j, enc, beta, tol, max_iter):
             e2 = step(e1)
             if (s := stops(e1, e2))[0]:
                 return e2[0], evals, s[1]
-            ex, alpha = extrapolate(e0, e1, e2, bound)
+            ex, alpha, ratio = extrapolate(e0, e1, e2, bound)
+            tried = stands = (enc.size <= NEWTON_MAX_COORDS and evals >= NEWTON_AFTER
+                              and ratio > NEWTON_RATIO and retry <= evals)
+            if tried:
+                xn, stands = newton(e2)
+                ex = xn if stands else ex
             e3 = step(ex)
             L = objective(np.concatenate([e3, e2]))
             ok = L[:1] <= L[1:]
             grown = np.where(alpha == -bound, bound * STEP_BOUND, bound)
             bound = np.where(ok, grown, np.maximum(bound / STEP_BOUND, STEP_BOUND))
+            if tried and not (stands and ok[0]):
+                retry = 2 * evals
             e0 = np.where(ok[:, None, None], e3, e2)
             if (s := stops(ex, e0, ok[0]))[0]:
                 return e0[0], evals, s[1]
+
+
+# joints, cluster counts and betas where the plain map crawls (rho > 0.99)
+# past NEWTON_AFTER evaluations, so that solves there take Newton steps
+NEAR_CRITICAL = [(SYM, 2, [2.7785, 2.79]), (SYM, 3, [2.7785, 2.79]),
+                 (hierarchical_joint(0.2, 0.05, 2), 4, [63.9, 64.05, 64.2])]
 
 
 @st.composite
 def lockstep_inputs(draw):
     """A joint with optionally a zero-mass y column and a massless x row, 1-12
     seeded inits (some with a dead cluster) at mixed betas (or all at 0), and
-    an evaluation cap that falls on every step of a round."""
-    x_card, y_card = draw(st.integers(2, 6)), draw(st.integers(2, 4))
-    t_card = draw(st.integers(2, 4))
-    w = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=x_card * y_card,
-                               max_size=x_card * y_card))).reshape(x_card, y_card)
-    if draw(st.booleans()):
-        w[:, draw(st.integers(0, y_card - 1))] = 0.0
-    if draw(st.booleans()):
-        w[draw(st.integers(0, x_card - 1))] = 0.0
+    an evaluation cap that falls on every step of a round; or a joint of
+    NEAR_CRITICAL at its betas, with a cap on or past the first Newton round."""
+    near = draw(st.sampled_from([None] * 6 + NEAR_CRITICAL))
+    if near is None:
+        x_card, y_card = draw(st.integers(2, 6)), draw(st.integers(2, 4))
+        t_card = draw(st.integers(2, 4))
+        w = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=x_card * y_card,
+                                   max_size=x_card * y_card))).reshape(x_card, y_card)
+        if draw(st.booleans()):
+            w[:, draw(st.integers(0, y_card - 1))] = 0.0
+        if draw(st.booleans()):
+            w[draw(st.integers(0, x_card - 1))] = 0.0
+        j = JointDistribution(w / w.sum())
+    else:
+        j, t_card, near_betas = near
+        x_card = j.x_card
     n, seed = draw(st.integers(1, 12)), draw(st.integers(0, 2**16))
     inits = _restart_inits(x_card, t_card, [(r, seed + r) for r in range(n)])
     for b in draw(st.lists(st.integers(0, n - 1), max_size=n, unique=True)):
         inits[b, :, draw(st.integers(0, t_card - 1))] = 0.0
         inits[b] /= inits[b].sum(axis=1, keepdims=True)
+    if near is not None:
+        betas = np.array(draw(st.lists(st.sampled_from(near_betas), min_size=n, max_size=n)))
+        return j, inits, betas, draw(st.sampled_from([DEFAULT_MAX_ITER, 31, 32, 33, 40]))
     if draw(st.integers(0, 9)):
         betas = np.exp(draw(st.lists(st.floats(math.log(0.5), math.log(50.0)),
                                      min_size=n, max_size=n)))
     else:
         betas = np.zeros(n)
     max_iter = draw(st.sampled_from([1, 2, 3, 7, 40, DEFAULT_MAX_ITER]))
-    return JointDistribution(w / w.sum()), inits, betas, max_iter
+    return j, inits, betas, max_iter
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(lockstep_inputs())
+# long near-critical solves, where Newton tries fail and are retried
+@example((SYM, _restart_inits(2, 3, [(r, 100 + r) for r in range(8)]), np.full(8, 2.7785),
+          DEFAULT_MAX_ITER))
+@example((NEAR_CRITICAL[2][0], _restart_inits(4, 4, [(r, 100 + r) for r in range(8)]),
+          np.full(8, 64.2), DEFAULT_MAX_ITER))
 def test_lockstep_matches_the_reference_solve_bit_for_bit(inputs):
     # a round hands the p(t) and p(t, y) `_objective` computed for the kept
     # candidate to the next map, and slices them as elements retire: every
