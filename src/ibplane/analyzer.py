@@ -50,6 +50,8 @@ def relevance_lost(whole: float, kept: float) -> float:
 def _weigh(i_prev: float, i_y_lost: float, beta: float) -> float:
     if not math.isfinite(beta):
         raise ValueError(f"layer criterion beta must be finite, got {beta}")
+    if beta < 0:  # the criterion would reward lost relevance
+        raise ValueError(f"layer criterion beta must be >= 0, got {beta}")
     return i_prev + beta * i_y_lost
 
 

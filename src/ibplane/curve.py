@@ -15,6 +15,10 @@ those arrays, checked a column at a time, with each point's kept encoder.
 Jumps in the effective cluster count are bracketed by bisection with fresh
 restarts (warm starts would drag hysteresis across the transition).
 
+Each fresh restart, offer and probe is seeded with generate_state(1)[0] of
+numpy's SeedSequence([seed, point, restart + 1]), [seed, target, source,
+pass] or [seed, 7777, probe], each pass's seeds computed in one batch.
+
 Each bracket also carries a spectral prediction of its critical beta, read
 from the solution the bisection holds at the bracket's low end: linearizing
 the encoder update around a solution gives a second-order correlation matrix
@@ -53,7 +57,9 @@ from .solver import (  # noqa: F401  ib_solve stays importable from here
     _lockstep,
     _perturb,
     _restart_inits,
+    _seed_states,
     _winners,
+    _words,
     ib_solve,
     ib_solve_multistart,
 )
@@ -247,8 +253,12 @@ def geometric_grid(beta_min: float, beta_max: float,
     return np.array(grid)
 
 
-def _derived_seed(*parts: int) -> int:
-    return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
+def _derived_seeds(seed: int, *parts) -> np.ndarray:
+    """SeedSequence([seed, *row]).generate_state(1)[0] for every row of the
+    int columns parts, whose entries are below 2^32 (one word each)."""
+    cols = np.broadcast_arrays(*map(np.atleast_1d, parts))
+    words = np.repeat(_words(seed), cols[0].size, axis=0)
+    return _seed_states(np.column_stack((words, *cols)).astype(np.uint32), 1)[:, 0]
 
 
 def anneal_curve(j: JointDistribution, t_card: int, beta_grid,
@@ -274,8 +284,9 @@ def anneal_curve(j: JointDistribution, t_card: int, beta_grid,
     betas, n = beta_grid.tolist(), beta_grid.size
     counts = [max(restarts, 1)] + [restarts] * (n - 1)
     targets = np.repeat(np.arange(n), counts)
-    inits = _encoder_stack(_restart_inits(j.x_card, t_card, [
-        (r, _derived_seed(seed, i, r + 1)) for i, k in enumerate(counts) for r in range(k)]))
+    r = np.arange(targets.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    inits = _encoder_stack(_restart_inits(j.x_card, t_card, r,
+                                          _derived_seeds(seed, targets, r + 1)))
     # the solution each grid point keeps, as arrays; L is inf until one is kept
     enc, R, I_Y = np.empty((n, j.x_card, t_card)), np.zeros(n), np.zeros(n)
     L, iters, conv = np.full(n, math.inf), np.zeros(n, dtype=int), np.zeros(n, dtype=bool)
@@ -291,8 +302,7 @@ def anneal_curve(j: JointDistribution, t_card: int, beta_grid,
         if not offers:
             break
         targets, sources = np.array(offers).T
-        inits = _perturb(enc[sources], [_derived_seed(seed, t, s, n_pass) for t, s in offers],
-                         perturb_mag)
+        inits = _perturb(enc[sources], _derived_seeds(seed, targets, sources, n_pass), perturb_mag)
     cards = _effective_cards(*_decoder(j, enc)).tolist()
 
     n_probes, unconverged = 0, int(np.count_nonzero(~conv))
@@ -305,7 +315,7 @@ def anneal_curve(j: JointDistribution, t_card: int, beta_grid,
         n_probes += 1
         sol = ib_solve_multistart(
             j, t_card, beta, restarts=max(restarts, 2) + 1, tol=tol * 1e-2,
-            max_iter=3 * max_iter, seed=_derived_seed(seed, 7_777, n_probes))
+            max_iter=3 * max_iter, seed=int(_derived_seeds(seed, 7_777, n_probes)[0]))
         unconverged += not sol.converged
         return effective_cardinality(sol), sol
 

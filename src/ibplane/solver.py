@@ -62,7 +62,8 @@ p(t, y) once, and the pick keeps the R and I_Y its batch was ranked by.
 
 This is a local method (the problem is not convex); global behavior comes
 from seeded restarts and from the warm-started neighbour passes of the curve
-module.
+module. Their noise is numpy's default_rng(seed).uniform(-1, 1), computed bit
+for bit for a whole batch of seeds at once (`_noise`) and pinned to numpy by tests.
 
 A query pays its fixed costs once. The seeded init stack of
 `ib_solve_multistart`, and of `ib_solve`'s default init (one restart), depends
@@ -84,6 +85,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,18 +142,87 @@ class Encoder:
 
 def _perturb(m: np.ndarray, seed, noise: float) -> np.ndarray:
     """Seeded noise on m, rows renormalized; a (B, X, T) stack takes one seed per element."""
-    u = [np.random.default_rng(s).uniform(-1.0, 1.0, size=m.shape[-2:])
-         for s in (seed if m.ndim == 3 else [seed])]
-    m = m * (1.0 + noise * np.reshape(u, m.shape))
+    m = m * (1.0 + noise * _noise(seed if m.ndim == 3 else [seed], m.shape[-2:]).reshape(m.shape))
     return m / m.sum(axis=-1, keepdims=True)
 
 
-def _hard_blend(assignment, t_card: int) -> np.ndarray:
-    """Hard assignment blended with a uniform floor so no cluster is dead."""
-    assignment = np.asarray(assignment, dtype=int)
-    m = np.full((assignment.size, t_card), BLEND_FLOOR / t_card)
-    m[np.arange(assignment.size), assignment] += 1.0 - BLEND_FLOOR
-    return m
+_M32, _PCG_A = 2**32 - 1, 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's multiplier A
+
+
+def _words(seed) -> np.ndarray:
+    """SeedSequence's (1, W) uint32 entropy of one seed, least significant word first."""
+    if (seed := operator.index(seed)) < 0:  # a non-integer raises TypeError, as in numpy
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return np.array([[seed >> s & _M32 for s in range(0, seed.bit_length() or 1, 32)]], np.uint32)
+
+
+def _seed_states(words: np.ndarray, n_words: int) -> np.ndarray:
+    """numpy's SeedSequence(row).generate_state(n_words) for every row of a (B,
+    W) uint32 entropy array: O'Neill's seed_seq hash (PCG report HMC-CS-2014-0905),
+    whose constants do not depend on the data, so each hashmix runs on columns."""
+    w = words.shape[1]
+    words = np.pad(words, ((0, 0), (0, max(4 - w, 0))))  # hashmix(0) fills the pool
+    h = np.cumprod(np.r_[0x43B0D7E5, [0x931E8875] * 4 * max(w, 4)], dtype=np.uint32)
+
+    def hashmix(v, k):  # hashmix calls k of the constants h
+        v = (v ^ h[k]) * h[k + 1]
+        return v ^ v >> 16
+
+    def mix(x, y):
+        r = x * 0xCA01F9DD - y * 0x4973F715
+        return r ^ r >> 16
+
+    pool = hashmix(words[:, :4], np.arange(4))
+    for src in range(4):  # each word of the pool mixes into the other three
+        dst = np.arange(4) != src
+        pool[:, dst] = mix(pool[:, dst], hashmix(pool[:, src, None], np.arange(3) + 4 + 3 * src))
+    for i in range(4, w):  # each word past the pool mixes into all four
+        pool = mix(pool, hashmix(words[:, i, None], np.arange(4) + 4 * i))
+    h = np.cumprod(np.r_[0x8B51F9DD, [0x58F38DED] * n_words], dtype=np.uint32)
+    return hashmix(pool[:, np.arange(n_words) % 4], np.arange(n_words))
+
+
+@functools.lru_cache(maxsize=INIT_MEMO_SIZE)
+def _pcg_jumps(k: int) -> np.ndarray:
+    """(4, k) uint64 limbs (high, low) of A^n and of C_n = sum_{j<n} A^j, mod
+    2^128, for n = 2 .. k + 1, A PCG64's multiplier."""
+    a, c, limbs = _PCG_A, 1, []
+    for _ in range(k):
+        a, c = a * _PCG_A % 2**128, (c * _PCG_A + 1) % 2**128
+        limbs.append((a >> 64, a % 2**64, c >> 64, c % 2**64))
+    return np.array(limbs, np.uint64).T
+
+
+def _noise(seeds, shape) -> np.ndarray:
+    """default_rng(s).uniform(-1.0, 1.0, shape) for every seed s, bit for bit, as
+    one (B, *shape) array; a bad seed raises what numpy raises. PCG64 takes
+    SeedSequence(s).generate_state(4, uint64) = (s0, s1, s2, s3) as increment
+    inc = 2 (s2:s3) + 1 and state x = inc + (s0:s1), then steps before each draw
+    and once more, so draw k's state is A^(k+2) x + C_(k+2) inc, and its XSL-RR
+    output v gives u = (v >> 11) 2^-53 and the draw 2u - 1. The jump is
+    Brown's (1994, Trans. Am. Nucl. Soc. 71:202) for the 128-bit LCG."""
+    a = np.asarray(seeds)
+    if a.dtype.kind in "biu" and (a >= 0).all():  # below 2^64: two words each
+        state = _seed_states(np.stack((a & _M32, a >> 32), axis=1).astype(np.uint32), 8)
+    else:  # seeds past 2^64 one at a time, and the errors numpy raises
+        state = np.array([_seed_states(_words(s), 8)[0] for s in seeds], np.uint32).reshape(-1, 8)
+    s = state[:, 0::2].astype(np.uint64) | state[:, 1::2].astype(np.uint64) << 32
+    inc_h, inc_l = s[:, 2:3] << 1 | s[:, 3:4] >> 63, s[:, 3:4] << 1 | 1
+    x_l = inc_l + s[:, 1:2]
+    x_h = inc_h + s[:, 0:1] + (x_l < inc_l)
+
+    def mul128(ah, al, bh, bl):  # (high, low) limbs of a * b mod 2^128
+        a0, a1, b0, b1 = al & _M32, al >> 32, bl & _M32, bl >> 32
+        mid = a1 * b0 + (a0 * b0 >> 32)
+        return a1 * b1 + (mid >> 32) + (a0 * b1 + (mid & _M32) >> 32) + al * bh + ah * bl, al * bl
+
+    a_h, a_l, c_h, c_l = _pcg_jumps(math.prod(shape))
+    (p_h, p_l), (q_h, q_l) = mul128(x_h, x_l, a_h, a_l), mul128(inc_h, inc_l, c_h, c_l)
+    lo = p_l + q_l
+    hi = p_h + q_h + (lo < p_l)
+    v, rot = hi ^ lo, hi >> 58
+    v = v >> rot | v << (-rot & 63)
+    return ((v >> 11) * 2.0**-53 * 2.0 - 1.0).reshape(len(state), *shape)
 
 
 def _encoder_stack(ms) -> np.ndarray:
@@ -489,8 +560,8 @@ def ib_solve(j: JointDistribution, t_card: int, beta: float,
     return _pick(j, t_card, beta, *_lockstep(j, enc, np.full(1, beta), tol, max_iter))
 
 
-def _restart_inits(x_card: int, t_card: int, restarts) -> np.ndarray:
-    """(B, X, T) stack of the inits of (restart r, seed) pairs: seeded
+def _restart_inits(x_card: int, t_card: int, r, seeds) -> np.ndarray:
+    """(B, X, T) stack of the inits of restarts r with seeds: seeded
     noisy-uniform for even r.
 
     Noisy-uniform inits alone can miss the fine-split basin just past a
@@ -498,13 +569,16 @@ def _restart_inits(x_card: int, t_card: int, restarts) -> np.ndarray:
     so odd restarts seed blended hard partitions instead: the maximal
     partition first, then random assignments.
     """
-    noisy = np.array([r % 2 == 0 or t_card < 2 for r, _ in restarts], dtype=bool)
-    m = np.full((len(restarts), x_card, t_card), 1.0 / t_card)
-    m[noisy] = _perturb(m[noisy], [s for (_, s), k in zip(restarts, noisy) if k], INIT_NOISE)
-    for i, (r, seed) in enumerate(restarts):
-        if not noisy[i]:
-            m[i] = _hard_blend(np.arange(x_card) % t_card if r == 1 else
-                               np.random.default_rng(seed).integers(0, t_card, size=x_card), t_card)
+    r, seeds = np.asarray(r, dtype=int), np.asarray(seeds)
+    noisy = (r % 2 == 0) | (t_card < 2)
+    m = np.full((r.size, x_card, t_card), 1.0 / t_card)
+    m[noisy] = _perturb(m[noisy], seeds[noisy], INIT_NOISE)
+    hard = np.tile(np.arange(x_card) % t_card, (r.size, 1))
+    for i in np.flatnonzero(~noisy & (r > 1)):  # bounded integers draw by rejection
+        hard[i] = np.random.default_rng(seeds[i]).integers(0, t_card, size=x_card)
+    floor = BLEND_FLOOR / t_card  # blended, so that no cluster is dead
+    hit = hard[~noisy, :, None] == np.arange(t_card)
+    m[~noisy] = np.where(hit, floor + (1.0 - BLEND_FLOOR), floor)
     return m
 
 
@@ -513,8 +587,8 @@ def _restart_inits(x_card: int, t_card: int, restarts) -> np.ndarray:
 def _multistart_inits(x_card: int, t_card: int, restarts: int, seed: int) -> np.ndarray:
     """The read-only init stack of restarts (r, seed + r), r < restarts, built
     once per key: it depends on nothing else, and every query reuses it."""
-    return _encoder_stack(_restart_inits(x_card, t_card,
-                                         [(r, seed + r) for r in range(restarts)]))
+    return _encoder_stack(_restart_inits(x_card, t_card, range(restarts),
+                                         [seed + r for r in range(restarts)]))
 
 
 def ib_solve_multistart(j: JointDistribution, t_card: int, beta: float,

@@ -22,7 +22,6 @@ from ibplane.curve import (
     anneal_curve,
     detect_bifurcations,
     effective_cardinality,
-    _derived_seed,
     _effective_cards,
     geometric_grid,
 )
@@ -42,7 +41,7 @@ from ibplane.prob import (
 from ibplane.solver import (
     Encoder,
     _decoder,
-    _hard_blend,
+    _restart_inits,
     _lockstep,
     _perturb,
     _pick,
@@ -321,12 +320,13 @@ def test_anneal_symmetric_single_split(sym_sweep):
     assert b.beta_low <= 1.0 / 0.36 <= b.beta_high
 
 
+def _derived_seed(*parts):
+    """The per-element reference of curve._derived_seeds: one SeedSequence per seed."""
+    return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
+
+
 def restart_init(j, t_card, r, s):
-    if r % 2 == 0 or t_card < 2:
-        return Encoder.noisy_uniform(j.x_card, t_card, s).matrix
-    if r == 1:
-        return _hard_blend(np.arange(j.x_card) % t_card, t_card)
-    return _hard_blend(np.random.default_rng(s).integers(0, t_card, size=j.x_card), t_card)
+    return _restart_inits(j.x_card, t_card, [r], [s])[0]
 
 
 def curve_point(beta, sol):
@@ -514,12 +514,15 @@ def test_readme_sweep_has_no_unconverged_solve(sym_sweep):
     assert sym_sweep.unconverged == 0
 
 
-@pytest.mark.parametrize("joint, t_card, grid", [
+SWEEP_CASES = pytest.mark.parametrize("joint, t_card, grid", [
     (SYM, 2, geometric_grid(0.5, 40.0, 1.1)),
     (random_joint(6, 3, seed=3), 3, geometric_grid(0.5, 50.0, 1.3)),
     (empirical_joint(sample_pairs(random_joint(8, 4, 0), 20, seed=3), 8, 4), 3,
      geometric_grid(0.5, 50.0, 1.3)),
 ], ids=["symmetric", "random-6x3", "empirical-unobserved-x"])
+
+
+@SWEEP_CASES
 def test_kept_encoders_rebuild_each_point_bit_for_bit(joint, t_card, grid):
     # the sweep keeps the solve behind every point: its encoder rebuilds the
     # point's R, I_Y and L exactly, and `unconverged` counts every kept solve
@@ -536,6 +539,73 @@ def test_kept_encoders_rebuild_each_point_bit_for_bit(joint, t_card, grid):
                          bool(c.converged[i]))
         assert (sol.R, sol.I_Y, sol.L) == (p.R, p.I_Y, p.L) == (c.R[i], c.I_Y[i], c.L[i])
         assert p.eff_card == effective_cardinality(sol)
+
+
+def numpy_perturb(m, seed, noise):
+    """The per-element reference of solver._perturb: one numpy generator per seed."""
+    u = [np.random.default_rng(s).uniform(-1.0, 1.0, size=m.shape[-2:])
+         for s in (seed if m.ndim == 3 else [seed])]
+    m = m * (1.0 + noise * np.reshape(u, m.shape))
+    return m / m.sum(axis=-1, keepdims=True)
+
+
+def numpy_restart_inits(x_card, t_card, r, seeds):
+    """The per-restart reference of solver._restart_inits."""
+    inits = []
+    for k, s in zip(r, seeds):
+        m = np.full((x_card, t_card), 1.0 / t_card)
+        if k % 2 == 0 or t_card < 2:
+            m = numpy_perturb(m, s, solver.INIT_NOISE)
+        else:
+            hard = (np.arange(x_card) % t_card if k == 1 else
+                    np.random.default_rng(s).integers(0, t_card, size=x_card))
+            m = np.full((x_card, t_card), solver.BLEND_FLOOR / t_card)
+            m[np.arange(x_card), hard] += 1.0 - solver.BLEND_FLOOR
+        inits.append(m)
+    return np.array(inits)
+
+
+def numpy_derived_seeds(seed, *parts):
+    return np.array([_derived_seed(seed, *row) for row in zip(
+        *np.broadcast_arrays(*map(np.atleast_1d, parts)))])
+
+
+@pytest.mark.parametrize("seed", [0, 2**32 + 5])
+@SWEEP_CASES
+def test_batched_seeding_changes_no_sweep(monkeypatch, joint, t_card, grid, seed):
+    # the batched SeedSequence and PCG64 replica against numpy's generators,
+    # one per seed, wherever the sweep seeds: fresh restarts, offers and probes
+    def sweep():
+        solver._multistart_inits.cache_clear()  # probes build their inits anew
+        c = anneal_curve(joint, t_card, grid, restarts=2, seed=seed)
+        solver._multistart_inits.cache_clear()
+        return c
+
+    got = sweep()
+    with monkeypatch.context() as m:
+        m.setattr(curve, "_derived_seeds", numpy_derived_seeds)
+        m.setattr(curve, "_perturb", numpy_perturb)
+        m.setattr(curve, "_restart_inits", numpy_restart_inits)
+        m.setattr(solver, "_restart_inits", numpy_restart_inits)
+        want = sweep()
+    assert got.bifurcations == want.bifurcations and got.bifurcations
+    assert got.unconverged == want.unconverged
+    for k in ("beta", "R", "I_Y", "eff_card", "encoders", "iterations", "converged"):
+        assert np.array_equal(getattr(got, k), getattr(want, k)), k
+
+
+@pytest.mark.parametrize("seed", [0, 3, 2**32 - 3, 2**64 + 1])
+@pytest.mark.parametrize("x_card, t_card", [(4, 3), (8, 4), (5, 1)])
+def test_batched_inits_match_numpy(x_card, t_card, seed):
+    # ten restarts include random-partition rows (r = 3, 5, 7, 9)
+    seeds = [seed + r for r in range(10)]
+    want = numpy_restart_inits(x_card, t_card, range(10), seeds)
+    assert np.array_equal(solver._restart_inits(x_card, t_card, range(10), seeds), want)
+    solver._multistart_inits.cache_clear()
+    assert np.array_equal(solver._multistart_inits(x_card, t_card, 10, seed), want)
+    assert np.array_equal(Encoder.noisy_uniform(x_card, t_card, seed).matrix, want[0])
+    parts = np.arange(5), np.arange(5) + 1, 7
+    assert np.array_equal(curve._derived_seeds(seed, *parts), numpy_derived_seeds(seed, *parts))
 
 
 def test_curve_columns_are_checked_as_points_are():

@@ -728,6 +728,9 @@ NO_UNIT_NET = '{"layer_sizes": [2, 0, 2], "weights": [[], [[], []]], "biases": [
     ({}, ANALYZE_ARGV + " --beta inf", "beta must be finite, got inf"),
     ({}, ANALYZE_ARGV + " --beta nan", "beta must be finite, got nan"),
     ({}, ANALYZE_ARGV + " --sweep 1,nan", "beta must be finite, got nan"),
+    # I_prev + beta * I_Y_lost would reward lost relevance
+    ({}, ANALYZE_ARGV + " --beta -1", "layer criterion beta must be >= 0, got -1.0"),
+    ({}, ANALYZE_ARGV + " --sweep=0.5,-1", "layer criterion beta must be >= 0, got -1.0"),
 ], ids=["bounds-non-finite-curve-point", "bounds-negative-curve-I_Y",
         "bounds-negative-curve-D_IB", "bounds-negative-curve-R",
         "bounds-curve-L-off-R-minus-beta-I_Y", "bounds-short-curve-row",
@@ -745,7 +748,7 @@ NO_UNIT_NET = '{"layer_sizes": [2, 0, 2], "weights": [[], [[], []]], "biases": [
         "ib-curve-negative-max-iter", "ib-curve-nan-grid-factor", "ib-curve-grid-too-fine",
         "ib-curve-infinite-beta-max", "train-empty-hidden-layer",
         "analyze-empty-hidden-layer", "analyze-infinite-beta", "analyze-nan-beta",
-        "analyze-nan-sweep-beta"])
+        "analyze-nan-sweep-beta", "analyze-negative-beta", "analyze-negative-sweep-beta"])
 def test_cli_bad_input_is_one_line_error(tmp_path, monkeypatch, capsys, files, argv, expected):
     monkeypatch.chdir(tmp_path)
     files = {"j.json": io.joint_to_json(SYM),

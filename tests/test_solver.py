@@ -47,9 +47,11 @@ from ibplane.solver import (
     _lockstep,
     _map,
     _newton,
+    _noise,
     _perturb,
     _pick,
     _restart_inits,
+    _seed_states,
     exhaustive_deterministic_oracle,
     ib_iterate_once,
     ib_solve,
@@ -180,7 +182,7 @@ def test_dead_cluster_element_leaves_its_batch_alone():
     # the zero-mass cluster sends one element down the guarded path; the live
     # elements of its batch must still follow their own trajectories bit for bit
     j = random_joint(5, 3, seed=4)
-    inits = _restart_inits(5, 3, [(r, 11 + r) for r in range(4)])
+    inits = _restart_inits(5, 3, range(4), [11 + r for r in range(4)])
     inits[2, :, 1] = 0.0
     inits[2] /= inits[2].sum(axis=1, keepdims=True)
     betas = np.full(len(inits), 6.0)
@@ -319,7 +321,7 @@ def queries(draw):
 def test_solve_properties_on_random_joints(query):
     j, t_card, beta, seed = query
     inits = [Encoder(m)
-             for m in _restart_inits(j.x_card, t_card, [(r, seed + r) for r in range(4)])]
+             for m in _restart_inits(j.x_card, t_card, range(4), [seed + r for r in range(4)])]
     sols = [ib_solve(j, t_card, beta, init=e) for e in inits]
     for init, sol in zip(inits, sols):
         if sol.converged:
@@ -342,7 +344,8 @@ def test_solve_properties_on_random_joints(query):
 def test_mixed_beta_batch_matches_solving_each_alone(query, log_betas, max_iter):
     j, t_card, _, seed = query
     betas = np.exp(log_betas)
-    inits = _restart_inits(j.x_card, t_card, [(r, seed + r) for r in range(betas.size)])
+    n = betas.size
+    inits = _restart_inits(j.x_card, t_card, range(n), [seed + r for r in range(n)])
     enc, iters, conv = _lockstep(j, inits, betas, DEFAULT_TOL, max_iter)
     for b in range(betas.size):
         e1, i1, c1 = _lockstep(j, inits[b:b + 1], betas[b:b + 1], DEFAULT_TOL, max_iter)
@@ -477,7 +480,7 @@ def lockstep_inputs(draw):
         j, t_card, near_betas = near
         x_card = j.x_card
     n, seed = draw(st.integers(1, 12)), draw(st.integers(0, 2**16))
-    inits = _restart_inits(x_card, t_card, [(r, seed + r) for r in range(n)])
+    inits = _restart_inits(x_card, t_card, range(n), [seed + r for r in range(n)])
     for b in draw(st.lists(st.integers(0, n - 1), max_size=n, unique=True)):
         inits[b, :, draw(st.integers(0, t_card - 1))] = 0.0
         inits[b] /= inits[b].sum(axis=1, keepdims=True)
@@ -496,9 +499,9 @@ def lockstep_inputs(draw):
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(lockstep_inputs())
 # long near-critical solves, where Newton tries fail and are retried
-@example((SYM, _restart_inits(2, 3, [(r, 100 + r) for r in range(8)]), np.full(8, 2.7785),
+@example((SYM, _restart_inits(2, 3, range(8), [100 + r for r in range(8)]), np.full(8, 2.7785),
           DEFAULT_MAX_ITER))
-@example((NEAR_CRITICAL[2][0], _restart_inits(4, 4, [(r, 100 + r) for r in range(8)]),
+@example((NEAR_CRITICAL[2][0], _restart_inits(4, 4, range(8), [100 + r for r in range(8)]),
           np.full(8, 64.2), DEFAULT_MAX_ITER))
 def test_lockstep_matches_the_reference_solve_bit_for_bit(inputs):
     # a round hands the p(t) and p(t, y) `_objective` computed for the kept
@@ -527,7 +530,7 @@ def test_an_unseen_y_leaves_the_solve_on_the_fast_kernel(monkeypatch, x_card, y_
     p[:, col] = 0.0
     p /= p.sum()
     gappy, trimmed = JointDistribution(p), JointDistribution(np.delete(p, col, axis=1))
-    inits = _restart_inits(x_card, 3, [(r, 7 + r) for r in range(6)])
+    inits = _restart_inits(x_card, 3, range(6), [7 + r for r in range(6)])
     betas = np.array([0.0, 0.5, 2.0, 5.0, 20.0, 200.0])
     calls = []
     monkeypatch.setattr(solver, "_guarded", lambda *a: calls.append(a) or _guarded(*a))
@@ -612,6 +615,55 @@ def test_residual_detects_perturbation():
     sol = ib_solve(SYM, 2, beta=5.0, tol=1e-10, max_iter=100_000, seed=0)
     noisy = Encoder(_perturb(sol.encoder.matrix, seed=1, noise=1e-3))
     assert self_consistency_residual(IBSolution(SYM, sol.beta, noisy)) > 1e-6
+
+
+# --- seeding, pinned to numpy ---------------------------------------------------
+
+# seeds at the edges of SeedSequence's word counts: one word, two, three, five
+# and six, so an entropy past the pool's four words is covered
+EDGE_SEEDS = [0, 2**32 - 1, 2**32, 2**64, 2**128, 2**160 + 12_345]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 6), st.sampled_from([1, 8]),
+       st.data())
+def test_seed_states_match_numpy_seed_sequence(n_parts, n_words, data):
+    rows = data.draw(st.lists(st.lists(st.integers(0, 2**32 - 1), min_size=n_parts,
+                                       max_size=n_parts), min_size=1, max_size=20))
+    got = _seed_states(np.array(rows, np.uint32), n_words)
+    for row, state in zip(rows, got):
+        assert np.array_equal(state, np.random.SeedSequence(row).generate_state(n_words))
+
+
+def numpy_noise(seeds, shape):
+    """The per-seed reference of _noise: one numpy generator per seed."""
+    return np.array([np.random.default_rng(s).uniform(-1.0, 1.0, shape) for s in seeds])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.one_of(st.integers(0, 2**32 - 1), st.sampled_from(EDGE_SEEDS),
+                          st.integers(0, 2**200)), min_size=1, max_size=300),
+       st.sampled_from([(1,), (2, 2), (3,), (2, 3), (8, 4), (10, 4)]))
+@example(list(range(300)), (10, 4))
+@example(EDGE_SEEDS + [2**128 + 1, 7, 2**64 - 1], (2, 2))  # mixed word counts
+def test_noise_matches_numpy_default_rng(seeds, shape):
+    got = _noise(seeds, shape)
+    assert got.shape == (len(seeds), *shape)
+    assert np.array_equal(got, numpy_noise(seeds, shape))
+    # an int array of the same seeds takes the same stream
+    if max(seeds) < 2**63:
+        assert np.array_equal(_noise(np.array(seeds), shape), got)
+
+
+@pytest.mark.parametrize("seed", [-1, -2**70, 1.0, 0.5, np.float64(2.0), np.int64(-3)])
+def test_bad_seeds_raise_as_numpy_does(seed):
+    with pytest.raises(Exception) as numpy_error:
+        np.random.default_rng(seed)
+    for seeds in ([seed], [3, seed], [2**70, seed]):
+        with pytest.raises(numpy_error.type):
+            _noise(seeds, (2, 2))
+    with pytest.raises(numpy_error.type):
+        Encoder.noisy_uniform(3, 2, seed)
 
 
 # --- deterministic oracle -------------------------------------------------------
