@@ -255,10 +255,9 @@ def geometric_grid(beta_min: float, beta_max: float,
 
 def _derived_seeds(seed: int, *parts) -> np.ndarray:
     """SeedSequence([seed, *row]).generate_state(1)[0] for every row of the
-    int columns parts, whose entries are below 2^32 (one word each)."""
-    cols = np.broadcast_arrays(*map(np.atleast_1d, parts))
-    words = np.repeat(_words(seed), cols[0].size, axis=0)
-    return _seed_states(np.column_stack((words, *cols)).astype(np.uint32), 1)[:, 0]
+    broadcast int parts, whose entries are below 2^32 (one word each)."""
+    words = np.column_stack(np.broadcast_arrays(*_words(seed)[0], *parts))
+    return _seed_states(words.astype(np.uint32), 1)[:, 0]
 
 
 def anneal_curve(j: JointDistribution, t_card: int, beta_grid,

@@ -147,6 +147,8 @@ def _perturb(m: np.ndarray, seed, noise: float) -> np.ndarray:
 
 
 _M32, _PCG_A = 2**32 - 1, 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's multiplier A
+# the hashmix call with which pool word s mixes into word d (d = s: a spare, unused)
+_MIX_K = np.array([[4 + 3 * s + d - (d >= s) for d in range(4)] for s in range(4)])
 
 
 def _words(seed) -> np.ndarray:
@@ -160,69 +162,71 @@ def _seed_states(words: np.ndarray, n_words: int) -> np.ndarray:
     """numpy's SeedSequence(row).generate_state(n_words) for every row of a (B,
     W) uint32 entropy array: O'Neill's seed_seq hash (PCG report HMC-CS-2014-0905),
     whose constants do not depend on the data, so each hashmix runs on columns."""
-    w = words.shape[1]
-    words = np.pad(words, ((0, 0), (0, max(4 - w, 0))))  # hashmix(0) fills the pool
-    h = np.cumprod(np.r_[0x43B0D7E5, [0x931E8875] * 4 * max(w, 4)], dtype=np.uint32)
-
-    def hashmix(v, k):  # hashmix calls k of the constants h
-        v = (v ^ h[k]) * h[k + 1]
+    def hashmix(v, k, h):  # hashmix calls k of the constants h
+        v = (v ^ h[:-1][k]) * h[1:][k]
         return v ^ v >> 16
 
     def mix(x, y):
         r = x * 0xCA01F9DD - y * 0x4973F715
         return r ^ r >> 16
 
-    pool = hashmix(words[:, :4], np.arange(4))
-    for src in range(4):  # each word of the pool mixes into the other three
-        dst = np.arange(4) != src
-        pool[:, dst] = mix(pool[:, dst], hashmix(pool[:, src, None], np.arange(3) + 4 + 3 * src))
+    w = words.shape[1]
+    h = np.uint32(0x931E8875) ** np.arange(4 * max(w, 4) + 1, dtype=np.uint32) * 0x43B0D7E5
+    pool = np.zeros((len(words), 4), np.uint32)
+    pool[:, :w] = words[:, :4]  # a short entropy hashes zeros into the rest of the pool
+    pool = hashmix(pool, np.s_[:4], h)
+    for s, k in enumerate(_MIX_K):  # each word of the pool mixes into the other three
+        mixed = mix(pool, hashmix(pool[:, s, None], k, h))
+        mixed[:, s] = pool[:, s]
+        pool = mixed
     for i in range(4, w):  # each word past the pool mixes into all four
-        pool = mix(pool, hashmix(words[:, i, None], np.arange(4) + 4 * i))
-    h = np.cumprod(np.r_[0x8B51F9DD, [0x58F38DED] * n_words], dtype=np.uint32)
-    return hashmix(pool[:, np.arange(n_words) % 4], np.arange(n_words))
+        pool = mix(pool, hashmix(words[:, i, None], np.s_[4 * i:4 * i + 4], h))
+    h = np.uint32(0x58F38DED) ** np.arange(n_words + 1, dtype=np.uint32) * 0x8B51F9DD
+    return hashmix(pool[:, np.arange(n_words) % 4], np.s_[:], h)
 
 
 @functools.lru_cache(maxsize=INIT_MEMO_SIZE)
 def _pcg_jumps(k: int) -> np.ndarray:
-    """(4, k) uint64 limbs (high, low) of A^n and of C_n = sum_{j<n} A^j, mod
-    2^128, for n = 2 .. k + 1, A PCG64's multiplier."""
-    a, c, limbs = _PCG_A, 1, []
+    """(2, 3, k) uint64 limbs (high, low) of A^n, 2 D_n and D_n mod 2^128 for
+    n = 2 .. k + 1: A is PCG64's multiplier and D_n = A^n + sum_{j<n} A^j."""
+    a, c, rows = _PCG_A, 1, []
     for _ in range(k):
         a, c = a * _PCG_A % 2**128, (c * _PCG_A + 1) % 2**128
-        limbs.append((a >> 64, a % 2**64, c >> 64, c % 2**64))
-    return np.array(limbs, np.uint64).T
+        rows += [a, 2 * (a + c) % 2**128, (a + c) % 2**128]
+    limbs = np.array([[x >> 64 for x in rows], [x % 2**64 for x in rows]], np.uint64)
+    return limbs.reshape(2, k, 3).swapaxes(1, 2)
 
 
 def _noise(seeds, shape) -> np.ndarray:
     """default_rng(s).uniform(-1.0, 1.0, shape) for every seed s, bit for bit, as
-    one (B, *shape) array; a bad seed raises what numpy raises. PCG64 takes
-    SeedSequence(s).generate_state(4, uint64) = (s0, s1, s2, s3) as increment
-    inc = 2 (s2:s3) + 1 and state x = inc + (s0:s1), then steps before each draw
-    and once more, so draw k's state is A^(k+2) x + C_(k+2) inc, and its XSL-RR
-    output v gives u = (v >> 11) 2^-53 and the draw 2u - 1. The jump is
-    Brown's (1994, Trans. Am. Nucl. Soc. 71:202) for the 128-bit LCG."""
+    one (B, *shape) array; a bad seed raises what numpy raises. PCG64 is the LCG
+    x -> A x + inc mod 2^128. From SeedSequence(s).generate_state(4, uint64) =
+    (s0, s1, s2, s3) it takes inc = 2 (s2:s3) + 1 and x = A (inc + (s0:s1)) + inc,
+    and it steps before each draw, so draw k's state is A^n (s0:s1) + 2 D_n
+    (s2:s3) + D_n with n = k + 2 (`_pcg_jumps`; Brown 1994, Trans. Am. Nucl. Soc.
+    71:202). Its XSL-RR output v gives u = (v >> 11) 2^-53 and the draw 2u - 1."""
     a = np.asarray(seeds)
     if a.dtype.kind in "biu" and (a >= 0).all():  # below 2^64: two words each
-        state = _seed_states(np.stack((a & _M32, a >> 32), axis=1).astype(np.uint32), 8)
+        state = _seed_states(a.astype("<u8").view("<u4").reshape(-1, 2), 8)
     else:  # seeds past 2^64 one at a time, and the errors numpy raises
         state = np.array([_seed_states(_words(s), 8)[0] for s in seeds], np.uint32).reshape(-1, 8)
-    s = state[:, 0::2].astype(np.uint64) | state[:, 1::2].astype(np.uint64) << 32
-    inc_h, inc_l = s[:, 2:3] << 1 | s[:, 3:4] >> 63, s[:, 3:4] << 1 | 1
-    x_l = inc_l + s[:, 1:2]
-    x_h = inc_h + s[:, 0:1] + (x_l < inc_l)
+    s = state.astype("<u4", order="C").view("<u8")[:, :, None]
 
-    def mul128(ah, al, bh, bl):  # (high, low) limbs of a * b mod 2^128
+    def add128(ah, al, bh, bl):  # (high, low) limbs of a + b mod 2^128
+        lo = al + bl
+        return ah + bh + (lo < al), lo
+
+    def mul128(ah, al, bh, bl):  # (high, low) limbs of a b mod 2^128
         a0, a1, b0, b1 = al & _M32, al >> 32, bl & _M32, bl >> 32
         mid = a1 * b0 + (a0 * b0 >> 32)
         return a1 * b1 + (mid >> 32) + (a0 * b1 + (mid & _M32) >> 32) + al * bh + ah * bl, al * bl
 
-    a_h, a_l, c_h, c_l = _pcg_jumps(math.prod(shape))
-    (p_h, p_l), (q_h, q_l) = mul128(x_h, x_l, a_h, a_l), mul128(inc_h, inc_l, c_h, c_l)
-    lo = p_l + q_l
-    hi = p_h + q_h + (lo < p_l)
+    j_h, j_l = _pcg_jumps(math.prod(shape))
+    hi, lo = mul128(s[:, 0::2], s[:, 1::2], j_h[:2], j_l[:2])  # A^n (s0:s1), 2 D_n (s2:s3)
+    hi, lo = add128(*add128(hi[:, 0], lo[:, 0], hi[:, 1], lo[:, 1]), j_h[2], j_l[2])
     v, rot = hi ^ lo, hi >> 58
     v = v >> rot | v << (-rot & 63)
-    return ((v >> 11) * 2.0**-53 * 2.0 - 1.0).reshape(len(state), *shape)
+    return ((v >> 11) * 2.0**-52 - 1.0).reshape(len(state), *shape)
 
 
 def _encoder_stack(ms) -> np.ndarray:
