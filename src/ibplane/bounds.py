@@ -1,13 +1,15 @@
 """Finite-sample worst-case correction of an empirical tradeoff curve.
 
-With only n samples, the empirical relevance of a representation with
-effective description length K = 2^R can overshoot the true value by up to
-c * K * |Y| / sqrt(n) (the constant is not pinned down by theory, so it is an
-explicit parameter surfaced in all outputs). Subtracting that slack gives a
-worst-case curve whose minimum-distortion point is the best defensible
-operating point at sample size n; networks are scored by their distance from
-it on both axes. A BoundCurve holds the corrected curve as columns, corrected
-and checked a column at a time, and computes that optimum from them on read.
+With n samples, the empirical relevance of a representation with effective
+description length K = 2^R can overshoot its true value. The slack subtracted,
+c * K * |Y| / sqrt(n), is a scaling, not a proven bound: c is not pinned down
+by theory and is surfaced in all outputs. That at c = 1 it covers the
+overshoot of every sampled-joint solve the tests check on the true joint is
+measured, not guaranteed. The worst-case curve's minimum-distortion point is
+the best defensible operating point at n; networks are scored by their
+distance from it on both axes. A BoundCurve holds the corrected curve as
+columns, corrected and checked a column at a time, and computes that optimum
+from them on read.
 """
 
 from __future__ import annotations
@@ -46,7 +48,8 @@ class BoundCurve:
 
     rate_correction(i) is the companion c*K/sqrt(n) slack on the rate axis at
     point i, reported but playing no role in the optimum search, which happens
-    on the distortion axis. star_index, R_star, D_star and the rate
+    on the distortion axis; the tests pin sampled-joint solves whose rate
+    misses the truth by more. star_index, R_star, D_star and the rate
     corrections are computed on read.
     """
 

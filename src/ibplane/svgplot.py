@@ -3,8 +3,8 @@
 Draws the annealed tradeoff curve, the finite-sample worst-case curve, and a
 network's layer path on shared axes: x is the rate/complexity axis I(X;T), y
 the relevance axis I(T;Y), both in bits. Output is a plain SVG string built
-deterministically, so identical inputs give identical bytes. Every pixel
-coordinate is written with two decimals; a series is mapped to pixels a
+deterministically, so identical inputs give identical bytes. Every computed
+pixel coordinate is written with two decimals; a series is mapped to pixels a
 list per axis, and one "%.2f,%.2f" call formats each of its points.
 """
 
@@ -29,25 +29,37 @@ def _tick_label(v: float) -> str:
     return f"{v:.3g}"
 
 
+def _num(v) -> str:
+    """A computed pixel coordinate with two decimals; a fixed integer one as is."""
+    return f"{v:.2f}" if isinstance(v, float) else str(v)
+
+
+def _line(x1, y1, x2, y2, stroke="#444444", width=1) -> str:
+    return (f'<line x1="{_num(x1)}" y1="{_num(y1)}" x2="{_num(x2)}" y2="{_num(y2)}" '
+            f'stroke="{stroke}" stroke-width="{width}"/>')
+
+
+def _text(x, y, size, body, anchor=None, rotate=False) -> str:
+    """A label; rotate turns it a quarter turn counterclockwise about (x, y)."""
+    anchor = f' text-anchor="{anchor}"' if anchor else ""
+    rotate = f' transform="rotate(-90 {_num(x)} {_num(y)})"' if rotate else ""
+    return (f'<text x="{_num(x)}" y="{_num(y)}" font-size="{size}"{anchor} '
+            f'fill="#222222"{rotate}>{body}</text>')
+
+
 def render_plane(curve_xy, bound_xy, layer_xy) -> str:
     """Render the three series; any series may be empty and is then skipped.
 
     Each argument is a sequence of (x, y) pairs in bits.
     """
-    series = [
-        ("ib-curve", list(curve_xy), False),
-        ("worst-case-bound", list(bound_xy), False),
-        ("layer-path", list(layer_xy), True),
-    ]
-    xs = [p[0] for _, pts, _ in series for p in pts]
-    ys = [p[1] for _, pts, _ in series for p in pts]
-    x_max = max(xs) if xs else 1.0
-    y_max = max(ys) if ys else 1.0
+    series = [s for s in (("ib-curve", list(curve_xy), False),
+                          ("worst-case-bound", list(bound_xy), False),
+                          ("layer-path", list(layer_xy), True)) if s[1]]
+    x_max = max([p[0] for _, pts, _ in series for p in pts], default=1.0)
+    y_max = max([p[1] for _, pts, _ in series for p in pts], default=1.0)
     x_max = x_max * 1.05 if x_max > 0 else 1.0
     y_max = y_max * 1.05 if y_max > 0 else 1.0
-
-    plot_w = WIDTH - MARGIN_L - MARGIN_R
-    plot_h = HEIGHT - MARGIN_T - MARGIN_B
+    plot_w, plot_h = WIDTH - MARGIN_L - MARGIN_R, HEIGHT - MARGIN_T - MARGIN_B
 
     def sx(x: float) -> float:
         return MARGIN_L + plot_w * (x / x_max)
@@ -55,42 +67,22 @@ def render_plane(curve_xy, bound_xy, layer_xy) -> str:
     def sy(y: float) -> float:
         return MARGIN_T + plot_h * (1.0 - y / y_max)
 
-    out = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
-        f'viewBox="0 0 {WIDTH} {HEIGHT}">',
-        f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>',
-    ]
-
-    # axes
-    x0, y0 = f"{sx(0):.2f}", f"{sy(0):.2f}"
-    out.append(f'<line x1="{x0}" y1="{y0}" x2="{sx(x_max):.2f}" y2="{y0}" '
-               'stroke="#444444" stroke-width="1"/>')
-    out.append(f'<line x1="{x0}" y1="{y0}" x2="{x0}" y2="{sy(y_max):.2f}" '
-               'stroke="#444444" stroke-width="1"/>')
-    for k in range(N_TICKS + 1):
-        tx = x_max * k / N_TICKS
-        ty = y_max * k / N_TICKS
-        out.append(f'<line x1="{sx(tx):.2f}" y1="{y0}" x2="{sx(tx):.2f}" '
-                   f'y2="{sy(0) + 5:.2f}" stroke="#444444" stroke-width="1"/>')
-        out.append(f'<text x="{sx(tx):.2f}" y="{sy(0) + 18:.2f}" font-size="11" '
-                   f'text-anchor="middle" fill="#222222">{_tick_label(tx)}</text>')
-        out.append(f'<line x1="{x0}" y1="{sy(ty):.2f}" x2="{sx(0) - 5:.2f}" '
-                   f'y2="{sy(ty):.2f}" stroke="#444444" stroke-width="1"/>')
-        out.append(f'<text x="{sx(0) - 8:.2f}" y="{sy(ty) + 4:.2f}" font-size="11" '
-                   f'text-anchor="end" fill="#222222">{_tick_label(ty)}</text>')
-    out.append(f'<text x="{MARGIN_L + plot_w / 2:.2f}" y="{HEIGHT - 14}" '
-               'font-size="13" text-anchor="middle" fill="#222222">'
-               'complexity I(X;T) [bits]</text>')
-    out.append(f'<text x="16" y="{MARGIN_T + plot_h / 2:.2f}" font-size="13" '
-               f'text-anchor="middle" fill="#222222" '
-               f'transform="rotate(-90 16 {MARGIN_T + plot_h / 2:.2f})">'
-               'relevance I(T;Y) [bits]</text>')
-
-    # series
+    x0, y0 = sx(0), sy(0)
+    out = ['<?xml version="1.0" encoding="UTF-8"?>',
+           f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
+           f'viewBox="0 0 {WIDTH} {HEIGHT}">',
+           f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>',
+           _line(x0, y0, sx(x_max), y0), _line(x0, y0, x0, sy(y_max))]
+    for tx, ty in ((x_max * k / N_TICKS, y_max * k / N_TICKS) for k in range(N_TICKS + 1)):
+        out += [_line(sx(tx), y0, sx(tx), y0 + 5),
+                _text(sx(tx), y0 + 18, 11, _tick_label(tx), "middle"),
+                _line(x0, sy(ty), x0 - 5, sy(ty)),
+                _text(x0 - 8, sy(ty) + 4, 11, _tick_label(ty), "end")]
+    out.append(_text(MARGIN_L + plot_w / 2, HEIGHT - 14, 13, "complexity I(X;T) [bits]", "middle"))
+    out.append(_text(16, MARGIN_T + plot_h / 2, 13, "relevance I(T;Y) [bits]", "middle", True))
+    # each series' polyline and markers; the legend entries follow them all, on top
+    legend, lx, ly = [], MARGIN_L + 12, MARGIN_T + 10
     for name, pts, markers in series:
-        if not pts:
-            continue
         color = SERIES_COLORS[name]
         px = [MARGIN_L + plot_w * (x / x_max) for x, _ in pts]
         py = [MARGIN_T + plot_h * (1.0 - y / y_max) for _, y in pts]
@@ -100,19 +92,6 @@ def render_plane(curve_xy, bound_xy, layer_xy) -> str:
         if markers:
             out.extend('<circle cx="%.2f" cy="%.2f" r="3.2" fill="%s"/>' % (x, y, color)
                        for x, y in zip(px, py))
-
-    # legend
-    lx = MARGIN_L + 12
-    ly = MARGIN_T + 10
-    for name, pts, _ in series:
-        if not pts:
-            continue
-        color = SERIES_COLORS[name]
-        out.append(f'<line x1="{lx}" y1="{ly}" x2="{lx + 22}" y2="{ly}" '
-                   f'stroke="{color}" stroke-width="2"/>')
-        out.append(f'<text x="{lx + 28}" y="{ly + 4}" font-size="12" '
-                   f'fill="#222222">{name}</text>')
+        legend += [_line(lx, ly, lx + 22, ly, color, 2), _text(lx + 28, ly + 4, 12, name)]
         ly += 16
-
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
+    return "\n".join(out + legend + ["</svg>"]) + "\n"

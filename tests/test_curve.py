@@ -653,6 +653,40 @@ def test_anneal_never_above_the_deterministic_oracle(x_card, y_card, t_card, see
         assert p.L <= exhaustive_deterministic_oracle(j, t_card, p.beta)[1] + 1e-9
 
 
+# known defect (ROADMAP item 19), strict so that the change that mends one must
+# flip it: a bisection probe is a fresh multistart, and on these joints where
+# its restarts land, not the joint, decides where a bracket ends up
+SEED_MOVES_A_BRACKET = pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="seed 1 moves a bracket by more than its width from seed 0's")
+
+
+@pytest.mark.parametrize("joint, t_card", [
+    pytest.param(SYM, 2, id="symmetric"),
+    pytest.param(hierarchical_joint(0.2, 0.05, 2), 4, id="hierarchical"),
+    pytest.param(random_joint(4, 2, 0), 2, id="random-4x2-seed0"),
+    pytest.param(random_joint(4, 2, 1), 2, id="random-4x2-seed1", marks=SEED_MOVES_A_BRACKET),
+    pytest.param(random_joint(4, 2, 2), 2, id="random-4x2-seed2"),
+    pytest.param(random_joint(4, 2, 3), 2, id="random-4x2-seed3", marks=SEED_MOVES_A_BRACKET),
+    pytest.param(random_joint(5, 3, 1), 2, id="random-5x3-seed1", marks=SEED_MOVES_A_BRACKET),
+    pytest.param(random_joint(6, 3, 8), 3, id="random-6x3-seed8", marks=SEED_MOVES_A_BRACKET),
+    *(pytest.param(empirical_joint(sample_pairs(random_joint(6, 3, s), 30, seed=1), 6, 3), 3,
+                   id=f"empirical-6x3-seed{s}", marks=SEED_MOVES_A_BRACKET) for s in (0, 1)),
+])
+def test_anneal_curve_is_the_same_at_another_seed(joint, t_card):
+    # the seed should only pick among equally good solutions: the grid's L,
+    # the transitions and where each is bracketed must not depend on it
+    grid = geometric_grid(0.5, 50.0, 1.15)
+    a, b = (anneal_curve(joint, t_card, grid, seed=s) for s in (0, 1))
+    np.testing.assert_allclose(a.L, b.L, rtol=0, atol=1e-9)
+    assert [(x.card_before, x.card_after) for x in a.bifurcations] == \
+        [(x.card_before, x.card_after) for x in b.bifurcations]
+    for x, y in zip(a.bifurcations, b.bifurcations):
+        # overlapping brackets have a negative gap; adjacent ones lie within a width
+        gap = max(x.beta_low, y.beta_low) - min(x.beta_high, y.beta_high)
+        assert gap <= curve.BRACKET_REL_WIDTH * max(x.beta_high, y.beta_high), (x, y)
+
+
 @pytest.mark.parametrize("seed", [3, 13, 0])
 def test_anneal_empirical_joint_curve_is_monotone(seed):
     # a one-way warm walk left a point on a worse branch, and InfoCurve
